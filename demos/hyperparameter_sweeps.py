@@ -48,7 +48,7 @@ def main():
     for freq in (1.0, 0.5, 0.2, 0.05, 0.01):
         params = base.replace(finetune_freq=freq)
         acer = pooled_acer(artifacts, params, scenarios)
-        kflops = calibrated_kflops_per_frame(params, artifacts.head.d)
+        kflops = calibrated_kflops_per_frame(params)
         raw = adaptation_cost(params, artifacts.head.d)
         print(f"  {freq:4.2f}   {acer:.4f}  {kflops:10.1f}               {raw:12.1f}")
 

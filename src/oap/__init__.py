@@ -15,7 +15,6 @@ from .engine import (
     TraceRecord,
     adaptation_cost,
     calibrated_kflops_per_frame,
-    cost_calibration,
     run_baseline_frozen,
     run_baseline_smoothed,
 )

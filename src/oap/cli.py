@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -166,7 +167,8 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _run_mode(mode, head, replay, params, frames, truth, momentum):
+def _run_mode(mode, head, replay, params, data, momentum, save_head_path):
+    frames, truth = data.to_frames(), data.labels
     if mode == "frozen":
         return run_baseline_frozen(
             head, frames, ground_truth=truth, eval_threshold=params.eval_threshold
@@ -175,7 +177,11 @@ def _run_mode(mode, head, replay, params, frames, truth, momentum):
         return run_baseline_smoothed(
             head, frames, momentum, ground_truth=truth, eval_threshold=params.eval_threshold
         )
-    return Engine(head, replay, params).run_stream(frames, ground_truth=truth)
+    engine = Engine(head, replay, params)
+    trace = engine.run_stream(frames, ground_truth=truth)
+    if save_head_path:
+        save_head(engine.head, save_head_path)
+    return trace
 
 
 def _summarize(reports: list[MetricReport], out_dir: Path) -> None:
@@ -184,8 +190,6 @@ def _summarize(reports: list[MetricReport], out_dir: Path) -> None:
         values = [getattr(r, field) for r in reports]
         summary[f"{field}_mean"] = float(np.mean(values))
         summary[f"{field}_std"] = float(np.std(values))
-    import json
-
     (out_dir / "metrics_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"acer_mean={summary['acer_mean']:.6f} acer_std={summary['acer_std']:.6f}")
 
@@ -219,22 +223,15 @@ def cmd_run(args) -> int:
                 f"{path}: stream dimension {data.features.shape[1]} != head dimension {head.d}"
             )
         streams.append((Path(path).stem, data))
-    if args.save_head and (len(streams) != 1 or n_seeds != 1):
-        raise ConfigError("--save-head needs exactly one stream and seeds=1")
+    if args.save_head and (mode != "oap" or len(streams) != 1 or n_seeds != 1):
+        raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
 
     reports = []
     for i in range(n_seeds):
         run_params = params.replace(seed=params.seed + i)
         scores, truth = [], []
         for stem, data in streams:
-            frames = data.to_frames()
-            if mode == "oap":
-                engine = Engine(head, replay, run_params)
-                trace = engine.run_stream(frames, ground_truth=data.labels)
-                if args.save_head:
-                    save_head(engine.head, args.save_head)
-            else:
-                trace = _run_mode(mode, head, replay, run_params, frames, data.labels, momentum)
+            trace = _run_mode(mode, head, replay, run_params, data, momentum, args.save_head)
             write_trace_csv(out_dir / f"trace_seed{run_params.seed}_{stem}.csv", trace)
             write_trace_jsonl(out_dir / f"trace_seed{run_params.seed}_{stem}.jsonl", trace)
             if data.labels is not None:
@@ -303,7 +300,7 @@ def cmd_sweep(args) -> int:
             "acer_std": float(np.std(acers)),
         }
         if args.axis == "finetune_freq":
-            row["kflops_per_frame"] = calibrated_kflops_per_frame(params, head.d)
+            row["kflops_per_frame"] = calibrated_kflops_per_frame(params)
         if args.axis == "replay_size":
             row["replay_bytes"] = value * (head.d + 1) * 8
         rows.append(row)

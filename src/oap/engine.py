@@ -18,9 +18,9 @@ in ``finetune_freq``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -39,10 +39,9 @@ from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
 from .simstream import StreamFrame
 
-# Cost scale of the full-size deployment this desk-scale model stands in
-# for: 960 KFLOPs/frame at finetune_freq=1. Sweep reports multiply the raw
-# model count by cost_calibration() so published-scale numbers come out;
-# the raw count itself is what the ledger accumulates.
+# Cost of the full-size deployment this desk-scale model stands in for, at
+# finetune_freq=1. Sweep reports scale it by finetune_freq; the engine
+# accumulates the raw model count.
 FULL_SCALE_KFLOPS_PER_FRAME = 960.0
 
 
@@ -51,38 +50,19 @@ def per_sample_flops(d: int, hidden: int = HIDDEN_UNITS) -> float:
     return 3.0 * 2.0 * (d * hidden + hidden)
 
 
-def adaptation_cost(params: HyperParams, d: int, iterations_per_call: int | None = None) -> float:
+def adaptation_cost(params: HyperParams, d: int) -> float:
     """Expected adaptation FLOPs per frame:
     finetune_freq * iterations * batch_size * per_sample_flops(d)."""
-    k = params.iterations_per_call if iterations_per_call is None else iterations_per_call
-    return params.finetune_freq * k * params.batch_size * per_sample_flops(d)
+    p = params
+    return p.finetune_freq * p.iterations_per_call * p.batch_size * per_sample_flops(d)
 
 
-def cost_calibration(params: HyperParams, d: int) -> float:
-    """Multiplier mapping this configuration's raw per-frame cost at
-    finetune_freq=1 onto the full-scale reference figure."""
-    full_rate = adaptation_cost(params.replace(finetune_freq=1.0), d)
-    return FULL_SCALE_KFLOPS_PER_FRAME * 1e3 / full_rate
-
-
-def calibrated_kflops_per_frame(params: HyperParams, d: int) -> float:
-    """The sweep report's cost column: adaptation_cost rescaled by
-    cost_calibration. The config-dependent factors cancel analytically,
-    leaving FULL_SCALE_KFLOPS_PER_FRAME * finetune_freq; computing it in
-    that canceled form keeps the reference figures exact in float."""
+def calibrated_kflops_per_frame(params: HyperParams) -> float:
+    """The sweep report's cost column: adaptation_cost rescaled so that
+    finetune_freq=1 costs FULL_SCALE_KFLOPS_PER_FRAME. The config-dependent
+    factors cancel analytically; computing it in that canceled form keeps
+    the reference figures exact in float."""
     return FULL_SCALE_KFLOPS_PER_FRAME * params.finetune_freq
-
-
-@dataclass
-class CostLedger:
-    """Non-decreasing cumulative adaptation FLOPs plus the per-frame trace."""
-
-    cumulative_flops: float = 0.0
-    per_frame_flops: list[float] = field(default_factory=list)
-
-    def record(self, flops: float) -> None:
-        self.per_frame_flops.append(flops)
-        self.cumulative_flops += flops
 
 
 @dataclass(frozen=True)
@@ -97,7 +77,8 @@ class FrameVerdict:
 @dataclass(frozen=True)
 class TraceRecord:
     """One emitted row per frame: the verdict plus harness-side context
-    (ground truth when known, buffer occupancy, cumulative cost)."""
+    (ground truth when known, buffer occupancy, cumulative cost). The
+    fields, in order, are the trace file schema."""
 
     frame_index: int
     ground_truth: int | None
@@ -107,6 +88,29 @@ class TraceRecord:
     finetuned: bool
     buffer_size: int
     cumulative_flops: float
+
+
+def _fold(
+    frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, step: Callable
+) -> list[TraceRecord]:
+    """The one stream runner behind the engine and both baselines. It visits
+    each frame exactly once, in order. ``step(frame)`` returns ``y`` and
+    then the trace fields after ``decision``; the fold adds the frame
+    index, the ground truth (which ``step`` never sees) and the decision."""
+    if len(frames) == 0:
+        raise DataError("empty stream")
+    if ground_truth is None:
+        truths = [None] * len(frames)
+    elif len(ground_truth) != len(frames):
+        raise DataError("ground truth length does not match the stream")
+    else:
+        truths = [int(g) for g in ground_truth]
+    trace = []
+    for frame, truth in zip(frames, truths):
+        y, *context = step(frame)
+        decision = int(ClassLabel.SPOOF if y > eval_threshold else ClassLabel.LIVE)
+        trace.append(TraceRecord(frame.frame_index, truth, y, decision, *context))
+    return trace
 
 
 class Engine:
@@ -130,7 +134,7 @@ class Engine:
         self.params = params
         self.frame_count = 0
         self.finetune_accumulator = 0.0
-        self.cost_ledger = CostLedger()
+        self.cumulative_flops = 0.0  # non-decreasing adaptation FLOPs
         self.rng = rng if rng is not None else seeded_rng(params.seed, "sampler")
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
@@ -146,7 +150,6 @@ class Engine:
 
         self.finetune_accumulator += p.finetune_freq
         events = 0
-        finetuned = False
         snapshot = None
         while self.finetune_accumulator >= 1.0:
             self.finetune_accumulator -= 1.0
@@ -165,16 +168,14 @@ class Engine:
                 # Rejected update: roll the whole frame's fine-tuning back
                 # and mark the verdict as not fine-tuned.
                 self.head, self.adam = snapshot
-                finetuned = False
                 events = 0
                 break
             events += 1
-            finetuned = True
 
         flops = events * p.iterations_per_call * p.batch_size * per_sample_flops(self.head.d)
-        self.cost_ledger.record(flops)
+        self.cumulative_flops += flops
         self.frame_count += 1
-        return FrameVerdict(frame_index, y, decision, pseudo, finetuned)
+        return FrameVerdict(frame_index, y, decision, pseudo, events > 0)
 
     def run_stream(
         self, frames: Sequence[StreamFrame], ground_truth=None
@@ -182,26 +183,13 @@ class Engine:
         """Fold process_frame over the stream: one verdict per frame, each
         frame visited exactly once. ``ground_truth`` is harness-side only;
         it is copied into the trace and never touches the model."""
-        if len(frames) == 0:
-            raise DataError("empty stream")
-        if ground_truth is not None and len(ground_truth) != len(frames):
-            raise DataError("ground truth length does not match the stream")
-        trace: list[TraceRecord] = []
-        for i, frame in enumerate(frames):
+
+        def step(frame: StreamFrame) -> tuple:
             v = self.process_frame(frame.feature, frame.frame_index, frame.time)
-            trace.append(
-                TraceRecord(
-                    frame_index=v.frame_index,
-                    ground_truth=None if ground_truth is None else int(ground_truth[i]),
-                    y=v.y,
-                    decision=int(v.decision),
-                    pseudo_label=int(v.pseudo),
-                    finetuned=v.finetuned_this_frame,
-                    buffer_size=len(self.online),
-                    cumulative_flops=self.cost_ledger.cumulative_flops,
-                )
-            )
-        return trace
+            flops = self.cumulative_flops
+            return v.y, int(v.pseudo), v.finetuned_this_frame, len(self.online), flops
+
+        return _fold(frames, ground_truth, self.params.eval_threshold, step)
 
 
 def run_baseline_frozen(
@@ -211,25 +199,11 @@ def run_baseline_frozen(
     eval_threshold: float = 0.5,
 ) -> list[TraceRecord]:
     """Pure inference with no adaptation: what run_stream degenerates to
-    when nothing fires. The head is never touched."""
-    if len(frames) == 0:
-        raise DataError("empty stream")
-    trace = []
-    for i, frame in enumerate(frames):
-        y = forward(head, frame.feature)
-        trace.append(
-            TraceRecord(
-                frame_index=frame.frame_index,
-                ground_truth=None if ground_truth is None else int(ground_truth[i]),
-                y=y,
-                decision=int(ClassLabel.SPOOF if y > eval_threshold else ClassLabel.LIVE),
-                pseudo_label=None,
-                finetuned=False,
-                buffer_size=0,
-                cumulative_flops=0.0,
-            )
-        )
-    return trace
+    when nothing fires. The head is never touched. It is the smoothed
+    baseline at momentum 0, where 0*ema + 1*y is exactly y."""
+    return run_baseline_smoothed(
+        head, frames, 0.0, ground_truth=ground_truth, eval_threshold=eval_threshold
+    )
 
 
 def run_baseline_smoothed(
@@ -246,120 +220,103 @@ def run_baseline_smoothed(
     """
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum out of range: {momentum!r} (want 0 <= momentum < 1)")
-    if len(frames) == 0:
-        raise DataError("empty stream")
     resets = set(int(i) for i in reset_at)
-    trace = []
     ema: float | None = None
-    for i, frame in enumerate(frames):
+
+    def step(frame: StreamFrame) -> tuple:
+        nonlocal ema
         y = forward(head, frame.feature)
         if ema is None or frame.frame_index in resets:
             ema = y
         else:
             ema = momentum * ema + (1.0 - momentum) * y
-        trace.append(
-            TraceRecord(
-                frame_index=frame.frame_index,
-                ground_truth=None if ground_truth is None else int(ground_truth[i]),
-                y=ema,
-                decision=int(ClassLabel.SPOOF if ema > eval_threshold else ClassLabel.LIVE),
-                pseudo_label=None,
-                finetuned=False,
-                buffer_size=0,
-                cumulative_flops=0.0,
-            )
-        )
-    return trace
+        return ema, None, False, 0, 0.0
+
+    return _fold(frames, ground_truth, eval_threshold, step)
 
 
 # ---------------------------------------------------------------------------
-# Trace files: CSV and line-delimited JSON
+# Trace files: CSV and line-delimited JSON, both laid out by TraceRecord
 # ---------------------------------------------------------------------------
 
-TRACE_COLUMNS = (
-    "frame_index",
-    "ground_truth",
-    "y",
-    "decision",
-    "pseudo_label",
-    "finetuned",
-    "buffer_size",
-    "cumulative_flops",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
+def _cell(value) -> str:
+    """One CSV cell: blank for None, 0/1 for a bool, repr otherwise
+    (shortest round-trip form for a float, the digits for an int)."""
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "1" if value else "0"
+    return repr(value)
+
+
+# The exact value types each field admits, e.g. (int, NoneType) for
+# ``int | None``; a bool is not accepted as an int.
+_FIELD_TYPES = tuple(get_args(h) or (h,) for h in get_type_hints(TraceRecord).values())
+
+
+def _parse_cell(cell: str, types: tuple):
+    """The inverse of _cell for a field admitting ``types``."""
+    if cell == "" and type(None) in types:
+        return None
+    if bool in types:
+        if cell not in ("0", "1"):
+            raise ValueError(f"not a 0/1 cell: {cell!r}")
+        return cell == "1"
+    return types[0](cell)
+
+
+# Rows are written from ``r.__dict__``: the dataclass __init__ sets the
+# fields in declaration order, which is TRACE_COLUMNS. dataclasses.asdict
+# gives the same bytes but deep-copies every row at several times the cost.
 def write_trace_csv(path: str | Path, trace: Sequence[TraceRecord]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for r in trace:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.frame_index),
-                        "" if r.ground_truth is None else str(r.ground_truth),
-                        repr(r.y),
-                        str(r.decision),
-                        "" if r.pseudo_label is None else str(r.pseudo_label),
-                        str(int(r.finetuned)),
-                        str(r.buffer_size),
-                        repr(r.cumulative_flops),
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(_cell, r.__dict__.values())) + "\n")
+
+
+def _read_trace(path: str | Path, lines: list[str], parse_row) -> list[TraceRecord]:
+    """Parse every non-blank line; any row the parser rejects (a wrong
+    cell count or type, a missing key, a line that is not JSON) is a
+    DataError naming the file and the row."""
+    trace = []
+    for line in lines:
+        if not line:
+            continue
+        try:
+            trace.append(parse_row(line))
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path}: malformed trace row {line!r}") from exc
+    return trace
+
+
+def _parse_csv_row(line: str) -> TraceRecord:
+    cells = zip(line.split(","), _FIELD_TYPES, strict=True)
+    return TraceRecord(*(_parse_cell(cell, types) for cell, types in cells))
+
+
+def _parse_jsonl_row(line: str) -> TraceRecord:
+    record = TraceRecord(**json.loads(line))
+    if any(type(v) not in t for v, t in zip(record.__dict__.values(), _FIELD_TYPES)):
+        raise TypeError("a trace field has the wrong type")
+    return record
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise DataError(f"{path}: not a trace file")
-    trace = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cols = line.split(",")
-        if len(cols) != len(TRACE_COLUMNS):
-            raise DataError(f"{path}: malformed trace row {line!r}")
-        trace.append(
-            TraceRecord(
-                frame_index=int(cols[0]),
-                ground_truth=None if cols[1] == "" else int(cols[1]),
-                y=float(cols[2]),
-                decision=int(cols[3]),
-                pseudo_label=None if cols[4] == "" else int(cols[4]),
-                finetuned=bool(int(cols[5])),
-                buffer_size=int(cols[6]),
-                cumulative_flops=float(cols[7]),
-            )
-        )
-    return trace
+    return _read_trace(path, lines[1:], _parse_csv_row)
 
 
 def write_trace_jsonl(path: str | Path, trace: Sequence[TraceRecord]) -> None:
     with open(path, "w") as fh:
         for r in trace:
-            fh.write(
-                json.dumps(
-                    {
-                        "frame_index": r.frame_index,
-                        "ground_truth": r.ground_truth,
-                        "y": r.y,
-                        "decision": r.decision,
-                        "pseudo_label": r.pseudo_label,
-                        "finetuned": r.finetuned,
-                        "buffer_size": r.buffer_size,
-                        "cumulative_flops": r.cumulative_flops,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(r.__dict__) + "\n")
 
 
 def read_trace_jsonl(path: str | Path) -> list[TraceRecord]:
-    trace = []
-    for line in Path(path).read_text().splitlines():
-        if not line:
-            continue
-        obj = json.loads(line)
-        trace.append(TraceRecord(**obj))
-    return trace
+    return _read_trace(path, Path(path).read_text().splitlines(), _parse_jsonl_row)

@@ -215,7 +215,7 @@ def test_06_cost_linearity():
     per_freq = [adaptation_cost(params.replace(finetune_freq=f), d=32) for f in freqs]
     linear = all(c / f == base for c, f in zip(per_freq, freqs))
     kflops = [
-        calibrated_kflops_per_frame(params.replace(finetune_freq=f), d=32) for f in freqs
+        calibrated_kflops_per_frame(params.replace(finetune_freq=f)) for f in freqs
     ]
     matches = all(k == r for k, r in zip(kflops, reference))
     report(6, "cost-linearity", linear and matches,

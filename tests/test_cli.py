@@ -166,6 +166,19 @@ class TestRun:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("mode", ["frozen", "ema"])
+    def test_save_head_needs_oap_mode(self, pipeline, tmp_path, mode):
+        """A baseline never changes the head, so asking it to save one is a
+        config error, and no head file appears."""
+        _, gen_dir, pre_dir = pipeline
+        stream = sorted(gen_dir.glob("stream_seed*.oapf"))[0]
+        saved = tmp_path / "adapted.oaph"
+        assert main([
+            "run", "--out", str(tmp_path / "o"), "--head", str(pre_dir / "head.oaph"),
+            "--stream", str(stream), "--mode", mode, "--save-head", str(saved),
+        ]) == 2
+        assert not saved.exists()
+
     def test_adapted_head_probe(self, pipeline, tmp_path):
         """Adapting on one stream, then probing another with the saved
         head through frozen mode, works end to end."""
@@ -228,11 +241,23 @@ class TestSweep:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def seed_traces(pipeline):
+    """Trace CSVs of a two-seed oap run on one stream, for the report tests."""
+    root, gen_dir, pre_dir = pipeline
+    out = root / "report_oap"
+    stream = sorted(gen_dir.glob("stream_seed*.oapf"))[0]
+    assert main([
+        "run", "--out", str(out), "--head", str(pre_dir / "head.oaph"),
+        "--replay", str(pre_dir / "replay.oapf"), "--stream", str(stream),
+        "--mode", "oap", "--seeds", "2",
+    ]) == 0
+    return sorted(out.glob("trace_seed*_*.csv"))
+
+
 class TestReport:
-    def test_merges_seed_traces(self, pipeline, tmp_path):
-        root, gen_dir, pre_dir = pipeline
-        run_dir = root / "run_oap"
-        traces = sorted(run_dir.glob("trace_seed*_*.csv"))
+    def test_merges_seed_traces(self, seed_traces, tmp_path):
+        traces = seed_traces
         out = tmp_path / "merged.csv"
         assert main(["report", "--trace", str(traces[0]), "--trace", str(traces[1]),
                      "--out", str(out)]) == 0
@@ -240,20 +265,27 @@ class TestReport:
         assert lines[0] == "frame_index,ground_truth,y_mean,y_std,n_traces"
         assert len(lines) == 241
 
-    def test_single_trace_gives_zero_std(self, pipeline, tmp_path):
-        root, _, _ = pipeline
-        trace = sorted((root / "run_oap").glob("trace_seed*_*.csv"))[0]
+    def test_single_trace_gives_zero_std(self, seed_traces, tmp_path):
+        trace = seed_traces[0]
         out = tmp_path / "single.csv"
         assert main(["report", "--trace", str(trace), "--out", str(out)]) == 0
         stds = [float(l.split(",")[3]) for l in out.read_text().splitlines()[1:]]
         assert all(s == 0.0 for s in stds)
 
-    def test_mismatched_lengths_rejected(self, pipeline, tmp_path):
-        root, gen_dir, pre_dir = pipeline
-        run_dir = root / "run_oap"
-        full = sorted(run_dir.glob("trace_seed*_*.csv"))[0]
+    def test_mismatched_lengths_rejected(self, seed_traces, tmp_path):
+        full = seed_traces[0]
         short = tmp_path / "short.csv"
         lines = Path(full).read_text().splitlines()
         short.write_text("\n".join(lines[:100]) + "\n")
         assert main(["report", "--trace", str(full), "--trace", str(short),
                      "--out", str(tmp_path / "m.csv")]) == 3
+
+    def test_malformed_trace_is_data_error(self, seed_traces, tmp_path):
+        """A trace cell that does not parse exits 3 like any other bad input."""
+        lines = Path(seed_traces[0]).read_text().splitlines()
+        cols = lines[1].split(",")
+        cols[2] = "abc"
+        lines[1] = ",".join(cols)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--trace", str(bad), "--out", str(tmp_path / "m.csv")]) == 3

@@ -8,7 +8,7 @@ from oap.config import ClassLabel, HyperParams, PseudoLabel
 from oap.engine import (
     Engine,
     adaptation_cost,
-    cost_calibration,
+    calibrated_kflops_per_frame,
     per_sample_flops,
     read_trace_csv,
     read_trace_jsonl,
@@ -214,9 +214,7 @@ class TestCostModel:
         assert adaptation_cost(base.replace(finetune_freq=0.5), d=32) == pytest.approx(full / 2)
 
     def test_calibrated_full_rate_hits_reference_figure(self):
-        params = HyperParams()
-        kflops = adaptation_cost(params, d=32) * cost_calibration(params, d=32) / 1e3
-        assert kflops == pytest.approx(960.0)
+        assert calibrated_kflops_per_frame(HyperParams()) == 960.0
 
     def test_ledger_monotone_and_zero_without_events(self, artifacts):
         head, replay, frames, _ = artifacts
@@ -324,7 +322,58 @@ class TestTraceFiles:
         with pytest.raises(DataError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, cell", [(2, "abc"), (0, "1.5"), (5, ""), (5, "2"), (7, "0.0,1")]
+    )
+    def test_malformed_csv_cell_rejected(self, artifacts, tmp_path, column, cell):
+        """A cell that does not parse as its field's type, or a row with
+        the wrong cell count, is a DataError, not a ValueError."""
+        head, _, frames, _ = artifacts
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, run_baseline_frozen(head, frames[:3]))
+        lines = path.read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[column] = cell
+        lines[2] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="malformed trace row"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"frame_index": 1}',
+        "not json",
+        "[1, 2]",
+        '{"frame_index": 4, "ground_truth": null, "y": "abc", "decision": 1, '
+        '"pseudo_label": null, "finetuned": false, "buffer_size": 0, "cumulative_flops": 0.0}',
+        '{"frame_index": 4, "ground_truth": null, "y": 0.5, "decision": true, '
+        '"pseudo_label": null, "finetuned": false, "buffer_size": 0, "cumulative_flops": 0.0}',
+    ])
+    def test_malformed_jsonl_line_rejected(self, artifacts, tmp_path, line):
+        """A missing key, a value of the wrong type or a line that is not a
+        JSON object is a DataError."""
+        head, _, frames, _ = artifacts
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, run_baseline_frozen(head, frames[:3]))
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(DataError, match="malformed trace row"):
+            read_trace_jsonl(path)
+
     def test_empty_stream_rejected(self, artifacts):
         head, replay, _, _ = artifacts
         with pytest.raises(DataError, match="empty"):
             Engine(head, replay, desk_params()).run_stream([])
+
+    @pytest.mark.parametrize("runner", ["engine", "frozen", "ema"])
+    @pytest.mark.parametrize("n_frames, n_truth", [(300, 10), (10, 300)])
+    def test_ground_truth_length_checked(self, artifacts, runner, n_frames, n_truth):
+        """Ground truth shorter or longer than the stream is a DataError in
+        every runner, not an IndexError or a silent truncation."""
+        head, replay, frames, truth = artifacts
+        frames, truth = frames[:n_frames], truth[:n_truth]
+        with pytest.raises(DataError, match="ground truth length"):
+            if runner == "engine":
+                Engine(head, replay, desk_params()).run_stream(frames, ground_truth=truth)
+            elif runner == "frozen":
+                run_baseline_frozen(head, frames, ground_truth=truth)
+            else:
+                run_baseline_smoothed(head, frames, 0.9, ground_truth=truth)
