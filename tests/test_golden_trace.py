@@ -1,8 +1,12 @@
-"""Golden traces: the SHA-256 of the CSV and JSONL trace bytes of four
+"""Golden traces: the SHA-256 of the CSV and JSONL trace bytes of six
 seeded runs on a short continual stream. Any change to scoring,
 adaptation, the baselines or the trace writers that moves a single bit
 shows up here; a change that means to move bits must update the digests
-and say why."""
+and say why.
+
+Besides the default fine-tune rates, two oap runs cover paths the defaults
+skip: three Adam iterations per fine-tune call (the rollback snapshot), and
+a smoothing window of 7 with an even source mix (both sampler sources)."""
 
 import hashlib
 
@@ -23,6 +27,14 @@ GOLDEN = {
         "ab637465ef28186d0739ae2ad22be167b6f8c45e87106c4bbaf636861a464b70",
         "ef2963f4eece4cb05beba4a919fda22964d0ca38c3d90cf84259f328bda8724a",
     ),
+    "oap_iter3": (
+        "42b206f021b0fc6c912344a44ef3f408a85ec5439ed0fd942ffead4e1e3d4c2f",
+        "a2b9d4f1aa20961ca78e12400f392eff29627a439e0945953ee6bcd71022a56a",
+    ),
+    "oap_window7_mix": (
+        "89300ef2dce182f6552e2b94bb8f69aa45e353f1d129f6cf106a33d397ee250c",
+        "dff60629a8d6b49d7ef51d5496204b9decb79f431dbb0759a0f7008b55ccf305",
+    ),
     "frozen": (
         "74aaf2889e8639cbfbd5643cac6dac9a6ee805f536df9b02d8b57232590b7762",
         "ac659c99928791e10732500e83eb10110f9582ca37c528be7ce3293a9f5f8f3d",
@@ -31,6 +43,13 @@ GOLDEN = {
         "b3a4fb83eb97774305318cfbe2962bb7b4c6511d5f8328d93fe8765da22c6338",
         "1bdd72b5a9e4d2ecd7cfa57bea53bcf206f23d11aa0490efdfd1ae0fbef012ad",
     ),
+}
+
+OAP_OVERRIDES = {
+    "oap_ff1": {"finetune_freq": 1.0},
+    "oap_ff005": {"finetune_freq": 0.05},
+    "oap_iter3": {"iterations_per_call": 3},
+    "oap_window7_mix": {"window": 7, "online_prob": 0.5},
 }
 
 
@@ -46,8 +65,7 @@ def run(name, art, frames, truth):
         return run_baseline_frozen(art.head, frames, ground_truth=truth)
     if name == "ema":
         return run_baseline_smoothed(art.head, frames, 0.9, ground_truth=truth)
-    freq = 1.0 if name == "oap_ff1" else 0.05
-    engine = Engine(art.head, art.replay, desk_params(0, finetune_freq=freq))
+    engine = Engine(art.head, art.replay, desk_params(0, **OAP_OVERRIDES[name]))
     return engine.run_stream(frames, ground_truth=truth)
 
 
