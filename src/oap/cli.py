@@ -323,6 +323,10 @@ def cmd_report(args) -> int:
     if len(lengths) != 1:
         raise DataError(f"trace lengths differ: {sorted(lengths)}")
     n = lengths.pop()
+    for path, trace in zip(args.trace[1:], traces[1:]):
+        for column in ("frame_index", "ground_truth"):
+            if any(getattr(a, column) != getattr(b, column) for a, b in zip(trace, traces[0])):
+                raise DataError(f"{path}: {column} differs from {args.trace[0]}")
     ys = np.array([[r.y for r in t] for t in traces])
     out = Path(args.out)
     with open(out, "w") as fh:

@@ -2,12 +2,17 @@
 
 The hard contract: every frame is scored by the model as it stood BEFORE
 that frame arrived, and only then may the frame influence the model. Each
-step runs, in order: forward pass -> pseudo-label -> buffer insert (unless
-discarded) -> time-based eviction -> label smoothing over the whole buffer
--> zero or more fine-tune invocations, driven by an accumulator that adds
-``finetune_freq`` per frame and fires on every whole unit. The verdict for
-frame t is therefore a deterministic function of frames 1..t only, and a
-frozen-head run is exactly the degenerate case with adaptation disabled.
+step runs, in order: input checks (frame indices strictly increase, times
+are finite and never decrease) -> forward pass -> pseudo-label -> buffer
+insert (unless discarded) -> time-based eviction -> zero or more fine-tune
+invocations, driven by an accumulator that adds ``finetune_freq`` per frame
+and fires on every whole unit. Each invocation first brings the buffer's
+working labels up to date (majority smoothing over the whole buffer, redone
+only when an entry came or went since the last pass), then samples its
+batches. Labels are read only by the sampler, so this is the same as
+smoothing on every frame. The verdict for frame t is therefore a
+deterministic function of frames 1..t only, and a frozen-head run is
+exactly the degenerate case with adaptation disabled.
 
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
 counting: one sample costs 2*(d*64 + 64) forward, times 3 for the joint
@@ -18,6 +23,7 @@ in ``finetune_freq``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_args, get_type_hints
@@ -135,18 +141,36 @@ class Engine:
         self.frame_count = 0
         self.finetune_accumulator = 0.0
         self.cumulative_flops = 0.0  # non-decreasing adaptation FLOPs
+        self.last_frame_index: int | None = None  # of the last frame processed
+        self.last_frame_time: float | None = None
         self.rng = rng if rng is not None else seeded_rng(params.seed, "sampler")
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
+        """Score one frame, then let it adapt the head. Frame indices must
+        strictly increase and times must be finite and never decrease; a
+        frame that breaks this, or whose feature has the wrong dimension or
+        a non-finite value, raises DataError before any state changes."""
         p = self.params
+        if not math.isfinite(time):
+            raise DataError(f"non-finite frame time {time!r}")
+        if self.last_frame_index is not None:
+            if not frame_index > self.last_frame_index:
+                raise DataError(
+                    f"frame index {frame_index} does not follow the last frame's "
+                    f"{self.last_frame_index}"
+                )
+            if time < self.last_frame_time:
+                raise DataError(
+                    f"frame time {time!r} precedes the last frame's {self.last_frame_time!r}"
+                )
         y = forward(self.head, feature)
+        self.last_frame_index, self.last_frame_time = frame_index, time
         decision = ClassLabel.SPOOF if y > p.eval_threshold else ClassLabel.LIVE
         pseudo = assign_pseudo_label(y, p.margin)
 
         if pseudo != PseudoLabel.DISCARD:
             self.online.insert(feature, pseudo, frame_index, time)
         self.online.evict_old(time, p.eviction_horizon)
-        self.online.refresh_working_labels(p.window)
 
         self.finetune_accumulator += p.finetune_freq
         events = 0
@@ -155,8 +179,12 @@ class Engine:
             self.finetune_accumulator -= 1.0
             if len(self.online) == 0 and len(self.replay) == 0:
                 continue
-            if snapshot is None:
+            # finetune_freq <= 1 fires at most one event per frame, and
+            # apply_update commits atomically, so a single update needs no
+            # snapshot to roll back to.
+            if snapshot is None and p.iterations_per_call > 1:
                 snapshot = (self.head.copy(), self.adam.copy())
+            self.online.refresh_working_labels(p.window)
             try:
                 for _ in range(p.iterations_per_call):
                     feats, labels = sample_batch(
@@ -167,7 +195,8 @@ class Engine:
             except NumericalError:
                 # Rejected update: roll the whole frame's fine-tuning back
                 # and mark the verdict as not fine-tuned.
-                self.head, self.adam = snapshot
+                if snapshot is not None:
+                    self.head, self.adam = snapshot
                 events = 0
                 break
             events += 1

@@ -18,6 +18,7 @@ sane head produces; gradients treat it as the identity.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,12 +33,32 @@ PROB_EPS = 1e-7
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
-@dataclass
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive row-major views of ``flat`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _pack(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` into one contiguous float64 vector; return it and
+    views of it shaped like the inputs."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    return flat, _views(flat, [a.shape for a in arrays])
+
+
 class ClassifierHead:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    """The head's parameters ``w1``, ``b1``, ``w2``, ``b2``. They are views
+    into one contiguous vector ``flat`` (in that order, each row-major), so
+    an optimizer step runs once over every parameter. The constructor copies
+    its arguments; in-place writes to a parameter land in ``flat``."""
+
+    def __init__(self, w1, b1, w2, b2) -> None:
+        self.flat, (self.w1, self.b1, self.w2, self.b2) = _pack((w1, b1, w2, b2))
 
     @property
     def d(self) -> int:
@@ -47,45 +68,47 @@ class ClassifierHead:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def copy(self) -> "ClassifierHead":
-        return ClassifierHead(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy()
-        )
+        return ClassifierHead(self.w1, self.b1, self.w2, self.b2)
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(arr).all() for arr in self.params().values())
+        return bool(np.isfinite(self.flat).all())
 
 
-@dataclass
 class AdamState:
     """First/second moment accumulators plus the step counter.
 
-    ``step_count`` increments by exactly one per committed update; the
-    moments stay element-wise finite for any bounded gradient sequence.
+    The moments are held as flat vectors ``m_flat`` / ``v_flat`` laid out
+    like ``ClassifierHead.flat``; ``m`` and ``v`` are dicts of per-parameter
+    views into them. ``step_count`` increments by exactly one per committed
+    update; the moments stay element-wise finite for any bounded gradient
+    sequence.
     """
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    def __init__(
+        self,
+        m: dict[str, np.ndarray],
+        v: dict[str, np.ndarray],
+        step_count: int = 0,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ) -> None:
+        self.m_flat, m_views = _pack(m[name] for name in PARAM_NAMES)
+        self.v_flat, v_views = _pack(v[name] for name in PARAM_NAMES)
+        self.m = dict(zip(PARAM_NAMES, m_views))
+        self.v = dict(zip(PARAM_NAMES, v_views))
+        self.step_count = step_count
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
 
     @classmethod
     def for_head(cls, head: ClassifierHead) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in head.params().items()},
-            v={name: np.zeros_like(arr) for name, arr in head.params().items()},
-        )
+        zeros = {name: np.zeros_like(arr) for name, arr in head.params().items()}
+        return cls(m=zeros, v=zeros)
 
     def copy(self) -> "AdamState":
-        return AdamState(
-            m={k: arr.copy() for k, arr in self.m.items()},
-            v={k: arr.copy() for k, arr in self.v.items()},
-            step_count=self.step_count,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
+        return AdamState(self.m, self.v, self.step_count, self.beta1, self.beta2, self.eps)
 
 
 def init_head(d: int, rng: np.random.Generator) -> ClassifierHead:
@@ -155,7 +178,7 @@ def loss_and_grad(
         raise DataError("empty batch")
     if labels.shape[0] != n:
         raise DataError(f"batch has {n} features but {labels.shape[0]} labels")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise DataError("labels must be 0 or 1")
 
     z1 = feats @ head.w1 + head.b1
@@ -167,7 +190,7 @@ def loss_and_grad(
 
     # d loss / d logit for sigmoid + cross entropy collapses to (y - l)/n.
     dlogits = (y - labels) / n
-    dhidden = np.outer(dlogits, head.w2)
+    dhidden = dlogits[:, None] * head.w2
     dz1 = dhidden * (z1 > 0.0)
     grads = {
         "w1": feats.T @ dz1,
@@ -191,8 +214,10 @@ def apply_update(
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
 
     Mutates ``head`` and ``state`` in place and returns them. A non-finite
-    gradient rejects the whole update: NumericalError is raised and neither
-    head nor state is touched.
+    gradient or result rejects the whole update: NumericalError is raised
+    and neither head nor state is touched. The step runs once over the flat
+    parameter vector; every operation is elementwise and correctly rounded,
+    so the result is bit-identical to stepping each parameter on its own.
     """
     for name in PARAM_NAMES:
         if name not in grads:
@@ -202,30 +227,35 @@ def apply_update(
                 f"gradient shape mismatch for {name!r}: "
                 f"{grads[name].shape} vs {getattr(head, name).shape}"
             )
-        if not np.isfinite(grads[name]).all():
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    g = np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
+    if not np.isfinite(g).all():
+        raise NumericalError(f"non-finite gradient for parameter {_first_nonfinite(grads)!r}")
 
     t = state.step_count + 1
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    new_values: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for name in PARAM_NAMES:
-        g = grads[name]
-        theta = getattr(head, name)
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-        theta_new = theta - step - learning_rate * weight_decay * theta
-        if not np.isfinite(theta_new).all():
-            raise NumericalError(f"update produced non-finite values in {name!r}")
-        new_values[name] = (theta_new, m, v)
+    m = state.beta1 * state.m_flat + (1.0 - state.beta1) * g
+    v = state.beta2 * state.v_flat + (1.0 - state.beta2) * g * g
+    step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    theta = head.flat
+    theta_new = theta - step - learning_rate * weight_decay * theta
+    if not np.isfinite(theta_new).all():
+        values = dict(zip(PARAM_NAMES, _views(theta_new, [p.shape for p in head.params().values()])))
+        raise NumericalError(
+            f"update produced non-finite values in {_first_nonfinite(values)!r}"
+        )
 
-    for name, (theta_new, m, v) in new_values.items():
-        getattr(head, name)[...] = theta_new
-        state.m[name] = m
-        state.v[name] = v
+    theta[...] = theta_new
+    state.m_flat[...] = m
+    state.v_flat[...] = v
     state.step_count = t
     return head, state
+
+
+def _first_nonfinite(arrays: dict[str, np.ndarray]) -> str:
+    """Name of the first parameter, in PARAM_NAMES order, holding a
+    non-finite value (the error path of apply_update)."""
+    return next(name for name in PARAM_NAMES if not np.isfinite(arrays[name]).all())
 
 
 @dataclass(frozen=True)

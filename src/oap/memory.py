@@ -14,6 +14,7 @@ start when the online buffer is still empty.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,77 +27,147 @@ from .pseudolabel import smooth_labels
 class OnlineBuffer:
     """Ordered store of (feature, raw pseudo-label, smoothed working label,
     frame_index, wall time). Single writer; discard labels never enter;
-    frame indices strictly increase."""
+    frame indices strictly increase and times never decrease, so eviction
+    by age always removes a prefix.
+
+    The entries live in rows ``[lo, hi)`` of preallocated column arrays.
+    When an insert finds the arrays full, the live rows move to the front
+    of new arrays, twice as long if more than half of the rows are live.
+
+    Working labels are recomputed only by ``refresh_working_labels``, which
+    the engine calls right before a fine-tune event samples a batch, so
+    ``working_labels`` is current as of the last fine-tune event: an entry
+    inserted since then carries its raw label, and survivors of an eviction
+    keep the labels smoothed before it."""
+
+    INITIAL_CAPACITY = 256
+    _COLUMNS = ("_features", "_raw", "_working", "_index", "_time")
 
     def __init__(self) -> None:
-        self._features: list[np.ndarray] = []
-        self._raw_labels: list[int] = []
-        self._working_labels: list[int] = []
-        self._frame_indices: list[int] = []
-        self._times: list[float] = []
+        cap = self.INITIAL_CAPACITY
+        self._features: np.ndarray | None = None  # shaped by the first insert
+        self._raw = np.empty(cap, dtype=np.int64)
+        self._working = np.empty(cap, dtype=np.int64)
+        self._index = np.empty(cap, dtype=np.int64)
+        self._time = np.empty(cap, dtype=np.float64)
+        self._lo = self._hi = 0
+        # The window the working labels were last smoothed with and the
+        # sampler's class buckets of them; None once an insert or an
+        # eviction makes them stale.
+        self._smoothed_window: int | None = None
+        self._buckets: tuple | None = None
 
     def __len__(self) -> int:
-        return len(self._features)
+        return self._hi - self._lo
 
     @property
     def frame_indices(self) -> np.ndarray:
-        return np.asarray(self._frame_indices, dtype=np.int64)
+        return self._index[self._lo : self._hi].copy()
 
     @property
     def raw_labels(self) -> np.ndarray:
-        return np.asarray(self._raw_labels, dtype=np.int64)
+        return self._raw[self._lo : self._hi].copy()
 
     @property
     def working_labels(self) -> np.ndarray:
-        return np.asarray(self._working_labels, dtype=np.int64)
+        return self._working[self._lo : self._hi].copy()
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=np.float64)
+        return self._time[self._lo : self._hi].copy()
 
     def features_matrix(self) -> np.ndarray:
-        if not self._features:
+        if not len(self):
             return np.zeros((0, 0))
-        return np.stack(self._features)
+        return self._features[self._lo : self._hi].copy()
 
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
         """Append an accepted entry. The working label starts equal to the
         raw label until the next smoothing pass."""
         if pseudo_label == PseudoLabel.DISCARD:
             raise DataError("discard labels are never inserted into the online buffer")
-        if self._frame_indices and frame_index <= self._frame_indices[-1]:
+        if not math.isfinite(time):
+            raise DataError(f"non-finite insert time {time!r}")
+        if self._hi > self._lo:
+            last = self._hi - 1
+            if frame_index <= self._index[last]:
+                raise DataError(
+                    f"out-of-order insert: frame {frame_index} after {self._index[last]}"
+                )
+            if time < self._time[last]:
+                raise DataError(f"out-of-order insert: time {time!r} after {self._time[last]!r}")
+        feature = np.asarray(feature, dtype=np.float64)
+        if self._features is None:
+            self._features = np.empty((len(self._raw),) + feature.shape)
+        elif feature.shape != self._features.shape[1:]:
             raise DataError(
-                f"out-of-order insert: frame {frame_index} after {self._frame_indices[-1]}"
+                f"feature shape {feature.shape} differs from the stored {self._features.shape[1:]}"
             )
-        self._features.append(np.asarray(feature, dtype=np.float64).copy())
-        self._raw_labels.append(int(pseudo_label))
-        self._working_labels.append(int(pseudo_label))
-        self._frame_indices.append(int(frame_index))
-        self._times.append(float(time))
+        if self._hi == len(self._raw):
+            self._make_room()
+        i = self._hi
+        self._features[i] = feature
+        self._raw[i] = self._working[i] = pseudo_label
+        self._index[i] = frame_index
+        self._time[i] = time
+        self._hi = i + 1
+        self._smoothed_window = self._buckets = None
+
+    def _make_room(self) -> None:
+        n = len(self)
+        cap = len(self._raw) * (2 if n > len(self._raw) // 2 else 1)
+        for name in self._COLUMNS:
+            old = getattr(self, name)
+            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+            new[:n] = old[self._lo : self._hi]
+            setattr(self, name, new)
+        self._lo, self._hi = 0, n
 
     def evict_old(self, now: float, horizon: float) -> None:
         """Keep exactly the entries with (now - entry.time) < horizon;
         survivors keep their order. The comparison absorbs float round-off
         in the age subtraction (a few ulp), so an entry whose exact age
-        equals the horizon is reliably evicted."""
+        equals the horizon is reliably evicted. Stored times never
+        decrease, so the rounded age never increases along the buffer and
+        the evicted entries are a prefix."""
         cutoff = horizon - horizon * 1e-12
-        keep = [i for i, t in enumerate(self._times) if now - t < cutoff]
-        if len(keep) == len(self._times):
+        lo, hi, times = self._lo, self._hi, self._time
+        while lo < hi and not now - times[lo] < cutoff:
+            lo += 1
+        if lo == self._lo:
             return
-        self._features = [self._features[i] for i in keep]
-        self._raw_labels = [self._raw_labels[i] for i in keep]
-        self._working_labels = [self._working_labels[i] for i in keep]
-        self._frame_indices = [self._frame_indices[i] for i in keep]
-        self._times = [self._times[i] for i in keep]
+        self._lo, self._hi = (0, 0) if lo == hi else (lo, hi)
+        self._smoothed_window = self._buckets = None
 
     def refresh_working_labels(self, window: int) -> None:
         """Recompute all working labels from the raw stored labels via
         majority smoothing. Raw labels are left untouched so smoothing
-        never compounds on its own output."""
-        if not self._features:
+        never compounds on its own output. A no-op when the labels were
+        already smoothed with ``window`` and no entry has come or gone
+        since."""
+        if not len(self) or self._smoothed_window == window:
             return
-        smoothed = smooth_labels(self._frame_indices, self._raw_labels, window)
-        self._working_labels = [int(v) for v in smoothed]
+        live = slice(self._lo, self._hi)
+        self._working[live] = smooth_labels(self._index[live], self._raw[live], window)
+        self._smoothed_window = window
+        self._buckets = None
+
+    def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Live features, working labels and their class buckets."""
+        live = slice(self._lo, self._hi)
+        if self._buckets is None:
+            self._buckets = _class_buckets(self._working[live])
+        return self._features[live], self._working[live], self._buckets
+
+
+def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes present among 0/1 ``labels`` as (order, starts, sizes):
+    ``order`` lists the positions of class 0 then of class 1, each in
+    stored order, and present class k fills ``order[starts[k]:][:sizes[k]]``."""
+    present = [b for b in (np.flatnonzero(labels == c) for c in (0, 1)) if len(b)]
+    sizes = np.array([len(b) for b in present], dtype=np.int64)
+    order = np.concatenate(present) if present else np.zeros(0, dtype=np.int64)
+    return order, np.cumsum(sizes) - sizes, sizes
 
 
 class ReplayStore:
@@ -122,6 +193,7 @@ class ReplayStore:
         self._class_indices = tuple(
             np.flatnonzero(labels == c) for c in (ClassLabel.LIVE, ClassLabel.SPOOF)
         )
+        self._buckets = _class_buckets(labels)
 
     def __len__(self) -> int:
         return self._features.shape[0]
@@ -140,6 +212,9 @@ class ReplayStore:
 
     def class_indices(self, label: int) -> np.ndarray:
         return self._class_indices[int(label)]
+
+    def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        return self._features, self._labels, self._buckets
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -228,25 +303,18 @@ def sample_batch(
     class_u = rng.random(batch_size)
     entry_u = rng.random(batch_size)
 
-    online_feats = online.features_matrix()
-    online_labels = online.working_labels
-    online_buckets = [np.flatnonzero(online_labels == c) for c in (0, 1)]
-    online_present = [b for b in online_buckets if len(b)]
-    replay_present = [
-        replay.class_indices(c) for c in (0, 1) if len(replay.class_indices(c))
-    ]
-
-    d = online_feats.shape[1] if n_online else replay.d
+    # Slot i takes class bucket int(class_u[i] * n_classes) of its source
+    # and entry int(entry_u[i] * bucket size) of that bucket: the same
+    # float products, truncated the same way, for all of a source's slots.
+    d = online._features.shape[1] if n_online else replay.d
     feats = np.empty((batch_size, d))
     labels = np.empty(batch_size, dtype=np.int64)
-    for i in range(batch_size):
-        buckets = online_present if use_online[i] else replay_present
-        bucket = buckets[int(class_u[i] * len(buckets))]
-        j = bucket[int(entry_u[i] * len(bucket))]
-        if use_online[i]:
-            feats[i] = online_feats[j]
-            labels[i] = online_labels[j]
-        else:
-            feats[i] = replay.features[j]
-            labels[i] = replay.labels[j]
+    for slots, store in ((np.flatnonzero(use_online), online), (np.flatnonzero(~use_online), replay)):
+        if slots.size == 0:
+            continue
+        store_feats, store_labels, (order, starts, sizes) = store._sample_source()
+        bucket = (class_u[slots] * len(sizes)).astype(np.int64)
+        rows = order[starts[bucket] + (entry_u[slots] * sizes[bucket]).astype(np.int64)]
+        feats[slots] = store_feats[rows]
+        labels[slots] = store_labels[rows]
     return feats, labels

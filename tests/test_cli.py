@@ -280,6 +280,22 @@ class TestReport:
         assert main(["report", "--trace", str(full), "--trace", str(short),
                      "--out", str(tmp_path / "m.csv")]) == 3
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_traces_of_different_streams_rejected(self, seed_traces, tmp_path, column):
+        """Traces whose frame_index (column 0) or ground_truth (column 1)
+        differ from the first trace's come from different streams and
+        exit 3 instead of merging."""
+        lines = Path(seed_traces[1]).read_text().splitlines()
+        cols = lines[-1].split(",")
+        cols[column] = str(int(cols[column]) + 1) if column == 0 else str(1 - int(cols[column]))
+        lines[-1] = ",".join(cols)
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        assert main(["report", "--trace", str(seed_traces[0]), "--trace", str(other),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_malformed_trace_is_data_error(self, seed_traces, tmp_path):
         """A trace cell that does not parse exits 3 like any other bad input."""
         lines = Path(seed_traces[0]).read_text().splitlines()

@@ -194,6 +194,137 @@ class TestCausalityAndDeterminism:
         assert v.finetuned_this_frame  # recovers on the next frame
 
 
+    def test_rejected_later_iteration_rolls_back_the_whole_frame(self, artifacts, monkeypatch):
+        """With three iterations per call, a non-finite gradient in the
+        second iteration also undoes the first, already committed one."""
+        import oap.engine as engine_mod
+
+        head, replay, frames, _ = artifacts
+        engine = Engine(head, replay, desk_params(iterations_per_call=3))
+        engine.process_frame(frames[0].feature, 1, 0.0)
+        before = engine.head.flat.copy()
+        adam_before = (engine.adam.m_flat.copy(), engine.adam.v_flat.copy())
+        steps_before = engine.adam.step_count
+
+        real = engine_mod.loss_and_grad
+        calls = []
+
+        def poisoned_second(h, feats, labels):
+            loss, grads = real(h, feats, labels)
+            calls.append(1)
+            if len(calls) == 2:
+                grads["b1"] = grads["b1"] * np.nan
+            return loss, grads
+
+        monkeypatch.setattr(engine_mod, "loss_and_grad", poisoned_second)
+        v = engine.process_frame(frames[1].feature, 2, 1 / 30.0)
+        assert len(calls) == 2
+        assert not v.finetuned_this_frame
+        assert engine.adam.step_count == steps_before
+        np.testing.assert_array_equal(engine.head.flat, before)
+        np.testing.assert_array_equal(engine.adam.m_flat, adam_before[0])
+        np.testing.assert_array_equal(engine.adam.v_flat, adam_before[1])
+
+
+def engine_state(engine):
+    """Everything a frame may change, as comparable values."""
+    buf = engine.online
+    return (
+        engine.head.flat.tobytes(),
+        engine.adam.m_flat.tobytes(),
+        engine.adam.v_flat.tobytes(),
+        engine.adam.step_count,
+        buf.frame_indices.tobytes(),
+        buf.raw_labels.tobytes(),
+        buf.working_labels.tobytes(),
+        buf.times.tobytes(),
+        buf.features_matrix().tobytes(),
+        engine.finetune_accumulator,
+        engine.frame_count,
+        engine.cumulative_flops,
+        engine.last_frame_index,
+        engine.last_frame_time,
+        repr(engine.rng.bit_generator.state),
+    )
+
+
+class TestInputContract:
+    """A frame that breaks the input contract raises DataError at the door
+    and leaves the engine exactly as it was."""
+
+    BAD_FRAMES = {
+        "repeated index": (3, 3 / 30),
+        "decreasing index": (2, 3 / 30),
+        "time going back": (4, 1 / 30),
+        "nan time": (4, float("nan")),
+        "inf time": (4, float("inf")),
+        "minus inf time": (4, float("-inf")),
+    }
+
+    def warmed_engine(self, artifacts, **overrides):
+        head, replay, frames, _ = artifacts
+        engine = Engine(head, replay, desk_params(finetune_freq=0.5, **overrides))
+        for k in range(3):
+            engine.process_frame(frames[k].feature, k + 1, k / 30)
+        return engine
+
+    @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+    def test_bad_index_or_time_rejected_without_state_change(self, artifacts, case):
+        _, _, frames, _ = artifacts
+        engine = self.warmed_engine(artifacts)
+        assert len(engine.online) > 0 and engine.finetune_accumulator == 0.5
+        before = engine_state(engine)
+        index, time = self.BAD_FRAMES[case]
+        with pytest.raises(DataError):
+            engine.process_frame(frames[3].feature, index, time)
+        assert engine_state(engine) == before
+
+    @pytest.mark.parametrize("case", ["nan feature", "wrong dimension"])
+    def test_bad_feature_rejected_without_state_change(self, artifacts, case):
+        engine = self.warmed_engine(artifacts)
+        before = engine_state(engine)
+        feature = np.full(D, np.nan) if case == "nan feature" else np.zeros(D + 1)
+        with pytest.raises(DataError):
+            engine.process_frame(feature, 4, 3 / 30)
+        assert engine_state(engine) == before
+
+    def test_first_frame_time_must_be_finite(self, artifacts):
+        head, replay, frames, _ = artifacts
+        engine = Engine(head, replay, desk_params())
+        before = engine_state(engine)
+        with pytest.raises(DataError, match="non-finite"):
+            engine.process_frame(frames[0].feature, 1, float("nan"))
+        assert engine_state(engine) == before
+
+    def test_rejected_frame_does_not_change_later_verdicts(self, artifacts):
+        _, _, frames, _ = artifacts
+        engine, reference = self.warmed_engine(artifacts), self.warmed_engine(artifacts)
+        with pytest.raises(DataError):
+            engine.process_frame(frames[3].feature, 3, 3 / 30)
+        for k in range(3, 40):
+            a = engine.process_frame(frames[k].feature, k + 1, k / 30)
+            b = reference.process_frame(frames[k].feature, k + 1, k / 30)
+            assert a == b
+
+    def test_repeated_index_rejected_on_a_discarded_frame(self, artifacts):
+        """The check does not depend on the frame's pseudo-label: a
+        repeat is rejected even when the frame would not be stored."""
+        head, replay, frames, _ = artifacts
+        engine = Engine(head, replay, desk_params(margin=1e-9))
+        v = engine.process_frame(frames[0].feature, 1, 0.0)
+        assert v.pseudo == PseudoLabel.DISCARD and len(engine.online) == 0
+        before = engine_state(engine)
+        with pytest.raises(DataError, match="frame index"):
+            engine.process_frame(frames[1].feature, 1, 1 / 30)
+        assert engine_state(engine) == before
+
+    def test_equal_times_accepted(self, artifacts):
+        _, _, frames, _ = artifacts
+        engine = self.warmed_engine(artifacts)
+        engine.process_frame(frames[3].feature, 4, 2 / 30)
+        assert engine.frame_count == 4
+
+
 class TestCostModel:
     def test_per_sample_count(self):
         assert per_sample_flops(32) == 3 * 2 * (32 * 64 + 64)
