@@ -229,7 +229,7 @@ def apply_update(
             )
     g = np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
     if not np.isfinite(g).all():
-        raise NumericalError(f"non-finite gradient for parameter {_first_nonfinite(grads)!r}")
+        raise NumericalError(f"non-finite gradient for parameter {_first_nonfinite(g, head)!r}")
 
     t = state.step_count + 1
     bias1 = 1.0 - state.beta1**t
@@ -240,9 +240,8 @@ def apply_update(
     theta = head.flat
     theta_new = theta - step - learning_rate * weight_decay * theta
     if not np.isfinite(theta_new).all():
-        values = dict(zip(PARAM_NAMES, _views(theta_new, [p.shape for p in head.params().values()])))
         raise NumericalError(
-            f"update produced non-finite values in {_first_nonfinite(values)!r}"
+            f"update produced non-finite values in {_first_nonfinite(theta_new, head)!r}"
         )
 
     theta[...] = theta_new
@@ -252,10 +251,11 @@ def apply_update(
     return head, state
 
 
-def _first_nonfinite(arrays: dict[str, np.ndarray]) -> str:
-    """Name of the first parameter, in PARAM_NAMES order, holding a
-    non-finite value (the error path of apply_update)."""
-    return next(name for name in PARAM_NAMES if not np.isfinite(arrays[name]).all())
+def _first_nonfinite(flat: np.ndarray, head: ClassifierHead) -> str:
+    """Name of the first parameter whose part of ``flat`` (laid out like
+    ``head.flat``) holds a non-finite value: the error path of apply_update."""
+    parts = _views(flat, [arr.shape for arr in head.params().values()])
+    return next(name for name, part in zip(PARAM_NAMES, parts) if not np.isfinite(part).all())
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,42 @@ class TestAdam:
         for k, v in h.params().items():
             np.testing.assert_array_equal(v, before[k])
 
+    def test_non_finite_result_rejected_state_unchanged(self):
+        """Finite gradients whose step overflows a parameter reject the
+        whole update, name that parameter, and leave head and state as they
+        were."""
+        h = random_head(4, seed=9)
+        h.b2[0] = 1e308
+        state = AdamState.for_head(h)
+        before = h.flat.copy()
+        grads = {k: np.ones_like(v) for k, v in h.params().items()}
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'b2'"):
+            apply_update(h, state, grads, learning_rate=0.1, weight_decay=-1e10)
+        assert state.step_count == 0
+        np.testing.assert_array_equal(h.flat, before)
+        assert not state.m_flat.any() and not state.v_flat.any()
+
+    def test_non_finite_gradient_names_its_parameter(self):
+        h = random_head(4, seed=9)
+        grads = {k: np.zeros_like(v) for k, v in h.params().items()}
+        grads["w2"][5] = np.inf
+        with pytest.raises(NumericalError, match="'w2'"):
+            apply_update(h, AdamState.for_head(h), grads, learning_rate=0.1)
+
+    def test_parameters_are_views_of_one_flat_vector(self):
+        """The constructor copies its arguments into ``flat``; writes to a
+        parameter and to ``flat`` are the same write."""
+        w1 = np.ones((4, HIDDEN_UNITS))
+        h = ClassifierHead(w1, np.zeros(HIDDEN_UNITS), np.zeros(HIDDEN_UNITS), np.zeros(1))
+        assert h.flat.shape == (4 * HIDDEN_UNITS + 2 * HIDDEN_UNITS + 1,)
+        h.w1[0, 0] = 5.0
+        assert h.flat[0] == 5.0 and w1[0, 0] == 1.0
+        h.flat[-1] = 2.0
+        assert h.b2[0] == 2.0
+        copy = h.copy()
+        copy.flat[:] = 0.0
+        assert h.w1[0, 0] == 5.0
+
     def test_moments_finite_after_long_bounded_sequence(self):
         h = random_head(4, seed=11)
         state = AdamState.for_head(h)
