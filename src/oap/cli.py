@@ -5,6 +5,13 @@ Each subcommand reads an optional flat config file (``--config``) plus
 into the output directory (re-running from that echo reproduces outputs
 bit-exactly), and writes machine-readable results.
 
+Every config key is a field of one of the dataclasses in ``_SECTIONS``
+(hyper-parameters, generator, scenario, the pre-training schedule behind
+``pretrain_``, and ``RunnerConfig``), read by ``config.from_mapping`` with
+the field's type. A value that does not parse or lies out of range is a
+config error, and so is a ``--set`` key that names no field; a config file
+may carry keys for other tools.
+
 Exit codes are fixed for scripting: 0 success, 2 config/validation error,
 3 data error, 4 numerical failure.
 """
@@ -15,17 +22,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    HyperParams,
-    apply_overrides,
-    hyperparams_from_mapping,
-    parse_kv_file,
-    validate,
-)
+from .config import HyperParams, apply_overrides, from_mapping, parse_kv_file, validate
 from .engine import (
     Engine,
     calibrated_kflops_per_frame,
@@ -39,13 +41,13 @@ from .errors import ConfigError, DataError, NumericalError, OapError
 from .head import PretrainSchedule, forward_batch, init_head, load_head, pretrain, save_head
 from .memory import ReplayStore, subsample_pretraining
 from .metrics import MetricReport, evaluate_frames
-from .presets import DESK_LEARNING_RATE
+from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS
 from .rng import seeded_rng
 from .simstream import (
     GeneratorConfig,
+    StreamScenario,
     generate_pretraining_set,
     generate_stream,
-    generator_from_mapping,
     load_feature_file,
     save_feature_file,
     save_stream_file,
@@ -55,30 +57,64 @@ from .simstream import (
 MODES = ("oap", "frozen", "ema")
 SWEEP_AXES = ("finetune_freq", "margin", "online_prob", "replay_size")
 
+PRETRAIN_PREFIX = "pretrain_"
+
+
+@dataclass(frozen=True)
+class RunnerConfig:
+    """The runner's own keys: the engine of ``run``, the number of seeds
+    (streams for ``generate``, runs per stream or grid point otherwise), the
+    ``ema`` baseline's momentum and the size of the generated training set."""
+
+    mode: str = "oap"
+    seeds: int = 1
+    ema_momentum: float = 0.9
+    n_users: int = DESK_N_USERS
+    frames_per_user: int = DESK_FRAMES_PER_USER
+
+    def __post_init__(self) -> None:
+        if self.seeds < 1:
+            raise ConfigError(f"seeds out of range: {self.seeds!r} (want seeds >= 1)")
+
+
+# Every config key is a field of one of these dataclasses behind its prefix.
+_SECTIONS = (
+    (HyperParams, ""),
+    (GeneratorConfig, ""),
+    (StreamScenario, ""),
+    (PretrainSchedule, PRETRAIN_PREFIX),
+    (RunnerConfig, ""),
+)
+_KNOWN_KEYS = {prefix + f.name for cls, prefix in _SECTIONS for f in dataclasses.fields(cls)}
+
+
+def _entries(obj, prefix: str = "") -> dict[str, str]:
+    """The fields of dataclass ``obj`` as config entries."""
+    return {prefix + f.name: str(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
 _DEFAULTS = {
     "segments": "live:900",
     "user_id": "0",
     "frame_rate": "30.0",
-    "n_users": "20",
-    "frames_per_user": "500",
-    "mode": "oap",
-    "seeds": "1",
-    "ema_momentum": "0.9",
     "learning_rate": repr(DESK_LEARNING_RATE),
-    "pretrain_iterations": "2000",
-    "pretrain_batch_size": "128",
-    "pretrain_learning_rate": "0.001",
-    "pretrain_weight_decay": "0.001",
-    "pretrain_decay_gamma": "0.8",
-    "pretrain_decay_every": "1000",
+    **_entries(RunnerConfig()),
+    **_entries(PretrainSchedule(), PRETRAIN_PREFIX),
 }
 
 
 def resolve_mapping(args) -> dict[str, str]:
+    """Defaults, then the config file, then ``--set`` overrides. A config
+    file may carry keys for other tools; an override must name a known key."""
     mapping = dict(_DEFAULTS)
     if args.config:
         mapping.update(parse_kv_file(args.config))
-    return apply_overrides(mapping, args.set or [])
+    overrides = apply_overrides({}, args.set or [])
+    for key in overrides:
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r} in --set")
+    mapping.update(overrides)
+    return mapping
 
 
 def echo_config(mapping: dict[str, str], out_dir: Path) -> Path:
@@ -89,31 +125,15 @@ def echo_config(mapping: dict[str, str], out_dir: Path) -> Path:
     return path
 
 
-def schedule_from_mapping(mapping: dict[str, str]) -> PretrainSchedule:
-    try:
-        return PretrainSchedule(
-            iterations=int(mapping["pretrain_iterations"]),
-            batch_size=int(mapping["pretrain_batch_size"]),
-            learning_rate=float(mapping["pretrain_learning_rate"]),
-            weight_decay=float(mapping["pretrain_weight_decay"]),
-            decay_gamma=float(mapping["pretrain_decay_gamma"]),
-            decay_every=int(mapping["pretrain_decay_every"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad pre-training schedule value: {exc}") from exc
-
-
 def cmd_generate(args) -> int:
     mapping = resolve_mapping(args)
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
-    generator = generator_from_mapping(mapping)
+    generator = from_mapping(GeneratorConfig(), mapping)
     scenario = scenario_from_mapping(mapping)
-    n_seeds = int(mapping["seeds"])
+    runner = from_mapping(RunnerConfig(), mapping)
 
-    feats, labels = generate_pretraining_set(
-        generator, int(mapping["n_users"]), int(mapping["frames_per_user"])
-    )
+    feats, labels = generate_pretraining_set(generator, runner.n_users, runner.frames_per_user)
     train_path = out_dir / "train.oapf"
     save_feature_file(
         train_path,
@@ -125,7 +145,7 @@ def cmd_generate(args) -> int:
     )
     print(f"{train_path} rows={len(feats)}")
 
-    for i in range(n_seeds):
+    for i in range(runner.seeds):
         seeded = dataclasses.replace(generator, seed=generator.seed + i)
         frames, hidden = generate_stream(seeded, scenario)
         path = out_dir / f"stream_seed{generator.seed + i}.oapf"
@@ -138,7 +158,7 @@ def cmd_pretrain(args) -> int:
     mapping = resolve_mapping(args)
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
-    params = validate(hyperparams_from_mapping(mapping))
+    params = validate(from_mapping(HyperParams(), mapping))
     data = load_feature_file(args.train)
     if data.labels is None:
         raise DataError(f"{args.train}: pre-training data must be labeled")
@@ -148,7 +168,7 @@ def cmd_pretrain(args) -> int:
         head,
         data.features,
         data.labels,
-        schedule_from_mapping(mapping),
+        from_mapping(PretrainSchedule(), mapping, PRETRAIN_PREFIX),
         seeded_rng(params.seed, "pretrain"),
     )
     accuracy = float(
@@ -167,15 +187,16 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _run_mode(mode, head, replay, params, data, momentum, save_head_path):
+def _run_mode(runner, head, replay, params, data, save_head_path):
     frames, truth = data.to_frames(), data.labels
-    if mode == "frozen":
+    if runner.mode == "frozen":
         return run_baseline_frozen(
             head, frames, ground_truth=truth, eval_threshold=params.eval_threshold
         )
-    if mode == "ema":
+    if runner.mode == "ema":
         return run_baseline_smoothed(
-            head, frames, momentum, ground_truth=truth, eval_threshold=params.eval_threshold
+            head, frames, runner.ema_momentum, ground_truth=truth,
+            eval_threshold=params.eval_threshold,
         )
     engine = Engine(head, replay, params)
     trace = engine.run_stream(frames, ground_truth=truth)
@@ -198,16 +219,14 @@ def cmd_run(args) -> int:
     mapping = resolve_mapping(args)
     if args.mode:
         mapping["mode"] = args.mode
-    if args.seeds:
+    if args.seeds is not None:
         mapping["seeds"] = str(args.seeds)
-    mode = mapping["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r} (want one of {MODES})")
+    runner = from_mapping(RunnerConfig(), mapping)
+    if runner.mode not in MODES:
+        raise ConfigError(f"unknown mode {runner.mode!r} (want one of {MODES})")
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
-    params = validate(hyperparams_from_mapping(mapping))
-    momentum = float(mapping["ema_momentum"])
-    n_seeds = int(mapping["seeds"])
+    params = validate(from_mapping(HyperParams(), mapping))
 
     head = load_head(args.head)
     replay = ReplayStore.load(args.replay) if args.replay else ReplayStore(
@@ -223,15 +242,15 @@ def cmd_run(args) -> int:
                 f"{path}: stream dimension {data.features.shape[1]} != head dimension {head.d}"
             )
         streams.append((Path(path).stem, data))
-    if args.save_head and (mode != "oap" or len(streams) != 1 or n_seeds != 1):
+    if args.save_head and (runner.mode != "oap" or len(streams) != 1 or runner.seeds != 1):
         raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
 
     reports = []
-    for i in range(n_seeds):
+    for i in range(runner.seeds):
         run_params = params.replace(seed=params.seed + i)
         scores, truth = [], []
         for stem, data in streams:
-            trace = _run_mode(mode, head, replay, run_params, data, momentum, args.save_head)
+            trace = _run_mode(runner, head, replay, run_params, data, args.save_head)
             write_trace_csv(out_dir / f"trace_seed{run_params.seed}_{stem}.csv", trace)
             write_trace_jsonl(out_dir / f"trace_seed{run_params.seed}_{stem}.jsonl", trace)
             if data.labels is not None:
@@ -250,7 +269,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     mapping = resolve_mapping(args)
-    if args.seeds:
+    if args.seeds is not None:
         mapping["seeds"] = str(args.seeds)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r} (want one of {SWEEP_AXES})")
@@ -258,8 +277,12 @@ def cmd_sweep(args) -> int:
     mapping["sweep_axis"] = args.axis
     mapping["sweep_values"] = args.values
     echo_config(mapping, out_dir)
-    base_params = validate(hyperparams_from_mapping(mapping))
-    n_seeds = int(mapping["seeds"])
+    base_params = validate(from_mapping(HyperParams(), mapping))
+    runner = from_mapping(RunnerConfig(), mapping)
+    values = [v for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ConfigError("empty sweep value list")
+    grid = [validate(from_mapping(base_params, {args.axis: v})) for v in values]
 
     head = load_head(args.head)
     train = load_feature_file(args.train)
@@ -270,26 +293,15 @@ def cmd_sweep(args) -> int:
         raise DataError(f"{args.stream}: sweep needs a labeled stream")
     frames = stream.to_frames()
 
-    try:
-        values = [
-            int(v) if args.axis == "replay_size" else float(v)
-            for v in args.values.split(",")
-            if v.strip()
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}") from exc
-    if not values:
-        raise ConfigError("empty sweep value list")
-
     rows = []
-    for value in values:
-        params = validate(base_params.replace(**{args.axis: value}))
+    for params in grid:
+        value = getattr(params, args.axis)
         replay = subsample_pretraining(
             train.features, train.labels, params.replay_size,
             seeded_rng(params.seed, "replay"),
         )
         acers = []
-        for i in range(n_seeds):
+        for i in range(runner.seeds):
             run_params = params.replace(seed=params.seed + i)
             trace = Engine(head, replay, run_params).run_stream(frames)
             report = evaluate_frames([r.y for r in trace], stream.labels, params.eval_threshold)

@@ -1,5 +1,6 @@
 """Run-level value types: class labels, pseudo-labels, and the
-hyper-parameter ledger with its validation rules and flat-file syntax.
+hyper-parameter ledger with its validation rules; the flat-file syntax and
+the one reader that types its values by any config dataclass's fields.
 
 All types here are plain values, safe to copy and share between threads.
 """
@@ -7,11 +8,14 @@ All types here are plain values, safe to copy and share between threads.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 from .errors import ConfigError
+
+T = typing.TypeVar("T")
 
 
 class ClassLabel(IntEnum):
@@ -133,8 +137,6 @@ def validate(params: HyperParams) -> HyperParams:
 # Flat key = value config files
 # ---------------------------------------------------------------------------
 
-_INT_FIELDS = {"window", "iterations_per_call", "batch_size", "replay_size", "seed"}
-
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse a flat config file: one ``key = value`` per line, ``#`` starts
@@ -151,22 +153,21 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def hyperparams_from_mapping(
-    mapping: dict[str, str], base: HyperParams | None = None
-) -> HyperParams:
-    """Overlay recognized keys from a flat mapping onto ``base``; unknown
-    keys are left for other consumers of the same file."""
-    params = base if base is not None else HyperParams()
-    field_names = {f.name for f in dataclasses.fields(HyperParams)}
+def from_mapping(base: T, mapping: dict[str, str], prefix: str = "") -> T:
+    """Overlay ``mapping[prefix + name]`` onto the dataclass instance
+    ``base`` for each of its int, float and str fields, converted by the
+    field's annotation. Other fields, and keys that name no field, are left
+    for other readers of the same mapping."""
+    hints = typing.get_type_hints(type(base))
     changes = {}
-    for key, raw in mapping.items():
-        if key not in field_names:
-            continue
-        try:
-            changes[key] = int(raw) if key in _INT_FIELDS else float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return params.replace(**changes) if changes else params
+    for field in dataclasses.fields(base):
+        key, kind = prefix + field.name, hints[field.name]
+        if key in mapping and kind in (int, float, str):
+            try:
+                changes[field.name] = kind(mapping[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {mapping[key]!r}") from exc
+    return dataclasses.replace(base, **changes)
 
 
 def apply_overrides(mapping: dict[str, str], overrides: list[str]) -> dict[str, str]:

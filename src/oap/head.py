@@ -32,6 +32,11 @@ PROB_EPS = 1e-7
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive row-major views of ``flat`` with the given shapes."""
@@ -85,22 +90,13 @@ class AdamState:
     """
 
     def __init__(
-        self,
-        m: dict[str, np.ndarray],
-        v: dict[str, np.ndarray],
-        step_count: int = 0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step_count: int = 0
     ) -> None:
         self.m_flat, m_views = _pack(m[name] for name in PARAM_NAMES)
         self.v_flat, v_views = _pack(v[name] for name in PARAM_NAMES)
         self.m = dict(zip(PARAM_NAMES, m_views))
         self.v = dict(zip(PARAM_NAMES, v_views))
         self.step_count = step_count
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     @classmethod
     def for_head(cls, head: ClassifierHead) -> "AdamState":
@@ -108,7 +104,7 @@ class AdamState:
         return cls(m=zeros, v=zeros)
 
     def copy(self) -> "AdamState":
-        return AdamState(self.m, self.v, self.step_count, self.beta1, self.beta2, self.eps)
+        return AdamState(self.m, self.v, self.step_count)
 
 
 def init_head(d: int, rng: np.random.Generator) -> ClassifierHead:
@@ -232,11 +228,11 @@ def apply_update(
         raise NumericalError(f"non-finite gradient for parameter {_first_nonfinite(g, head)!r}")
 
     t = state.step_count + 1
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
-    m = state.beta1 * state.m_flat + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v_flat + (1.0 - state.beta2) * g * g
-    step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
+    m = ADAM_BETA1 * state.m_flat + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v_flat + (1.0 - ADAM_BETA2) * g * g
+    step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     theta = head.flat
     theta_new = theta - step - learning_rate * weight_decay * theta
     if not np.isfinite(theta_new).all():
@@ -261,7 +257,8 @@ def _first_nonfinite(flat: np.ndarray, head: ClassifierHead) -> str:
 @dataclass(frozen=True)
 class PretrainSchedule:
     """Desk-scale pre-training recipe: mini-batch Adam with exponential
-    learning-rate decay (gamma per decay_every iterations)."""
+    learning-rate decay (gamma per decay_every iterations). Its config
+    keys are the field names behind a ``pretrain_`` prefix."""
 
     iterations: int = 2000
     batch_size: int = 128
@@ -279,13 +276,18 @@ def pretrain(
     rng: np.random.Generator,
 ) -> ClassifierHead:
     """Train the head on a labeled feature set. The dataset must contain
-    both classes; a zero-iteration schedule returns the head unchanged."""
+    both classes, and the batch size and decay interval must be at least 1;
+    a zero-iteration schedule returns the head unchanged."""
     feats = _check_features(head, np.asarray(feats, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if feats.shape[0] != labels.shape[0]:
         raise DataError("features and labels disagree in length")
     if schedule.iterations > 0 and len(np.unique(labels)) < 2:
         raise DataError("pre-training data contains a single class")
+    for name in ("batch_size", "decay_every"):
+        value = getattr(schedule, name)
+        if value < 1:
+            raise ConfigError(f"pretrain_{name} out of range: {value!r} (want >= 1)")
 
     state = AdamState.for_head(head)
     n = feats.shape[0]

@@ -190,9 +190,6 @@ class ReplayStore:
         labels.setflags(write=False)
         self._features = features
         self._labels = labels
-        self._class_indices = tuple(
-            np.flatnonzero(labels == c) for c in (ClassLabel.LIVE, ClassLabel.SPOOF)
-        )
         self._buckets = _class_buckets(labels)
 
     def __len__(self) -> int:
@@ -209,9 +206,6 @@ class ReplayStore:
     @property
     def labels(self) -> np.ndarray:
         return self._labels
-
-    def class_indices(self, label: int) -> np.ndarray:
-        return self._class_indices[int(label)]
 
     def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         return self._features, self._labels, self._buckets

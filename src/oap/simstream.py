@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ClassLabel
+from .config import ClassLabel, from_mapping
 from .errors import ConfigError, DataError
 from .rng import seeded_rng
 
@@ -88,6 +88,13 @@ class StreamFrame(NamedTuple):
     time: float
 
 
+def _check_generator(cfg: GeneratorConfig) -> None:
+    if cfg.d < 1:
+        raise ConfigError(f"d out of range: {cfg.d!r} (want d >= 1)")
+    if cfg.class_separation <= 0 or cfg.noise_std <= 0:
+        raise ConfigError("class_separation and noise_std must be positive")
+
+
 def _user_offset(cfg: GeneratorConfig, user_id: int) -> np.ndarray:
     rng = seeded_rng(cfg.seed, f"user-offset-{user_id}")
     return rng.standard_normal(cfg.d) * cfg.user_shift_scale * cfg.noise_std
@@ -107,8 +114,7 @@ def generate_pretraining_set(
     its own random offset. Deterministic under cfg.seed."""
     if n_users < 2:
         raise ConfigError(f"need at least 2 training users, got {n_users}")
-    if cfg.class_separation <= 0 or cfg.noise_std <= 0:
-        raise ConfigError("class_separation and noise_std must be positive")
+    _check_generator(cfg)
     feats = []
     labels = []
     n_live = frames_per_user - frames_per_user // 2
@@ -138,6 +144,7 @@ def generate_stream(
     Cluster means drift by ``drift_rate`` std units per second along one
     seeded random direction for the whole stream.
     """
+    _check_generator(cfg)
     scenario = scenario.validated()
     uid = HELD_OUT_USER_BASE + scenario.user_id
     offset = _user_offset(cfg, uid)
@@ -289,29 +296,8 @@ def save_stream_file(
 
 
 # ---------------------------------------------------------------------------
-# Scenario / generator config parsing (flat key = value files)
+# Scenario config parsing (flat key = value files)
 # ---------------------------------------------------------------------------
-
-_GENERATOR_INT_FIELDS = {"d", "seed"}
-_GENERATOR_FLOAT_FIELDS = {"class_separation", "user_shift_scale", "drift_rate", "noise_std"}
-
-
-def generator_from_mapping(
-    mapping: dict[str, str], base: GeneratorConfig | None = None
-) -> GeneratorConfig:
-    cfg = base if base is not None else GeneratorConfig()
-    changes = {}
-    for key, raw in mapping.items():
-        try:
-            if key in _GENERATOR_INT_FIELDS:
-                changes[key] = int(raw)
-            elif key in _GENERATOR_FLOAT_FIELDS:
-                changes[key] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    import dataclasses
-
-    return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
 def parse_segments(text: str) -> tuple[Segment, ...]:
@@ -348,8 +334,4 @@ def parse_segments(text: str) -> tuple[Segment, ...]:
 def scenario_from_mapping(mapping: dict[str, str]) -> StreamScenario:
     if "segments" not in mapping:
         raise ConfigError("scenario config needs a 'segments' entry")
-    return StreamScenario(
-        segments=parse_segments(mapping["segments"]),
-        frame_rate=float(mapping.get("frame_rate", 30.0)),
-        user_id=int(mapping.get("user_id", 0)),
-    ).validated()
+    return from_mapping(StreamScenario(parse_segments(mapping["segments"])), mapping).validated()

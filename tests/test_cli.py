@@ -241,6 +241,69 @@ class TestSweep:
         assert code == 2
 
 
+def command_argv(command, pipeline, tmp_path):
+    """A small, otherwise valid invocation of ``command`` on the pipeline's
+    files; later ``--set`` flags override the ones given here."""
+    _, gen_dir, pre_dir = pipeline
+    out = ["--out", str(tmp_path / "out")]
+    files = {
+        "generate": ["--set", "d=8", "--set", "n_users=4", "--set", "frames_per_user=20",
+                     "--set", "segments=live:10"],
+        "pretrain": ["--train", str(gen_dir / "train.oapf"), "--set", "replay_size=10",
+                     "--set", "pretrain_iterations=10"],
+        "run": ["--head", str(pre_dir / "head.oaph"), "--stream",
+                str(gen_dir / "stream_seed0.oapf")],
+        "sweep": ["--axis", "margin", "--values", "0.1", "--head", str(pre_dir / "head.oaph"),
+                  "--train", str(gen_dir / "train.oapf"),
+                  "--stream", str(gen_dir / "stream_seed0.oapf"), "--set", "replay_size=10"],
+    }
+    return [command, *out, *files[command]]
+
+
+class TestConfigAtTheDoor:
+    """A value that does not parse as its field's type, or lies outside its
+    range, and a --set key that no command reads, exit 2 with a message
+    naming the key."""
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("generate", ["--set", "seeds=abc"], "bad value for seeds: 'abc'"),
+        ("generate", ["--set", "frame_rate=fast"], "bad value for frame_rate: 'fast'"),
+        ("generate", ["--set", "n_users=x"], "bad value for n_users: 'x'"),
+        ("run", ["--mode", "ema", "--set", "ema_momentum=abc"], "bad value for ema_momentum"),
+        ("generate", ["--set", "seeds=0"], "seeds out of range"),
+        ("run", ["--set", "seeds=0"], "seeds out of range"),
+        ("run", ["--seeds", "0"], "seeds out of range"),
+        ("sweep", ["--set", "seeds=-1"], "seeds out of range"),
+        ("generate", ["--set", "d=0"], "d out of range"),
+        ("pretrain", ["--set", "pretrain_decay_every=0"], "pretrain_decay_every out of range"),
+        ("pretrain", ["--set", "pretrain_batch_size=0"], "pretrain_batch_size out of range"),
+        ("sweep", ["--axis", "replay_size", "--values", "10,4.5"], "bad value for replay_size"),
+        ("run", ["--set", "marign=0.2"], "unknown config key 'marign'"),
+        ("generate", ["--set", "sweep_axis=margin"], "unknown config key 'sweep_axis'"),
+    ])
+    def test_rejected_with_key_named(self, pipeline, tmp_path, capsys, command, extra, message):
+        capsys.readouterr()
+        assert main(command_argv(command, pipeline, tmp_path) + extra) == 2
+        assert message in capsys.readouterr().err
+
+    def test_sweep_grid_checked_before_first_run(self, pipeline, tmp_path, monkeypatch):
+        """An out-of-range third value stops the sweep before any run."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("sweep ran a grid point")
+
+        monkeypatch.setattr("oap.cli.Engine", no_run)
+        argv = command_argv("sweep", pipeline, tmp_path) + ["--values", "0.1,0.2,0.6"]
+        assert main(argv) == 2
+
+    def test_config_file_may_carry_other_keys(self, pipeline, tmp_path):
+        """One config file can be shared with other tools: keys no command
+        reads are ignored there, unlike in --set."""
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("plot_style = dark\nmargin = 0.05\n")
+        argv = command_argv("generate", pipeline, tmp_path) + ["--config", str(cfg)]
+        assert main(argv) == 0
+
+
 @pytest.fixture(scope="module")
 def seed_traces(pipeline):
     """Trace CSVs of a two-seed oap run on one stream, for the report tests."""

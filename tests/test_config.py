@@ -9,7 +9,7 @@ from oap.config import (
     HyperParams,
     PseudoLabel,
     apply_overrides,
-    hyperparams_from_mapping,
+    from_mapping,
     parse_kv_file,
     validate,
 )
@@ -101,7 +101,7 @@ class TestConfigFile:
         )
         mapping = parse_kv_file(cfg)
         assert mapping["unrelated_key"] == "hello"
-        p = hyperparams_from_mapping(mapping)
+        p = from_mapping(HyperParams(), mapping)
         assert p.margin == 0.05
         assert p.batch_size == 8
         assert p.window == 30  # untouched default
@@ -110,7 +110,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("margin = 0.05\n")
         mapping = apply_overrides(parse_kv_file(cfg), ["margin=0.2", "seed=7"])
-        p = hyperparams_from_mapping(mapping)
+        p = from_mapping(HyperParams(), mapping)
         assert p.margin == 0.2
         assert p.seed == 7
 
@@ -122,7 +122,7 @@ class TestConfigFile:
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="margin"):
-            hyperparams_from_mapping({"margin": "wide"})
+            from_mapping(HyperParams(), {"margin": "wide"})
 
 
 class TestSeededRng:

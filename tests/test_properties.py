@@ -209,9 +209,8 @@ def per_slot_sample_batch(online, replay, batch_size, online_prob, rng):
     online_labels = online.working_labels
     online_buckets = [np.flatnonzero(online_labels == c) for c in (0, 1)]
     online_present = [b for b in online_buckets if len(b)]
-    replay_present = [
-        replay.class_indices(c) for c in (0, 1) if len(replay.class_indices(c))
-    ]
+    replay_buckets = [np.flatnonzero(replay.labels == c) for c in (0, 1)]
+    replay_present = [b for b in replay_buckets if len(b)]
 
     d = online_feats.shape[1] if n_online else replay.d
     feats = np.empty((batch_size, d))

@@ -1,9 +1,11 @@
 """Synthetic stream generator and the feature-file exchange format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oap.config import ClassLabel
+from oap.config import ClassLabel, from_mapping
 from oap.errors import ConfigError, DataError
 from oap.simstream import (
     GeneratorConfig,
@@ -11,7 +13,6 @@ from oap.simstream import (
     StreamScenario,
     generate_pretraining_set,
     generate_stream,
-    generator_from_mapping,
     load_feature_file,
     parse_segments,
     save_feature_file,
@@ -51,6 +52,20 @@ class TestPretrainingSet:
         feats, labels = generate_pretraining_set(CFG, 10, 1000)
         gap = feats[labels == 1][:, 0].mean() - feats[labels == 0][:, 0].mean()
         assert gap == pytest.approx(CFG.class_separation, abs=0.5)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"d": 0}, "d out of range"),
+    ({"noise_std": 0.0}, "must be positive"),
+    ({"class_separation": -1.0}, "must be positive"),
+])
+@pytest.mark.parametrize("generate", [
+    lambda cfg: generate_pretraining_set(cfg, 4, 10),
+    lambda cfg: generate_stream(cfg, StreamScenario((Segment(ClassLabel.LIVE, 10),))),
+], ids=["pretraining_set", "stream"])
+def test_both_generators_check_the_config(generate, change, message):
+    with pytest.raises(ConfigError, match=message):
+        generate(dataclasses.replace(CFG, **change))
 
 
 class TestStream:
@@ -219,7 +234,7 @@ class TestScenarioParsing:
         assert scenario.user_id == 4
 
     def test_generator_from_mapping(self):
-        cfg = generator_from_mapping({"d": "8", "drift_rate": "0.3", "other": "x"})
+        cfg = from_mapping(GeneratorConfig(), {"d": "8", "drift_rate": "0.3", "other": "x"})
         assert cfg.d == 8
         assert cfg.drift_rate == 0.3
         assert cfg.class_separation == 4.0
