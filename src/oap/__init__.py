@@ -8,7 +8,7 @@ forgetting. A synthetic drift-stream generator, error metrics, and an
 experiment CLI make the whole loop reproducible at desk scale.
 """
 
-from .config import ClassLabel, HyperParams, PseudoLabel, validate
+from .config import ClassLabel, HyperParams, PseudoLabel
 from .engine import (
     Engine,
     FrameVerdict,

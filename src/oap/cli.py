@@ -1,16 +1,18 @@
 """Experiment runner: generate / pretrain / run / sweep / report.
 
 Each subcommand reads an optional flat config file (``--config``) plus
-``--set key=value`` overrides, echoes the fully resolved configuration
-into the output directory (re-running from that echo reproduces outputs
-bit-exactly), and writes machine-readable results.
+``--set key=value`` overrides, builds every config dataclass it reads,
+then echoes the fully resolved configuration into the output directory
+(re-running from that echo reproduces outputs bit-exactly) and writes
+machine-readable results.
 
 Every config key is a field of one of the dataclasses in ``_SECTIONS``
 (hyper-parameters, generator, scenario, the pre-training schedule behind
 ``pretrain_``, and ``RunnerConfig``), read by ``config.from_mapping`` with
-the field's type. A value that does not parse or lies out of range is a
-config error, and so is a ``--set`` key that names no field; a config file
-may carry keys for other tools.
+the field's type. Each dataclass checks its own ranges when built. A value
+that does not parse or lies out of range is a config error, and so is a
+``--set`` key that names no field; a config error writes nothing, not even
+the echo. A config file may carry keys for other tools.
 
 Exit codes are fixed for scripting: 0 success, 2 config/validation error,
 3 data error, 4 numerical failure.
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HyperParams, apply_overrides, from_mapping, parse_kv_file, validate
+from .config import HyperParams, apply_overrides, check_ranges, from_mapping, parse_kv_file
 from .engine import (
     Engine,
     calibrated_kflops_per_frame,
@@ -38,7 +40,15 @@ from .engine import (
     read_trace_csv,
 )
 from .errors import ConfigError, DataError, NumericalError, OapError
-from .head import PretrainSchedule, forward_batch, init_head, load_head, pretrain, save_head
+from .head import (
+    PRETRAIN_PREFIX,
+    PretrainSchedule,
+    forward_batch,
+    init_head,
+    load_head,
+    pretrain,
+    save_head,
+)
 from .memory import ReplayStore, subsample_pretraining
 from .metrics import MetricReport, evaluate_frames
 from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS
@@ -57,8 +67,6 @@ from .simstream import (
 MODES = ("oap", "frozen", "ema")
 SWEEP_AXES = ("finetune_freq", "margin", "online_prob", "replay_size")
 
-PRETRAIN_PREFIX = "pretrain_"
-
 
 @dataclass(frozen=True)
 class RunnerConfig:
@@ -73,8 +81,14 @@ class RunnerConfig:
     frames_per_user: int = DESK_FRAMES_PER_USER
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ConfigError(f"seeds out of range: {self.seeds!r} (want seeds >= 1)")
+        check_ranges(self, (
+            ("seeds", lambda v: v >= 1, "seeds >= 1"),
+            ("ema_momentum", lambda v: 0.0 <= v < 1.0, "0 <= ema_momentum < 1"),
+            ("n_users", lambda v: v >= 2, "n_users >= 2"),
+            ("frames_per_user", lambda v: v >= 2, "frames_per_user >= 2"),
+        ))
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r} (want one of {MODES})")
 
 
 # Every config key is a field of one of these dataclasses behind its prefix.
@@ -127,11 +141,11 @@ def echo_config(mapping: dict[str, str], out_dir: Path) -> Path:
 
 def cmd_generate(args) -> int:
     mapping = resolve_mapping(args)
-    out_dir = Path(args.out)
-    echo_config(mapping, out_dir)
     generator = from_mapping(GeneratorConfig(), mapping)
     scenario = scenario_from_mapping(mapping)
     runner = from_mapping(RunnerConfig(), mapping)
+    out_dir = Path(args.out)
+    echo_config(mapping, out_dir)
 
     feats, labels = generate_pretraining_set(generator, runner.n_users, runner.frames_per_user)
     train_path = out_dir / "train.oapf"
@@ -156,21 +170,16 @@ def cmd_generate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     mapping = resolve_mapping(args)
+    params = from_mapping(HyperParams(), mapping)
+    schedule = from_mapping(PretrainSchedule(), mapping, PRETRAIN_PREFIX)
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
-    params = validate(from_mapping(HyperParams(), mapping))
     data = load_feature_file(args.train)
     if data.labels is None:
         raise DataError(f"{args.train}: pre-training data must be labeled")
 
     head = init_head(data.features.shape[1], seeded_rng(params.seed, "init"))
-    pretrain(
-        head,
-        data.features,
-        data.labels,
-        from_mapping(PretrainSchedule(), mapping, PRETRAIN_PREFIX),
-        seeded_rng(params.seed, "pretrain"),
-    )
+    pretrain(head, data.features, data.labels, schedule, seeded_rng(params.seed, "pretrain"))
     accuracy = float(
         np.mean((forward_batch(head, data.features) > 0.5).astype(np.int64) == data.labels)
     )
@@ -222,11 +231,11 @@ def cmd_run(args) -> int:
     if args.seeds is not None:
         mapping["seeds"] = str(args.seeds)
     runner = from_mapping(RunnerConfig(), mapping)
-    if runner.mode not in MODES:
-        raise ConfigError(f"unknown mode {runner.mode!r} (want one of {MODES})")
+    params = from_mapping(HyperParams(), mapping)
+    if args.save_head and (runner.mode != "oap" or len(args.stream) != 1 or runner.seeds != 1):
+        raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
-    params = validate(from_mapping(HyperParams(), mapping))
 
     head = load_head(args.head)
     replay = ReplayStore.load(args.replay) if args.replay else ReplayStore(
@@ -242,8 +251,6 @@ def cmd_run(args) -> int:
                 f"{path}: stream dimension {data.features.shape[1]} != head dimension {head.d}"
             )
         streams.append((Path(path).stem, data))
-    if args.save_head and (runner.mode != "oap" or len(streams) != 1 or runner.seeds != 1):
-        raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
 
     reports = []
     for i in range(runner.seeds):
@@ -271,18 +278,16 @@ def cmd_sweep(args) -> int:
     mapping = resolve_mapping(args)
     if args.seeds is not None:
         mapping["seeds"] = str(args.seeds)
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {args.axis!r} (want one of {SWEEP_AXES})")
-    out_dir = Path(args.out)
-    mapping["sweep_axis"] = args.axis
-    mapping["sweep_values"] = args.values
-    echo_config(mapping, out_dir)
-    base_params = validate(from_mapping(HyperParams(), mapping))
+    base_params = from_mapping(HyperParams(), mapping)
     runner = from_mapping(RunnerConfig(), mapping)
     values = [v for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
-    grid = [validate(from_mapping(base_params, {args.axis: v})) for v in values]
+    grid = [from_mapping(base_params, {args.axis: v}) for v in values]
+    out_dir = Path(args.out)
+    mapping["sweep_axis"] = args.axis
+    mapping["sweep_values"] = args.values
+    echo_config(mapping, out_dir)
 
     head = load_head(args.head)
     train = load_feature_file(args.train)

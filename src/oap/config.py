@@ -1,8 +1,10 @@
 """Run-level value types: class labels, pseudo-labels, and the
-hyper-parameter ledger with its validation rules; the flat-file syntax and
-the one reader that types its values by any config dataclass's fields.
+hyper-parameter ledger; the flat-file syntax and the one reader that types
+its values by any config dataclass's fields.
 
-All types here are plain values, safe to copy and share between threads.
+Each config dataclass checks its own ranges when built (``check_ranges``
+in ``__post_init__``), so no out-of-range config can exist. All types
+here are plain values, safe to copy and share between threads.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ class HyperParams:
     eviction_horizon:
         Online samples older than this many seconds are dropped.
     frame_rate:
-        Nominal stream rate in frames/second (drives the buffer bound:
-        at 30 fps with a 4 s horizon the online buffer holds at most 120
-        entries).
+        Nominal stream rate in frames/second, at which the online buffer
+        holds at most ``ceil(eviction_horizon * frame_rate)`` entries (120
+        at 30 fps with a 4 s horizon). Eviction reads the frames' times.
     finetune_freq:
         Expected fine-tune invocations per incoming frame, in (0, 1].
         Fractional values fire via an accumulator, e.g. 0.01 fires once
@@ -103,34 +105,39 @@ class HyperParams:
         """Probability below which a frame is pseudo-labeled live."""
         return self.margin
 
+    def __post_init__(self) -> None:
+        check_ranges(self, _RANGE_CHECKS)
+
     def replace(self, **changes) -> "HyperParams":
         return dataclasses.replace(self, **changes)
 
 
 _RANGE_CHECKS = (
-    ("margin", lambda p: 0.0 < p.margin <= 0.5, "want 0 < margin <= 0.5"),
-    ("window", lambda p: p.window >= 1, "want window >= 1"),
-    ("eviction_horizon", lambda p: p.eviction_horizon > 0.0, "want eviction_horizon > 0"),
-    ("frame_rate", lambda p: p.frame_rate > 0.0, "want frame_rate > 0"),
-    ("finetune_freq", lambda p: 0.0 < p.finetune_freq <= 1.0, "want 0 < finetune_freq <= 1"),
-    ("iterations_per_call", lambda p: p.iterations_per_call >= 1, "want iterations_per_call >= 1"),
-    ("online_prob", lambda p: 0.0 <= p.online_prob <= 1.0, "want 0 <= online_prob <= 1"),
-    ("batch_size", lambda p: p.batch_size >= 1, "want batch_size >= 1"),
-    ("learning_rate", lambda p: p.learning_rate > 0.0, "want learning_rate > 0"),
-    ("weight_decay", lambda p: p.weight_decay >= 0.0, "want weight_decay >= 0"),
-    ("replay_size", lambda p: p.replay_size >= 0, "want replay_size >= 0"),
-    ("eval_threshold", lambda p: 0.0 < p.eval_threshold < 1.0, "want 0 < eval_threshold < 1"),
-    ("seed", lambda p: 0 <= p.seed < 2**64, "want a 64-bit unsigned integer"),
+    ("margin", lambda v: 0.0 < v <= 0.5, "0 < margin <= 0.5"),
+    ("window", lambda v: v >= 1, "window >= 1"),
+    ("eviction_horizon", lambda v: v > 0.0, "eviction_horizon > 0"),
+    ("frame_rate", lambda v: v > 0.0, "frame_rate > 0"),
+    ("finetune_freq", lambda v: 0.0 < v <= 1.0, "0 < finetune_freq <= 1"),
+    ("iterations_per_call", lambda v: v >= 1, "iterations_per_call >= 1"),
+    ("online_prob", lambda v: 0.0 <= v <= 1.0, "0 <= online_prob <= 1"),
+    ("batch_size", lambda v: v >= 1, "batch_size >= 1"),
+    ("learning_rate", lambda v: v > 0.0, "learning_rate > 0"),
+    ("weight_decay", lambda v: v >= 0.0, "weight_decay >= 0"),
+    ("replay_size", lambda v: v >= 0, "replay_size >= 0"),
+    ("eval_threshold", lambda v: 0.0 < v < 1.0, "0 < eval_threshold < 1"),
+    ("seed", lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
 )
 
 
-def validate(params: HyperParams) -> HyperParams:
-    """Check every range invariant; return the params unchanged when all
-    hold, else raise ConfigError naming the first violated field."""
-    for name, check, hint in _RANGE_CHECKS:
-        if not check(params):
-            raise ConfigError(f"{name} out of range: {getattr(params, name)!r} ({hint})")
-    return params
+def check_ranges(obj, checks, prefix: str = "") -> None:
+    """Raise ConfigError naming the first field of dataclass ``obj`` whose
+    value fails its check. ``checks`` holds ``(field, test, want)``
+    triples: ``test`` takes the field's value, ``want`` states the range.
+    ``prefix`` is the config-key prefix of ``obj``'s fields."""
+    for name, test, want in checks:
+        value = getattr(obj, name)
+        if not test(value):
+            raise ConfigError(f"{prefix}{name} out of range: {value!r} (want {want})")
 
 
 # ---------------------------------------------------------------------------

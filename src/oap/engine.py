@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .config import ClassLabel, HyperParams, PseudoLabel, validate
+from .config import ClassLabel, HyperParams, PseudoLabel
 from .errors import ConfigError, DataError, NumericalError
 from .head import (
     HIDDEN_UNITS,
@@ -132,7 +132,6 @@ class Engine:
         params: HyperParams,
         rng: np.random.Generator | None = None,
     ) -> None:
-        validate(params)
         self.head = head.copy()
         self.adam = AdamState.for_head(self.head)
         self.online = OnlineBuffer()

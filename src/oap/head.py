@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_ranges
 from .errors import ConfigError, DataError, NumericalError
 
 HIDDEN_UNITS = 64
@@ -48,14 +49,6 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _pack(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copy ``arrays`` into one contiguous float64 vector; return it and
-    views of it shaped like the inputs."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    return flat, _views(flat, [a.shape for a in arrays])
-
-
 class ClassifierHead:
     """The head's parameters ``w1``, ``b1``, ``w2``, ``b2``. They are views
     into one contiguous vector ``flat`` (in that order, each row-major), so
@@ -63,7 +56,9 @@ class ClassifierHead:
     its arguments; in-place writes to a parameter land in ``flat``."""
 
     def __init__(self, w1, b1, w2, b2) -> None:
-        self.flat, (self.w1, self.b1, self.w2, self.b2) = _pack((w1, b1, w2, b2))
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2)]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.w1, self.b1, self.w2, self.b2 = _views(self.flat, [a.shape for a in arrays])
 
     @property
     def d(self) -> int:
@@ -82,29 +77,23 @@ class ClassifierHead:
 class AdamState:
     """First/second moment accumulators plus the step counter.
 
-    The moments are held as flat vectors ``m_flat`` / ``v_flat`` laid out
-    like ``ClassifierHead.flat``; ``m`` and ``v`` are dicts of per-parameter
-    views into them. ``step_count`` increments by exactly one per committed
-    update; the moments stay element-wise finite for any bounded gradient
-    sequence.
+    The moments are flat vectors ``m_flat`` / ``v_flat`` laid out like
+    ``ClassifierHead.flat``; the constructor copies them. ``step_count``
+    increments by exactly one per committed update; the moments stay
+    element-wise finite for any bounded gradient sequence.
     """
 
-    def __init__(
-        self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step_count: int = 0
-    ) -> None:
-        self.m_flat, m_views = _pack(m[name] for name in PARAM_NAMES)
-        self.v_flat, v_views = _pack(v[name] for name in PARAM_NAMES)
-        self.m = dict(zip(PARAM_NAMES, m_views))
-        self.v = dict(zip(PARAM_NAMES, v_views))
+    def __init__(self, m_flat, v_flat, step_count: int = 0) -> None:
+        self.m_flat = np.array(m_flat, dtype=np.float64)
+        self.v_flat = np.array(v_flat, dtype=np.float64)
         self.step_count = step_count
 
     @classmethod
     def for_head(cls, head: ClassifierHead) -> "AdamState":
-        zeros = {name: np.zeros_like(arr) for name, arr in head.params().items()}
-        return cls(m=zeros, v=zeros)
+        return cls(np.zeros_like(head.flat), np.zeros_like(head.flat))
 
     def copy(self) -> "AdamState":
-        return AdamState(self.m, self.v, self.step_count)
+        return AdamState(self.m_flat, self.v_flat, self.step_count)
 
 
 def init_head(d: int, rng: np.random.Generator) -> ClassifierHead:
@@ -254,11 +243,14 @@ def _first_nonfinite(flat: np.ndarray, head: ClassifierHead) -> str:
     return next(name for name, part in zip(PARAM_NAMES, parts) if not np.isfinite(part).all())
 
 
+PRETRAIN_PREFIX = "pretrain_"
+
+
 @dataclass(frozen=True)
 class PretrainSchedule:
     """Desk-scale pre-training recipe: mini-batch Adam with exponential
-    learning-rate decay (gamma per decay_every iterations). Its config
-    keys are the field names behind a ``pretrain_`` prefix."""
+    learning-rate decay (gamma per decay_every iterations); 0 iterations
+    means no training. Config keys: ``PRETRAIN_PREFIX`` + field name."""
 
     iterations: int = 2000
     batch_size: int = 128
@@ -266,6 +258,13 @@ class PretrainSchedule:
     weight_decay: float = 1e-3
     decay_gamma: float = 0.8
     decay_every: int = 1000
+
+    def __post_init__(self) -> None:
+        check_ranges(self, (
+            ("iterations", lambda v: v >= 0, ">= 0"),
+            ("batch_size", lambda v: v >= 1, ">= 1"),
+            ("decay_every", lambda v: v >= 1, ">= 1"),
+        ), PRETRAIN_PREFIX)
 
 
 def pretrain(
@@ -276,18 +275,13 @@ def pretrain(
     rng: np.random.Generator,
 ) -> ClassifierHead:
     """Train the head on a labeled feature set. The dataset must contain
-    both classes, and the batch size and decay interval must be at least 1;
-    a zero-iteration schedule returns the head unchanged."""
+    both classes; a zero-iteration schedule returns the head unchanged."""
     feats = _check_features(head, np.asarray(feats, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if feats.shape[0] != labels.shape[0]:
         raise DataError("features and labels disagree in length")
     if schedule.iterations > 0 and len(np.unique(labels)) < 2:
         raise DataError("pre-training data contains a single class")
-    for name in ("batch_size", "decay_every"):
-        value = getattr(schedule, name)
-        if value < 1:
-            raise ConfigError(f"pretrain_{name} out of range: {value!r} (want >= 1)")
 
     state = AdamState.for_head(head)
     n = feats.shape[0]

@@ -12,6 +12,9 @@ disjoint id range from the pre-training users, so train/test user
 disjointness is structural rather than conventional. Hidden ground-truth
 labels are returned on a separate channel from the frames: the engine's
 input type carries no label field, only the evaluation harness sees them.
+
+``GeneratorConfig``, ``Segment`` and ``StreamScenario`` check their own
+ranges when built, so the generators take them as given.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ClassLabel, from_mapping
+from .config import ClassLabel, check_ranges, from_mapping
 from .errors import ConfigError, DataError
 from .rng import seeded_rng
 
@@ -46,12 +49,21 @@ class GeneratorConfig:
     noise_std: float = 1.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_ranges(self, (("d", lambda v: v >= 1, "d >= 1"),))
+        if self.class_separation <= 0 or self.noise_std <= 0:
+            raise ConfigError("class_separation and noise_std must be positive")
+
 
 @dataclass(frozen=True)
 class Segment:
     label: ClassLabel
     duration_frames: int
     source_id: int = 0
+
+    def __post_init__(self) -> None:
+        if self.duration_frames < 1:
+            raise ConfigError(f"segment duration must be >= 1, got {self.duration_frames}")
 
 
 @dataclass(frozen=True)
@@ -64,19 +76,14 @@ class StreamScenario:
     frame_rate: float = 30.0
     user_id: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ConfigError("scenario needs at least one segment")
+        check_ranges(self, (("frame_rate", lambda v: v > 0, "frame_rate > 0"),))
+
     @property
     def total_frames(self) -> int:
         return sum(s.duration_frames for s in self.segments)
-
-    def validated(self) -> "StreamScenario":
-        if not self.segments:
-            raise ConfigError("scenario needs at least one segment")
-        for seg in self.segments:
-            if seg.duration_frames < 1:
-                raise ConfigError(f"segment duration must be >= 1, got {seg.duration_frames}")
-        if self.frame_rate <= 0:
-            raise ConfigError("frame_rate out of range: want frame_rate > 0")
-        return self
 
 
 class StreamFrame(NamedTuple):
@@ -86,13 +93,6 @@ class StreamFrame(NamedTuple):
     feature: np.ndarray
     frame_index: int
     time: float
-
-
-def _check_generator(cfg: GeneratorConfig) -> None:
-    if cfg.d < 1:
-        raise ConfigError(f"d out of range: {cfg.d!r} (want d >= 1)")
-    if cfg.class_separation <= 0 or cfg.noise_std <= 0:
-        raise ConfigError("class_separation and noise_std must be positive")
 
 
 def _user_offset(cfg: GeneratorConfig, user_id: int) -> np.ndarray:
@@ -114,7 +114,6 @@ def generate_pretraining_set(
     its own random offset. Deterministic under cfg.seed."""
     if n_users < 2:
         raise ConfigError(f"need at least 2 training users, got {n_users}")
-    _check_generator(cfg)
     feats = []
     labels = []
     n_live = frames_per_user - frames_per_user // 2
@@ -144,8 +143,6 @@ def generate_stream(
     Cluster means drift by ``drift_rate`` std units per second along one
     seeded random direction for the whole stream.
     """
-    _check_generator(cfg)
-    scenario = scenario.validated()
     uid = HELD_OUT_USER_BASE + scenario.user_id
     offset = _user_offset(cfg, uid)
     drift_rng = seeded_rng(cfg.seed, f"drift-direction-{uid}")
@@ -322,16 +319,12 @@ def parse_segments(text: str) -> tuple[Segment, ...]:
             source = int(bits[2]) if len(bits) == 3 else per_class_count[label]
         except ValueError as exc:
             raise ConfigError(f"bad segment spec {part!r}") from exc
-        if duration < 1:
-            raise ConfigError(f"segment duration must be >= 1, got {duration}")
         per_class_count[label] += 1
         segments.append(Segment(label, duration, source))
-    if not segments:
-        raise ConfigError("scenario needs at least one segment")
     return tuple(segments)
 
 
 def scenario_from_mapping(mapping: dict[str, str]) -> StreamScenario:
     if "segments" not in mapping:
         raise ConfigError("scenario config needs a 'segments' entry")
-    return from_mapping(StreamScenario(parse_segments(mapping["segments"])), mapping).validated()
+    return from_mapping(StreamScenario(parse_segments(mapping["segments"])), mapping)

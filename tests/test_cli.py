@@ -178,6 +178,7 @@ class TestRun:
             "--stream", str(stream), "--mode", mode, "--save-head", str(saved),
         ]) == 2
         assert not saved.exists()
+        assert not (tmp_path / "o").exists()  # checked before the config echo
 
     def test_adapted_head_probe(self, pipeline, tmp_path):
         """Adapting on one stream, then probing another with the saved
@@ -263,7 +264,8 @@ def command_argv(command, pipeline, tmp_path):
 class TestConfigAtTheDoor:
     """A value that does not parse as its field's type, or lies outside its
     range, and a --set key that no command reads, exit 2 with a message
-    naming the key."""
+    naming the key, and write nothing: not even resolved.cfg. In ``extra``,
+    the item after ``--config`` is the text of a config file."""
 
     @pytest.mark.parametrize("command,extra,message", [
         ("generate", ["--set", "seeds=abc"], "bad value for seeds: 'abc'"),
@@ -280,11 +282,28 @@ class TestConfigAtTheDoor:
         ("sweep", ["--axis", "replay_size", "--values", "10,4.5"], "bad value for replay_size"),
         ("run", ["--set", "marign=0.2"], "unknown config key 'marign'"),
         ("generate", ["--set", "sweep_axis=margin"], "unknown config key 'sweep_axis'"),
+        ("generate", ["--set", "frames_per_user=0"], "frames_per_user out of range: 0"),
+        ("generate", ["--set", "frames_per_user=1"], "frames_per_user out of range: 1"),
+        ("generate", ["--set", "n_users=1"], "n_users out of range: 1"),
+        ("pretrain", ["--set", "pretrain_iterations=-1"], "pretrain_iterations out of range: -1"),
+        ("run", ["--set", "ema_momentum=1.5"], "ema_momentum out of range: 1.5"),
+        ("generate", ["--config", "mode = bogus\n"], "unknown mode 'bogus'"),
+        ("run", ["--set", "margin=0.9"], "margin out of range: 0.9"),
+        ("generate", ["--set", "segments=live:0"], "segment duration must be >= 1, got 0"),
+        ("generate", ["--set", "frame_rate=0"], "frame_rate out of range: 0.0"),
+        ("sweep", ["--values", "0.1,0.7"], "margin out of range: 0.7"),
     ])
     def test_rejected_with_key_named(self, pipeline, tmp_path, capsys, command, extra, message):
+        if "--config" in extra:
+            at = extra.index("--config") + 1
+            cfg = tmp_path / "door.cfg"
+            cfg.write_text(extra[at])
+            extra = [*extra[:at], str(cfg), *extra[at + 1:]]
         capsys.readouterr()
         assert main(command_argv(command, pipeline, tmp_path) + extra) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "resolved.cfg").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_grid_checked_before_first_run(self, pipeline, tmp_path, monkeypatch):
         """An out-of-range third value stops the sweep before any run."""

@@ -1,8 +1,12 @@
 """Hyper-parameter ledger: golden defaults, range validation, threshold
 geometry, config-file syntax, and the tagged deterministic RNG contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from oap.cli import RunnerConfig
 
 from oap.config import (
     ClassLabel,
@@ -11,10 +15,11 @@ from oap.config import (
     apply_overrides,
     from_mapping,
     parse_kv_file,
-    validate,
 )
 from oap.errors import ConfigError
+from oap.head import PretrainSchedule
 from oap.rng import seeded_rng
+from oap.simstream import GeneratorConfig, Segment, StreamScenario
 
 
 class TestGoldenDefaults:
@@ -36,7 +41,7 @@ class TestGoldenDefaults:
 
     def test_defaults_validate_unchanged(self):
         p = HyperParams()
-        assert validate(p) is p
+        assert p is p
 
     def test_threshold_symmetry(self):
         """The two derived pseudo-label thresholds sit symmetrically
@@ -56,13 +61,13 @@ class TestGoldenDefaults:
 
 class TestValidation:
     def test_degenerate_single_threshold_margin_accepted(self):
-        validate(HyperParams(margin=0.5))
+        HyperParams(margin=0.5)
 
     def test_margin_out_of_range(self):
         with pytest.raises(ConfigError, match="margin out of range"):
-            validate(HyperParams(margin=0.6))
+            HyperParams(margin=0.6)
         with pytest.raises(ConfigError, match="margin out of range"):
-            validate(HyperParams(margin=0.0))
+            HyperParams(margin=0.0)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -86,7 +91,62 @@ class TestValidation:
     )
     def test_each_range_is_enforced_with_field_name(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            validate(HyperParams(**{field: value}))
+            HyperParams(**{field: value})
+
+
+ONE_SEGMENT = (Segment(ClassLabel.LIVE, 10),)
+
+
+OUT_OF_RANGE = {
+    "HyperParams-margin": (lambda: HyperParams(margin=0.9), "margin out of range: 0.9"),
+    "GeneratorConfig-d": (lambda: GeneratorConfig(d=0), "d out of range: 0"),
+    "GeneratorConfig-noise_std": (
+        lambda: GeneratorConfig(noise_std=0.0), "noise_std must be positive"),
+    "Segment-duration": (
+        lambda: Segment(ClassLabel.LIVE, 0), "segment duration must be >= 1, got 0"),
+    "StreamScenario-segments": (
+        lambda: StreamScenario(()), "scenario needs at least one segment"),
+    "StreamScenario-frame_rate": (
+        lambda: StreamScenario(ONE_SEGMENT, frame_rate=0.0),
+        "frame_rate out of range: 0.0 (want frame_rate > 0)"),
+    "PretrainSchedule-iterations": (
+        lambda: PretrainSchedule(iterations=-1), "pretrain_iterations out of range: -1"),
+    "PretrainSchedule-batch_size": (
+        lambda: PretrainSchedule(batch_size=0), "pretrain_batch_size out of range: 0"),
+    "PretrainSchedule-decay_every": (
+        lambda: PretrainSchedule(decay_every=0), "pretrain_decay_every out of range: 0"),
+    "RunnerConfig-mode": (lambda: RunnerConfig(mode="bogus"), "unknown mode 'bogus'"),
+    "RunnerConfig-seeds": (lambda: RunnerConfig(seeds=0), "seeds out of range: 0"),
+    "RunnerConfig-ema_momentum-high": (
+        lambda: RunnerConfig(ema_momentum=1.0), "ema_momentum out of range: 1.0"),
+    "RunnerConfig-ema_momentum-low": (
+        lambda: RunnerConfig(ema_momentum=-0.1), "ema_momentum out of range: -0.1"),
+    "RunnerConfig-n_users": (lambda: RunnerConfig(n_users=1), "n_users out of range: 1"),
+    "RunnerConfig-frames_per_user": (
+        lambda: RunnerConfig(frames_per_user=1), "frames_per_user out of range: 1"),
+    "replace": (
+        lambda: dataclasses.replace(HyperParams(), window=0), "window out of range: 0"),
+    "from_mapping": (
+        lambda: from_mapping(PretrainSchedule(), {"pretrain_iterations": "-5"}, "pretrain_"),
+        "pretrain_iterations out of range: -5"),
+}
+
+
+@pytest.mark.parametrize("build,message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_config_cannot_be_built(build, message):
+    """Every config dataclass checks its own ranges when built, through
+    its constructor, ``dataclasses.replace`` or ``from_mapping`` alike."""
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert message in str(info.value)
+
+
+def test_boundary_values_build():
+    """The inclusive ends of each new range are legal."""
+    PretrainSchedule(iterations=0)
+    RunnerConfig(ema_momentum=0.0, n_users=2, frames_per_user=2)
+    for mode in ("oap", "frozen", "ema"):
+        RunnerConfig(mode=mode)
 
 
 class TestConfigFile:
