@@ -4,16 +4,23 @@ adaptation, the baselines or the trace writers that moves a single bit
 shows up here; a change that means to move bits must update the digests
 and say why.
 
-Besides the default fine-tune rates, two oap runs cover paths the defaults
-skip: three Adam iterations per fine-tune call (the rollback snapshot), and
-a smoothing window of 7 with an even source mix (both sampler sources)."""
+Besides the default fine-tune rates, five oap runs cover paths the defaults
+skip: three Adam iterations per fine-tune call (the rollback snapshot); a
+smoothing window of 7 with an even source mix (both sampler sources);
+replay-only batches; online-only batches at margin 0.5, where no frame is
+discarded and every frame enters the buffer; and an empty replay store at
+margin 1e-6, where most frames are discarded, so the buffer starts empty
+and runs empty again (208 of 1200 frames skip fine-tuning) and batches
+come from the online buffer alone, often from one class."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from oap.engine import Engine, run_baseline_frozen, run_baseline_smoothed
 from oap.engine import write_trace_csv, write_trace_jsonl
+from oap.memory import ReplayStore
 from oap.presets import build_artifacts, continual_scenario, desk_params
 from oap.simstream import generate_stream
 
@@ -35,6 +42,18 @@ GOLDEN = {
         "89300ef2dce182f6552e2b94bb8f69aa45e353f1d129f6cf106a33d397ee250c",
         "dff60629a8d6b49d7ef51d5496204b9decb79f431dbb0759a0f7008b55ccf305",
     ),
+    "oap_replay_only": (
+        "c5731422a6c0b439643b71cb8a7338f1ed2dda225bef53aec0acb52fd1994044",
+        "2bb49d33584381940224d8cdab11ec0ee6d67cf27dd5ed9c78ef7ce07a3b8a64",
+    ),
+    "oap_online_only_margin05": (
+        "0b5b6616f06a30dd39ea7c6923af773e3566f447d1c9582441a172eeb92da8fe",
+        "c686ae4c97a21bdef1d74d4ae97dc7db811836a1099254c4cde97f39c99ed82f",
+    ),
+    "oap_empty_replay": (
+        "63f2ab251db57c45fd3e8a31f3c4ed3450d7bc7646541b5b937ff667f63d9fff",
+        "4a0e359748da0aedf132edc961bbe64d57c22a95ecd54e1f214a0f6be92b0a05",
+    ),
     "frozen": (
         "74aaf2889e8639cbfbd5643cac6dac9a6ee805f536df9b02d8b57232590b7762",
         "ac659c99928791e10732500e83eb10110f9582ca37c528be7ce3293a9f5f8f3d",
@@ -50,7 +69,12 @@ OAP_OVERRIDES = {
     "oap_ff005": {"finetune_freq": 0.05},
     "oap_iter3": {"iterations_per_call": 3},
     "oap_window7_mix": {"window": 7, "online_prob": 0.5},
+    "oap_replay_only": {"online_prob": 0.0},
+    "oap_online_only_margin05": {"online_prob": 1.0, "margin": 0.5},
+    "oap_empty_replay": {"margin": 1e-6},
 }
+# Cases that run against a 0-row replay store instead of the artifacts' own.
+EMPTY_REPLAY = {"oap_empty_replay"}
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +89,10 @@ def run(name, art, frames, truth):
         return run_baseline_frozen(art.head, frames, ground_truth=truth)
     if name == "ema":
         return run_baseline_smoothed(art.head, frames, 0.9, ground_truth=truth)
-    engine = Engine(art.head, art.replay, desk_params(0, **OAP_OVERRIDES[name]))
+    replay = art.replay
+    if name in EMPTY_REPLAY:
+        replay = ReplayStore(np.zeros((0, art.head.d)), np.zeros(0, dtype=np.int64))
+    engine = Engine(art.head, replay, desk_params(0, **OAP_OVERRIDES[name]))
     return engine.run_stream(frames, ground_truth=truth)
 
 
