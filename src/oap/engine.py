@@ -189,8 +189,8 @@ class Engine:
                     feats, labels = sample_batch(
                         self.online, self.replay, p.batch_size, p.online_prob, self.rng
                     )
-                    _, grads = loss_and_grad(self.head, feats, labels)
-                    apply_update(self.head, self.adam, grads, p.learning_rate, p.weight_decay)
+                    _, grad = loss_and_grad(self.head, feats, labels)
+                    apply_update(self.head, self.adam, grad, p.learning_rate, p.weight_decay)
             except NumericalError:
                 # Rejected update: roll the whole frame's fine-tuning back
                 # and mark the verdict as not fine-tuned.

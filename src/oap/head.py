@@ -14,6 +14,14 @@ Shapes: ``w1`` is (d, 64), ``b1`` is (64,), ``w2`` is (64,), ``b2`` is
 with the output clamped to [PROB_EPS, 1 - PROB_EPS] to keep the loss
 finite. The clamp only binds for |logit| > ~16, far outside anything a
 sane head produces; gradients treat it as the identity.
+
+Parameters, Adam moments and gradients share one layout: a flat vector
+holding w1, b1, w2, b2 in that order, each row-major (``ClassifierHead.flat``).
+``loss_and_grad`` returns the gradient in that layout and ``apply_update``
+steps all of it in one pass. The per-frame functions are written for few
+numpy calls and temporaries on these small arrays, but each runs the same
+IEEE operations, in the same order, as the plain expression its docstring
+gives, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -67,6 +75,11 @@ class ClassifierHead:
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views of a vector laid out like ``flat``, such as
+        a gradient or an Adam moment."""
+        return dict(zip(PARAM_NAMES, _views(flat, [a.shape for a in self.params().values()])))
+
     def copy(self) -> "ClassifierHead":
         return ClassifierHead(self.w1, self.b1, self.w2, self.b2)
 
@@ -81,12 +94,19 @@ class AdamState:
     ``ClassifierHead.flat``; the constructor copies them. ``step_count``
     increments by exactly one per committed update; the moments stay
     element-wise finite for any bounded gradient sequence.
+
+    ``apply_update`` computes the next moments into ``_m_next`` /
+    ``_v_next`` and its temporaries into ``_work``, all preallocated here,
+    and commits the moments by swapping the pairs of buffers.
     """
 
     def __init__(self, m_flat, v_flat, step_count: int = 0) -> None:
         self.m_flat = np.array(m_flat, dtype=np.float64)
         self.v_flat = np.array(v_flat, dtype=np.float64)
         self.step_count = step_count
+        self._m_next = np.empty_like(self.m_flat)
+        self._v_next = np.empty_like(self.v_flat)
+        self._work = np.empty((2,) + self.m_flat.shape)
 
     @classmethod
     def for_head(cls, head: ClassifierHead) -> "AdamState":
@@ -112,13 +132,11 @@ def init_head(d: int, rng: np.random.Generator) -> ClassifierHead:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so np.exp never sees a large positive argument.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Split by sign so np.exp never sees a large positive argument:
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise.
+    # min(z, -z) is -z or z on those two branches, and a NaN keeps its sign.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
@@ -133,9 +151,29 @@ def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
 
 
 def forward(head: ClassifierHead, feature) -> float:
-    """Spoof probability for a single feature vector, clamped into
-    (0, 1). Pure function: no state is touched."""
-    return float(forward_batch(head, np.asarray(feature, dtype=np.float64)[None, :])[0])
+    """Spoof probability for a single feature vector of shape (d,), clamped
+    into (0, 1). Pure function: no state is touched. Any other shape, or a
+    non-finite value, is a DataError.
+
+    Bit-identical to ``forward_batch`` on the one-row matrix: the two
+    products keep their shapes, (1, d) @ (d, 64) and (1, 64) @ (64,), and
+    the scalar tail runs the same sigmoid branch and clamp on one float,
+    with ``np.exp`` (``math.exp`` rounds differently on some inputs)."""
+    feature = np.asarray(feature, dtype=np.float64)
+    if feature.shape != (head.d,):
+        raise DataError(
+            f"feature dimension mismatch: head expects shape ({head.d},), got {feature.shape}"
+        )
+    if not np.isfinite(feature).all():
+        raise DataError("non-finite value in feature input")
+    hidden = np.maximum(feature[None, :] @ head.w1 + head.b1, 0.0)
+    z = float((hidden @ head.w2)[0]) + float(head.b2[0])
+    if z >= 0:
+        y = 1.0 / (1.0 + np.exp(-z))
+    else:
+        e = np.exp(z)
+        y = e / (1.0 + e)
+    return float(min(max(y, PROB_EPS), 1.0 - PROB_EPS))
 
 
 def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
@@ -146,50 +184,53 @@ def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def loss_and_grad(
-    head: ClassifierHead, feats, labels
-) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy over the batch and its exact analytic
-    gradients.
+    gradient, one vector laid out like ``head.flat``.
 
         loss = -(1/n) sum_i [ l_i log y_i + (1 - l_i) log(1 - y_i) ]
 
     Labels must be 0/1; discard-labeled samples never reach this point.
+    The loss is computed as the mean of ``log(y_i)`` or ``log(1 - y_i)``
+    picked by the label. That is exact, not an approximation: with l in
+    {0, 1} the two products above are ``1 * a`` and ``0 * b``, so the sum
+    is exactly ``a`` or exactly ``b``.
     """
-    feats = _check_features(head, np.atleast_2d(np.asarray(feats, dtype=np.float64)))
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim < 2:
+        feats = feats.reshape(1, -1)
+    feats = _check_features(head, feats)
     labels = np.asarray(labels, dtype=np.float64).ravel()
     n = feats.shape[0]
     if n == 0:
         raise DataError("empty batch")
     if labels.shape[0] != n:
         raise DataError(f"batch has {n} features but {labels.shape[0]} labels")
-    if not ((labels == 0.0) | (labels == 1.0)).all():
+    spoof = labels == 1.0
+    if not (spoof | (labels == 0.0)).all():
         raise DataError("labels must be 0 or 1")
 
     z1 = feats @ head.w1 + head.b1
     hidden = np.maximum(z1, 0.0)
     logits = hidden @ head.w2 + head.b2[0]
     y = _sigmoid(logits)
-    y_safe = np.clip(y, PROB_EPS, 1.0 - PROB_EPS)
-    loss = -float(np.mean(labels * np.log(y_safe) + (1.0 - labels) * np.log(1.0 - y_safe)))
+    y_safe = np.minimum(np.maximum(y, PROB_EPS), 1.0 - PROB_EPS)
+    loss = -float(np.add.reduce(np.log(np.where(spoof, y_safe, 1.0 - y_safe))) / n)
 
     # d loss / d logit for sigmoid + cross entropy collapses to (y - l)/n.
     dlogits = (y - labels) / n
     dhidden = dlogits[:, None] * head.w2
     dz1 = dhidden * (z1 > 0.0)
-    grads = {
-        "w1": feats.T @ dz1,
-        "b1": dz1.sum(axis=0),
-        "w2": hidden.T @ dlogits,
-        "b2": np.array([dlogits.sum()]),
-    }
-    return loss, grads
+    grad = np.concatenate(
+        ((feats.T @ dz1).ravel(), dz1.sum(axis=0), hidden.T @ dlogits, dlogits.sum(keepdims=True))
+    )
+    return loss, grad
 
 
 def apply_update(
     head: ClassifierHead,
     state: AdamState,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     learning_rate: float,
     weight_decay: float = 0.0,
 ) -> tuple[ClassifierHead, AdamState]:
@@ -198,40 +239,44 @@ def apply_update(
         m <- b1 m + (1 - b1) g          v <- b2 v + (1 - b2) g^2
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
 
-    Mutates ``head`` and ``state`` in place and returns them. A non-finite
-    gradient or result rejects the whole update: NumericalError is raised
-    and neither head nor state is touched. The step runs once over the flat
-    parameter vector; every operation is elementwise and correctly rounded,
-    so the result is bit-identical to stepping each parameter on its own.
+    ``grad`` is laid out like ``head.flat``. Mutates ``head`` and ``state``
+    in place and returns them. A non-finite gradient or result rejects the
+    whole update: NumericalError is raised, naming the parameter, and
+    neither head nor state is touched. The step runs once over the flat
+    vector, writing each operation of the expression above, in its order,
+    into ``state``'s preallocated buffers; every operation is elementwise
+    and correctly rounded, so the result is bit-identical to stepping each
+    parameter on its own with fresh arrays.
     """
-    for name in PARAM_NAMES:
-        if name not in grads:
-            raise DataError(f"missing gradient for parameter {name!r}")
-        if grads[name].shape != getattr(head, name).shape:
-            raise DataError(
-                f"gradient shape mismatch for {name!r}: "
-                f"{grads[name].shape} vs {getattr(head, name).shape}"
-            )
-    g = np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
+    g = np.asarray(grad)
+    if g.shape != head.flat.shape:
+        raise DataError(f"gradient shape mismatch: {g.shape} vs {head.flat.shape}")
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite gradient for parameter {_first_nonfinite(g, head)!r}")
 
     t = state.step_count + 1
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    m = ADAM_BETA1 * state.m_flat + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v_flat + (1.0 - ADAM_BETA2) * g * g
-    step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    m, v, (a, b) = state._m_next, state._v_next, state._work
+    np.multiply(ADAM_BETA1, state.m_flat, out=m)
+    np.add(m, np.multiply(1.0 - ADAM_BETA1, g, out=a), out=m)
+    np.multiply(ADAM_BETA2, state.v_flat, out=v)
+    np.multiply(1.0 - ADAM_BETA2, g, out=a)
+    np.add(v, np.multiply(a, g, out=a), out=v)
+    step = np.multiply(learning_rate, np.divide(m, bias1, out=a), out=a)
+    np.sqrt(np.divide(v, bias2, out=b), out=b)
+    np.divide(step, np.add(b, ADAM_EPS, out=b), out=a)
     theta = head.flat
-    theta_new = theta - step - learning_rate * weight_decay * theta
+    theta_new = np.subtract(theta, step, out=a)
+    np.subtract(theta_new, np.multiply(learning_rate * weight_decay, theta, out=b), out=a)
     if not np.isfinite(theta_new).all():
         raise NumericalError(
             f"update produced non-finite values in {_first_nonfinite(theta_new, head)!r}"
         )
 
     theta[...] = theta_new
-    state.m_flat[...] = m
-    state.v_flat[...] = v
+    state.m_flat, state._m_next = m, state.m_flat
+    state.v_flat, state._v_next = v, state.v_flat
     state.step_count = t
     return head, state
 
@@ -239,8 +284,7 @@ def apply_update(
 def _first_nonfinite(flat: np.ndarray, head: ClassifierHead) -> str:
     """Name of the first parameter whose part of ``flat`` (laid out like
     ``head.flat``) holds a non-finite value: the error path of apply_update."""
-    parts = _views(flat, [arr.shape for arr in head.params().values()])
-    return next(name for name, part in zip(PARAM_NAMES, parts) if not np.isfinite(part).all())
+    return next(name for name, part in head.views(flat).items() if not np.isfinite(part).all())
 
 
 PRETRAIN_PREFIX = "pretrain_"
@@ -288,8 +332,8 @@ def pretrain(
     for it in range(schedule.iterations):
         lr = schedule.learning_rate * schedule.decay_gamma ** (it // schedule.decay_every)
         batch_idx = rng.integers(0, n, size=schedule.batch_size)
-        _, grads = loss_and_grad(head, feats[batch_idx], labels[batch_idx])
-        apply_update(head, state, grads, lr, schedule.weight_decay)
+        _, grad = loss_and_grad(head, feats[batch_idx], labels[batch_idx])
+        apply_update(head, state, grad, lr, schedule.weight_decay)
     return head
 
 

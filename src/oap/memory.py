@@ -163,10 +163,11 @@ class OnlineBuffer:
 def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The classes present among 0/1 ``labels`` as (order, starts, sizes):
     ``order`` lists the positions of class 0 then of class 1, each in
-    stored order, and present class k fills ``order[starts[k]:][:sizes[k]]``."""
-    present = [b for b in (np.flatnonzero(labels == c) for c in (0, 1)) if len(b)]
-    sizes = np.array([len(b) for b in present], dtype=np.int64)
-    order = np.concatenate(present) if present else np.zeros(0, dtype=np.int64)
+    stored order (a stable sort), and present class k fills
+    ``order[starts[k]:][:sizes[k]]``."""
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=2)
+    sizes = counts[counts > 0]
     return order, np.cumsum(sizes) - sizes, sizes
 
 
@@ -289,13 +290,14 @@ def sample_batch(
     if n_online == 0 and n_replay == 0:
         raise DataError("cannot sample a batch: both stores are empty")
 
-    use_online = rng.random(batch_size) < online_prob
+    # One draw of 3 * batch_size uniforms: the same stream, in the same
+    # order, as three draws of batch_size.
+    source_u, class_u, entry_u = rng.random((3, batch_size))
+    use_online = source_u < online_prob
     if n_online == 0:
         use_online[:] = False
     if n_replay == 0:
         use_online[:] = True
-    class_u = rng.random(batch_size)
-    entry_u = rng.random(batch_size)
 
     # Slot i takes class bucket int(class_u[i] * n_classes) of its source
     # and entry int(entry_u[i] * bucket size) of that bucket: the same

@@ -45,17 +45,20 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     missing from storage contribute nothing to either side of the mean.
     """
     idx = np.asarray(frame_indices, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.float64)
+    lab = np.asarray(labels, dtype=np.int64)
     if idx.shape != lab.shape:
         raise ValueError("frame_indices and labels disagree in length")
     if idx.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if np.any(np.diff(idx) <= 0):
+    if (idx[1:] <= idx[:-1]).any():
         raise ValueError("frame indices must be strictly increasing")
 
     half = window / 2.0
     lo = np.searchsorted(idx, idx - half, side="left")
     hi = np.searchsorted(idx, idx + half, side="right")
-    csum = np.concatenate(([0.0], np.cumsum(lab)))
-    mean = (csum[hi] - csum[lo]) / (hi - lo)
-    return np.where(mean > 0.5, 1, 0).astype(np.int64)
+    csum = np.empty(idx.size + 1, dtype=np.int64)
+    csum[0] = 0
+    np.cumsum(lab, out=csum[1:])
+    # s spoof votes among c entries: s / c > 0.5 exactly when 2s > c, and
+    # the integer form needs no division.
+    return (2 * (csum[hi] - csum[lo]) > hi - lo).astype(np.int64)

@@ -179,9 +179,9 @@ class TestCausalityAndDeterminism:
         real = engine_mod.loss_and_grad
 
         def poisoned(h, feats, labels):
-            loss, grads = real(h, feats, labels)
-            grads["w2"] = grads["w2"] * np.nan
-            return loss, grads
+            loss, grad = real(h, feats, labels)
+            h.views(grad)["w2"][...] *= np.nan
+            return loss, grad
 
         monkeypatch.setattr(engine_mod, "loss_and_grad", poisoned)
         v = engine.process_frame(frames[1].feature, 2, 1 / 30.0)
@@ -210,11 +210,11 @@ class TestCausalityAndDeterminism:
         calls = []
 
         def poisoned_second(h, feats, labels):
-            loss, grads = real(h, feats, labels)
+            loss, grad = real(h, feats, labels)
             calls.append(1)
             if len(calls) == 2:
-                grads["b1"] = grads["b1"] * np.nan
-            return loss, grads
+                h.views(grad)["b1"][...] *= np.nan
+            return loss, grad
 
         monkeypatch.setattr(engine_mod, "loss_and_grad", poisoned_second)
         v = engine.process_frame(frames[1].feature, 2, 1 / 30.0)
@@ -279,11 +279,18 @@ class TestInputContract:
             engine.process_frame(frames[3].feature, index, time)
         assert engine_state(engine) == before
 
-    @pytest.mark.parametrize("case", ["nan feature", "wrong dimension"])
+    BAD_FEATURES = {
+        "nan feature": np.full(D, np.nan),
+        "wrong dimension": np.zeros(D + 1),
+        "row matrix": np.zeros((1, D)),
+        "scalar": np.float64(0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_FEATURES))
     def test_bad_feature_rejected_without_state_change(self, artifacts, case):
         engine = self.warmed_engine(artifacts)
         before = engine_state(engine)
-        feature = np.full(D, np.nan) if case == "nan feature" else np.zeros(D + 1)
+        feature = self.BAD_FEATURES[case]
         with pytest.raises(DataError):
             engine.process_frame(feature, 4, 3 / 30)
         assert engine_state(engine) == before
@@ -370,6 +377,12 @@ class TestFrozenBaseline:
         frames = [StreamFrame(np.ones(D), t, (t - 1) / 30.0) for t in range(1, 20)]
         trace = run_baseline_frozen(head, frames)
         assert len({r.y for r in trace}) == 1
+
+    @pytest.mark.parametrize("feature", [np.zeros((1, D)), np.float64(0.0)], ids=["row", "scalar"])
+    def test_wrongly_shaped_feature_is_a_data_error(self, artifacts, feature):
+        head, _, _, _ = artifacts
+        with pytest.raises(DataError, match="shape"):
+            run_baseline_frozen(head, [StreamFrame(feature, 1, 0.0)])
 
     def test_agrees_with_adaptive_engine_on_first_frame(self, artifacts):
         head, replay, frames, _ = artifacts

@@ -116,7 +116,8 @@ class TestLoss:
     def test_symmetric_labels_cancel_output_bias_gradient(self):
         h = ClassifierHead(np.zeros((4, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),
                            np.zeros(HIDDEN_UNITS), np.zeros(1))
-        loss, grads = loss_and_grad(h, np.ones((2, 4)), [0, 1])
+        loss, grad = loss_and_grad(h, np.ones((2, 4)), [0, 1])
+        grads = h.views(grad)
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
         assert grads["b2"][0] == pytest.approx(0.0, abs=1e-15)
 
@@ -161,7 +162,8 @@ class TestGradientOracle:
             h = random_head(d, seed=case)
             feats = rng.normal(size=(8, d))
             labels = rng.integers(0, 2, size=8)
-            _, grads = loss_and_grad(h, feats, labels)
+            _, grad = loss_and_grad(h, feats, labels)
+            grads = h.views(grad)
             for name in ("w1", "b1", "w2", "b2"):
                 arr = grads[name]
                 flat = [idx for idx, _ in np.ndenumerate(arr)]
@@ -177,8 +179,8 @@ class TestAdam:
         h = random_head(4, seed=3)
         before = {k: v.copy() for k, v in h.params().items()}
         state = AdamState.for_head(h)
-        grads = {k: np.zeros_like(v) for k, v in h.params().items()}
-        apply_update(h, state, grads, learning_rate=0.1, weight_decay=0.0)
+        grad = np.zeros_like(h.flat)
+        apply_update(h, state, grad, learning_rate=0.1, weight_decay=0.0)
         assert state.step_count == 1
         for k, v in h.params().items():
             np.testing.assert_array_equal(v, before[k])
@@ -189,9 +191,9 @@ class TestAdam:
         h = ClassifierHead(np.zeros((1, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),
                            np.zeros(HIDDEN_UNITS), np.array([1.0]))
         state = AdamState.for_head(h)
-        grads = {k: np.zeros_like(v) for k, v in h.params().items()}
-        grads["b2"] = np.array([0.5])
-        apply_update(h, state, grads, learning_rate=0.1, weight_decay=0.0)
+        grad = np.zeros_like(h.flat)
+        h.views(grad)["b2"][...] = np.array([0.5])
+        apply_update(h, state, grad, learning_rate=0.1, weight_decay=0.0)
         expected = 1.0 - 0.1 * 0.5 / (math.sqrt(0.25) + 1e-8)
         assert h.b2[0] == pytest.approx(expected, rel=1e-12)
         assert h.b2[0] == pytest.approx(0.9000001, abs=5e-7)
@@ -200,18 +202,18 @@ class TestAdam:
         h = ClassifierHead(np.zeros((1, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),
                            np.zeros(HIDDEN_UNITS), np.array([1.0]))
         state = AdamState.for_head(h)
-        grads = {k: np.zeros_like(v) for k, v in h.params().items()}
-        apply_update(h, state, grads, learning_rate=1e-3, weight_decay=1e-3)
+        grad = np.zeros_like(h.flat)
+        apply_update(h, state, grad, learning_rate=1e-3, weight_decay=1e-3)
         assert h.b2[0] == pytest.approx(1.0 - 1e-6, rel=1e-12)
 
     def test_non_finite_gradient_rejected_state_unchanged(self):
         h = random_head(4, seed=9)
         state = AdamState.for_head(h)
         before = {k: v.copy() for k, v in h.params().items()}
-        grads = {k: np.zeros_like(v) for k, v in h.params().items()}
-        grads["w1"][0, 0] = np.nan
+        grad = np.zeros_like(h.flat)
+        h.views(grad)["w1"][0, 0] = np.nan
         with pytest.raises(NumericalError):
-            apply_update(h, state, grads, learning_rate=0.1)
+            apply_update(h, state, grad, learning_rate=0.1)
         assert state.step_count == 0
         for k, v in h.params().items():
             np.testing.assert_array_equal(v, before[k])
@@ -224,19 +226,19 @@ class TestAdam:
         h.b2[0] = 1e308
         state = AdamState.for_head(h)
         before = h.flat.copy()
-        grads = {k: np.ones_like(v) for k, v in h.params().items()}
+        grad = np.ones_like(h.flat)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'b2'"):
-            apply_update(h, state, grads, learning_rate=0.1, weight_decay=-1e10)
+            apply_update(h, state, grad, learning_rate=0.1, weight_decay=-1e10)
         assert state.step_count == 0
         np.testing.assert_array_equal(h.flat, before)
         assert not state.m_flat.any() and not state.v_flat.any()
 
     def test_non_finite_gradient_names_its_parameter(self):
         h = random_head(4, seed=9)
-        grads = {k: np.zeros_like(v) for k, v in h.params().items()}
-        grads["w2"][5] = np.inf
+        grad = np.zeros_like(h.flat)
+        h.views(grad)["w2"][5] = np.inf
         with pytest.raises(NumericalError, match="'w2'"):
-            apply_update(h, AdamState.for_head(h), grads, learning_rate=0.1)
+            apply_update(h, AdamState.for_head(h), grad, learning_rate=0.1)
 
     def test_parameters_are_views_of_one_flat_vector(self):
         """The constructor copies its arguments into ``flat``; writes to a
@@ -257,8 +259,8 @@ class TestAdam:
         state = AdamState.for_head(h)
         rng = np.random.default_rng(0)
         for step in range(2000):
-            grads = {k: rng.normal(size=v.shape) for k, v in h.params().items()}
-            apply_update(h, state, grads, learning_rate=1e-3)
+            grad = np.concatenate([rng.normal(size=v.shape).ravel() for v in h.params().values()])
+            apply_update(h, state, grad, learning_rate=1e-3)
         assert state.step_count == 2000
         assert h.is_finite()
         assert np.isfinite(state.m_flat).all()

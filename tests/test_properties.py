@@ -1,7 +1,8 @@
 """Property tests of the stated invariants, each against a brute-force
 oracle: the online buffer against a plain list model, the vectorized batch
-sampler against the per-slot loop it replaced, and majority smoothing
-against a direct recount."""
+sampler against the per-slot loop it replaced, majority smoothing against
+a direct recount, and the head's numerics (sigmoid, forward, loss and
+gradient, Adam) against the plain expressions they replaced, bit for bit."""
 
 import math
 
@@ -11,7 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oap.config import PseudoLabel
-from oap.errors import DataError
+from oap.errors import DataError, NumericalError
+from oap.head import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    HIDDEN_UNITS,
+    PARAM_NAMES,
+    PROB_EPS,
+    AdamState,
+    ClassifierHead,
+    _sigmoid,
+    apply_update,
+    forward,
+    forward_batch,
+    loss_and_grad,
+)
 from oap.memory import OnlineBuffer, ReplayStore, sample_batch
 from oap.pseudolabel import smooth_labels
 
@@ -295,3 +311,158 @@ def test_smoothing_matches_recount_on_gapped_indices(gaps, data, window):
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(gaps), max_size=len(gaps)))
     smoothed = smooth_labels(frame_indices, labels, window)
     assert smoothed.tolist() == recount_smooth(frame_indices, labels, window)
+
+
+# ---------------------------------------------------------------------------
+# Head numerics against the plain expressions they replaced
+# ---------------------------------------------------------------------------
+
+
+def masked_sigmoid(z):
+    """The sigmoid as a boolean-mask scatter, one expression per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def batch_forward(head, feature):
+    """forward as one row through the batched path with the masked sigmoid."""
+    hidden = np.maximum(np.asarray(feature)[None, :] @ head.w1 + head.b1, 0.0)
+    logits = hidden @ head.w2 + head.b2[0]
+    return float(np.clip(masked_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)[0])
+
+
+def dict_loss_and_grad(head, feats, labels):
+    """The loss as l*log(y) + (1-l)*log(1-y) and the gradient as one array
+    per parameter."""
+    labels = np.asarray(labels, dtype=np.float64)
+    z1 = feats @ head.w1 + head.b1
+    hidden = np.maximum(z1, 0.0)
+    y = masked_sigmoid(hidden @ head.w2 + head.b2[0])
+    y_safe = np.clip(y, PROB_EPS, 1.0 - PROB_EPS)
+    loss = -float(np.mean(labels * np.log(y_safe) + (1.0 - labels) * np.log(1.0 - y_safe)))
+    dlogits = (y - labels) / feats.shape[0]
+    dz1 = dlogits[:, None] * head.w2 * (z1 > 0.0)
+    grads = {
+        "w1": feats.T @ dz1,
+        "b1": dz1.sum(axis=0),
+        "w2": hidden.T @ dlogits,
+        "b2": np.array([dlogits.sum()]),
+    }
+    return loss, grads
+
+
+def fresh_array_adam(theta, m, v, step_count, g, learning_rate, weight_decay):
+    """One Adam step with a fresh array per operation; returns the new
+    (theta, m, v, step_count) or raises NumericalError."""
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite gradient")
+    t = step_count + 1
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    theta = theta - step - learning_rate * weight_decay * theta
+    if not np.isfinite(theta).all():
+        raise NumericalError("non-finite result")
+    return theta, m, v, t
+
+
+def drawn_head(d, seed, scale):
+    rng = np.random.default_rng(seed)
+    return ClassifierHead(
+        rng.normal(0.0, scale, size=(d, HIDDEN_UNITS)),
+        rng.normal(0.0, scale, size=HIDDEN_UNITS),
+        rng.normal(0.0, scale, size=HIDDEN_UNITS),
+        rng.normal(0.0, scale, size=1),
+    )
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.5, -710.5, 745.2, -745.2,
+                  1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7]
+
+
+@PROPERTY_SETTINGS
+@given(z=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-800.0, 800.0),
+                            st.floats(allow_nan=True, allow_infinity=True)), max_size=40))
+def test_sigmoid_matches_masked_scatter(z):
+    z = np.array(z, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+heads = st.tuples(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.5, 2.0]))
+
+
+@PROPERTY_SETTINGS
+@given(head=heads, rows=st.integers(1, 40), feature_scale=st.sampled_from([0.5, 3.0, 30.0]))
+def test_forward_matches_the_batched_row(head, rows, feature_scale):
+    d, seed, scale = head
+    h = drawn_head(d, seed, scale)
+    feats = np.random.default_rng(seed + 1).normal(0.0, feature_scale, size=(rows, d))
+    for f in feats:
+        y = forward(h, f)
+        assert type(y) is float
+        assert bits(y) == bits(batch_forward(h, f))
+        assert bits(y) == bits(forward_batch(h, f[None, :])[0])
+
+
+@PROPERTY_SETTINGS
+@given(head=heads, rows=st.integers(1, 20), feature_scale=st.sampled_from([0.5, 3.0, 30.0]))
+def test_flat_gradient_matches_per_parameter_gradients(head, rows, feature_scale):
+    d, seed, scale = head
+    h = drawn_head(d, seed, scale)
+    data = np.random.default_rng(seed + 1)
+    feats = data.normal(0.0, feature_scale, size=(rows, d))
+    labels = data.integers(0, 2, size=rows)
+    loss, grad = loss_and_grad(h, feats, labels)
+    ref_loss, ref_grads = dict_loss_and_grad(h, feats, labels)
+    assert bits(loss) == bits(ref_loss)
+    assert grad.tobytes() == np.concatenate([ref_grads[n].ravel() for n in PARAM_NAMES]).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    grad_scales=st.lists(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e150, 1e300]), min_size=1,
+                         max_size=8),
+    poison=st.lists(st.sampled_from([None, np.nan, np.inf, -np.inf]), min_size=8, max_size=8),
+    learning_rate=st.sampled_from([1e-5, 1e-3, 0.1, 1e300]),
+    weight_decay=st.sampled_from([0.0, 1e-3, -1e10, 1e300]),
+)
+def test_in_place_adam_matches_fresh_arrays(d, seed, grad_scales, poison, learning_rate,
+                                            weight_decay):
+    """Each step commits exactly what the plain expression gives, and a
+    rejected step leaves head, moments and step count as they were."""
+    rng = np.random.default_rng(seed)
+    h = drawn_head(d, seed, 0.5)
+    state = AdamState.for_head(h)
+    theta, m, v, t = h.flat.copy(), state.m_flat.copy(), state.v_flat.copy(), 0
+    for scale, bad in zip(grad_scales, poison):
+        g = rng.normal(0.0, scale, size=h.flat.shape)
+        if bad is not None:
+            g[rng.integers(g.size)] = bad
+        with np.errstate(all="ignore"):
+            try:
+                theta, m, v, t = fresh_array_adam(theta, m, v, t, g, learning_rate, weight_decay)
+                rejected = False
+            except NumericalError:
+                rejected = True
+            if rejected:
+                with pytest.raises(NumericalError):
+                    apply_update(h, state, g, learning_rate, weight_decay)
+            else:
+                apply_update(h, state, g, learning_rate, weight_decay)
+        assert h.flat.tobytes() == theta.tobytes()
+        assert state.m_flat.tobytes() == m.tobytes()
+        assert state.v_flat.tobytes() == v.tobytes()
+        assert state.step_count == t
