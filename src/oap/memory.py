@@ -165,10 +165,12 @@ def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``order`` lists the positions of class 0 then of class 1, each in
     stored order (a stable sort), and present class k fills
     ``order[starts[k]:][:sizes[k]]``."""
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=2)
-    sizes = counts[counts > 0]
-    return order, np.cumsum(sizes) - sizes, sizes
+    n1 = int(np.count_nonzero(labels))
+    n0 = labels.size - n1
+    sizes = np.array([n for n in (n0, n1) if n], dtype=np.int64)
+    # Class 1, when present with class 0, starts after the n0 entries of class 0.
+    starts = np.array([0, n0][: sizes.size], dtype=np.int64)
+    return labels.argsort(kind="stable"), starts, sizes
 
 
 class ReplayStore:
@@ -305,7 +307,7 @@ def sample_batch(
     d = online._features.shape[1] if n_online else replay.d
     feats = np.empty((batch_size, d))
     labels = np.empty(batch_size, dtype=np.int64)
-    for slots, store in ((np.flatnonzero(use_online), online), (np.flatnonzero(~use_online), replay)):
+    for slots, store in ((use_online.nonzero()[0], online), ((~use_online).nonzero()[0], replay)):
         if slots.size == 0:
             continue
         store_feats, store_labels, (order, starts, sizes) = store._sample_source()

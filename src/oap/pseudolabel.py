@@ -54,11 +54,11 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
         raise ValueError("frame indices must be strictly increasing")
 
     half = window / 2.0
-    lo = np.searchsorted(idx, idx - half, side="left")
-    hi = np.searchsorted(idx, idx + half, side="right")
+    lo = idx.searchsorted(idx - half, side="left")
+    hi = idx.searchsorted(idx + half, side="right")
     csum = np.empty(idx.size + 1, dtype=np.int64)
     csum[0] = 0
-    np.cumsum(lab, out=csum[1:])
+    lab.cumsum(out=csum[1:])
     # s spoof votes among c entries: s / c > 0.5 exactly when 2s > c, and
     # the integer form needs no division.
     return (2 * (csum[hi] - csum[lo]) > hi - lo).astype(np.int64)
