@@ -1,6 +1,7 @@
 """Synthetic stream generator and the feature-file exchange format."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,69 @@ class TestFeatureFiles:
         assert len(roundtrip) == 40
         np.testing.assert_array_equal(roundtrip[7].feature, frames[7].feature)
         assert roundtrip[7].time == frames[7].time
+
+
+HEADER = "oapf v1 d=2 labeled=1 fps=30.0"
+GOOD_ROW = "1,0.0,0,0.5,-1.5"
+
+# Each row: the data lines after the header, then the error's tail and the
+# line it names (None for a file that loads). Line 1 is the header.
+MALFORMED_FILES = {
+    "short row": (["1,0.0,0,0.5"], "expected 5 columns, got 4", 2),
+    "long row": ([GOOD_ROW, "2,0.1,0,0.5,1.0,2.0"], "expected 5 columns, got 6", 3),
+    "bad index": (["x,0.0,0,0.5,1.0"], "unparseable value", 2),
+    "float index": (["1.0,0.0,0,0.5,1.0"], "unparseable value", 2),
+    "bad time": (["1,t,0,0.5,1.0"], "unparseable value", 2),
+    "bad label": (["1,0.0,live,0.5,1.0"], "unparseable value", 2),
+    "bad feature": ([GOOD_ROW, "2,0.1,1,0.5,abc"], "unparseable value", 3),
+    "empty feature": (["1,0.0,0,,1.0"], "unparseable value", 2),
+    "nan feature": (["1,0.0,0,nan,1.0"], "non-finite feature value", 2),
+    "inf feature": ([GOOD_ROW, "2,0.1,0,0.5,-inf"], "non-finite feature value", 3),
+    "overflowing feature": (["1,0.0,0,1e999,1.0"], "non-finite feature value", 2),
+    "blank lines first": (["", "  ", GOOD_ROW, "", "2,0.1,0,0.5"], "expected 5 columns, got 4", 6),
+    "non-finite before short row": (
+        [GOOD_ROW, "2,0.1,1,inf,0.0", GOOD_ROW, "3,0.2"], "non-finite feature value", 3,
+    ),
+    "non-finite before bad cell": (
+        [GOOD_ROW, "2,0.1,1,nan,0.0", "3,0.2,1,0.0,zz"], "non-finite feature value", 3,
+    ),
+    "bad cell before non-finite": (
+        [GOOD_ROW, "2,0.1,1,0.0,zz", "3,0.2,1,nan,0.0"], "unparseable value", 3,
+    ),
+}
+
+
+class TestMalformedFeatureFiles:
+    """Every malformed row is a DataError naming the file and the first bad
+    line, whatever kind of fault comes after it."""
+
+    @pytest.mark.parametrize("lines,message,lineno", MALFORMED_FILES.values(),
+                             ids=MALFORMED_FILES.keys())
+    def test_first_bad_line_named(self, tmp_path, lines, message, lineno):
+        path = tmp_path / "bad.oapf"
+        path.write_text("\n".join([HEADER, *lines]) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:{lineno}: {message}")):
+            load_feature_file(path)
+
+    @pytest.mark.parametrize("labeled", [0, 1])
+    def test_header_only_file_is_empty(self, tmp_path, labeled):
+        path = tmp_path / "empty.oapf"
+        path.write_text(f"oapf v1 d=3 labeled={labeled} fps=25.0\n\n")
+        data = load_feature_file(path)
+        assert data.features.shape == (0, 3)
+        assert data.features.dtype == np.float64
+        assert data.frame_indices.shape == (0,) and data.times.shape == (0,)
+        assert (data.labels is None) == (not labeled)
+        assert data.to_frames() == []
+
+    def test_rows_after_blank_lines_load(self, tmp_path):
+        path = tmp_path / "gaps.oapf"
+        path.write_text(f"{HEADER}\n\n{GOOD_ROW}\n\n  \n2,0.1,1,-0.0,4e-320\n")
+        data = load_feature_file(path)
+        np.testing.assert_array_equal(data.features, [[0.5, -1.5], [-0.0, 4e-320]])
+        assert np.signbit(data.features[1, 0])
+        np.testing.assert_array_equal(data.labels, [0, 1])
+        np.testing.assert_array_equal(data.frame_indices, [1, 2])
 
 
 class TestScenarioParsing:
