@@ -140,10 +140,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
+    """``feats`` as a finite float64 matrix of shape (n, d); any other
+    shape or a non-finite value is a DataError."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.shape[-1] != head.d:
+    if feats.ndim != 2 or feats.shape[1] != head.d:
         raise DataError(
-            f"feature dimension mismatch: head expects {head.d}, got {feats.shape[-1]}"
+            f"feature dimension mismatch: head expects shape (n, {head.d}), got {feats.shape}"
         )
     if not np.isfinite(feats).all():
         raise DataError("non-finite value in feature input")
@@ -177,7 +179,8 @@ def forward(head: ClassifierHead, feature) -> float:
 
 
 def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
-    """Vectorized forward pass over rows of ``feats`` (n, d)."""
+    """Vectorized forward pass over the rows of the (n, d) matrix ``feats``;
+    any other shape is a DataError."""
     feats = _check_features(head, feats)
     hidden = np.maximum(feats @ head.w1 + head.b1, 0.0)
     logits = hidden @ head.w2 + head.b2[0]
@@ -190,14 +193,15 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
 
         loss = -(1/n) sum_i [ l_i log y_i + (1 - l_i) log(1 - y_i) ]
 
-    Labels must be 0/1; discard-labeled samples never reach this point.
+    ``feats`` is an (n, d) matrix or one (d,) row; labels must be 0/1;
+    discard-labeled samples never reach this point.
     The loss is computed as the mean of ``log(y_i)`` or ``log(1 - y_i)``
     picked by the label. That is exact, not an approximation: with l in
     {0, 1} the two products above are ``1 * a`` and ``0 * b``, so the sum
     is exactly ``a`` or exactly ``b``.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim < 2:
+    if feats.ndim == 1:
         feats = feats.reshape(1, -1)
     feats = _check_features(head, feats)
     labels = np.asarray(labels, dtype=np.float64).ravel()
@@ -318,9 +322,10 @@ def pretrain(
     schedule: PretrainSchedule,
     rng: np.random.Generator,
 ) -> ClassifierHead:
-    """Train the head on a labeled feature set. The dataset must contain
-    both classes; a zero-iteration schedule returns the head unchanged."""
-    feats = _check_features(head, np.asarray(feats, dtype=np.float64))
+    """Train the head on a labeled (n, d) feature matrix. The dataset must
+    contain both classes; a zero-iteration schedule returns the head
+    unchanged."""
+    feats = _check_features(head, feats)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if feats.shape[0] != labels.shape[0]:
         raise DataError("features and labels disagree in length")

@@ -7,6 +7,7 @@
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,52 @@ class TestForward:
         assert y1 == y2
         for k, v in h.params().items():
             np.testing.assert_array_equal(v, before[k])
+
+
+# Shapes the batch entry points reject: a single row, a scalar, a stack of
+# matrices and a matrix of the wrong width. Each message names the shape.
+BAD_BATCH_SHAPES = {
+    "row": (8,),
+    "scalar": (),
+    "stack": (2, 3, 8),
+    "wrong width": (4, 9),
+}
+
+
+class TestBatchShapes:
+    @pytest.mark.parametrize("shape", BAD_BATCH_SHAPES.values(), ids=BAD_BATCH_SHAPES.keys())
+    def test_forward_batch_wants_a_matrix(self, shape):
+        h = random_head(8, seed=0)
+        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
+            forward_batch(h, np.ones(shape))
+
+    @pytest.mark.parametrize("shape", BAD_BATCH_SHAPES.values(), ids=BAD_BATCH_SHAPES.keys())
+    def test_pretrain_wants_a_matrix(self, shape):
+        h = random_head(8, seed=0)
+        before = h.flat.copy()
+        labels = np.arange(math.prod(shape[:-1]) if len(shape) > 1 else 1) % 2
+        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
+            pretrain(h, np.ones(shape), labels, PretrainSchedule(iterations=3),
+                     seeded_rng(0, "pretrain"))
+        np.testing.assert_array_equal(h.flat, before)
+
+    def test_loss_and_grad_takes_one_row_and_rejects_a_stack(self):
+        h = random_head(8, seed=0)
+        f = np.linspace(-1.0, 1.0, 8)
+        row_loss, row_grad = loss_and_grad(h, f, [1])
+        loss, grad = loss_and_grad(h, f[None, :], [1])
+        assert row_loss == loss
+        np.testing.assert_array_equal(row_grad, grad)
+        for shape in [(), (1, 1, 8)]:
+            with pytest.raises(DataError, match=re.escape(f"got {shape}")):
+                loss_and_grad(h, np.ones(shape), [1])
+
+    def test_forward_batch_on_a_matrix(self):
+        h = random_head(8, seed=0)
+        feats = np.random.default_rng(1).normal(size=(5, 8))
+        ys = forward_batch(h, feats)
+        assert ys.shape == (5,)
+        np.testing.assert_allclose(ys, [forward(h, f) for f in feats], rtol=1e-12)
 
 
 class TestLoss:
