@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_args, get_type_hints
 
@@ -269,24 +270,68 @@ def run_baseline_smoothed(
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
-
-def _cell(value) -> str:
-    """One CSV cell: blank for None, 0/1 for a bool, repr otherwise
-    (shortest round-trip form for a float, the digits for an int)."""
-    if value is None:
-        return ""
-    if value is True or value is False:
-        return "1" if value else "0"
-    return repr(value)
-
-
 # The exact value types each field admits, e.g. (int, NoneType) for
 # ``int | None``; a bool is not accepted as an int.
 _FIELD_TYPES = tuple(get_args(h) or (h,) for h in get_type_hints(TraceRecord).values())
 
+# Records per write of a trace file: the text of one write stays under a
+# megabyte, whatever the trace's length.
+TRACE_ROWS_PER_WRITE = 4096
+
+# json.dumps spells the non-finite floats its own way.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column_formatters(none: str, true: str, false: str, float_cells: Callable) -> tuple:
+    """One formatter per trace field, picked by the field's annotated type.
+    Each maps a column of values to their cells, given the text of None
+    and of the two bools, and the cells of a column of floats."""
+
+    def pick(types: tuple) -> Callable:
+        if bool in types:
+            return lambda col: [true if v else false for v in col]
+        cells = float_cells if float in types else lambda col: list(map(repr, col))
+        if type(None) in types:
+            return lambda col: [none if v is None else c for v, c in zip(col, cells(col))]
+        return cells
+
+    return tuple(pick(types) for types in _FIELD_TYPES)
+
+
+# A CSV cell is blank for None, 0/1 for a bool and the repr otherwise (the
+# shortest round-trip form for a float, the digits for an int); a JSON value
+# is what json.dumps writes for it.
+_CSV_FORMATTERS = _column_formatters("", "1", "0", lambda col: list(map(repr, col)))
+_JSON_FORMATTERS = _column_formatters(
+    "null", "true", "false", lambda col: [_JSON_NONFINITE.get(c, c) for c in map(repr, col)]
+)
+_CSV_PIECES = ("", *[","] * (len(TRACE_COLUMNS) - 1), "\n")
+_JSON_PIECES = (
+    *(("{" if i == 0 else ", ") + json.dumps(name) + ": " for i, name in enumerate(TRACE_COLUMNS)),
+    "}\n",
+)
+
+
+# Records are read from ``r.__dict__``: the dataclass __init__ sets the
+# fields in declaration order, which is TRACE_COLUMNS.
+def _write_trace(path: str | Path, trace: Iterable[TraceRecord], head: str, pieces: tuple,
+                 formatters: tuple) -> None:
+    """Write ``head``, then each record as ``pieces[0]``, its first cell,
+    ``pieces[1]``, ..., its last cell and ``pieces[-1]``. Records are
+    formatted a column at a time, TRACE_ROWS_PER_WRITE at once."""
+    records = iter(trace)
+    with open(path, "w") as fh:
+        fh.write(head)
+        while chunk := list(islice(records, TRACE_ROWS_PER_WRITE)):
+            columns = zip(*[r.__dict__.values() for r in chunk])
+            texts = [repeat(pieces[0])]
+            for fmt, col, piece in zip(formatters, columns, pieces[1:]):
+                texts += (fmt(col), repeat(piece))
+            fh.write("".join(chain.from_iterable(zip(*texts))))
+
 
 def _parse_cell(cell: str, types: tuple):
-    """The inverse of _cell for a field admitting ``types``."""
+    """The inverse of a CSV cell for a field admitting ``types``."""
     if cell == "" and type(None) in types:
         return None
     if bool in types:
@@ -296,14 +341,8 @@ def _parse_cell(cell: str, types: tuple):
     return types[0](cell)
 
 
-# Rows are written from ``r.__dict__``: the dataclass __init__ sets the
-# fields in declaration order, which is TRACE_COLUMNS. dataclasses.asdict
-# gives the same bytes but deep-copies every row at several times the cost.
-def write_trace_csv(path: str | Path, trace: Sequence[TraceRecord]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in trace:
-            fh.write(",".join(map(_cell, r.__dict__.values())) + "\n")
+def write_trace_csv(path: str | Path, trace: Iterable[TraceRecord]) -> None:
+    _write_trace(path, trace, ",".join(TRACE_COLUMNS) + "\n", _CSV_PIECES, _CSV_FORMATTERS)
 
 
 def _read_trace(path: str | Path, lines: list[str], parse_row) -> list[TraceRecord]:
@@ -340,10 +379,8 @@ def read_trace_csv(path: str | Path) -> list[TraceRecord]:
     return _read_trace(path, lines[1:], _parse_csv_row)
 
 
-def write_trace_jsonl(path: str | Path, trace: Sequence[TraceRecord]) -> None:
-    with open(path, "w") as fh:
-        for r in trace:
-            fh.write(json.dumps(r.__dict__) + "\n")
+def write_trace_jsonl(path: str | Path, trace: Iterable[TraceRecord]) -> None:
+    _write_trace(path, trace, "", _JSON_PIECES, _JSON_FORMATTERS)
 
 
 def read_trace_jsonl(path: str | Path) -> list[TraceRecord]:

@@ -19,6 +19,7 @@ ranges when built, so the generators take them as given.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -63,7 +64,9 @@ class Segment:
 
     def __post_init__(self) -> None:
         if self.duration_frames < 1:
-            raise ConfigError(f"segment duration must be >= 1, got {self.duration_frames}")
+            raise ConfigError(
+                f"segments out of range: segment duration must be >= 1, got {self.duration_frames}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class StreamScenario:
 
     def __post_init__(self) -> None:
         if not self.segments:
-            raise ConfigError("scenario needs at least one segment")
+            raise ConfigError("segments out of range: scenario needs at least one segment")
         check_ranges(self, (("frame_rate", lambda v: v > 0, "frame_rate > 0"),))
 
     @property
@@ -176,6 +179,11 @@ def generate_stream(
 FEATURE_FILE_VERSION = "v1"
 
 
+# Rows per write of a feature file: the text of one write grows with the
+# feature dimension, not with the file's length (about 650 kB at d=32).
+FEATURE_ROWS_PER_WRITE = 1024
+
+
 @dataclass
 class FeatureFileData:
     features: np.ndarray
@@ -185,10 +193,9 @@ class FeatureFileData:
     frame_rate: float
 
     def to_frames(self) -> list[StreamFrame]:
-        return [
-            StreamFrame(self.features[i], int(self.frame_indices[i]), float(self.times[i]))
-            for i in range(len(self.features))
-        ]
+        return list(
+            map(StreamFrame, self.features, self.frame_indices.tolist(), self.times.tolist())
+        )
 
 
 def save_feature_file(
@@ -202,7 +209,8 @@ def save_feature_file(
     """Write header ``oapf v1 d=<dim> labeled=<0|1> fps=<rate>`` then one
     record per line: frame_index, time, optional label, then the feature
     values. Floats are printed with shortest round-trip repr, so a save /
-    load cycle is bit-exact."""
+    load cycle is bit-exact. ``frame_indices``, ``times`` and ``labels``
+    hold one entry per feature row."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DataError("features must be a 2-d array")
@@ -210,17 +218,37 @@ def save_feature_file(
         raise DataError("refusing to write non-finite feature values")
     n, d = features.shape
     labeled = labels is not None
+    if len(frame_indices) != n or len(times) != n or (labeled and len(labels) != n):
+        raise DataError(f"frame indices, times and labels must each have {n} entries")
     with open(path, "w") as fh:
         fh.write(f"oapf {FEATURE_FILE_VERSION} d={d} labeled={int(labeled)} fps={frame_rate!r}\n")
-        for i in range(n):
-            cols = [str(int(frame_indices[i])), repr(float(times[i]))]
+        for start in range(0, n, FEATURE_ROWS_PER_WRITE):
+            rows = slice(start, start + FEATURE_ROWS_PER_WRITE)
+            cols = [map(str, map(int, frame_indices[rows])), map(repr, map(float, times[rows]))]
             if labeled:
-                cols.append(str(int(labels[i])))
-            cols.extend(repr(float(v)) for v in features[i])
-            fh.write(",".join(cols) + "\n")
+                cols.append(map(str, map(int, labels[rows])))
+            cols.append(",".join(map(repr, row)) for row in features[rows].tolist())
+            fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
+
+
+def _feature_rows(path: Path, values: array, linenos: list[int], d: int) -> np.ndarray:
+    """The features of the rows read so far, one per entry of ``linenos``,
+    as an (n, d) view of ``values``. A non-finite value is a DataError
+    naming the first line that holds one."""
+    n = len(linenos)
+    features = np.frombuffer(values, dtype=np.float64)[: n * d].reshape(n, d)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{linenos[int(finite.argmin())]}: non-finite feature value")
+    return features
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
+    """Read a feature file. A malformed row (a wrong column count, a cell
+    that does not parse, a non-finite feature) is a DataError naming the
+    file and the first bad line. The feature cells go into one float64
+    buffer that is checked for finiteness once, at the end or before an
+    error for a later line is raised."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip()
@@ -234,38 +262,44 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
             d = int(fields["d"])
             labeled = bool(int(fields["labeled"]))
             frame_rate = float(fields["fps"])
+            if d < 0:
+                raise ValueError(f"negative dimension {d}")
         except (ValueError, KeyError) as exc:
             raise DataError(f"{path}: malformed header {header!r}") from exc
 
-        expected_cols = 2 + int(labeled) + d
+        first = 2 + int(labeled)  # the first feature column
+        expected_cols = first + d
         frame_indices: list[int] = []
         times: list[float] = []
         labels: list[int] = []
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cols = line.split(",")
-            if len(cols) != expected_cols:
-                raise DataError(
-                    f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}"
-                )
-            try:
-                frame_indices.append(int(cols[0]))
-                times.append(float(cols[1]))
-                if labeled:
-                    labels.append(int(cols[2]))
-                values = np.array([float(v) for v in cols[2 + int(labeled) :]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable value") from exc
-            if not np.isfinite(values).all():
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            rows.append(values)
+        values = array("d")  # the feature cells of every row, row-major
+        linenos: list[int] = []  # the line of each row
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                cols = line.split(",")
+                if len(cols) != expected_cols:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}"
+                    )
+                try:
+                    frame_indices.append(int(cols[0]))
+                    times.append(float(cols[1]))
+                    if labeled:
+                        labels.append(int(cols[2]))
+                    values.extend(map(float, cols[first:]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: unparseable value") from exc
+                linenos.append(lineno)
+        except DataError:
+            # A non-finite feature on an earlier line is the first fault.
+            _feature_rows(path, values, linenos, d)
+            raise
 
-    features = np.stack(rows) if rows else np.zeros((0, d))
     return FeatureFileData(
-        features=features,
+        features=_feature_rows(path, values, linenos, d),
         labels=np.array(labels, dtype=np.int64) if labeled else None,
         frame_indices=np.array(frame_indices, dtype=np.int64),
         times=np.array(times, dtype=np.float64),

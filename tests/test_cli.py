@@ -292,6 +292,10 @@ class TestConfigAtTheDoor:
         ("generate", ["--set", "segments=live:0"], "segment duration must be >= 1, got 0"),
         ("generate", ["--set", "frame_rate=0"], "frame_rate out of range: 0.0"),
         ("sweep", ["--values", "0.1,0.7"], "margin out of range: 0.7"),
+        ("generate", ["--set", "segments=live:0"],
+         "segments out of range: segment duration must be >= 1, got 0"),
+        ("generate", ["--set", "segments="],
+         "segments out of range: scenario needs at least one segment"),
     ])
     def test_rejected_with_key_named(self, pipeline, tmp_path, capsys, command, extra, message):
         if "--config" in extra:
@@ -321,6 +325,26 @@ class TestConfigAtTheDoor:
         cfg.write_text("plot_style = dark\nmargin = 0.05\n")
         argv = command_argv("generate", pipeline, tmp_path) + ["--config", str(cfg)]
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("pretrain", "--train"), ("run", "--stream"), ("run", "--replay"), ("sweep", "--stream"),
+])
+def test_malformed_feature_file_exits_3_naming_the_line(pipeline, tmp_path, capsys, command,
+                                                       flag):
+    """Every command that reads a feature file exits 3 on a malformed row
+    and names the file and the first bad line."""
+    _, gen_dir, _ = pipeline
+    lines = (gen_dir / "stream_seed0.oapf").read_text().splitlines()
+    cols = lines[4].split(",")
+    cols[-1] = "nan"
+    lines[4] = ",".join(cols)
+    lines[6] = lines[6].rsplit(",", 1)[0]  # a short row after it
+    bad = tmp_path / "bad.oapf"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(command_argv(command, pipeline, tmp_path) + [flag, str(bad)]) == 3
+    assert f"{bad}:5: non-finite feature value" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,18 @@
-"""The benchmark's per-layer spans wrap names that the engine actually
-calls. perfbench patches ``oap.engine.forward``, ``sample_batch``,
-``loss_and_grad`` and friends from outside the package; a refactor that
-stops calling one of them, or renames it, leaves that layer's span empty
-and its metrics at 0 without failing the benchmark. This test runs a short
-engine stream under perfbench's own wrappers, read-only, and checks that
-every wrapped name exists and every engine layer is called."""
+"""The benchmark's per-layer spans wrap names that the engine and the CLI
+actually call. perfbench patches ``oap.engine.forward``, ``sample_batch``,
+``loss_and_grad``, ``oap.cli.load_feature_file``, the trace writers and
+friends from outside the package; a refactor that stops calling one of
+them, or renames it, leaves that layer's span empty and its metrics at 0
+without failing the benchmark. These tests run a short engine stream and a
+tiny ``oap`` pipeline under perfbench's own wrappers, read-only, and check
+that every wrapped name exists and every layer of each is called."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
+import oap.cli
 from oap.engine import Engine
 from oap.presets import build_artifacts, continual_scenario, desk_params
 from oap.simstream import generate_stream
@@ -47,4 +49,43 @@ def test_every_engine_layer_span_is_called(perfbench):
     assert not tracer.missing
     table = tracer.table()
     calls = {name: table.get(name, {}).get("calls", 0) for name in workloads.CALL_COUNTED}
+    assert all(n > 0 for n in calls.values()), calls
+
+
+# The spans of ``oap run --mode frozen`` and ``--mode ema``: the layers of
+# perfbench's cli_scoring workload.
+CLI_SPANS = (
+    "cli.run", "simstream.load_feature_file", "memory.replay_load", "head.forward",
+    "engine.baseline_frozen", "engine.baseline_ema", "engine.write_trace_csv",
+    "engine.write_trace_jsonl", "metrics.evaluate_frames",
+)
+
+
+def test_every_cli_span_is_called(perfbench, tmp_path):
+    spans, workloads = perfbench
+    gen, pre = tmp_path / "gen", tmp_path / "pre"
+    # Called through the module: perfbench wraps ``oap.cli.main`` itself.
+    tracer = spans.Tracer(roots=workloads.ROOT_SPANS)
+    workloads.patch_layers(tracer)
+    try:
+        assert oap.cli.main([
+            "generate", "--out", str(gen), "--set", "d=8", "--set", "n_users=4",
+            "--set", "frames_per_user=20", "--set", "segments=live:10,spoof:10",
+        ]) == 0
+        assert oap.cli.main([
+            "pretrain", "--out", str(pre), "--train", str(gen / "train.oapf"),
+            "--set", "replay_size=10", "--set", "pretrain_iterations=10",
+        ]) == 0
+        for mode in ("frozen", "ema"):
+            assert oap.cli.main([
+                "run", "--out", str(tmp_path / mode), "--mode", mode,
+                "--head", str(pre / "head.oaph"), "--replay", str(pre / "replay.oapf"),
+                "--stream", str(gen / "stream_seed0.oapf"),
+            ]) == 0
+    finally:
+        tracer.unpatch()
+
+    assert not tracer.missing
+    table = tracer.table()
+    calls = {name: table.get(name, {}).get("calls", 0) for name in CLI_SPANS}
     assert all(n > 0 for n in calls.values()), calls

@@ -1,9 +1,12 @@
 """Property tests of the stated invariants, each against a brute-force
 oracle: the online buffer against a plain list model, the vectorized batch
 sampler against the per-slot loop it replaced, majority smoothing against
-a direct recount, and the head's numerics (sigmoid, forward, loss and
-gradient, Adam) against the plain expressions they replaced, bit for bit."""
+a direct recount, the head's numerics (sigmoid, forward, loss and
+gradient, Adam) against the plain expressions they replaced, bit for bit,
+and the column-wise trace writers against the per-row writers they
+replaced, byte for byte."""
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oap.config import PseudoLabel
+from oap.engine import (
+    _FIELD_TYPES,
+    TRACE_COLUMNS,
+    TRACE_ROWS_PER_WRITE,
+    TraceRecord,
+    read_trace_csv,
+    read_trace_jsonl,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 from oap.errors import DataError, NumericalError
 from oap.head import (
     ADAM_BETA1,
@@ -466,3 +479,68 @@ def test_in_place_adam_matches_fresh_arrays(d, seed, grad_scales, poison, learni
         assert state.m_flat.tobytes() == m.tobytes()
         assert state.v_flat.tobytes() == v.tobytes()
         assert state.step_count == t
+
+
+# ---------------------------------------------------------------------------
+# Trace writers against the per-row writers they replaced
+# ---------------------------------------------------------------------------
+
+
+def per_row_cell(value) -> str:
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "1" if value else "0"
+    return repr(value)
+
+
+def per_row_csv(path, trace):
+    with open(path, "w") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for r in trace:
+            fh.write(",".join(map(per_row_cell, r.__dict__.values())) + "\n")
+
+
+def per_row_jsonl(path, trace):
+    with open(path, "w") as fh:
+        for r in trace:
+            fh.write(json.dumps(r.__dict__) + "\n")
+
+
+TRACE_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.one_of(st.sampled_from([0, -1, 2**31, -(2**63), 2**64, -(10**40)]), st.integers()),
+    float: st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300, 0.1,
+                         math.inf, -math.inf, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ),
+}
+trace_records = st.builds(TraceRecord, *(
+    st.one_of(*(TRACE_VALUES[t] for t in types)) for types in _FIELD_TYPES
+))
+# Short traces, and lengths on both sides of the writers' chunk boundary.
+N = TRACE_ROWS_PER_WRITE
+trace_lengths = st.one_of(st.integers(0, 3), st.sampled_from([N - 1, N, N + 1, 2 * N + 1]))
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("traces")
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.lists(trace_records, min_size=1, max_size=3), length=trace_lengths)
+def test_trace_writers_match_the_per_row_writers(trace_dir, records, length):
+    trace = (records * (length // len(records) + 1))[:length]
+    for writer, reference, reader in [
+        (write_trace_csv, per_row_csv, read_trace_csv),
+        (write_trace_jsonl, per_row_jsonl, read_trace_jsonl),
+    ]:
+        writer(trace_dir / "new", trace)
+        reference(trace_dir / "old", trace)
+        assert (trace_dir / "new").read_bytes() == (trace_dir / "old").read_bytes()
+        if not any(isinstance(v, float) and math.isnan(v) for r in trace
+                   for v in r.__dict__.values()):
+            assert reader(trace_dir / "new") == trace
