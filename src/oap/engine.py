@@ -274,9 +274,10 @@ TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 # ``int | None``; a bool is not accepted as an int.
 _FIELD_TYPES = tuple(get_args(h) or (h,) for h in get_type_hints(TraceRecord).values())
 
-# Records per write of a trace file: the text of one write stays under a
-# megabyte, whatever the trace's length.
-TRACE_ROWS_PER_WRITE = 4096
+# Records per write of a trace file: what one write holds (about 200 kB of
+# JSONL text and the cells behind it) stays the same, whatever the trace's
+# length.
+TRACE_ROWS_PER_WRITE = 1024
 
 # json.dumps spells the non-finite floats its own way.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -180,8 +180,8 @@ FEATURE_FILE_VERSION = "v1"
 
 
 # Rows per write of a feature file: the text of one write grows with the
-# feature dimension, not with the file's length (about 650 kB at d=32).
-FEATURE_ROWS_PER_WRITE = 1024
+# feature dimension, not with the file's length (about 170 kB at d=32).
+FEATURE_ROWS_PER_WRITE = 256
 
 
 @dataclass

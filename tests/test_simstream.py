@@ -9,6 +9,7 @@ import pytest
 from oap.config import ClassLabel, from_mapping
 from oap.errors import ConfigError, DataError
 from oap.simstream import (
+    FEATURE_ROWS_PER_WRITE,
     GeneratorConfig,
     Segment,
     StreamScenario,
@@ -147,6 +148,38 @@ class TestStream:
         assert gap > 0.5
 
 
+def per_row_save(path, features, frame_indices, times, labels=None, frame_rate=30.0):
+    """The row-at-a-time writer save_feature_file replaced: the reference
+    for its bytes."""
+    n, d = features.shape
+    with open(path, "w") as fh:
+        fh.write(f"oapf v1 d={d} labeled={int(labels is not None)} fps={frame_rate!r}\n")
+        for i in range(n):
+            cols = [str(int(frame_indices[i])), repr(float(times[i]))]
+            if labels is not None:
+                cols.append(str(int(labels[i])))
+            cols.extend(repr(float(v)) for v in features[i])
+            fh.write(",".join(cols) + "\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, FEATURE_ROWS_PER_WRITE - 1, FEATURE_ROWS_PER_WRITE,
+                               FEATURE_ROWS_PER_WRITE + 1, 2 * FEATURE_ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_save_matches_the_per_row_writer(tmp_path, n, labeled):
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, 5e-324, -2.5e-308, 1e300, -1e-300, 0.1, 1 / 3]
+    features = rng.choice(special, size=(n, 3)) * rng.choice([1.0, -1.0], size=(n, 3))
+    features[:, 0] = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    frame_indices = list(range(7, 7 + n))  # a list, as save_stream_file passes
+    times = np.arange(n) / 29.97
+    labels = rng.integers(0, 2, size=n) if labeled else None
+    save_feature_file(tmp_path / "new.oapf", features, frame_indices, times, labels, 29.97)
+    per_row_save(tmp_path / "old.oapf", features, frame_indices, times, labels, 29.97)
+    assert (tmp_path / "new.oapf").read_bytes() == (tmp_path / "old.oapf").read_bytes()
+    data = load_feature_file(tmp_path / "new.oapf")
+    assert data.features.tobytes() == features.tobytes()
+
+
 class TestFeatureFiles:
     def round_trip(self, tmp_path, labeled):
         rng = np.random.default_rng(4)
@@ -193,6 +226,13 @@ class TestFeatureFiles:
         path.write_text("oapf v1 d=2 labeled=0 fps=30.0\n1,0.0,inf,1.0\n")
         with pytest.raises(DataError, match="non-finite"):
             load_feature_file(path)
+
+    @pytest.mark.parametrize("short", ["frame_indices", "times", "labels"])
+    def test_save_wants_one_entry_per_row(self, tmp_path, short):
+        columns = {"frame_indices": [1, 2, 3], "times": [0.0, 0.1, 0.2], "labels": [0, 1, 0]}
+        columns[short] = columns[short][:2]
+        with pytest.raises(DataError, match="3 entries"):
+            save_feature_file(tmp_path / "s.oapf", np.zeros((3, 2)), **columns)
 
     def test_stream_file_helper(self, tmp_path):
         frames, labels = generate_stream(
