@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -164,6 +164,8 @@ class Engine:
                     f"frame time {time!r} precedes the last frame's {self.last_frame_time!r}"
                 )
         y = forward(self.head, feature)
+        if y.__class__ is not float:  # forward scored a stack of rows
+            raise _not_a_row(self.head, feature)
         self.last_frame_index, self.last_frame_time = frame_index, time
         decision = ClassLabel.SPOOF if y > p.eval_threshold else ClassLabel.LIVE
         pseudo = assign_pseudo_label(y, p.margin)
@@ -221,6 +223,41 @@ class Engine:
         return _fold(frames, ground_truth, self.params.eval_threshold, step)
 
 
+def _not_a_row(head: ClassifierHead, feature) -> DataError:
+    """The error for a frame's feature that is not one (d,) row."""
+    return DataError(
+        f"feature dimension mismatch: head expects shape ({head.d},), got {np.shape(feature)}"
+    )
+
+
+# Frames per ``forward`` call of a baseline: the stacked features and the
+# products behind them (about 1 MB at d = 32) stay the same size, whatever
+# the stream's length.
+SCORE_ROWS_PER_CALL = 1024
+
+
+def _scores(head: ClassifierHead, frames: Sequence[StreamFrame]) -> Iterator[float]:
+    """``forward``'s probability for each frame, in order, from one call on
+    each stack of SCORE_ROWS_PER_CALL frames; the bits are those of scoring
+    each frame on its own (see ``forward_batch``). A stack that will not
+    form or score is scored a frame at a time, so the first frame that is
+    not a finite (d,) row raises the DataError it raises on its own."""
+    for start in range(0, len(frames), SCORE_ROWS_PER_CALL):
+        chunk = [f.feature for f in frames[start : start + SCORE_ROWS_PER_CALL]]
+        try:
+            ys = forward(head, np.array(chunk, dtype=np.float64))
+        except (ValueError, DataError):
+            ys = None
+        if isinstance(ys, np.ndarray):  # one probability per row of the stack
+            yield from ys.tolist()
+            continue
+        for feature in chunk:
+            y = forward(head, feature)
+            if y.__class__ is not float:
+                raise _not_a_row(head, feature)
+            yield y
+
+
 def run_baseline_frozen(
     head: ClassifierHead,
     frames: Sequence[StreamFrame],
@@ -246,15 +283,19 @@ def run_baseline_smoothed(
     """Frozen head whose emitted probability is an exponential moving
     average of the per-frame probabilities. ``reset_at`` lists frame
     indices at which the average restarts (for scripted video boundaries).
+    The head never changes, so the frames are scored in stacked passes
+    (``_scores``), as the fold reaches them, with the bits of per-frame
+    scoring.
     """
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum out of range: {momentum!r} (want 0 <= momentum < 1)")
     resets = set(int(i) for i in reset_at)
+    scores = _scores(head, frames)
     ema: float | None = None
 
     def step(frame: StreamFrame) -> tuple:
         nonlocal ema
-        y = forward(head, frame.feature)
+        y = next(scores)
         if ema is None or frame.frame_index in resets:
             ema = y
         else:

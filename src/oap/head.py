@@ -152,17 +152,20 @@ def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
     return feats
 
 
-def forward(head: ClassifierHead, feature) -> float:
+def forward(head: ClassifierHead, feature):
     """Spoof probability for a single feature vector of shape (d,), clamped
-    into (0, 1). Pure function: no state is touched. Any other shape, or a
-    non-finite value, is a DataError.
+    into (0, 1), as a float. Pure function: no state is touched. An (n, d)
+    stack of rows is passed to ``forward_batch`` and gives the (n,) array
+    of their probabilities, each with the bits of its row on its own. Any
+    other shape, or a non-finite value, is a DataError.
 
-    Bit-identical to ``forward_batch`` on the one-row matrix: the two
-    products keep their shapes, (1, d) @ (d, 64) and (1, 64) @ (64,), and
-    the scalar tail runs the same sigmoid branch and clamp on one float,
+    The products keep their shapes, (1, d) @ (d, 64) and (1, 64) @ (64,),
+    and the scalar tail runs the sigmoid branch and clamp on one float,
     with ``np.exp`` (``math.exp`` rounds differently on some inputs)."""
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape != (head.d,):
+        if feature.ndim == 2:
+            return forward_batch(head, feature)
         raise DataError(
             f"feature dimension mismatch: head expects shape ({head.d},), got {feature.shape}"
         )
@@ -179,11 +182,20 @@ def forward(head: ClassifierHead, feature) -> float:
 
 
 def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
-    """Vectorized forward pass over the rows of the (n, d) matrix ``feats``;
-    any other shape is a DataError."""
+    """Spoof probabilities of the rows of the (n, d) matrix ``feats``; any
+    other shape is a DataError.
+
+    Row i is bit-identical to ``forward(head, feats[i])`` for every n. The
+    products are stacked, (n, 1, d) @ (d, 64) and (n, 1, 64) @ (64,), so
+    numpy's matmul runs its inner loop once per row on the same (1, d) and
+    (1, 64) operands that ``forward`` builds, with the same BLAS call each
+    time (gemv, then dot). An (n, d) @ (d, 64) GEMM would block and order
+    the sums by n and rounds differently. The bias adds, the sigmoid's
+    branches and the clamp are elementwise and correctly rounded, the
+    same operations as ``forward``'s scalar tail."""
     feats = _check_features(head, feats)
-    hidden = np.maximum(feats @ head.w1 + head.b1, 0.0)
-    logits = hidden @ head.w2 + head.b2[0]
+    hidden = np.maximum(np.matmul(feats[:, None, :], head.w1) + head.b1, 0.0)
+    logits = np.matmul(hidden, head.w2)[:, 0] + head.b2[0]
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
 

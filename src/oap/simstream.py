@@ -231,24 +231,43 @@ def save_feature_file(
             fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
 
 
-def _feature_rows(path: Path, values: array, linenos: list[int], d: int) -> np.ndarray:
-    """The features of the rows read so far, one per entry of ``linenos``,
-    as an (n, d) view of ``values``. A non-finite value is a DataError
+_INT64 = np.iinfo(np.int64)
+
+
+def _checked_rows(
+    path: Path, values: array, linenos: list[int], d: int, int_columns: dict[str, list[int]]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The rows read so far, one per entry of ``linenos``: the features as
+    an (n, d) view of ``values`` and each integer column, by name, as an
+    int64 array.
+    A non-finite feature, or an integer cell outside int64, is a DataError
     naming the first line that holds one."""
     n = len(linenos)
     features = np.frombuffer(values, dtype=np.float64)[: n * d].reshape(n, d)
+    faults = {}  # row -> what is wrong with it, the first fault of each kind
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        raise DataError(f"{path}:{linenos[int(finite.argmin())]}: non-finite feature value")
-    return features
+        faults[int(finite.argmin())] = "non-finite feature value"
+    columns = {}
+    for name, cells in int_columns.items():
+        try:
+            columns[name] = np.array(cells[:n], dtype=np.int64)
+        except OverflowError:
+            row = next(i for i, v in enumerate(cells) if not _INT64.min <= v <= _INT64.max)
+            faults.setdefault(row, f"{name} out of range")
+    if faults:
+        row = min(faults)
+        raise DataError(f"{path}:{linenos[row]}: {faults[row]}")
+    return features, columns
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
     """Read a feature file. A malformed row (a wrong column count, a cell
-    that does not parse, a non-finite feature) is a DataError naming the
-    file and the first bad line. The feature cells go into one float64
-    buffer that is checked for finiteness once, at the end or before an
-    error for a later line is raised."""
+    that does not parse, a non-finite feature, an integer outside int64) is
+    a DataError naming the file and the first bad line. The feature cells
+    go into one float64 buffer that is checked for finiteness once, with
+    the integer columns, at the end or before an error for a later line is
+    raised."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip()
@@ -272,6 +291,7 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
         frame_indices: list[int] = []
         times: list[float] = []
         labels: list[int] = []
+        int_columns = {"frame index": frame_indices, **({"label": labels} if labeled else {})}
         values = array("d")  # the feature cells of every row, row-major
         linenos: list[int] = []  # the line of each row
         try:
@@ -294,14 +314,15 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
                     raise DataError(f"{path}:{lineno}: unparseable value") from exc
                 linenos.append(lineno)
         except DataError:
-            # A non-finite feature on an earlier line is the first fault.
-            _feature_rows(path, values, linenos, d)
+            # A bad cell on an earlier line is the first fault.
+            _checked_rows(path, values, linenos, d, int_columns)
             raise
 
+    features, columns = _checked_rows(path, values, linenos, d, int_columns)
     return FeatureFileData(
-        features=_feature_rows(path, values, linenos, d),
-        labels=np.array(labels, dtype=np.int64) if labeled else None,
-        frame_indices=np.array(frame_indices, dtype=np.int64),
+        features=features,
+        labels=columns.get("label"),
+        frame_indices=columns["frame index"],
         times=np.array(times, dtype=np.float64),
         frame_rate=frame_rate,
     )

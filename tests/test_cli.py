@@ -347,6 +347,30 @@ def test_malformed_feature_file_exits_3_naming_the_line(pipeline, tmp_path, caps
     assert f"{bad}:5: non-finite feature value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["frozen", "ema"])
+@pytest.mark.parametrize("row, message", [
+    ("99999999999999999999", "frame index out of range"),
+    ("short", "expected 11 columns, got 10"),
+    ("long", "expected 11 columns, got 12"),
+])
+def test_run_on_a_bad_stream_exits_3_without_a_trace(pipeline, tmp_path, capsys, mode, row,
+                                                      message):
+    """A frame index beyond int64 and a row of another width (a ragged
+    stream) stop ``oap run`` of a baseline with exit 3 before any trace."""
+    _, gen_dir, _ = pipeline
+    lines = (gen_dir / "stream_seed0.oapf").read_text().splitlines()
+    cols = lines[4].split(",")
+    cols = {"short": cols[:-1], "long": cols + ["0.0"]}.get(row, [row, *cols[1:]])
+    lines[4] = ",".join(cols)
+    bad = tmp_path / "bad.oapf"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = command_argv("run", pipeline, tmp_path) + ["--mode", mode, "--stream", str(bad)]
+    assert main(argv) == 3
+    assert f"{bad}:5: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("trace_*"))
+
+
 @pytest.fixture(scope="module")
 def seed_traces(pipeline):
     """Trace CSVs of a two-seed oap run on one stream, for the report tests."""

@@ -1,11 +1,14 @@
 """Adaptation loop contracts: step order, causality, fine-tune firing
 cadence, cost accounting, baselines, and trace files."""
 
+import re
+
 import numpy as np
 import pytest
 
 from oap.config import ClassLabel, HyperParams, PseudoLabel
 from oap.engine import (
+    SCORE_ROWS_PER_CALL,
     Engine,
     adaptation_cost,
     calibrated_kflops_per_frame,
@@ -283,6 +286,8 @@ class TestInputContract:
         "nan feature": np.full(D, np.nan),
         "wrong dimension": np.zeros(D + 1),
         "row matrix": np.zeros((1, D)),
+        "matrix": np.zeros((3, D)),
+        "stack": np.zeros((2, 3, D)),
         "scalar": np.float64(0.0),
     }
 
@@ -294,6 +299,15 @@ class TestInputContract:
         with pytest.raises(DataError):
             engine.process_frame(feature, 4, 3 / 30)
         assert engine_state(engine) == before
+
+    @pytest.mark.parametrize("case", ["wrong dimension", "row matrix", "matrix", "stack", "scalar"])
+    def test_bad_shape_named(self, artifacts, case):
+        """``forward`` scores an (n, d) stack, but a frame is one (d,) row:
+        the engine names any other shape, a stack included."""
+        engine = self.warmed_engine(artifacts)
+        feature = self.BAD_FEATURES[case]
+        with pytest.raises(DataError, match=re.escape(f"got {np.shape(feature)}")):
+            engine.process_frame(feature, 4, 3 / 30)
 
     def test_first_frame_time_must_be_finite(self, artifacts):
         head, replay, frames, _ = artifacts
@@ -389,6 +403,62 @@ class TestFrozenBaseline:
         frozen = run_baseline_frozen(head, frames[:1])
         adaptive = Engine(head, replay, desk_params()).run_stream(frames[:1])
         assert frozen[0].y == adaptive[0].y
+
+
+def baseline(kind, head, frames, **kwargs):
+    if kind == "frozen":
+        return run_baseline_frozen(head, frames, **kwargs)
+    return run_baseline_smoothed(head, frames, 0.7, **kwargs)
+
+
+def rows(n):
+    return [StreamFrame(f, t, t / 30.0)
+            for t, f in enumerate(np.random.default_rng(5).normal(size=(n, D)), start=1)]
+
+
+@pytest.mark.parametrize("kind", ["frozen", "ema"])
+class TestBaselineErrors:
+    """The baselines score stacks of frames, but fail as scoring frame by
+    frame did: an empty stream first, then a ground truth of the wrong
+    length, then the DataError of the first frame that is not a finite
+    (d,) row, whichever stack it falls in. A frame of another width makes
+    its stack ragged."""
+
+    def test_empty_stream_before_ground_truth(self, artifacts, kind):
+        head = artifacts[0]
+        with pytest.raises(DataError, match="empty stream"):
+            baseline(kind, head, [], ground_truth=[0, 1])
+
+    def test_ground_truth_length_before_bad_frames(self, artifacts, kind):
+        head = artifacts[0]
+        frames = rows(4)
+        frames[0] = StreamFrame(np.zeros(D + 1), 1, 0.0)
+        with pytest.raises(DataError, match="ground truth length"):
+            baseline(kind, head, frames, ground_truth=[0] * 3)
+
+    @pytest.mark.parametrize("first, second, message", [
+        (np.zeros(D + 1), np.full(D, np.nan), re.escape(f"got {(D + 1,)}")),
+        (np.full(D, np.nan), np.zeros(D + 1), "non-finite"),
+        (np.zeros((1, D)), np.zeros(D + 1), re.escape(f"got {(1, D)}")),
+        (np.float64(0.0), np.full(D, np.inf), re.escape("got ()")),
+    ], ids=["width before nan", "nan before width", "row before width", "scalar before inf"])
+    @pytest.mark.parametrize("at", [2, SCORE_ROWS_PER_CALL + 2], ids=["first stack", "second stack"])
+    def test_first_bad_frame_named(self, artifacts, kind, first, second, message, at):
+        head = artifacts[0]
+        frames = rows(at + 5)
+        frames[at] = StreamFrame(first, at + 1, at / 30.0)
+        frames[at + 2] = StreamFrame(second, at + 3, (at + 2) / 30.0)
+        with pytest.raises(DataError, match=message):
+            baseline(kind, head, frames)
+
+    @pytest.mark.parametrize("shape", [(D + 1,), (1, D), (2, D), (2, 3, D), ()])
+    def test_uniformly_misshaped_stream(self, artifacts, kind, shape):
+        """Every frame misshaped the same way still stacks; each shape is
+        named as it is for a single frame."""
+        head = artifacts[0]
+        frames = [StreamFrame(np.zeros(shape), t, t / 30.0) for t in range(1, D + 1)]
+        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
+            baseline(kind, head, frames)
 
 
 class TestSmoothedBaseline:

@@ -92,6 +92,19 @@ class TestForward:
         with pytest.raises(DataError, match="dimension"):
             forward(h, np.zeros(9))
 
+    def test_a_stack_gives_each_row_its_own_bits(self):
+        h = random_head(8, seed=0)
+        feats = np.random.default_rng(2).normal(size=(5, 8))
+        ys = forward(h, feats)
+        assert ys.shape == (5,)
+        assert ys.tobytes() == np.array([forward(h, f) for f in feats]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (9,), (1, 1, 8), (2, 3, 8), (4, 9)])
+    def test_other_shapes_named(self, shape):
+        h = random_head(8, seed=0)
+        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
+            forward(h, np.zeros(shape))
+
     def test_non_finite_input_rejected(self):
         h = random_head(8, seed=0)
         with pytest.raises(DataError):
@@ -150,7 +163,7 @@ class TestBatchShapes:
         feats = np.random.default_rng(1).normal(size=(5, 8))
         ys = forward_batch(h, feats)
         assert ys.shape == (5,)
-        np.testing.assert_allclose(ys, [forward(h, f) for f in feats], rtol=1e-12)
+        assert ys.tobytes() == np.array([forward(h, f) for f in feats]).tobytes()
 
 
 class TestLoss:

@@ -3,8 +3,9 @@ oracle: the online buffer against a plain list model, the vectorized batch
 sampler against the per-slot loop it replaced, majority smoothing against
 a direct recount, the head's numerics (sigmoid, forward, loss and
 gradient, Adam) against the plain expressions they replaced, bit for bit,
-and the column-wise trace writers against the per-row writers they
-replaced, byte for byte."""
+the stacked forward pass against per-row forward and the baselines
+against a per-frame fold, bit for bit, and the column-wise trace writers
+against the per-row writers they replaced, byte for byte."""
 
 import json
 import math
@@ -17,11 +18,14 @@ from hypothesis import strategies as st
 from oap.config import PseudoLabel
 from oap.engine import (
     _FIELD_TYPES,
+    SCORE_ROWS_PER_CALL,
     TRACE_COLUMNS,
     TRACE_ROWS_PER_WRITE,
     TraceRecord,
     read_trace_csv,
     read_trace_jsonl,
+    run_baseline_frozen,
+    run_baseline_smoothed,
     write_trace_csv,
     write_trace_jsonl,
 )
@@ -43,6 +47,7 @@ from oap.head import (
 )
 from oap.memory import OnlineBuffer, ReplayStore, sample_batch
 from oap.pseudolabel import smooth_labels
+from oap.simstream import StreamFrame
 
 D = 3
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -426,6 +431,79 @@ def test_forward_matches_the_batched_row(head, rows, feature_scale):
         assert type(y) is float
         assert bits(y) == bits(batch_forward(h, f))
         assert bits(y) == bits(forward_batch(h, f[None, :])[0])
+
+
+# Any count up to 300, and counts next to the vector widths of numpy's
+# loops and the BLAS kernels.
+row_counts = st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 257]))
+# Head and feature scales 1e-3 ... 1e3: logits from near 0 to far past the
+# clamp, on both sides of 0.
+log_scales = st.floats(-3.0, 3.0)
+
+
+def stacked_case(d, rows, seed, head_scale, feature_scale):
+    h = drawn_head(d, seed, 10.0**head_scale)
+    feats = np.random.default_rng(seed + 1).normal(0.0, 10.0**feature_scale, size=(rows, d))
+    return h, feats
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(1, 40), rows=row_counts, seed=st.integers(0, 2**32 - 1),
+       head_scale=log_scales, feature_scale=log_scales)
+def test_forward_batch_rows_have_the_bits_of_forward(d, rows, seed, head_scale, feature_scale):
+    h, feats = stacked_case(d, rows, seed, head_scale, feature_scale)
+    per_row = np.array([forward(h, f) for f in feats])
+    assert bits(forward_batch(h, feats)) == bits(per_row)
+    assert bits(forward(h, feats)) == bits(per_row)
+
+
+def test_stacked_cases_reach_both_sigmoid_branches_and_the_clamp():
+    """The drawn scales cover what the property must: probabilities on
+    both sides of 1/2 and at both clamps."""
+    ys = np.concatenate([
+        forward_batch(*stacked_case(d, 300, seed, scale, scale))
+        for d, seed, scale in [(1, 0, -3.0), (8, 1, 0.0), (40, 2, 3.0), (40, 3, 3.0)]
+    ])
+    assert (ys < 0.5).any() and (ys > 0.5).any()
+    assert (ys == PROB_EPS).any() and (ys == 1.0 - PROB_EPS).any()
+
+
+def per_frame_smoothed(head, frames, momentum, ground_truth, reset_at):
+    """The smoothed baseline folded a frame at a time: forward on each
+    frame's feature, then the EMA, restarting at ``reset_at``."""
+    trace, ema = [], None
+    for frame, truth in zip(frames, ground_truth or [None] * len(frames)):
+        y = forward(head, frame.feature)
+        if ema is None or frame.frame_index in reset_at:
+            ema = y
+        else:
+            ema = momentum * ema + (1.0 - momentum) * y
+        trace.append(TraceRecord(frame.frame_index, truth, ema, int(ema > 0.5), None, False, 0, 0.0))
+    return trace
+
+
+stream_lengths = st.one_of(st.integers(1, 40), st.sampled_from(
+    [SCORE_ROWS_PER_CALL - 1, SCORE_ROWS_PER_CALL, SCORE_ROWS_PER_CALL + 1,
+     2 * SCORE_ROWS_PER_CALL + 3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 12), n=stream_lengths, seed=st.integers(0, 2**32 - 1),
+       scale=log_scales, momentum=st.sampled_from([0.0, 0.7]), labeled=st.booleans(),
+       data=st.data())
+def test_baselines_match_the_per_frame_fold(d, n, seed, scale, momentum, labeled, data):
+    h, feats = stacked_case(d, n, seed, scale, 0.0)
+    gaps = np.random.default_rng(seed + 2).integers(1, 4, size=n)
+    frames = [StreamFrame(f, int(i), i / 30.0) for f, i in zip(feats, np.cumsum(gaps))]
+    truth = np.random.default_rng(seed + 3).integers(0, 2, size=n).tolist() if labeled else None
+    resets = data.draw(st.lists(st.sampled_from([f.frame_index for f in frames]), max_size=4))
+    expected = per_frame_smoothed(h, frames, momentum, truth, set(resets))
+    trace = run_baseline_smoothed(h, frames, momentum, ground_truth=truth, reset_at=resets)
+    assert trace == expected
+    assert bits([r.y for r in trace]) == bits([r.y for r in expected])
+    if momentum == 0.0:
+        frozen = run_baseline_frozen(h, frames, ground_truth=truth)
+        assert bits([r.y for r in frozen]) == bits([r.y for r in expected])
 
 
 @PROPERTY_SETTINGS

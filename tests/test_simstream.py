@@ -274,6 +274,24 @@ MALFORMED_FILES = {
     "bad cell before non-finite": (
         [GOOD_ROW, "2,0.1,1,0.0,zz", "3,0.2,1,nan,0.0"], "unparseable value", 3,
     ),
+    "overflowing index": (
+        [GOOD_ROW, "99999999999999999999,0.1,1,0.5,2.0"], "frame index out of range", 3,
+    ),
+    "index below int64": (["-9223372036854775809,0.0,0,0.5,1.0"], "frame index out of range", 2),
+    "overflowing label": ([GOOD_ROW, "2,0.1,18446744073709551616,0.5,1.0"], "label out of range", 3),
+    "overflowing index before short row": (
+        [GOOD_ROW, "99999999999999999999,0.1,0,0.5,1.0", "3,0.2"], "frame index out of range", 3,
+    ),
+    "non-finite before overflowing index": (
+        [GOOD_ROW, "2,0.1,1,inf,0.0", "99999999999999999999,0.2,0,0.5,1.0"],
+        "non-finite feature value", 3,
+    ),
+    "overflowing index before non-finite": (
+        ["99999999999999999999,0.1,0,0.5,1.0", "2,0.1,1,inf,0.0"], "frame index out of range", 2,
+    ),
+    "overflowing index on a bad line": (
+        [GOOD_ROW, "99999999999999999999,t,0,0.5,1.0"], "unparseable value", 3,
+    ),
 }
 
 
