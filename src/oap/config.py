@@ -95,16 +95,6 @@ class HyperParams:
     eval_threshold: float = 0.5
     seed: int = 0
 
-    @property
-    def accept_spoof_threshold(self) -> float:
-        """Probability above which a frame is pseudo-labeled spoof."""
-        return 1.0 - self.margin
-
-    @property
-    def accept_live_threshold(self) -> float:
-        """Probability below which a frame is pseudo-labeled live."""
-        return self.margin
-
     def __post_init__(self) -> None:
         check_ranges(self, _RANGE_CHECKS)
 

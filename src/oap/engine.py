@@ -14,6 +14,9 @@ smoothing on every frame. The verdict for frame t is therefore a
 deterministic function of frames 1..t only, and a frozen-head run is
 exactly the degenerate case with adaptation disabled.
 
+Per-frame results are named tuples, ``FrameVerdict`` and ``TraceRecord``;
+a TraceRecord's fields, in order, are the columns of the trace files.
+
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
 counting: one sample costs 2*(d*64 + 64) forward, times 3 for the joint
 forward+backward pass. The per-frame expected cost is then exactly linear
@@ -24,10 +27,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -72,8 +74,7 @@ def calibrated_kflops_per_frame(params: HyperParams) -> float:
     return FULL_SCALE_KFLOPS_PER_FRAME * params.finetune_freq
 
 
-@dataclass(frozen=True)
-class FrameVerdict:
+class FrameVerdict(NamedTuple):
     frame_index: int
     y: float
     decision: ClassLabel
@@ -81,8 +82,7 @@ class FrameVerdict:
     finetuned_this_frame: bool
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One emitted row per frame: the verdict plus harness-side context
     (ground truth when known, buffer occupancy, cumulative cost). The
     fields, in order, are the trace file schema."""
@@ -126,13 +126,7 @@ class Engine:
     The pre-trained head is copied at construction, Adam moments start
     fresh and persist across the whole stream."""
 
-    def __init__(
-        self,
-        head: ClassifierHead,
-        replay: ReplayStore,
-        params: HyperParams,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, head: ClassifierHead, replay: ReplayStore, params: HyperParams) -> None:
         self.head = head.copy()
         self.adam = AdamState.for_head(self.head)
         self.online = OnlineBuffer()
@@ -143,7 +137,7 @@ class Engine:
         self.cumulative_flops = 0.0  # non-decreasing adaptation FLOPs
         self.last_frame_index: int | None = None  # of the last frame processed
         self.last_frame_time: float | None = None
-        self.rng = rng if rng is not None else seeded_rng(params.seed, "sampler")
+        self.rng = seeded_rng(params.seed, "sampler")
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
         """Score one frame, then let it adapt the head. Frame indices must
@@ -309,7 +303,7 @@ def run_baseline_smoothed(
 # Trace files: CSV and line-delimited JSON, both laid out by TraceRecord
 # ---------------------------------------------------------------------------
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+TRACE_COLUMNS = TraceRecord._fields
 
 # The exact value types each field admits, e.g. (int, NoneType) for
 # ``int | None``; a bool is not accepted as an int.
@@ -354,8 +348,6 @@ _JSON_PIECES = (
 )
 
 
-# Records are read from ``r.__dict__``: the dataclass __init__ sets the
-# fields in declaration order, which is TRACE_COLUMNS.
 def _write_trace(path: str | Path, trace: Iterable[TraceRecord], head: str, pieces: tuple,
                  formatters: tuple) -> None:
     """Write ``head``, then each record as ``pieces[0]``, its first cell,
@@ -365,7 +357,7 @@ def _write_trace(path: str | Path, trace: Iterable[TraceRecord], head: str, piec
     with open(path, "w") as fh:
         fh.write(head)
         while chunk := list(islice(records, TRACE_ROWS_PER_WRITE)):
-            columns = zip(*[r.__dict__.values() for r in chunk])
+            columns = zip(*chunk)
             texts = [repeat(pieces[0])]
             for fmt, col, piece in zip(formatters, columns, pieces[1:]):
                 texts += (fmt(col), repeat(piece))
@@ -409,7 +401,7 @@ def _parse_csv_row(line: str) -> TraceRecord:
 
 def _parse_jsonl_row(line: str) -> TraceRecord:
     record = TraceRecord(**json.loads(line))
-    if any(type(v) not in t for v, t in zip(record.__dict__.values(), _FIELD_TYPES)):
+    if any(type(v) not in t for v, t in zip(record, _FIELD_TYPES)):
         raise TypeError("a trace field has the wrong type")
     return record
 

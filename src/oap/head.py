@@ -15,8 +15,9 @@ with the output clamped to [PROB_EPS, 1 - PROB_EPS] to keep the loss
 finite. The clamp only binds for |logit| > ~16, far outside anything a
 sane head produces; gradients treat it as the identity.
 
-Parameters, Adam moments and gradients share one layout: a flat vector
-holding w1, b1, w2, b2 in that order, each row-major (``ClassifierHead.flat``).
+Parameters, Adam moments, gradients and head files share one layout: a
+flat vector holding w1, b1, w2, b2 in that order, each row-major
+(``ClassifierHead.flat``).
 ``loss_and_grad`` returns the gradient in that layout and ``apply_update``
 steps all of it in one pass. The per-frame functions are written for few
 numpy calls and temporaries on these small arrays, but each runs the same
@@ -82,9 +83,6 @@ class ClassifierHead:
 
     def copy(self) -> "ClassifierHead":
         return ClassifierHead(self.w1, self.b1, self.w2, self.b2)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
 
 class AdamState:
@@ -363,13 +361,10 @@ HEAD_FORMAT_VERSION = 1
 
 
 def save_head(head: ClassifierHead, path: str | Path) -> None:
-    """Write magic "OAPH", u32 version, u32 d, u32 hidden width, then all
-    parameters as little-endian f64, row-major, in w1/b1/w2/b2 order."""
-    with open(path, "wb") as fh:
-        fh.write(HEAD_MAGIC)
-        fh.write(struct.pack("<III", HEAD_FORMAT_VERSION, head.d, HIDDEN_UNITS))
-        for name in PARAM_NAMES:
-            fh.write(np.ascontiguousarray(getattr(head, name), dtype="<f8").tobytes())
+    """Write magic "OAPH", u32 version, u32 d, u32 hidden width, then
+    ``head.flat`` (w1/b1/w2/b2, each row-major) as little-endian f64."""
+    header = HEAD_MAGIC + struct.pack("<III", HEAD_FORMAT_VERSION, head.d, HIDDEN_UNITS)
+    Path(path).write_bytes(header + head.flat.astype("<f8").tobytes())
 
 
 def load_head(path: str | Path) -> ClassifierHead:
@@ -383,12 +378,11 @@ def load_head(path: str | Path) -> ClassifierHead:
         raise DataError(f"{path}: unsupported format version {version}")
     if hidden != HIDDEN_UNITS:
         raise DataError(f"{path}: unsupported hidden width {hidden}")
-    counts = (d * hidden, hidden, hidden, 1)
-    expected = 16 + 8 * sum(counts)
+    shapes = ((d, hidden), (hidden,), (hidden,), (1,))
+    expected = 16 + 8 * sum(map(math.prod, shapes))
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw[16:], dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(raw, dtype="<f8", offset=16)
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: non-finite parameter value")
-    w1, b1, w2, b2 = np.split(flat, np.cumsum(counts)[:-1])
-    return ClassifierHead(w1.reshape(d, hidden), b1, w2, b2)
+    return ClassifierHead(*_views(flat, shapes))

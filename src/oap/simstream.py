@@ -231,7 +231,8 @@ def save_feature_file(
             fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
 
 
-_INT64 = np.iinfo(np.int64)
+# The values each integer column of a feature file admits.
+_INT_RANGES = {"frame index": (-(2**63), 2**63 - 1), "label": (0, 1)}
 
 
 def _checked_rows(
@@ -240,8 +241,8 @@ def _checked_rows(
     """The rows read so far, one per entry of ``linenos``: the features as
     an (n, d) view of ``values`` and each integer column, by name, as an
     int64 array.
-    A non-finite feature, or an integer cell outside int64, is a DataError
-    naming the first line that holds one."""
+    A non-finite feature, or an integer cell outside its ``_INT_RANGES``,
+    is a DataError naming the first line that holds one."""
     n = len(linenos)
     features = np.frombuffer(values, dtype=np.float64)[: n * d].reshape(n, d)
     faults = {}  # row -> what is wrong with it, the first fault of each kind
@@ -250,10 +251,13 @@ def _checked_rows(
         faults[int(finite.argmin())] = "non-finite feature value"
     columns = {}
     for name, cells in int_columns.items():
+        low, high = _INT_RANGES[name]
         try:
-            columns[name] = np.array(cells[:n], dtype=np.int64)
-        except OverflowError:
-            row = next(i for i, v in enumerate(cells) if not _INT64.min <= v <= _INT64.max)
+            columns[name] = column = np.array(cells[:n], dtype=np.int64)
+            if column.size and (column.min() < low or column.max() > high):
+                raise OverflowError
+        except OverflowError:  # a cell outside int64, or outside [low, high]
+            row = next(i for i, v in enumerate(cells) if not low <= v <= high)
             faults.setdefault(row, f"{name} out of range")
     if faults:
         row = min(faults)
@@ -263,11 +267,11 @@ def _checked_rows(
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
     """Read a feature file. A malformed row (a wrong column count, a cell
-    that does not parse, a non-finite feature, an integer outside int64) is
-    a DataError naming the file and the first bad line. The feature cells
-    go into one float64 buffer that is checked for finiteness once, with
-    the integer columns, at the end or before an error for a later line is
-    raised."""
+    that does not parse, a non-finite feature, a frame index outside int64,
+    a label other than 0 or 1) is a DataError naming the file and the first
+    bad line. The feature cells go into one float64 buffer that is checked
+    for finiteness once, with the integer columns, at the end or before an
+    error for a later line is raised."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip()

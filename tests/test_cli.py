@@ -10,6 +10,9 @@ import pytest
 
 from oap.cli import main
 from oap.engine import read_trace_csv
+from oap.head import PretrainSchedule, save_head
+from oap.memory import ReplayStore
+from oap.presets import build_artifacts
 from oap.simstream import load_feature_file
 
 
@@ -106,6 +109,26 @@ class TestPretrain:
         )
         assert main(["pretrain", "--out", str(tmp_path / "o"), "--train", str(bad),
                      "--set", "replay_size=10"]) == 3
+
+    def test_same_head_and_replay_as_build_artifacts(self, tmp_path):
+        """``oap generate`` + ``oap pretrain`` and ``build_artifacts`` each
+        spell the seed's ``init``, ``pretrain`` and ``replay`` sub-streams;
+        for one seed they train the same head and keep the same replay."""
+        seed, gen, pre = 3, tmp_path / "gen", tmp_path / "pre"
+        assert main([
+            "generate", "--out", str(gen), "--set", f"seed={seed}", "--set", "d=8",
+            "--set", "n_users=4", "--set", "frames_per_user=60", "--set", "segments=live:10",
+        ]) == 0
+        assert main([
+            "pretrain", "--out", str(pre), "--train", str(gen / "train.oapf"),
+            "--set", f"seed={seed}", "--set", "pretrain_iterations=50",
+            "--set", "replay_size=40",
+        ]) == 0
+        art = build_artifacts(seed, d=8, n_users=4, frames_per_user=60, replay_size=40,
+                              schedule=PretrainSchedule(iterations=50))
+        save_head(art.head, tmp_path / "library.oaph")
+        assert (pre / "head.oaph").read_bytes() == (tmp_path / "library.oaph").read_bytes()
+        assert ReplayStore.load(pre / "replay.oapf").fingerprint() == art.replay.fingerprint()
 
 
 class TestRun:
@@ -352,15 +375,19 @@ def test_malformed_feature_file_exits_3_naming_the_line(pipeline, tmp_path, caps
     ("99999999999999999999", "frame index out of range"),
     ("short", "expected 11 columns, got 10"),
     ("long", "expected 11 columns, got 12"),
+    ("label 7", "label out of range"),
 ])
 def test_run_on_a_bad_stream_exits_3_without_a_trace(pipeline, tmp_path, capsys, mode, row,
                                                       message):
-    """A frame index beyond int64 and a row of another width (a ragged
-    stream) stop ``oap run`` of a baseline with exit 3 before any trace."""
+    """A frame index beyond int64, a label other than 0 or 1 and a row of
+    another width (a ragged stream) stop ``oap run`` of a baseline with
+    exit 3 before any trace."""
     _, gen_dir, _ = pipeline
     lines = (gen_dir / "stream_seed0.oapf").read_text().splitlines()
     cols = lines[4].split(",")
-    cols = {"short": cols[:-1], "long": cols + ["0.0"]}.get(row, [row, *cols[1:]])
+    cols = {
+        "short": cols[:-1], "long": cols + ["0.0"], "label 7": [*cols[:2], "7", *cols[3:]],
+    }.get(row, [row, *cols[1:]])
     lines[4] = ",".join(cols)
     bad = tmp_path / "bad.oapf"
     bad.write_text("\n".join(lines) + "\n")

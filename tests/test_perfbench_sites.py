@@ -89,3 +89,54 @@ def test_every_cli_span_is_called(perfbench, tmp_path):
     table = tracer.table()
     calls = {name: table.get(name, {}).get("calls", 0) for name in CLI_SPANS}
     assert all(n > 0 for n in calls.values()), calls
+
+
+# perfbench's output checks read record fields (``v.finetuned_this_frame``,
+# ``r.buffer_size``, ...) and the files ``oap run`` writes; a change that
+# breaks one of those reads shows up here as a failed check, not only as
+# failed operations in a benchmark run.
+
+
+@pytest.mark.parametrize("name", ["continual_ff1", "continual_sparse"])
+def test_engine_workload_output_checks_pass(perfbench, tmp_path, name):
+    _, workloads = perfbench
+    import calibration
+
+    workload = workloads.WORKLOADS[name]
+    art = build_artifacts(0, d=8, n_users=4, frames_per_user=60, replay_size=40)
+    setup = (art, [
+        generate_stream(art.generator, continual_scenario(user_id=u, segment_frames=15))
+        for u in range(workloads.TRACED_STREAMS)
+    ])
+    checks = workloads.Checks()
+    ref = workload.reference(0, setup, tmp_path, checks)
+    frames = workload.one_pass(0, setup, ref, checks, calibration.Clock())
+    assert checks.failed == 0, checks.failures
+    assert frames == ref["frames"] == 2 * 60
+    assert checks.attempted == 2 * frames
+
+
+def test_cli_workload_output_checks_pass(perfbench, tmp_path):
+    _, workloads = perfbench
+    import calibration
+
+    workload = workloads.CliWorkload()
+    out = tmp_path / "setup"
+    assert oap.cli.main([
+        "generate", "--out", str(out), "--set", "d=8", "--set", "n_users=4",
+        "--set", "frames_per_user=20", "--set", "segments=live:10,spoof:10",
+        "--set", f"seeds={workload.streams}",
+    ]) == 0
+    assert oap.cli.main([
+        "pretrain", "--out", str(out), "--train", str(out / "train.oapf"),
+        "--set", "replay_size=10", "--set", "pretrain_iterations=10",
+    ]) == 0
+    setup = {
+        "dir": out, "workdir": tmp_path, "rc": (0, 0),
+        "streams": [out / f"stream_seed{k}.oapf" for k in range(workload.streams)],
+    }
+    checks = workloads.Checks()
+    ref = workload.reference(0, setup, tmp_path, checks)
+    frames = workload.one_pass(0, setup, ref, checks, calibration.Clock())
+    assert checks.failed == 0, checks.failures
+    assert frames == ref["frames"] == 2 * 2 * 20

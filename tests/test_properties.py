@@ -576,13 +576,13 @@ def per_row_csv(path, trace):
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for r in trace:
-            fh.write(",".join(map(per_row_cell, r.__dict__.values())) + "\n")
+            fh.write(",".join(map(per_row_cell, r._asdict().values())) + "\n")
 
 
 def per_row_jsonl(path, trace):
     with open(path, "w") as fh:
         for r in trace:
-            fh.write(json.dumps(r.__dict__) + "\n")
+            fh.write(json.dumps(r._asdict()) + "\n")
 
 
 TRACE_VALUES = {
@@ -620,5 +620,5 @@ def test_trace_writers_match_the_per_row_writers(trace_dir, records, length):
         reference(trace_dir / "old", trace)
         assert (trace_dir / "new").read_bytes() == (trace_dir / "old").read_bytes()
         if not any(isinstance(v, float) and math.isnan(v) for r in trace
-                   for v in r.__dict__.values()):
+                   for v in r._asdict().values()):
             assert reader(trace_dir / "new") == trace

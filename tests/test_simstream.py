@@ -61,13 +61,17 @@ class TestPretrainingSet:
     ({"noise_std": 0.0}, "must be positive"),
     ({"class_separation": -1.0}, "must be positive"),
 ])
-@pytest.mark.parametrize("generate", [
-    lambda cfg: generate_pretraining_set(cfg, 4, 10),
-    lambda cfg: generate_stream(cfg, StreamScenario((Segment(ClassLabel.LIVE, 10),))),
-], ids=["pretraining_set", "stream"])
-def test_both_generators_check_the_config(generate, change, message):
+@pytest.mark.parametrize("build", [
+    lambda change: GeneratorConfig(**change),
+    lambda change: dataclasses.replace(CFG, **change),
+    lambda change: from_mapping(CFG, {key: str(value) for key, value in change.items()}),
+], ids=["constructor", "replace", "from_mapping"])
+def test_both_generators_check_the_config(build, change, message):
+    """A GeneratorConfig checks its ranges however it is built (the CLI
+    builds one with ``from_mapping``), so neither generator is ever handed
+    one that is out of range."""
     with pytest.raises(ConfigError, match=message):
-        generate(dataclasses.replace(CFG, **change))
+        build(change)
 
 
 class TestStream:
@@ -291,6 +295,17 @@ MALFORMED_FILES = {
     ),
     "overflowing index on a bad line": (
         [GOOD_ROW, "99999999999999999999,t,0,0.5,1.0"], "unparseable value", 3,
+    ),
+    "label 7": ([GOOD_ROW, "2,0.1,7,0.5,1.0"], "label out of range", 3),
+    "label -1": (["1,0.0,-1,0.5,1.0"], "label out of range", 2),
+    "non-finite before label 2": (
+        [GOOD_ROW, "2,0.1,1,inf,0.0", "3,0.2,2,0.5,1.0"], "non-finite feature value", 3,
+    ),
+    "label 7 before short row": (
+        [GOOD_ROW, "2,0.1,7,0.5,1.0", "3,0.2"], "label out of range", 3,
+    ),
+    "label 7 before overflowing label": (
+        ["1,0.0,7,0.5,1.0", "2,0.1,18446744073709551616,0.5,1.0"], "label out of range", 2,
     ),
 }
 
