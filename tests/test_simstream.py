@@ -56,17 +56,30 @@ class TestPretrainingSet:
         assert gap == pytest.approx(CFG.class_separation, abs=0.5)
 
 
-@pytest.mark.parametrize("change,message", [
+OUT_OF_RANGE_CHANGES = [
     ({"d": 0}, "d out of range"),
     ({"noise_std": 0.0}, "must be positive"),
     ({"class_separation": -1.0}, "must be positive"),
-])
+]
+
+
+@pytest.mark.parametrize("change,message", OUT_OF_RANGE_CHANGES)
+@pytest.mark.parametrize("generate", [
+    lambda cfg: generate_pretraining_set(cfg, 4, 10),
+    lambda cfg: generate_stream(cfg, StreamScenario((Segment(ClassLabel.LIVE, 10),))),
+], ids=["pretraining_set", "stream"])
+def test_both_generators_check_the_config(generate, change, message):
+    with pytest.raises(ConfigError, match=message):
+        generate(dataclasses.replace(CFG, **change))
+
+
+@pytest.mark.parametrize("change,message", OUT_OF_RANGE_CHANGES)
 @pytest.mark.parametrize("build", [
     lambda change: GeneratorConfig(**change),
     lambda change: dataclasses.replace(CFG, **change),
     lambda change: from_mapping(CFG, {key: str(value) for key, value in change.items()}),
 ], ids=["constructor", "replace", "from_mapping"])
-def test_both_generators_check_the_config(build, change, message):
+def test_generator_config_checks_its_ranges_however_built(build, change, message):
     """A GeneratorConfig checks its ranges however it is built (the CLI
     builds one with ``from_mapping``), so neither generator is ever handed
     one that is out of range."""
