@@ -261,6 +261,18 @@ def apply_update(
     into ``state``'s preallocated buffers; every operation is elementwise
     and correctly rounded, so the result is bit-identical to stepping each
     parameter on its own with fresh arrays.
+
+    Two operations whose result is known exactly are skipped:
+
+    - A bias correction ``1 - b**t`` that has rounded to 1.0 (``b1`` from
+      t = 356, ``b2`` from t = 37412) is not divided by, as ``x / 1.0`` is
+      ``x`` for every float.
+    - When ``learning_rate * weight_decay`` is +0.0 the decay term is
+      ``theta_new + 0.0`` rather than ``theta_new - 0.0 * theta``. For
+      finite theta the two agree bit for bit: ``theta_new`` is -0.0 only
+      for a -0.0 parameter stepped by +0.0, and both forms turn that into
+      +0.0 while leaving every other value as it is. A non-finite theta
+      gives a non-finite result at the same positions either way.
     """
     g = np.asarray(grad)
     if g.shape != head.flat.shape:
@@ -277,18 +289,28 @@ def apply_update(
     np.multiply(ADAM_BETA2, state.v_flat, out=v)
     np.multiply(1.0 - ADAM_BETA2, g, out=a)
     np.add(v, np.multiply(a, g, out=a), out=v)
-    step = np.multiply(learning_rate, np.divide(m, bias1, out=a), out=a)
-    np.sqrt(np.divide(v, bias2, out=b), out=b)
+    m_hat = m if bias1 == 1.0 else np.divide(m, bias1, out=a)
+    step = np.multiply(learning_rate, m_hat, out=a)
+    v_hat = v if bias2 == 1.0 else np.divide(v, bias2, out=b)
+    np.sqrt(v_hat, out=b)
     np.divide(step, np.add(b, ADAM_EPS, out=b), out=a)
     theta = head.flat
     theta_new = np.subtract(theta, step, out=a)
-    np.subtract(theta_new, np.multiply(learning_rate * weight_decay, theta, out=b), out=a)
+    decay = learning_rate * weight_decay
+    no_decay = decay == 0.0 and math.copysign(1.0, decay) == 1.0
+    if not no_decay:
+        np.subtract(theta_new, np.multiply(decay, theta, out=b), out=a)
     if not np.isfinite(theta_new).all():
         raise NumericalError(
             f"update produced non-finite values in {_first_nonfinite(theta_new, head)!r}"
         )
 
-    theta[...] = theta_new
+    if no_decay:
+        # Adding +0.0 keeps every value finite or not, so it can wait for
+        # the check and write the commit in the same pass.
+        np.add(theta_new, 0.0, out=theta)
+    else:
+        theta[...] = theta_new
     state.m_flat, state._m_next = m, state.m_flat
     state.v_flat, state._v_next = v, state.v_flat
     state.step_count = t
@@ -378,6 +400,8 @@ def load_head(path: str | Path) -> ClassifierHead:
         raise DataError(f"{path}: unsupported format version {version}")
     if hidden != HIDDEN_UNITS:
         raise DataError(f"{path}: unsupported hidden width {hidden}")
+    if d < 1:
+        raise DataError(f"{path}: feature dimension must be >= 1, got {d}")
     shapes = ((d, hidden), (hidden,), (hidden,), (1,))
     expected = 16 + 8 * sum(map(math.prod, shapes))
     if len(raw) != expected:

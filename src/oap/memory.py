@@ -38,7 +38,10 @@ class OnlineBuffer:
     the engine calls right before a fine-tune event samples a batch, so
     ``working_labels`` is current as of the last fine-tune event: an entry
     inserted since then carries its raw label, and survivors of an eviction
-    keep the labels smoothed before it."""
+    keep the labels smoothed before it. A buffer whose raw labels are all
+    one class, the common case since a stream's live and spoof stretches
+    outlast the eviction horizon, smooths to its raw labels, so the refresh
+    copies them instead of running the majority vote."""
 
     INITIAL_CAPACITY = 256
     _COLUMNS = ("_features", "_raw", "_working", "_index", "_time")
@@ -144,11 +147,22 @@ class OnlineBuffer:
         majority smoothing. Raw labels are left untouched so smoothing
         never compounds on its own output. A no-op when the labels were
         already smoothed with ``window`` and no entry has come or gone
-        since."""
+        since.
+
+        When every raw label is the same class the vote is unanimous in
+        every window, so the working labels are the raw labels and are
+        copied without calling ``smooth_labels``. The copy is still needed:
+        entries that survived an eviction can hold labels smoothed while
+        the buffer held both classes."""
         if not len(self) or self._smoothed_window == window:
             return
         live = slice(self._lo, self._hi)
-        self._working[live] = smooth_labels(self._index[live], self._raw[live], window)
+        raw = self._raw[live]
+        n_spoof = int(np.count_nonzero(raw))
+        if n_spoof == 0 or n_spoof == raw.size:
+            self._working[live] = raw
+        else:
+            self._working[live] = smooth_labels(self._index[live], raw, window)
         self._smoothed_window = window
         self._buckets = None
 
@@ -160,17 +174,19 @@ class OnlineBuffer:
         return self._features[live], self._working[live], self._buckets
 
 
-def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """The classes present among 0/1 ``labels`` as (order, starts, sizes):
     ``order`` lists the positions of class 0 then of class 1, each in
     stored order (a stable sort), and present class k fills
-    ``order[starts[k]:][:sizes[k]]``."""
+    ``order[starts[k]:][:sizes[k]]``. With fewer than two classes present
+    ``order`` is None: the stable order of one class is the identity."""
     n1 = int(np.count_nonzero(labels))
     n0 = labels.size - n1
     sizes = np.array([n for n in (n0, n1) if n], dtype=np.int64)
     # Class 1, when present with class 0, starts after the n0 entries of class 0.
     starts = np.array([0, n0][: sizes.size], dtype=np.int64)
-    return labels.argsort(kind="stable"), starts, sizes
+    order = labels.argsort(kind="stable") if sizes.size == 2 else None
+    return order, starts, sizes
 
 
 class ReplayStore:
@@ -311,8 +327,13 @@ def sample_batch(
         if slots.size == 0:
             continue
         store_feats, store_labels, (order, starts, sizes) = store._sample_source()
-        bucket = (class_u[slots] * len(sizes)).astype(np.int64)
-        rows = order[starts[bucket] + (entry_u[slots] * sizes[bucket]).astype(np.int64)]
-        feats[slots] = store_feats[rows]
-        labels[slots] = store_labels[rows]
+        if order is None:
+            # One class: int(u * 1.0) is bucket 0 for every u in [0, 1),
+            # and its rows are in stored order.
+            rows = (entry_u[slots] * sizes[0]).astype(np.int64)
+        else:
+            bucket = (class_u[slots] * len(sizes)).astype(np.int64)
+            rows = order[starts[bucket] + (entry_u[slots] * sizes[bucket]).astype(np.int64)]
+        feats[slots] = store_feats.take(rows, axis=0)
+        labels[slots] = store_labels.take(rows)
     return feats, labels

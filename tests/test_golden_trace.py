@@ -1,11 +1,12 @@
-"""Golden traces: the SHA-256 of the CSV and JSONL trace bytes of six
+"""Golden traces: the SHA-256 of the CSV and JSONL trace bytes of ten
 seeded runs on a short continual stream. Any change to scoring,
 adaptation, the baselines or the trace writers that moves a single bit
 shows up here; a change that means to move bits must update the digests
 and say why.
 
-Besides the default fine-tune rates, five oap runs cover paths the defaults
-skip: three Adam iterations per fine-tune call (the rollback snapshot); a
+Besides the default fine-tune rates, six oap runs cover paths the defaults
+skip: three Adam iterations per fine-tune call (the rollback snapshot);
+fine-tuning on every frame with weight decay 1e-3 (the decay term); a
 smoothing window of 7 with an even source mix (both sampler sources);
 replay-only batches; online-only batches at margin 0.5, where no frame is
 discarded and every frame enters the buffer; and an empty replay store at
@@ -54,6 +55,10 @@ GOLDEN = {
         "63f2ab251db57c45fd3e8a31f3c4ed3450d7bc7646541b5b937ff667f63d9fff",
         "4a0e359748da0aedf132edc961bbe64d57c22a95ecd54e1f214a0f6be92b0a05",
     ),
+    "oap_weight_decay": (
+        "179510f818484142928bc7757f1bd2713fc38fb0f2048cf944ff009626c09f5a",
+        "a2dc4297d3d6bf0bed0d5540e8778ac304165b2560d0fbc92976cda24630d882",
+    ),
     "frozen": (
         "74aaf2889e8639cbfbd5643cac6dac9a6ee805f536df9b02d8b57232590b7762",
         "ac659c99928791e10732500e83eb10110f9582ca37c528be7ce3293a9f5f8f3d",
@@ -68,6 +73,7 @@ OAP_OVERRIDES = {
     "oap_ff1": {"finetune_freq": 1.0},
     "oap_ff005": {"finetune_freq": 0.05},
     "oap_iter3": {"iterations_per_call": 3},
+    "oap_weight_decay": {"finetune_freq": 1.0, "weight_decay": 1e-3},
     "oap_window7_mix": {"window": 7, "online_prob": 0.5},
     "oap_replay_only": {"online_prob": 0.0},
     "oap_online_only_margin05": {"online_prob": 1.0, "margin": 0.5},

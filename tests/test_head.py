@@ -8,6 +8,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -394,4 +395,13 @@ class TestSerialization:
         save_head(head, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="bytes"):
+            load_head(path)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        """A header with d = 0 and the 129 parameters such a head would
+        have is refused, as ``init_head`` refuses d < 1."""
+        path = tmp_path / "d0.oaph"
+        header = b"OAPH" + struct.pack("<III", 1, 0, HIDDEN_UNITS)
+        path.write_bytes(header + np.zeros(2 * HIDDEN_UNITS + 1).astype("<f8").tobytes())
+        with pytest.raises(DataError, match=re.escape(f"{path}: feature dimension")):
             load_head(path)

@@ -84,6 +84,23 @@ class TestOnlineBuffer:
         np.testing.assert_array_equal(buf.raw_labels, labels)
         assert buf.working_labels[2] == 1  # outvoted by neighbours
 
+    def test_refresh_after_eviction_to_one_class_restores_raw_labels(self):
+        """Smoothed while mixed, the two live entries are outvoted by the
+        four spoof entries before them; once those are evicted the buffer
+        holds one class, and the next refresh must hand back the raw
+        labels, not keep the votes of entries that are gone."""
+        buf = OnlineBuffer()
+        for t, lab in enumerate([1, 1, 1, 1, 0, 0], start=1):
+            buf.insert(feat(t), PseudoLabel(lab), t, t / 30.0)
+        buf.refresh_working_labels(window=8)
+        np.testing.assert_array_equal(buf.working_labels, [1, 1, 1, 1, 1, 1])
+        buf.evict_old(now=6 / 30.0, horizon=1.5 / 30.0)
+        np.testing.assert_array_equal(buf.frame_indices, [5, 6])
+        np.testing.assert_array_equal(buf.working_labels, [1, 1])
+        buf.refresh_working_labels(window=8)
+        np.testing.assert_array_equal(buf.working_labels, buf.raw_labels)
+        np.testing.assert_array_equal(buf.working_labels, [0, 0])
+
 
 class TestReplayStore:
     def test_immutable(self):

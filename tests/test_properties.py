@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oap.config import PseudoLabel
@@ -280,6 +280,11 @@ label_lists = st.one_of(
     window=st.one_of(st.none(), st.integers(0, 7)),
     seed=st.integers(0, 2**32 - 1),
 )
+# One store holds one class and the other both, each way round.
+@example(online_labels=[1] * 5, replay_labels=[0, 1, 1, 0], batch_size=24, online_prob=0.5,
+         window=3, seed=7)
+@example(online_labels=[0, 1, 1, 0, 0, 1], replay_labels=[0] * 4, batch_size=24,
+         online_prob=0.5, window=None, seed=8)
 def test_sample_batch_matches_per_slot_loop(
     online_labels, replay_labels, batch_size, online_prob, window, seed
 ):
@@ -528,18 +533,35 @@ def test_flat_gradient_matches_per_parameter_gradients(head, rows, feature_scale
                          max_size=8),
     poison=st.lists(st.sampled_from([None, np.nan, np.inf, -np.inf]), min_size=8, max_size=8),
     learning_rate=st.sampled_from([1e-5, 1e-3, 0.1, 1e300]),
-    weight_decay=st.sampled_from([0.0, 1e-3, -1e10, 1e300]),
+    weight_decay=st.sampled_from([0.0, -0.0, 1e-3, -1e10, 1e300]),
+    step_count=st.sampled_from([0, 354, 355, 356, 37410, 37411]),
+    n_negative_zeros=st.integers(0, 3),
 )
+@example(d=1, seed=0, grad_scales=[1.0, 1.0], poison=[None] * 8, learning_rate=1e-3,
+         weight_decay=0.0, step_count=354, n_negative_zeros=2)
+@example(d=1, seed=0, grad_scales=[1.0], poison=[None] * 8, learning_rate=1e-3,
+         weight_decay=0.0, step_count=37410, n_negative_zeros=0)
 def test_in_place_adam_matches_fresh_arrays(d, seed, grad_scales, poison, learning_rate,
-                                            weight_decay):
+                                            weight_decay, step_count, n_negative_zeros):
     """Each step commits exactly what the plain expression gives, and a
-    rejected step leaves head, moments and step count as they were."""
+    rejected step leaves head, moments and step count as they were.
+
+    The starting step counts take the first step across t = 356, where
+    ``1 - ADAM_BETA1**t`` rounds to 1.0, and across t = 37412, where
+    ``1 - ADAM_BETA2**t`` does. Each step also holds up to three -0.0
+    parameters whose moment and gradient coordinates are exactly zero, so
+    their step is +0.0 and only the decay term decides the sign of zero."""
     rng = np.random.default_rng(seed)
     h = drawn_head(d, seed, 0.5)
-    state = AdamState.for_head(h)
-    theta, m, v, t = h.flat.copy(), state.m_flat.copy(), state.v_flat.copy(), 0
+    m = rng.normal(0.0, 1e-3, size=h.flat.shape)
+    v = rng.normal(0.0, 1e-3, size=h.flat.shape) ** 2
+    state = AdamState(m, v, step_count)
+    theta, t = h.flat.copy(), step_count
     for scale, bad in zip(grad_scales, poison):
         g = rng.normal(0.0, scale, size=h.flat.shape)
+        zeros = rng.choice(g.size, size=n_negative_zeros, replace=False)
+        h.flat[zeros] = theta[zeros] = -0.0
+        m[zeros] = state.m_flat[zeros] = g[zeros] = 0.0
         if bad is not None:
             g[rng.integers(g.size)] = bad
         with np.errstate(all="ignore"):
