@@ -138,8 +138,12 @@ def check_ranges(obj, checks, prefix: str = "") -> None:
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse a flat config file: one ``key = value`` per line, ``#`` starts
     a comment, blank lines ignored. Returns raw string values."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -41,8 +41,9 @@ from .head import (
     ClassifierHead,
     apply_update,
     forward,
-    loss_and_grad,
 )
+# Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
+from .head import trusted_grad as loss_and_grad
 from .memory import OnlineBuffer, ReplayStore, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
@@ -124,9 +125,12 @@ class Engine:
     """One adaptation engine per stream. Strictly sequential: the
     fine-tune step for frame t completes before frame t+1 is scored.
     The pre-trained head is copied at construction, Adam moments start
-    fresh and persist across the whole stream."""
+    fresh and persist across the whole stream. A non-empty replay store
+    whose dimension is not the head's is a DataError."""
 
     def __init__(self, head: ClassifierHead, replay: ReplayStore, params: HyperParams) -> None:
+        if len(replay) > 0 and replay.d != head.d:
+            raise DataError(f"replay dimension {replay.d} != head dimension {head.d}")
         self.head = head.copy()
         self.adam = AdamState.for_head(self.head)
         self.online = OnlineBuffer()
@@ -406,8 +410,15 @@ def _parse_jsonl_row(line: str) -> TraceRecord:
     return record
 
 
+def _text_lines(path: str | Path) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc.reason})") from exc
+
+
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
-    lines = Path(path).read_text().splitlines()
+    lines = _text_lines(path)
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise DataError(f"{path}: not a trace file")
     return _read_trace(path, lines[1:], _parse_csv_row)
@@ -418,4 +429,4 @@ def write_trace_jsonl(path: str | Path, trace: Iterable[TraceRecord]) -> None:
 
 
 def read_trace_jsonl(path: str | Path) -> list[TraceRecord]:
-    return _read_trace(path, Path(path).read_text().splitlines(), _parse_jsonl_row)
+    return _read_trace(path, _text_lines(path), _parse_jsonl_row)

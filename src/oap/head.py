@@ -23,6 +23,18 @@ steps all of it in one pass. The per-frame functions are written for few
 numpy calls and temporaries on these small arrays, but each runs the same
 IEEE operations, in the same order, as the plain expression its docstring
 gives, so the results are bit-identical to it.
+
+``loss_and_grad`` checks its inputs, then runs ``_grad_kernel``;
+``trusted_grad`` runs the kernel alone and skips the loss, with the same
+gradient bits. The engine trains through ``trusted_grad``, because every
+batch it builds comes from stores whose contents passed a check at their
+door. Online rows passed ``forward``'s finite ``(d,)`` check before
+``OnlineBuffer.insert``, and their labels are LIVE or SPOOF or the
+majority-smoothed values of those. Replay rows and labels passed
+``ReplayStore``'s finite and 0/1 checks and are write-protected, and
+``Engine`` refuses a replay store whose ``d`` differs from the head's.
+``sample_batch`` builds a ``(batch_size, d)`` float64 matrix with at least
+one row.
 """
 
 from __future__ import annotations
@@ -224,12 +236,27 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     if not (spoof | (labels == 0.0)).all():
         raise DataError("labels must be 0 or 1")
 
+    y, grad = _grad_kernel(head, feats, labels)
+    y_safe = np.minimum(np.maximum(y, PROB_EPS), 1.0 - PROB_EPS)
+    loss = -float(np.add.reduce(np.log(np.where(spoof, y_safe, 1.0 - y_safe))) / n)
+    return loss, grad
+
+
+def trusted_grad(head: ClassifierHead, feats: np.ndarray, labels) -> tuple[None, np.ndarray]:
+    """``(None, grad)`` with the bits of ``loss_and_grad``'s gradient, for
+    a batch that would pass its checks; nothing is checked and no loss is
+    computed."""
+    return None, _grad_kernel(head, feats, labels)[1]
+
+
+def _grad_kernel(head: ClassifierHead, feats: np.ndarray, labels: np.ndarray):
+    """The forward and backward pass of a checked batch: the unclamped
+    probabilities ``y`` and the flat gradient of the mean cross-entropy."""
+    n = feats.shape[0]
     z1 = feats @ head.w1 + head.b1
     hidden = np.maximum(z1, 0.0)
     logits = hidden @ head.w2 + head.b2[0]
     y = _sigmoid(logits)
-    y_safe = np.minimum(np.maximum(y, PROB_EPS), 1.0 - PROB_EPS)
-    loss = -float(np.add.reduce(np.log(np.where(spoof, y_safe, 1.0 - y_safe))) / n)
 
     # d loss / d logit for sigmoid + cross entropy collapses to (y - l)/n.
     dlogits = (y - labels) / n
@@ -238,7 +265,7 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     grad = np.concatenate(
         ((feats.T @ dz1).ravel(), dz1.sum(axis=0), hidden.T @ dlogits, dlogits.sum(keepdims=True))
     )
-    return loss, grad
+    return y, grad
 
 
 def apply_update(

@@ -153,7 +153,8 @@ class OnlineBuffer:
         every window, so the working labels are the raw labels and are
         copied without calling ``smooth_labels``. The copy is still needed:
         entries that survived an eviction can hold labels smoothed while
-        the buffer held both classes."""
+        the buffer held both classes. The sampler's buckets of one class
+        are then known without a recount: what ``_class_buckets`` gives."""
         if not len(self) or self._smoothed_window == window:
             return
         live = slice(self._lo, self._hi)
@@ -161,10 +162,11 @@ class OnlineBuffer:
         n_spoof = int(np.count_nonzero(raw))
         if n_spoof == 0 or n_spoof == raw.size:
             self._working[live] = raw
+            self._buckets = (None, [0], [raw.size])
         else:
             self._working[live] = smooth_labels(self._index[live], raw, window)
+            self._buckets = None
         self._smoothed_window = window
-        self._buckets = None
 
     def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Live features, working labels and their class buckets."""

@@ -19,6 +19,7 @@ ranges when built, so the generators take them as given.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -266,13 +267,22 @@ def _checked_rows(
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
-    """Read a feature file. A malformed row (a wrong column count, a cell
+    """Read a feature file. A malformed header (including an ``fps`` that
+    is not finite and > 0), a malformed row (a wrong column count, a cell
     that does not parse, a non-finite feature, a frame index outside int64,
-    a label other than 0 or 1) is a DataError naming the file and the first
-    bad line. The feature cells go into one float64 buffer that is checked
-    for finiteness once, with the integer columns, at the end or before an
-    error for a later line is raised."""
+    a label other than 0 or 1) or bytes that do not decode is a DataError
+    naming the file, and for a row the first bad line. The feature cells go
+    into one float64 buffer that is checked for finiteness once, with the
+    integer columns, at the end or before an error for a later line is
+    raised."""
     path = Path(path)
+    try:
+        return _parse_feature_file(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc.reason})") from exc
+
+
+def _parse_feature_file(path: Path) -> FeatureFileData:
     with open(path) as fh:
         header = fh.readline().strip()
         parts = header.split()
@@ -287,6 +297,8 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
             frame_rate = float(fields["fps"])
             if d < 0:
                 raise ValueError(f"negative dimension {d}")
+            if not (math.isfinite(frame_rate) and frame_rate > 0):
+                raise ValueError(f"fps out of range: {frame_rate!r}")
         except (ValueError, KeyError) as exc:
             raise DataError(f"{path}: malformed header {header!r}") from exc
 
@@ -317,7 +329,7 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: unparseable value") from exc
                 linenos.append(lineno)
-        except DataError:
+        except (DataError, UnicodeDecodeError):
             # A bad cell on an earlier line is the first fault.
             _checked_rows(path, values, linenos, d, int_columns)
             raise

@@ -462,3 +462,24 @@ class TestReport:
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["report", "--trace", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
+
+
+@pytest.mark.parametrize("command, code", [("pretrain", 3), ("report", 3), ("generate", 2)])
+def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, capsys,
+                                               command, code):
+    """A non-UTF-8 byte in the file a command reads (a feature file, a trace,
+    a config file) exits 3 for data or 2 for config, naming the file, and
+    writes no result (``pretrain`` echoes its config before it reads)."""
+    _, gen_dir, _ = pipeline
+    source = {"pretrain": gen_dir / "train.oapf", "report": seed_traces[0],
+              "generate": None}[command]
+    bad = tmp_path / "bad"
+    bad.write_bytes((source.read_bytes() if source else b"d = 8\n") + b"\xff\n")
+    out = tmp_path / "out"
+    argv = {"pretrain": ["pretrain", "--out", str(out), "--train", str(bad)],
+            "report": ["report", "--trace", str(bad), "--out", str(out)],
+            "generate": ["generate", "--out", str(out), "--config", str(bad)]}[command]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert f"{bad}: not a text file" in capsys.readouterr().err
+    assert not out.is_file() and {p.name for p in out.glob("*")} <= {"resolved.cfg"}

@@ -2,6 +2,7 @@
 geometry, config-file syntax, and the tagged deterministic RNG contract."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,12 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("margin 0.05\n")
         with pytest.raises(ConfigError):
+            parse_kv_file(cfg)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"margin = 0.05\nseed = \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}: not a text file")):
             parse_kv_file(cfg)
 
     def test_bad_value_rejected(self):

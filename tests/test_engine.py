@@ -22,7 +22,7 @@ from oap.engine import (
 )
 from oap.errors import ConfigError, DataError
 from oap.head import forward, init_head, pretrain, PretrainSchedule
-from oap.memory import subsample_pretraining
+from oap.memory import ReplayStore, subsample_pretraining
 from oap.rng import seeded_rng
 from oap.simstream import (
     GeneratorConfig,
@@ -345,6 +345,29 @@ class TestInputContract:
         engine.process_frame(frames[3].feature, 4, 2 / 30)
         assert engine.frame_count == 4
 
+    # Margin 1e-9 discards the first frame, so its batch comes from the
+    # replay store alone; margin 0.5 stores it, and online_prob 0.5 then
+    # mixes both stores.
+    @pytest.mark.parametrize("overrides", [dict(margin=1e-9),
+                                           dict(margin=0.5, online_prob=0.5)],
+                             ids=["replay-only batch", "mixed batch"])
+    def test_replay_of_another_dimension_rejected(self, artifacts, overrides):
+        """The trusted gradient step relies on every replay row having the
+        head's dimension, so a non-empty store of another is refused at
+        construction, before any batch is drawn."""
+        head, _, frames, _ = artifacts
+        rng = np.random.default_rng(0)
+        replay = ReplayStore(rng.normal(size=(10, D + 2)), np.tile([0, 1], 5))
+        with pytest.raises(DataError, match=f"replay dimension {D + 2} != head dimension {D}"):
+            engine = Engine(head, replay, desk_params(**overrides))
+            engine.process_frame(frames[0].feature, 1, 0.0)
+
+    def test_empty_replay_of_another_dimension_accepted(self, artifacts):
+        head, _, frames, _ = artifacts
+        empty = ReplayStore(np.zeros((0, D + 2)), np.zeros(0, dtype=np.int64))
+        engine = Engine(head, empty, desk_params(margin=0.5))
+        assert engine.process_frame(frames[0].feature, 1, 0.0).finetuned_this_frame
+
 
 class TestCostModel:
     def test_per_sample_count(self):
@@ -535,6 +558,17 @@ class TestTraceFiles:
         path.write_text("nope\n")
         with pytest.raises(DataError):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("write, read", [(write_trace_csv, read_trace_csv),
+                                             (write_trace_jsonl, read_trace_jsonl)])
+    def test_undecodable_bytes_rejected(self, artifacts, tmp_path, write, read):
+        """A byte that is not UTF-8 is a DataError naming the file."""
+        head, _, frames, _ = artifacts
+        path = tmp_path / "trace"
+        write(path, run_baseline_frozen(head, frames[:3]))
+        path.write_bytes(path.read_bytes() + b"4,\xff\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not a text file")):
+            read(path)
 
     @pytest.mark.parametrize(
         "column, cell", [(2, "abc"), (0, "1.5"), (5, ""), (5, "2"), (7, "0.0,1")]

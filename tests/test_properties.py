@@ -4,8 +4,10 @@ sampler against the per-slot loop it replaced, majority smoothing against
 a direct recount, the head's numerics (sigmoid, forward, loss and
 gradient, Adam) against the plain expressions they replaced, bit for bit,
 the stacked forward pass against per-row forward and the baselines
-against a per-frame fold, bit for bit, and the column-wise trace writers
-against the per-row writers they replaced, byte for byte."""
+against a per-frame fold, bit for bit, the engine's trusted gradient step
+against the checked ``loss_and_grad``, alone and over whole streams, and
+the column-wise trace writers against the per-row writers they replaced,
+byte for byte."""
 
 import json
 import math
@@ -15,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oap.engine
 from oap.config import PseudoLabel
 from oap.engine import (
     _FIELD_TYPES,
     SCORE_ROWS_PER_CALL,
     TRACE_COLUMNS,
     TRACE_ROWS_PER_WRITE,
+    Engine,
     TraceRecord,
     read_trace_csv,
     read_trace_jsonl,
@@ -44,10 +48,12 @@ from oap.head import (
     forward,
     forward_batch,
     loss_and_grad,
+    trusted_grad,
 )
-from oap.memory import OnlineBuffer, ReplayStore, sample_batch
+from oap.memory import OnlineBuffer, ReplayStore, _class_buckets, sample_batch
+from oap.presets import build_artifacts, continual_scenario, desk_params
 from oap.pseudolabel import smooth_labels
-from oap.simstream import StreamFrame
+from oap.simstream import StreamFrame, generate_stream
 
 D = 3
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -164,6 +170,45 @@ def test_buffer_bound_under_insert_then_evict(fps, horizon, gaps):
         buf.insert(np.zeros(D), PseudoLabel.LIVE, index, now)
         buf.evict_old(now, horizon)
         assert len(buf) <= bound
+
+
+def assert_same_buckets(got, want):
+    (order, starts, sizes), (want_order, want_starts, want_sizes) = got, want
+    assert (order is None) == (want_order is None)
+    if order is not None:
+        np.testing.assert_array_equal(order, want_order)
+    np.testing.assert_array_equal(starts, want_starts)
+    np.testing.assert_array_equal(sizes, want_sizes)
+
+
+@PROPERTY_SETTINGS
+@given(steps=steps, seed=st.integers(0, 2**32 - 1))
+# A mixed refresh, an eviction down to two spoof entries, then a refresh
+# that takes the one-class copy.
+@example(steps=[("insert", 1, 0.0, 0), ("insert", 1, 0.0, 1), ("insert", 1, 1.0, 1),
+                ("insert", 1, 0.0, 1), ("refresh", 3), ("evict", 0.0, 0.5), ("refresh", 3)],
+         seed=0)
+def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, seed):
+    """A refresh that finds one class stores its buckets for the sampler;
+    whatever the sampler reads equals ``_class_buckets`` of the current
+    working labels."""
+    rng = np.random.default_rng(seed)
+    buf = SmallBuffer()
+    index, now = 0, 0.0
+    for step in steps:
+        if step[0] == "insert":
+            _, gap, dt, label = step
+            index, now = index + gap, now + dt
+            buf.insert(rng.normal(size=D), PseudoLabel(label), index, now)
+        elif step[0] == "evict":
+            now += step[1]
+            buf.evict_old(now, step[2])
+        elif step[0] == "refresh":
+            buf.refresh_working_labels(step[1])
+            if len(buf) and len(set(buf.raw_labels.tolist())) == 1:
+                assert buf._buckets is not None  # handed over, not left to recount
+        if len(buf):
+            assert_same_buckets(buf._sample_source()[2], _class_buckets(buf.working_labels))
 
 
 def test_eviction_at_exact_cutoff():
@@ -525,6 +570,52 @@ def test_flat_gradient_matches_per_parameter_gradients(head, rows, feature_scale
     assert grad.tobytes() == np.concatenate([ref_grads[n].ravel() for n in PARAM_NAMES]).tobytes()
 
 
+def expression_loss(head, feats, labels):
+    """The loss expression of ``loss_and_grad`` before the gradient kernel
+    was split out of it, on the same forward pass."""
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    spoof = labels == 1.0
+    n = feats.shape[0]
+    z1 = feats @ head.w1 + head.b1
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ head.w2 + head.b2[0]
+    y = _sigmoid(logits)
+    y_safe = np.minimum(np.maximum(y, PROB_EPS), 1.0 - PROB_EPS)
+    return -float(np.add.reduce(np.log(np.where(spoof, y_safe, 1.0 - y_safe))) / n)
+
+
+# Batches of the engine's shapes, with labels of the sampler's dtype (int64)
+# and of a caller's floats.
+gradient_cases = st.tuples(
+    st.integers(1, 64), st.integers(1, 32), st.integers(0, 2**32 - 1), log_scales, log_scales,
+    st.sampled_from([np.int64, np.float64]),
+)
+
+
+def gradient_case(d, rows, seed, head_scale, feature_scale, label_dtype):
+    h, feats = stacked_case(d, rows, seed, head_scale, feature_scale)
+    labels = np.random.default_rng(seed + 2).integers(0, 2, size=rows).astype(label_dtype)
+    return h, feats, labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=gradient_cases)
+def test_trusted_gradient_has_the_bits_of_the_checked_one(case):
+    h, feats, labels = gradient_case(*case)
+    _, grad = loss_and_grad(h, feats, labels)
+    loss, trusted = trusted_grad(h, feats, labels)
+    assert loss is None
+    assert trusted.tobytes() == grad.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=gradient_cases)
+def test_checked_loss_keeps_the_bits_of_its_expression(case):
+    h, feats, labels = gradient_case(*case)
+    loss, _ = loss_and_grad(h, feats, labels)
+    assert bits(loss) == bits(expression_loss(h, feats, labels))
+
+
 @PROPERTY_SETTINGS
 @given(
     d=st.integers(1, 4),
@@ -644,3 +735,51 @@ def test_trace_writers_match_the_per_row_writers(trace_dir, records, length):
         if not any(isinstance(v, float) and math.isnan(v) for r in trace
                    for v in r._asdict().values()):
             assert reader(trace_dir / "new") == trace
+
+
+# ---------------------------------------------------------------------------
+# The engine's trusted gradient step against the checked one
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_stream():
+    art = build_artifacts(0, d=8, n_users=4, frames_per_user=60, replay_size=40)
+    # A live and a spoof segment, each longer than the 120-frame eviction
+    # horizon: the buffer holds one class, then both, then the other.
+    scenario = continual_scenario(segment_frames=150, n_pairs=1)
+    frames, truth = generate_stream(art.generator, scenario)
+    empty = ReplayStore(np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+    return art.head, {True: art.replay, False: empty}, frames, truth
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    margin=st.sampled_from([0.01, 0.2, 0.5]),
+    iterations=st.sampled_from([1, 3]),
+    finetune_freq=st.sampled_from([1.0, 0.37]),
+    online_prob=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    with_replay=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(margin=0.5, iterations=3, finetune_freq=1.0, online_prob=0.9, with_replay=False, seed=0)
+def test_engine_on_the_trusted_step_matches_the_checked_step(
+    small_stream, trace_dir, margin, iterations, finetune_freq, online_prob, with_replay, seed
+):
+    """The engine trains through ``trusted_grad``. Run on the checked
+    ``loss_and_grad`` instead, it gives the same trace bytes, head and Adam
+    moments, and no batch it builds fails the checks."""
+    assert oap.engine.loss_and_grad is trusted_grad
+    head, replays, frames, truth = small_stream
+    params = desk_params(seed, margin=margin, iterations_per_call=iterations,
+                         finetune_freq=finetune_freq, online_prob=online_prob)
+    runs = []
+    for step in (loss_and_grad, trusted_grad):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oap.engine, "loss_and_grad", step)
+            engine = Engine(head, replays[with_replay], params)
+            write_trace_csv(trace_dir / "engine.csv", engine.run_stream(frames, truth))
+        runs.append(((trace_dir / "engine.csv").read_bytes(), engine.head.flat.tobytes(),
+                     engine.adam.m_flat.tobytes(), engine.adam.v_flat.tobytes(),
+                     engine.adam.step_count))
+    assert runs[0] == runs[1]

@@ -322,6 +322,15 @@ MALFORMED_FILES = {
     ),
 }
 
+# Header lines that do not load: an fps that is not finite and > 0, the
+# rule StreamScenario applies to frame_rate.
+MALFORMED_HEADERS = {
+    "fps zero": "oapf v1 d=2 labeled=1 fps=0.0",
+    "fps negative": "oapf v1 d=2 labeled=1 fps=-5.0",
+    "fps nan": "oapf v1 d=2 labeled=1 fps=nan",
+    "fps inf": "oapf v1 d=2 labeled=1 fps=inf",
+}
+
 
 class TestMalformedFeatureFiles:
     """Every malformed row is a DataError naming the file and the first bad
@@ -333,6 +342,31 @@ class TestMalformedFeatureFiles:
         path = tmp_path / "bad.oapf"
         path.write_text("\n".join([HEADER, *lines]) + "\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:{lineno}: {message}")):
+            load_feature_file(path)
+
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.oapf"
+        path.write_text(f"{header}\n{GOOD_ROW}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed header {header!r}")):
+            load_feature_file(path)
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_undecodable_bytes_rejected(self, tmp_path, where):
+        """A byte that is not UTF-8 is a DataError naming the file."""
+        path = tmp_path / "bad.oapf"
+        lines = [HEADER.encode(), GOOD_ROW.encode()]
+        lines[where == "row"] += b"\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not a text file")):
+            load_feature_file(path)
+
+    def test_bad_cell_before_undecodable_bytes_named(self, tmp_path):
+        """A bad value on a line read before the undecodable bytes is still
+        the fault reported."""
+        path = tmp_path / "bad.oapf"
+        path.write_bytes(f"{HEADER}\n1,0.0,0,nan,0.0\n".encode() + b"x" * 20000 + b"\xff\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite feature value")):
             load_feature_file(path)
 
     @pytest.mark.parametrize("labeled", [0, 1])
