@@ -2,9 +2,9 @@
 
 Each subcommand reads an optional flat config file (``--config``) plus
 ``--set key=value`` overrides, builds every config dataclass it reads,
-then echoes the fully resolved configuration into the output directory
-(re-running from that echo reproduces outputs bit-exactly) and writes
-machine-readable results.
+reads and checks its input files, then echoes the fully resolved
+configuration into the output directory (re-running from that echo
+reproduces outputs bit-exactly) and writes machine-readable results.
 
 Every config key is a field of one of the dataclasses in ``_SECTIONS``
 (hyper-parameters, generator, scenario, the pre-training schedule behind
@@ -12,7 +12,8 @@ Every config key is a field of one of the dataclasses in ``_SECTIONS``
 the field's type. Each dataclass checks its own ranges when built. A value
 that does not parse or lies out of range is a config error, and so is a
 ``--set`` key that names no field; a config error writes nothing, not even
-the echo. A config file may carry keys for other tools.
+the echo, and neither does a data error in an input file. A config file
+may carry keys for other tools.
 
 Exit codes are fixed for scripting: 0 success, 2 config/validation error,
 3 data error, 4 numerical failure.
@@ -172,8 +173,6 @@ def cmd_pretrain(args) -> int:
     mapping = resolve_mapping(args)
     params = from_mapping(HyperParams(), mapping)
     schedule = from_mapping(PretrainSchedule(), mapping, PRETRAIN_PREFIX)
-    out_dir = Path(args.out)
-    echo_config(mapping, out_dir)
     data = load_feature_file(args.train)
     if data.labels is None:
         raise DataError(f"{args.train}: pre-training data must be labeled")
@@ -183,11 +182,13 @@ def cmd_pretrain(args) -> int:
     accuracy = float(
         np.mean((forward_batch(head, data.features) > 0.5).astype(np.int64) == data.labels)
     )
-    head_path = out_dir / "head.oaph"
-    save_head(head, head_path)
     replay = subsample_pretraining(
         data.features, data.labels, params.replay_size, seeded_rng(params.seed, "replay")
     )
+    out_dir = Path(args.out)
+    echo_config(mapping, out_dir)
+    head_path = out_dir / "head.oaph"
+    save_head(head, head_path)
     replay_path = out_dir / "replay.oapf"
     replay.save(replay_path, frame_rate=data.frame_rate)
     print(f"{head_path} d={head.d}")
@@ -234,8 +235,6 @@ def cmd_run(args) -> int:
     params = from_mapping(HyperParams(), mapping)
     if args.save_head and (runner.mode != "oap" or len(args.stream) != 1 or runner.seeds != 1):
         raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
-    out_dir = Path(args.out)
-    echo_config(mapping, out_dir)
 
     head = load_head(args.head)
     replay = ReplayStore.load(args.replay) if args.replay else ReplayStore(
@@ -251,6 +250,8 @@ def cmd_run(args) -> int:
                 f"{path}: stream dimension {data.features.shape[1]} != head dimension {head.d}"
             )
         streams.append((Path(path).stem, data))
+    out_dir = Path(args.out)
+    echo_config(mapping, out_dir)
 
     reports = []
     for i in range(runner.seeds):
@@ -284,10 +285,6 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("empty sweep value list")
     grid = [from_mapping(base_params, {args.axis: v}) for v in values]
-    out_dir = Path(args.out)
-    mapping["sweep_axis"] = args.axis
-    mapping["sweep_values"] = args.values
-    echo_config(mapping, out_dir)
 
     head = load_head(args.head)
     train = load_feature_file(args.train)
@@ -322,6 +319,10 @@ def cmd_sweep(args) -> int:
             row["replay_bytes"] = value * (head.d + 1) * 8
         rows.append(row)
 
+    out_dir = Path(args.out)
+    mapping["sweep_axis"] = args.axis
+    mapping["sweep_values"] = args.values
+    echo_config(mapping, out_dir)
     columns = list(rows[0])
     table_path = out_dir / f"sweep_{args.axis}.csv"
     with open(table_path, "w") as fh:

@@ -20,6 +20,7 @@ ranges when built, so the generators take them as given.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,7 +84,10 @@ class StreamScenario:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ConfigError("segments out of range: scenario needs at least one segment")
-        check_ranges(self, (("frame_rate", lambda v: v > 0, "frame_rate > 0"),))
+        check_ranges(self, (
+            ("frame_rate", math.isfinite, "a finite frame_rate"),
+            ("frame_rate", lambda v: v > 0, "frame_rate > 0"),
+        ))
 
     @property
     def total_frames(self) -> int:
@@ -187,6 +191,10 @@ FEATURE_ROWS_PER_WRITE = 256
 
 @dataclass
 class FeatureFileData:
+    """The columns of a feature file, which may be strided views of one
+    record table: ``features`` is (n, d) and need not be C-contiguous, the
+    other arrays are (n,)."""
+
     features: np.ndarray
     labels: np.ndarray | None
     frame_indices: np.ndarray
@@ -213,8 +221,8 @@ def save_feature_file(
     load cycle is bit-exact. ``frame_indices``, ``times`` and ``labels``
     hold one entry per feature row."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DataError("features must be a 2-d array")
+    if features.ndim != 2 or features.shape[1] < 1:
+        raise DataError("features must be a 2-d array with at least one column")
     if not np.isfinite(features).all():
         raise DataError("refusing to write non-finite feature values")
     n, d = features.shape
@@ -267,40 +275,100 @@ def _checked_rows(
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
-    """Read a feature file. A malformed header (including an ``fps`` that
-    is not finite and > 0), a malformed row (a wrong column count, a cell
-    that does not parse, a non-finite feature, a frame index outside int64,
-    a label other than 0 or 1) or bytes that do not decode is a DataError
-    naming the file, and for a row the first bad line. The feature cells go
-    into one float64 buffer that is checked for finiteness once, with the
-    integer columns, at the end or before an error for a later line is
-    raised."""
+    """Read a feature file. A malformed header (a ``d`` below 1 or too
+    large for one float64 row, or an ``fps`` that is not finite and > 0),
+    a malformed row (a wrong column count, a cell that does not parse, a
+    non-finite feature, a frame index outside int64, a label other than 0
+    or 1) or bytes that do not decode is a DataError naming the file, and
+    for a row the first bad line.
+
+    The body is parsed in one ``np.loadtxt`` pass into a record table, and
+    ``features`` is its (n, d) field: a strided view that need not be
+    C-contiguous. A file that numpy refuses, or whose table fails a check,
+    is read again by ``_read_lines``, which takes what numpy does not (say,
+    blank lines of spaces or ``1_000``) and names the first bad line. numpy
+    converts a float cell with the correctly rounded routine ``float()``
+    uses, and accepts a subset of what ``float()`` and ``int()`` accept, so
+    both readers give the same bits on every file numpy takes."""
     path = Path(path)
+    return _read_table(path) or _read_lines(path)
+
+
+# The largest header ``d``: numpy refuses a float64 row of more bytes than
+# int64 counts, even in a (0, d) array.
+_MAX_D = np.iinfo(np.int64).max // np.dtype(np.float64).itemsize
+
+
+def _read_header(path: Path, fh) -> tuple[int, bool, float]:
+    """``d``, ``labeled`` and ``fps`` from the header line of ``fh``."""
+    header = fh.readline().strip()
+    parts = header.split()
+    if len(parts) != 5 or parts[0] != "oapf":
+        raise DataError(f"{path}: malformed header {header!r}")
+    if parts[1] != FEATURE_FILE_VERSION:
+        raise DataError(f"{path}: unsupported format version {parts[1]!r}")
     try:
-        return _parse_feature_file(path)
+        fields = dict(p.split("=", 1) for p in parts[2:])
+        d = int(fields["d"])
+        labeled = bool(int(fields["labeled"]))
+        frame_rate = float(fields["fps"])
+        if not 1 <= d <= _MAX_D:
+            raise ValueError(f"dimension out of range: {d}")
+        if not (math.isfinite(frame_rate) and frame_rate > 0):
+            raise ValueError(f"fps out of range: {frame_rate!r}")
+    except (ValueError, KeyError) as exc:
+        raise DataError(f"{path}: malformed header {header!r}") from exc
+    return d, labeled, frame_rate
+
+
+def _read_table(path: Path) -> FeatureFileData | None:
+    """The file through ``np.loadtxt``, or None when numpy refuses it, warns
+    (an empty body does), or a feature is not finite or a label not 0 or 1.
+    A malformed header raises its DataError here.
+
+    The first non-blank row must have the header's column count before
+    numpy sees the body: numpy sizes its first block of records by ``d``,
+    so a large ``d`` over a short row would allocate for nothing."""
+    try:
+        with open(path) as fh:
+            d, labeled, frame_rate = _read_header(path, fh)
+            first = 2 + int(labeled)  # the first feature column
+            body = fh.tell()
+            row = fh.readline()
+            while row and not row.strip():
+                row = fh.readline()
+            if row.count(",") != first + d - 1:
+                return None
+            fh.seek(body)
+            dtype = [("index", "<i8"), ("time", "<f8"), *([("label", "<i8")] * labeled),
+                     ("features", "<f8", (d,))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    features = table["features"]
+    labels = table["label"] if labeled else None
+    if not np.isfinite(features).all() or labeled and not np.isin(labels, (0, 1)).all():
+        return None
+    return FeatureFileData(features, labels, table["index"], table["time"], frame_rate)
+
+
+def _read_lines(path: Path) -> FeatureFileData:
+    """The file a line at a time: the reader that names a malformed file's
+    first bad line, and the reference ``_read_table`` is tested against."""
+    try:
+        return _parse_lines(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a text file ({exc.reason})") from exc
 
 
-def _parse_feature_file(path: Path) -> FeatureFileData:
+def _parse_lines(path: Path) -> FeatureFileData:
+    """The feature cells go into one float64 buffer that is checked for
+    finiteness once, with the integer columns, at the end or before an
+    error for a later line is raised."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) != 5 or parts[0] != "oapf":
-            raise DataError(f"{path}: malformed header {header!r}")
-        if parts[1] != FEATURE_FILE_VERSION:
-            raise DataError(f"{path}: unsupported format version {parts[1]!r}")
-        try:
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            d = int(fields["d"])
-            labeled = bool(int(fields["labeled"]))
-            frame_rate = float(fields["fps"])
-            if d < 0:
-                raise ValueError(f"negative dimension {d}")
-            if not (math.isfinite(frame_rate) and frame_rate > 0):
-                raise ValueError(f"fps out of range: {frame_rate!r}")
-        except (ValueError, KeyError) as exc:
-            raise DataError(f"{path}: malformed header {header!r}") from exc
+        d, labeled, frame_rate = _read_header(path, fh)
 
         first = 2 + int(labeled)  # the first feature column
         expected_cols = first + d

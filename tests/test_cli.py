@@ -319,6 +319,7 @@ class TestConfigAtTheDoor:
          "segments out of range: segment duration must be >= 1, got 0"),
         ("generate", ["--set", "segments="],
          "segments out of range: scenario needs at least one segment"),
+        ("generate", ["--set", "frame_rate=inf"], "frame_rate out of range: inf"),
     ])
     def test_rejected_with_key_named(self, pipeline, tmp_path, capsys, command, extra, message):
         if "--config" in extra:
@@ -355,8 +356,8 @@ class TestConfigAtTheDoor:
 ])
 def test_malformed_feature_file_exits_3_naming_the_line(pipeline, tmp_path, capsys, command,
                                                        flag):
-    """Every command that reads a feature file exits 3 on a malformed row
-    and names the file and the first bad line."""
+    """Every command that reads a feature file exits 3 on a malformed row,
+    names the file and the first bad line, and writes nothing."""
     _, gen_dir, _ = pipeline
     lines = (gen_dir / "stream_seed0.oapf").read_text().splitlines()
     cols = lines[4].split(",")
@@ -368,6 +369,17 @@ def test_malformed_feature_file_exits_3_naming_the_line(pipeline, tmp_path, caps
     capsys.readouterr()
     assert main(command_argv(command, pipeline, tmp_path) + [flag, str(bad)]) == 3
     assert f"{bad}:5: non-finite feature value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_data_error_at_a_later_grid_point_writes_nothing(pipeline, tmp_path, capsys):
+    """A grid value the training set cannot serve stops ``oap sweep`` with
+    exit 3 and writes nothing, though an earlier grid point has run."""
+    argv = command_argv("sweep", pipeline, tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--axis", "replay_size", "--values", "10,100000000"]) == 3
+    assert "cannot subsample 100000000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["frozen", "ema"])
@@ -381,7 +393,7 @@ def test_run_on_a_bad_stream_exits_3_without_a_trace(pipeline, tmp_path, capsys,
                                                       message):
     """A frame index beyond int64, a label other than 0 or 1 and a row of
     another width (a ragged stream) stop ``oap run`` of a baseline with
-    exit 3 before any trace."""
+    exit 3 before writing anything."""
     _, gen_dir, _ = pipeline
     lines = (gen_dir / "stream_seed0.oapf").read_text().splitlines()
     cols = lines[4].split(",")
@@ -395,7 +407,7 @@ def test_run_on_a_bad_stream_exits_3_without_a_trace(pipeline, tmp_path, capsys,
     argv = command_argv("run", pipeline, tmp_path) + ["--mode", mode, "--stream", str(bad)]
     assert main(argv) == 3
     assert f"{bad}:5: {message}" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("trace_*"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +481,7 @@ def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, 
                                                command, code):
     """A non-UTF-8 byte in the file a command reads (a feature file, a trace,
     a config file) exits 3 for data or 2 for config, naming the file, and
-    writes no result (``pretrain`` echoes its config before it reads)."""
+    writes nothing."""
     _, gen_dir, _ = pipeline
     source = {"pretrain": gen_dir / "train.oapf", "report": seed_traces[0],
               "generate": None}[command]
@@ -482,4 +494,4 @@ def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, 
     capsys.readouterr()
     assert main(argv) == code
     assert f"{bad}: not a text file" in capsys.readouterr().err
-    assert not out.is_file() and {p.name for p in out.glob("*")} <= {"resolved.cfg"}
+    assert not out.exists()

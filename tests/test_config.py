@@ -102,6 +102,9 @@ OUT_OF_RANGE = {
     "StreamScenario-frame_rate": (
         lambda: StreamScenario(ONE_SEGMENT, frame_rate=0.0),
         "frame_rate out of range: 0.0 (want frame_rate > 0)"),
+    "StreamScenario-frame_rate-inf": (
+        lambda: StreamScenario(ONE_SEGMENT, frame_rate=float("inf")),
+        "frame_rate out of range: inf (want a finite frame_rate)"),
     "PretrainSchedule-iterations": (
         lambda: PretrainSchedule(iterations=-1), "pretrain_iterations out of range: -1"),
     "PretrainSchedule-batch_size": (

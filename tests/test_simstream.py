@@ -2,14 +2,20 @@
 
 import dataclasses
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oap.config import ClassLabel, from_mapping
 from oap.errors import ConfigError, DataError
 from oap.simstream import (
     FEATURE_ROWS_PER_WRITE,
+    _read_lines,
+    _read_table,
     GeneratorConfig,
     Segment,
     StreamScenario,
@@ -244,6 +250,10 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="non-finite"):
             load_feature_file(path)
 
+    def test_save_wants_a_feature_column(self, tmp_path):
+        with pytest.raises(DataError, match="at least one column"):
+            save_feature_file(tmp_path / "s.oapf", np.zeros((3, 0)), [1, 2, 3], [0.0, 0.1, 0.2])
+
     @pytest.mark.parametrize("short", ["frame_indices", "times", "labels"])
     def test_save_wants_one_entry_per_row(self, tmp_path, short):
         columns = {"frame_indices": [1, 2, 3], "times": [0.0, 0.1, 0.2], "labels": [0, 1, 0]}
@@ -323,8 +333,14 @@ MALFORMED_FILES = {
 }
 
 # Header lines that do not load: an fps that is not finite and > 0, the
-# rule StreamScenario applies to frame_rate.
+# rule StreamScenario applies to frame_rate, and a d below 1, the rule of
+# load_head and GeneratorConfig, or above what numpy can shape as one
+# float64 row.
 MALFORMED_HEADERS = {
+    "d zero": "oapf v1 d=0 labeled=1 fps=30.0",
+    "d negative": "oapf v1 d=-2 labeled=1 fps=30.0",
+    "d beyond int64": "oapf v1 d=9999999999999999999 labeled=1 fps=30.0",
+    "d beyond a float64 row": f"oapf v1 d={2**60} labeled=1 fps=30.0",
     "fps zero": "oapf v1 d=2 labeled=1 fps=0.0",
     "fps negative": "oapf v1 d=2 labeled=1 fps=-5.0",
     "fps nan": "oapf v1 d=2 labeled=1 fps=nan",
@@ -388,6 +404,113 @@ class TestMalformedFeatureFiles:
         assert np.signbit(data.features[1, 0])
         np.testing.assert_array_equal(data.labels, [0, 1])
         np.testing.assert_array_equal(data.frame_indices, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# The numpy reader against the line loop
+# ---------------------------------------------------------------------------
+
+# What an edit puts in place of a byte or between two: separators, line
+# breaks, float syntax, non-ASCII digits and whitespace (which float() and
+# int() accept and numpy does not), and a byte that is not UTF-8.
+EDIT_TOKENS = [
+    *(s.encode() for s in (" ", "\t", "\r", "\r\n", "\n", ",", "_", "e", ".", "+", "-",
+                           "nan", "inf", "٣", "\x0c", "\xa0")),
+    b"\xff",
+]
+
+
+@st.composite
+def edited_feature_files(draw) -> bytes:
+    """A valid feature file (d 1-4, 0-6 rows, labeled or not) after 0-3
+    edits, each inserting a token, deleting a byte or replacing one."""
+    d = draw(st.integers(1, 4))
+    labeled = draw(st.booleans())
+    fps = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [f"oapf v1 d={d} labeled={int(labeled)} fps={fps!r}"]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(st.integers(-(2**63), 2**63 - 1)), draw(floats)]
+        cells += [draw(st.integers(0, 1))] * labeled
+        cells += draw(st.lists(floats, min_size=d, max_size=d))
+        lines.append(",".join(map(repr, cells)))
+    content = bytearray("\n".join(lines).encode() + b"\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(content)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        token = b"" if kind == "delete" else draw(st.sampled_from(EDIT_TOKENS))
+        content[at : at + (kind != "insert")] = token
+    return bytes(content)
+
+
+def read_outcome(read, path):
+    """The text of the DataError ``read(path)`` raises, or the dtype, shape
+    and bytes of each array it returns and the bits of its frame rate."""
+    try:
+        data = read(path)
+    except DataError as exc:
+        return str(exc)
+    arrays = (data.features, data.labels, data.frame_indices, data.times)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [
+        struct.pack("<d", data.frame_rate)
+    ]
+
+
+@pytest.fixture(scope="module")
+def feature_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("feature_files")
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=edited_feature_files())
+@example(content=f"{HEADER}\n".encode())  # an empty body
+@example(content=f"{HEADER}\n  \n\t\n{GOOD_ROW}\n\x0c\n\xa0\n".encode())  # blank lines
+@example(content=f"{HEADER}\r\n{GOOD_ROW}\r\n2,0.1,1,-0.0,4e-320\r\n".encode())  # CRLF
+@example(content=f"{HEADER}\r{GOOD_ROW}\r2,0.1,1,-0.0,4e-320".encode())  # CR, no last break
+@example(content=f"{HEADER}\n1,-nan,1,5e-324,-1e308\n".encode())  # a signed NaN time
+@example(content=f"{HEADER}\n{GOOD_ROW}\n2,0.1,0,nan,1.0\n".encode())
+@example(content=f"{HEADER}\n{GOOD_ROW}\n2,0.1,0,0.5,-1e999\n".encode())
+@example(content=f"{HEADER}\n{GOOD_ROW}\n2,0.1,-1,0.5,1.0\n".encode())
+@example(content=f"{HEADER}\n2,0.1,2,0.5,1.0\n".encode())
+@example(content=f"{HEADER}\n9223372036854775808,0.1,1,0.5,1.0\n".encode())
+@example(content=f"{HEADER}\n1_0,0.1,1,0.5,1.0\n".encode())
+@example(content=f"{HEADER}\n1,0.1,1,٣.5,1.0\n".encode())
+@example(content=f"{HEADER}\n{GOOD_ROW}\n".encode() + b"\xff\n")
+@example(content=b"oapf v1 d=100000000 labeled=0 fps=30.0\n1,0.0,0.5\n")
+def test_numpy_reader_matches_the_line_loop(feature_dir, content):
+    """``load_feature_file`` gives the bits of ``_read_lines``, or the same
+    DataError, for every file."""
+    path = feature_dir / "edited.oapf"
+    path.write_bytes(content)
+    assert read_outcome(load_feature_file, path) == read_outcome(_read_lines, path)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_written_files_take_the_numpy_pass(tmp_path, labeled):
+    """What ``save_feature_file`` writes is read in the one numpy pass,
+    without a copy of the features out of the record table."""
+    feats = np.random.default_rng(1).normal(size=(5, 3))
+    path = tmp_path / "s.oapf"
+    save_feature_file(path, feats, range(1, 6), np.arange(5) / 30.0,
+                      [0, 1, 1, 0, 1] if labeled else None)
+    data = _read_table(path)
+    assert data is not None and not data.features.flags.owndata
+    assert data.features.tobytes() == feats.tobytes()
+
+
+def test_large_header_d_over_a_short_row_allocates_nothing(tmp_path):
+    """A header d that the first row does not have never sizes a table:
+    the 51-byte file below is refused within a few MB."""
+    path = tmp_path / "big.oapf"
+    path.write_text("oapf v1 d=100000000 labeled=0 fps=30.0\n1,0.0,0.5\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: expected 100000002 columns")):
+            load_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestScenarioParsing:
