@@ -21,8 +21,7 @@ from oap import (
     forgetting_scenario,
     single_video_scenarios,
 )
-from oap.memory import subsample_pretraining
-from oap.rng import seeded_rng
+from oap.presets import carve_replay
 from oap.simstream import generate_pretraining_set, generate_stream
 
 SEED = 0
@@ -75,7 +74,7 @@ def main():
     feats, labels = generate_pretraining_set(artifacts.generator, 20, 500)
     print("  |Dp|    ACER    memory bytes")
     for size in (100, 500, 1000, 5000):
-        replay = subsample_pretraining(feats, labels, size, seeded_rng(SEED, "replay"))
+        replay = carve_replay(feats, labels, size, SEED)
         acer = pooled_acer(artifacts, base, scenarios, replay=replay)
         print(f"  {size:5d}   {acer:.4f}  {size * (artifacts.head.d + 1) * 8:>10d}")
 

@@ -41,19 +41,10 @@ from .engine import (
     read_trace_csv,
 )
 from .errors import ConfigError, DataError, NumericalError, OapError
-from .head import (
-    PRETRAIN_PREFIX,
-    PretrainSchedule,
-    forward_batch,
-    init_head,
-    load_head,
-    pretrain,
-    save_head,
-)
-from .memory import ReplayStore, subsample_pretraining
-from .metrics import MetricReport, evaluate_frames
-from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS
-from .rng import seeded_rng
+from .head import PRETRAIN_PREFIX, PretrainSchedule, load_head, save_head
+from .memory import ReplayStore
+from .metrics import MetricReport, check_both_classes, evaluate_frames
+from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS, carve_replay, fit_head
 from .simstream import (
     GeneratorConfig,
     StreamScenario,
@@ -177,13 +168,8 @@ def cmd_pretrain(args) -> int:
     if data.labels is None:
         raise DataError(f"{args.train}: pre-training data must be labeled")
 
-    head = init_head(data.features.shape[1], seeded_rng(params.seed, "init"))
-    pretrain(head, data.features, data.labels, schedule, seeded_rng(params.seed, "pretrain"))
-    accuracy = float(
-        np.mean((forward_batch(head, data.features) > 0.5).astype(np.int64) == data.labels)
-    )
-    replay = subsample_pretraining(
-        data.features, data.labels, params.replay_size, seeded_rng(params.seed, "replay")
+    head, replay, accuracy = fit_head(
+        data.features, data.labels, params.seed, params.replay_size, schedule
     )
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
@@ -249,7 +235,12 @@ def cmd_run(args) -> int:
             raise DataError(
                 f"{path}: stream dimension {data.features.shape[1]} != head dimension {head.d}"
             )
+        if not len(data.features):
+            raise DataError(f"{path}: empty stream")
         streams.append((Path(path).stem, data))
+    labeled = [data.labels for _, data in streams if data.labels is not None]
+    if labeled:
+        check_both_classes(np.concatenate(labeled))
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
 
@@ -293,15 +284,13 @@ def cmd_sweep(args) -> int:
     stream = load_feature_file(args.stream)
     if stream.labels is None:
         raise DataError(f"{args.stream}: sweep needs a labeled stream")
+    check_both_classes(stream.labels)
     frames = stream.to_frames()
 
     rows = []
     for params in grid:
         value = getattr(params, args.axis)
-        replay = subsample_pretraining(
-            train.features, train.labels, params.replay_size,
-            seeded_rng(params.seed, "replay"),
-        )
+        replay = carve_replay(train.features, train.labels, params.replay_size, params.seed)
         acers = []
         for i in range(runner.seeds):
             run_params = params.replace(seed=params.seed + i)

@@ -136,7 +136,6 @@ class Engine:
         self.online = OnlineBuffer()
         self.replay = replay
         self.params = params
-        self.frame_count = 0
         self.finetune_accumulator = 0.0
         self.cumulative_flops = 0.0  # non-decreasing adaptation FLOPs
         self.last_frame_index: int | None = None  # of the last frame processed
@@ -203,7 +202,6 @@ class Engine:
 
         flops = events * p.iterations_per_call * p.batch_size * per_sample_flops(self.head.d)
         self.cumulative_flops += flops
-        self.frame_count += 1
         return FrameVerdict(frame_index, y, decision, pseudo, events > 0)
 
     def run_stream(

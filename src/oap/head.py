@@ -17,12 +17,8 @@ sane head produces; gradients treat it as the identity.
 
 Parameters, Adam moments, gradients and head files share one layout: a
 flat vector holding w1, b1, w2, b2 in that order, each row-major
-(``ClassifierHead.flat``).
-``loss_and_grad`` returns the gradient in that layout and ``apply_update``
-steps all of it in one pass. The per-frame functions are written for few
-numpy calls and temporaries on these small arrays, but each runs the same
-IEEE operations, in the same order, as the plain expression its docstring
-gives, so the results are bit-identical to it.
+(``ClassifierHead.flat``). ``loss_and_grad`` returns the gradient in that
+layout and ``apply_update`` steps all of it in one pass.
 
 ``loss_and_grad`` checks its inputs, then runs ``_grad_kernel``;
 ``trusted_grad`` runs the kernel alone and skips the loss, with the same
@@ -86,12 +82,13 @@ class ClassifierHead:
         return self.w1.shape[0]
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return self.views(self.flat)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-parameter views of a vector laid out like ``flat``, such as
         a gradient or an Adam moment."""
-        return dict(zip(PARAM_NAMES, _views(flat, [a.shape for a in self.params().values()])))
+        shapes = [a.shape for a in (self.w1, self.b1, self.w2, self.b2)]
+        return dict(zip(PARAM_NAMES, _views(flat, shapes)))
 
     def copy(self) -> "ClassifierHead":
         return ClassifierHead(self.w1, self.b1, self.w2, self.b2)

@@ -38,10 +38,7 @@ class OnlineBuffer:
     the engine calls right before a fine-tune event samples a batch, so
     ``working_labels`` is current as of the last fine-tune event: an entry
     inserted since then carries its raw label, and survivors of an eviction
-    keep the labels smoothed before it. A buffer whose raw labels are all
-    one class, the common case since a stream's live and spoof stretches
-    outlast the eviction horizon, smooths to its raw labels, so the refresh
-    copies them instead of running the majority vote."""
+    keep the labels smoothed before it."""
 
     INITIAL_CAPACITY = 256
     _COLUMNS = ("_features", "_raw", "_working", "_index", "_time")
@@ -149,12 +146,14 @@ class OnlineBuffer:
         already smoothed with ``window`` and no entry has come or gone
         since.
 
-        When every raw label is the same class the vote is unanimous in
-        every window, so the working labels are the raw labels and are
-        copied without calling ``smooth_labels``. The copy is still needed:
-        entries that survived an eviction can hold labels smoothed while
-        the buffer held both classes. The sampler's buckets of one class
-        are then known without a recount: what ``_class_buckets`` gives."""
+        When every raw label is the same class, the common case since a
+        stream's live and spoof stretches outlast the eviction horizon, the
+        vote is unanimous in every window, so the working labels are the raw
+        labels and are copied without calling ``smooth_labels``. The copy is
+        still needed: entries that survived an eviction can hold labels
+        smoothed while the buffer held both classes. The sampler's buckets
+        of one class are then known without a recount: what
+        ``_class_buckets`` gives."""
         if not len(self) or self._smoothed_window == window:
             return
         live = slice(self._lo, self._hi)

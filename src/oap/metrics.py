@@ -24,13 +24,17 @@ def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if scores.shape != labels.shape:
         raise DataError("scores and labels disagree in length")
-    live = scores[labels == ClassLabel.LIVE]
-    spoof = scores[labels == ClassLabel.SPOOF]
-    if len(spoof) == 0:
+    check_both_classes(labels)
+    return scores[labels == ClassLabel.LIVE], scores[labels == ClassLabel.SPOOF]
+
+
+def check_both_classes(labels) -> None:
+    """A DataError unless ``labels`` hold both classes, as every error rate needs."""
+    labels = np.asarray(labels)
+    if not (labels == ClassLabel.SPOOF).any():
         raise DataError("no spoof frames: APCER undefined")
-    if len(live) == 0:
+    if not (labels == ClassLabel.LIVE).any():
         raise DataError("no live frames: BPCER undefined")
-    return live, spoof
 
 
 def fixed_threshold_metrics(scores, labels, threshold: float) -> tuple[float, float, float]:

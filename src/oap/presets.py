@@ -59,19 +59,30 @@ def build_artifacts(
     replay_size: int = 1000,
     schedule: PretrainSchedule | None = None,
 ) -> DeskArtifacts:
-    """Generate the synthetic pre-training set, train a head on it, and
-    carve out the replay store. Fully deterministic under ``seed``."""
+    """Generate the synthetic pre-training set and ``fit_head`` on it.
+    Fully deterministic under ``seed``."""
+    # Imported at call time, so a wrapper patched onto oap.simstream is the one called.
     from .simstream import generate_pretraining_set
 
     generator = GeneratorConfig(d=d, seed=seed)
     feats, labels = generate_pretraining_set(generator, n_users, frames_per_user)
-    head = init_head(d, seeded_rng(seed, "init"))
+    return DeskArtifacts(generator, *fit_head(feats, labels, seed, replay_size, schedule))
+
+
+def fit_head(
+    feats, labels, seed: int, replay_size: int, schedule: PretrainSchedule | None = None
+) -> tuple[ClassifierHead, ReplayStore, float]:
+    """A fresh head trained on the labeled (n, d) ``feats``, the replay
+    store carved from them and the head's accuracy on them, all from ``seed``."""
+    head = init_head(feats.shape[1], seeded_rng(seed, "init"))
     pretrain(head, feats, labels, schedule or PretrainSchedule(), seeded_rng(seed, "pretrain"))
-    accuracy = float(
-        np.mean((forward_batch(head, feats) > 0.5).astype(np.int64) == labels)
-    )
-    replay = subsample_pretraining(feats, labels, replay_size, seeded_rng(seed, "replay"))
-    return DeskArtifacts(generator, head, replay, accuracy)
+    accuracy = float(np.mean((forward_batch(head, feats) > 0.5).astype(np.int64) == labels))
+    return head, carve_replay(feats, labels, replay_size, seed), accuracy
+
+
+def carve_replay(feats, labels, replay_size: int, seed: int) -> ReplayStore:
+    """``replay_size`` rows of the pre-training set, drawn under ``seed``."""
+    return subsample_pretraining(feats, labels, replay_size, seeded_rng(seed, "replay"))
 
 
 def single_video_scenarios(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -240,40 +239,6 @@ def save_feature_file(
             fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
 
 
-# The values each integer column of a feature file admits.
-_INT_RANGES = {"frame index": (-(2**63), 2**63 - 1), "label": (0, 1)}
-
-
-def _checked_rows(
-    path: Path, values: array, linenos: list[int], d: int, int_columns: dict[str, list[int]]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The rows read so far, one per entry of ``linenos``: the features as
-    an (n, d) view of ``values`` and each integer column, by name, as an
-    int64 array.
-    A non-finite feature, or an integer cell outside its ``_INT_RANGES``,
-    is a DataError naming the first line that holds one."""
-    n = len(linenos)
-    features = np.frombuffer(values, dtype=np.float64)[: n * d].reshape(n, d)
-    faults = {}  # row -> what is wrong with it, the first fault of each kind
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        faults[int(finite.argmin())] = "non-finite feature value"
-    columns = {}
-    for name, cells in int_columns.items():
-        low, high = _INT_RANGES[name]
-        try:
-            columns[name] = column = np.array(cells[:n], dtype=np.int64)
-            if column.size and (column.min() < low or column.max() > high):
-                raise OverflowError
-        except OverflowError:  # a cell outside int64, or outside [low, high]
-            row = next(i for i, v in enumerate(cells) if not low <= v <= high)
-            faults.setdefault(row, f"{name} out of range")
-    if faults:
-        row = min(faults)
-        raise DataError(f"{path}:{linenos[row]}: {faults[row]}")
-    return features, columns
-
-
 def load_feature_file(path: str | Path) -> FeatureFileData:
     """Read a feature file. A malformed header (a ``d`` below 1 or too
     large for one float64 row, or an ``fps`` that is not finite and > 0),
@@ -356,31 +321,18 @@ def _read_table(path: Path) -> FeatureFileData | None:
 
 def _read_lines(path: Path) -> FeatureFileData:
     """The file a line at a time: the reader that names a malformed file's
-    first bad line, and the reference ``_read_table`` is tested against."""
+    first bad line, and the reference ``_read_table`` is tested against.
+    Each row is checked as it is read: its column count, then that every
+    cell parses, then that its features are finite, its frame index fits
+    int64 and its label is 0 or 1."""
     try:
-        return _parse_lines(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file ({exc.reason})") from exc
-
-
-def _parse_lines(path: Path) -> FeatureFileData:
-    """The feature cells go into one float64 buffer that is checked for
-    finiteness once, with the integer columns, at the end or before an
-    error for a later line is raised."""
-    with open(path) as fh:
-        d, labeled, frame_rate = _read_header(path, fh)
-
-        first = 2 + int(labeled)  # the first feature column
-        expected_cols = first + d
-        frame_indices: list[int] = []
-        times: list[float] = []
-        labels: list[int] = []
-        int_columns = {"frame index": frame_indices, **({"label": labels} if labeled else {})}
-        values = array("d")  # the feature cells of every row, row-major
-        linenos: list[int] = []  # the line of each row
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
+        with open(path) as fh:
+            d, labeled, frame_rate = _read_header(path, fh)
+            first = 2 + int(labeled)  # the first feature column
+            expected_cols = first + d
+            # The columns; ``values`` holds the feature cells of every row, row-major.
+            frame_indices, times, labels, values = [], [], [], []
+            for lineno, line in enumerate(map(str.strip, fh), start=2):
                 if not line:
                     continue
                 cols = line.split(",")
@@ -389,26 +341,27 @@ def _parse_lines(path: Path) -> FeatureFileData:
                         f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}"
                     )
                 try:
-                    frame_indices.append(int(cols[0]))
-                    times.append(float(cols[1]))
-                    if labeled:
-                        labels.append(int(cols[2]))
-                    values.extend(map(float, cols[first:]))
+                    index, time = int(cols[0]), float(cols[1])
+                    label = int(cols[2]) if labeled else 0
+                    feature = [float(c) for c in cols[first:]]
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: unparseable value") from exc
-                linenos.append(lineno)
-        except (DataError, UnicodeDecodeError):
-            # A bad cell on an earlier line is the first fault.
-            _checked_rows(path, values, linenos, d, int_columns)
-            raise
-
-    features, columns = _checked_rows(path, values, linenos, d, int_columns)
+                if not all(map(math.isfinite, feature)):
+                    raise DataError(f"{path}:{lineno}: non-finite feature value")
+                if not -(2**63) <= index < 2**63:
+                    raise DataError(f"{path}:{lineno}: frame index out of range")
+                if label not in (0, 1):
+                    raise DataError(f"{path}:{lineno}: label out of range")
+                frame_indices.append(index)
+                times.append(time)
+                labels.append(label)
+                values.extend(feature)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc.reason})") from exc
     return FeatureFileData(
-        features=features,
-        labels=columns.get("label"),
-        frame_indices=columns["frame index"],
-        times=np.array(times, dtype=np.float64),
-        frame_rate=frame_rate,
+        np.array(values, dtype=np.float64).reshape(len(times), d),
+        np.array(labels, dtype=np.int64) if labeled else None,
+        np.array(frame_indices, dtype=np.int64), np.array(times, dtype=np.float64), frame_rate,
     )
 
 

@@ -3,6 +3,7 @@ pipeline in a temp directory, exit codes, and config-echo reproducibility."""
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from oap.engine import read_trace_csv
 from oap.head import PretrainSchedule, save_head
 from oap.memory import ReplayStore
 from oap.presets import build_artifacts
-from oap.simstream import load_feature_file
+from oap.simstream import load_feature_file, save_feature_file
 
 
 def sha(path):
@@ -410,6 +411,43 @@ def test_run_on_a_bad_stream_exits_3_without_a_trace(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("kept, message", [
+    (0, "no spoof frames: APCER undefined"), (1, "no live frames: BPCER undefined"),
+])
+def test_one_class_stream_exits_3_writing_nothing(pipeline, tmp_path, capsys, command, kept,
+                                                   message):
+    """The error rates need both classes, so ``oap run`` and ``oap sweep``
+    refuse a labeled stream of one class before they write anything."""
+    _, gen_dir, pre_dir = pipeline
+    data = load_feature_file(gen_dir / "stream_seed0.oapf")
+    rows = data.labels == kept
+    one_class = tmp_path / "one_class.oapf"
+    save_feature_file(one_class, data.features[rows], data.frame_indices[rows],
+                      data.times[rows], data.labels[rows])
+    argv = {
+        "run": ["run", "--out", str(tmp_path / "out"), "--mode", "frozen",
+                "--head", str(pre_dir / "head.oaph"), "--stream", str(one_class)],
+        "sweep": command_argv("sweep", pipeline, tmp_path) + ["--stream", str(one_class)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_stream_exits_3_writing_nothing(pipeline, tmp_path, capsys):
+    """A stream file of no rows is refused at the door too."""
+    _, _, pre_dir = pipeline
+    empty = tmp_path / "empty.oapf"
+    empty.write_text("oapf v1 d=8 labeled=1 fps=30.0\n")
+    capsys.readouterr()
+    assert main(["run", "--out", str(tmp_path / "out"), "--mode", "frozen",
+                 "--head", str(pre_dir / "head.oaph"), "--stream", str(empty)]) == 3
+    assert f"{empty}: empty stream" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def seed_traces(pipeline):
     """Trace CSVs of a two-seed oap run on one stream, for the report tests."""
@@ -495,3 +533,28 @@ def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, 
     assert main(argv) == code
     assert f"{bad}: not a text file" in capsys.readouterr().err
     assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The ``oap`` command lines of the README's CLI walkthrough, with line
+    continuations joined, each split as a shell would."""
+    section = README.read_text().split("## CLI walkthrough", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("oap ")]
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI walkthrough exits 0, in order, in
+    a fresh directory."""
+    commands = readme_cli_commands()
+    assert [argv[1] for argv in commands] == [
+        "generate", "pretrain", "run", "run", "sweep", "report",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv[1:])
+        assert code == 0, (argv, capsys.readouterr().err)

@@ -98,7 +98,7 @@ class TestFiringCadence:
         engine = Engine(head, replay, desk_params(finetune_freq=1.0))
         trace = engine.run_stream(frames[:50])
         assert all(r.finetuned for r in trace)
-        assert engine.frame_count == 50
+        assert engine.last_frame_index == 50
 
     def test_every_hundredth_frame_at_0p01(self, artifacts):
         head, replay, frames, _ = artifacts
@@ -243,7 +243,6 @@ def engine_state(engine):
         buf.times.tobytes(),
         buf.features_matrix().tobytes(),
         engine.finetune_accumulator,
-        engine.frame_count,
         engine.cumulative_flops,
         engine.last_frame_index,
         engine.last_frame_time,
@@ -343,7 +342,7 @@ class TestInputContract:
         _, _, frames, _ = artifacts
         engine = self.warmed_engine(artifacts)
         engine.process_frame(frames[3].feature, 4, 2 / 30)
-        assert engine.frame_count == 4
+        assert engine.last_frame_index == 4
 
     # Margin 1e-9 discards the first frame, so its batch comes from the
     # replay store alone; margin 0.5 stores it, and online_prob 0.5 then

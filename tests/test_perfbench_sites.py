@@ -91,6 +91,33 @@ def test_every_cli_span_is_called(perfbench, tmp_path):
     assert all(n > 0 for n in calls.values()), calls
 
 
+def test_every_setup_span_is_called(perfbench, tmp_path):
+    """The set-up spans cover both ways a workload builds its inputs:
+    ``build_artifacts`` for the engine workloads and ``oap generate`` plus
+    ``oap pretrain`` for the CLI one. Some patched names may be gone (the
+    CLI trains through ``oap.presets``), but every span must be called."""
+    spans, workloads = perfbench
+    out = tmp_path / "setup"
+    tracer = spans.Tracer()
+    workloads.patch_setup(tracer)
+    try:
+        build_artifacts(0, d=8, n_users=4, frames_per_user=60, replay_size=40)
+        assert oap.cli.main([
+            "generate", "--out", str(out), "--set", "d=8", "--set", "n_users=4",
+            "--set", "frames_per_user=20", "--set", "segments=live:10,spoof:10",
+        ]) == 0
+        assert oap.cli.main([
+            "pretrain", "--out", str(out), "--train", str(out / "train.oapf"),
+            "--set", "replay_size=10", "--set", "pretrain_iterations=10",
+        ]) == 0
+    finally:
+        tracer.unpatch()
+
+    table = tracer.table()
+    calls = {name: table.get(name, {}).get("calls", 0) for name in workloads.SETUP_SPANS}
+    assert all(n > 0 for n in calls.values()), calls
+
+
 # perfbench's output checks read record fields (``v.finetuned_this_frame``,
 # ``r.buffer_size``, ...) and the files ``oap run`` writes; a change that
 # breaks one of those reads shows up here as a failed check, not only as

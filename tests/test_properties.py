@@ -7,7 +7,8 @@ the stacked forward pass against per-row forward and the baselines
 against a per-frame fold, bit for bit, the engine's trusted gradient step
 against the checked ``loss_and_grad``, alone and over whole streams, and
 the column-wise trace writers against the per-row writers they replaced,
-byte for byte."""
+byte for byte, and the file readers on edited bytes, which either read or
+raise their own error type."""
 
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oap.engine
-from oap.config import PseudoLabel
+from oap.config import PseudoLabel, parse_kv_file
 from oap.engine import (
     _FIELD_TYPES,
     SCORE_ROWS_PER_CALL,
@@ -33,7 +34,7 @@ from oap.engine import (
     write_trace_csv,
     write_trace_jsonl,
 )
-from oap.errors import DataError, NumericalError
+from oap.errors import ConfigError, DataError, NumericalError
 from oap.head import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -47,12 +48,16 @@ from oap.head import (
     apply_update,
     forward,
     forward_batch,
+    init_head,
+    load_head,
     loss_and_grad,
+    save_head,
     trusted_grad,
 )
 from oap.memory import OnlineBuffer, ReplayStore, _class_buckets, sample_batch
 from oap.presets import build_artifacts, continual_scenario, desk_params
 from oap.pseudolabel import smooth_labels
+from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, generate_stream
 
 D = 3
@@ -783,3 +788,79 @@ def test_engine_on_the_trusted_step_matches_the_checked_step(
                      engine.adam.m_flat.tobytes(), engine.adam.v_flat.tobytes(),
                      engine.adam.step_count))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Readers on edited bytes
+# ---------------------------------------------------------------------------
+
+# Bytes an edit inserts: one that is not UTF-8, the separators and line
+# breaks of the text formats, or any byte at all.
+INSERTED_BYTES = st.one_of(
+    st.sampled_from([b"\xff", b"\n", b"\r", b",", b"=", b"#", b"{", b'"', b"-"]),
+    st.binary(min_size=1, max_size=1),
+)
+
+
+@st.composite
+def edited_bytes(draw, content: bytes) -> bytes:
+    """``content`` after 1-3 edits, each truncating it, flipping bits of
+    one byte or inserting a byte."""
+    data = bytearray(content)
+    for _ in range(draw(st.integers(1, 3))):
+        # Every format keeps its header first: half the edits land there.
+        at = draw(st.one_of(st.integers(0, min(len(data), 24)), st.integers(0, len(data))))
+        kind = draw(st.sampled_from(["truncate", "flip", "insert"]))
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        else:
+            data[at:at] = draw(INSERTED_BYTES)
+    return bytes(data)
+
+
+# Each reader, the file it reads and the one error type it may raise.
+READERS = {
+    "load_head": (load_head, "head.oaph", DataError),
+    "ReplayStore.load": (ReplayStore.load, "replay.oapf", DataError),
+    "read_trace_csv": (read_trace_csv, "trace.csv", DataError),
+    "read_trace_jsonl": (read_trace_jsonl, "trace.jsonl", DataError),
+    "parse_kv_file": (parse_kv_file, "config.cfg", ConfigError),
+}
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """One valid file for each reader: the bytes the edits start from."""
+    root = tmp_path_factory.mktemp("readers")
+    save_head(init_head(2, seeded_rng(0, "init")), root / "head.oaph")
+    features = np.random.default_rng(0).normal(size=(4, 2))
+    ReplayStore(features, [0, 1, 1, 0]).save(root / "replay.oapf")
+    trace = [TraceRecord(1, 0, 0.25, 0, 1, True, 3, 1536.0),
+             TraceRecord(2, None, 0.75, 1, None, False, 0, 0.0)]
+    write_trace_csv(root / "trace.csv", trace)
+    write_trace_jsonl(root / "trace.jsonl", trace)
+    (root / "config.cfg").write_text("# desk run\nmargin = 0.05\n\nsegments = live:9  # one\n")
+    sources = {}
+    for name, (read, file, _) in READERS.items():
+        read(root / file)
+        sources[name] = (root / file).read_bytes()
+    return root, sources
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reader_on_edited_bytes_reads_or_raises_its_error(reader_files, reader, data):
+    """A truncated file, a flipped byte or an inserted byte (one that is not
+    UTF-8 included) makes each reader return a value or raise its own error
+    type, never another exception."""
+    root, sources = reader_files
+    read, file, error = READERS[reader]
+    path = root / f"edited_{file}"
+    path.write_bytes(data.draw(edited_bytes(sources[reader])))
+    try:
+        read(path)
+    except error:
+        pass

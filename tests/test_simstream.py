@@ -70,16 +70,6 @@ OUT_OF_RANGE_CHANGES = [
 
 
 @pytest.mark.parametrize("change,message", OUT_OF_RANGE_CHANGES)
-@pytest.mark.parametrize("generate", [
-    lambda cfg: generate_pretraining_set(cfg, 4, 10),
-    lambda cfg: generate_stream(cfg, StreamScenario((Segment(ClassLabel.LIVE, 10),))),
-], ids=["pretraining_set", "stream"])
-def test_both_generators_check_the_config(generate, change, message):
-    with pytest.raises(ConfigError, match=message):
-        generate(dataclasses.replace(CFG, **change))
-
-
-@pytest.mark.parametrize("change,message", OUT_OF_RANGE_CHANGES)
 @pytest.mark.parametrize("build", [
     lambda change: GeneratorConfig(**change),
     lambda change: dataclasses.replace(CFG, **change),
