@@ -137,7 +137,8 @@ def check_ranges(obj, checks, prefix: str = "") -> None:
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse a flat config file: one ``key = value`` per line, ``#`` starts
-    a comment, blank lines ignored. Returns raw string values."""
+    a comment, blank lines ignored. Returns raw string values. A file with
+    no ``key = value`` line (an empty one, say) is a ConfigError."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -151,6 +152,8 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         mapping[key.strip()] = value.strip()
+    if not mapping:
+        raise ConfigError(f"{path}: no 'key = value' line")
     return mapping
 
 

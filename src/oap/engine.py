@@ -44,7 +44,7 @@ from .head import (
 )
 # Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
 from .head import trusted_grad as loss_and_grad
-from .memory import OnlineBuffer, ReplayStore, sample_batch
+from .memory import OnlineBuffer, ReplayStore, check_frame_index, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
 from .simstream import StreamFrame
@@ -73,6 +73,13 @@ def calibrated_kflops_per_frame(params: HyperParams) -> float:
     factors cancel analytically; computing it in that canceled form keeps
     the reference figures exact in float."""
     return FULL_SCALE_KFLOPS_PER_FRAME * params.finetune_freq
+
+
+# Enum members read on every frame, as module constants: a member read off
+# its class costs about ten module-global reads. assign_pseudo_label returns
+# members of PseudoLabel, so a discard is tested by identity.
+_LIVE, _SPOOF = ClassLabel.LIVE, ClassLabel.SPOOF
+_DISCARD = PseudoLabel.DISCARD
 
 
 class FrameVerdict(NamedTuple):
@@ -116,7 +123,7 @@ def _fold(
     trace = []
     for frame, truth in zip(frames, truths):
         y, *context = step(frame)
-        decision = int(ClassLabel.SPOOF if y > eval_threshold else ClassLabel.LIVE)
+        decision = int(_SPOOF if y > eval_threshold else _LIVE)
         trace.append(TraceRecord(frame.frame_index, truth, y, decision, *context))
     return trace
 
@@ -141,13 +148,19 @@ class Engine:
         self.last_frame_index: int | None = None  # of the last frame processed
         self.last_frame_time: float | None = None
         self.rng = seeded_rng(params.seed, "sampler")
+        # FLOPs of one fine-tune event; finetune_freq <= 1 fires at most one a frame.
+        self._event_flops = (
+            params.iterations_per_call * params.batch_size * per_sample_flops(head.d)
+        )
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
         """Score one frame, then let it adapt the head. Frame indices must
         strictly increase and times must be finite and never decrease; a
-        frame that breaks this, or whose feature has the wrong dimension or
+        frame that breaks this, whose index is not an int64 integer (see
+        ``check_frame_index``), or whose feature has the wrong dimension or
         a non-finite value, raises DataError before any state changes."""
         p = self.params
+        frame_index = check_frame_index(frame_index)
         if not math.isfinite(time):
             raise DataError(f"non-finite frame time {time!r}")
         if self.last_frame_index is not None:
@@ -164,10 +177,10 @@ class Engine:
         if y.__class__ is not float:  # forward scored a stack of rows
             raise _not_a_row(self.head, feature)
         self.last_frame_index, self.last_frame_time = frame_index, time
-        decision = ClassLabel.SPOOF if y > p.eval_threshold else ClassLabel.LIVE
+        decision = _SPOOF if y > p.eval_threshold else _LIVE
         pseudo = assign_pseudo_label(y, p.margin)
 
-        if pseudo != PseudoLabel.DISCARD:
+        if pseudo is not _DISCARD:
             self.online.insert(feature, pseudo, frame_index, time)
         self.online.evict_old(time, p.eviction_horizon)
 
@@ -200,8 +213,8 @@ class Engine:
                 break
             events += 1
 
-        flops = events * p.iterations_per_call * p.batch_size * per_sample_flops(self.head.d)
-        self.cumulative_flops += flops
+        if events:
+            self.cumulative_flops += self._event_flops
         return FrameVerdict(frame_index, y, decision, pseudo, events > 0)
 
     def run_stream(

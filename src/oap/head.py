@@ -31,6 +31,15 @@ majority-smoothed values of those. Replay rows and labels passed
 ``Engine`` refuses a replay store whose ``d`` differs from the head's.
 ``sample_batch`` builds a ``(batch_size, d)`` float64 matrix with at least
 one row.
+
+Hot-path rules. The per-frame step (``forward`` on one row, the
+pseudo-label, the buffer update) and the training step keep off numpy's
+Python-level slow paths, with the same bits:
+
+- finite checks count (``all_finite``) rather than call ``.all()``;
+- reductions call the ufunc (``np.add.reduce``), never a method such as
+  ``.sum()`` or ``.any()``;
+- ``forward``'s scalar tail runs on Python floats, not numpy scalars.
 """
 
 from __future__ import annotations
@@ -146,6 +155,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def all_finite(a: np.ndarray) -> np.bool_:
+    """What ``np.isfinite(a).all()`` gives, by a count, which skips the
+    method's Python-level wrapper; an empty array is all finite."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
     """``feats`` as a finite float64 matrix of shape (n, d); any other
     shape or a non-finite value is a DataError."""
@@ -154,7 +169,7 @@ def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
         raise DataError(
             f"feature dimension mismatch: head expects shape (n, {head.d}), got {feats.shape}"
         )
-    if not np.isfinite(feats).all():
+    if not all_finite(feats):
         raise DataError("non-finite value in feature input")
     return feats
 
@@ -166,9 +181,12 @@ def forward(head: ClassifierHead, feature):
     of their probabilities, each with the bits of its row on its own. Any
     other shape, or a non-finite value, is a DataError.
 
-    The products keep their shapes, (1, d) @ (d, 64) and (1, 64) @ (64,),
-    and the scalar tail runs the sigmoid branch and clamp on one float,
-    with ``np.exp`` (``math.exp`` rounds differently on some inputs)."""
+    The products keep their shapes, (1, d) @ (d, 64) and (1, 64) . (64,);
+    the bias add and the ReLU write into the first. ``np.dot`` of a row and
+    a vector runs the float64 dot that matmul runs on them, with less
+    dispatch. The scalar tail runs the sigmoid branch and clamp on Python
+    floats, with ``np.exp`` (``math.exp`` rounds differently on some
+    inputs)."""
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape != (head.d,):
         if feature.ndim == 2:
@@ -176,16 +194,18 @@ def forward(head: ClassifierHead, feature):
         raise DataError(
             f"feature dimension mismatch: head expects shape ({head.d},), got {feature.shape}"
         )
-    if not np.isfinite(feature).all():
+    if not all_finite(feature):
         raise DataError("non-finite value in feature input")
-    hidden = np.maximum(feature[None, :] @ head.w1 + head.b1, 0.0)
-    z = float((hidden @ head.w2)[0]) + float(head.b2[0])
+    hidden = feature[None, :] @ head.w1
+    np.add(hidden, head.b1, out=hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    z = np.dot(hidden, head.w2).item() + head.b2.item()
     if z >= 0:
-        y = 1.0 / (1.0 + np.exp(-z))
+        y = 1.0 / (1.0 + float(np.exp(-z)))
     else:
-        e = np.exp(z)
+        e = float(np.exp(z))
         y = e / (1.0 + e)
-    return float(min(max(y, PROB_EPS), 1.0 - PROB_EPS))
+    return min(max(y, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
@@ -260,7 +280,12 @@ def _grad_kernel(head: ClassifierHead, feats: np.ndarray, labels: np.ndarray):
     dhidden = dlogits[:, None] * head.w2
     dz1 = dhidden * (z1 > 0.0)
     grad = np.concatenate(
-        ((feats.T @ dz1).ravel(), dz1.sum(axis=0), hidden.T @ dlogits, dlogits.sum(keepdims=True))
+        (
+            (feats.T @ dz1).ravel(),
+            np.add.reduce(dz1, axis=0),
+            hidden.T @ dlogits,
+            np.add.reduce(dlogits, keepdims=True),
+        )
     )
     return y, grad
 
@@ -301,7 +326,7 @@ def apply_update(
     g = np.asarray(grad)
     if g.shape != head.flat.shape:
         raise DataError(f"gradient shape mismatch: {g.shape} vs {head.flat.shape}")
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         raise NumericalError(f"non-finite gradient for parameter {_first_nonfinite(g, head)!r}")
 
     t = state.step_count + 1
@@ -324,7 +349,7 @@ def apply_update(
     no_decay = decay == 0.0 and math.copysign(1.0, decay) == 1.0
     if not no_decay:
         np.subtract(theta_new, np.multiply(decay, theta, out=b), out=a)
-    if not np.isfinite(theta_new).all():
+    if not all_finite(theta_new):
         raise NumericalError(
             f"update produced non-finite values in {_first_nonfinite(theta_new, head)!r}"
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,25 @@ import numpy as np
 from .config import ClassLabel, PseudoLabel
 from .errors import DataError
 from .pseudolabel import smooth_labels
+
+
+# An enum member as a module constant, read faster than off its class.
+_DISCARD = PseudoLabel.DISCARD
+
+# The frame indices the buffer's int64 column can hold.
+_INDEX_MIN, _INDEX_MAX = -(2**63), 2**63 - 1
+
+
+def check_frame_index(frame_index) -> int:
+    """``frame_index`` as an int. A value ``operator.index`` refuses (a
+    float, say) or one outside int64 is a DataError."""
+    try:
+        index = operator.index(frame_index)
+    except TypeError:
+        raise DataError(f"frame index {frame_index!r} is not an integer") from None
+    if not _INDEX_MIN <= index <= _INDEX_MAX:
+        raise DataError(f"frame index {index} lies outside int64")
+    return index
 
 
 class OnlineBuffer:
@@ -51,6 +71,9 @@ class OnlineBuffer:
         self._index = np.empty(cap, dtype=np.int64)
         self._time = np.empty(cap, dtype=np.float64)
         self._lo = self._hi = 0
+        # The index and time of the last entry inserted, the newest one
+        # while the buffer is not empty, as Python numbers.
+        self._last: tuple[int, float] | None = None
         # The window the working labels were last smoothed with and the
         # sampler's class buckets of them; None once an insert or an
         # eviction makes them stale.
@@ -83,19 +106,20 @@ class OnlineBuffer:
 
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
         """Append an accepted entry. The working label starts equal to the
-        raw label until the next smoothing pass."""
-        if pseudo_label == PseudoLabel.DISCARD:
+        raw label until the next smoothing pass. A refused entry (see
+        ``check_frame_index`` for the index) raises DataError and leaves
+        the buffer as it was."""
+        if pseudo_label == _DISCARD:
             raise DataError("discard labels are never inserted into the online buffer")
+        frame_index = check_frame_index(frame_index)
         if not math.isfinite(time):
             raise DataError(f"non-finite insert time {time!r}")
         if self._hi > self._lo:
-            last = self._hi - 1
-            if frame_index <= self._index[last]:
-                raise DataError(
-                    f"out-of-order insert: frame {frame_index} after {self._index[last]}"
-                )
-            if time < self._time[last]:
-                raise DataError(f"out-of-order insert: time {time!r} after {self._time[last]!r}")
+            last_index, last_time = self._last
+            if frame_index <= last_index:
+                raise DataError(f"out-of-order insert: frame {frame_index} after {last_index}")
+            if time < last_time:
+                raise DataError(f"out-of-order insert: time {time!r} after {last_time!r}")
         feature = np.asarray(feature, dtype=np.float64)
         if self._features is None:
             self._features = np.empty((len(self._raw),) + feature.shape)
@@ -107,9 +131,10 @@ class OnlineBuffer:
             self._make_room()
         i = self._hi
         self._features[i] = feature
-        self._raw[i] = self._working[i] = pseudo_label
+        self._raw[i] = self._working[i] = int(pseudo_label)
         self._index[i] = frame_index
         self._time[i] = time
+        self._last = frame_index, time
         self._hi = i + 1
         self._smoothed_window = self._buckets = None
 
@@ -132,7 +157,7 @@ class OnlineBuffer:
         the evicted entries are a prefix."""
         cutoff = horizon - horizon * 1e-12
         lo, hi, times = self._lo, self._hi, self._time
-        while lo < hi and not now - times[lo] < cutoff:
+        while lo < hi and not now - times.item(lo) < cutoff:
             lo += 1
         if lo == self._lo:
             return

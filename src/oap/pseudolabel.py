@@ -16,6 +16,10 @@ import numpy as np
 
 from .config import PseudoLabel
 
+# The labels as module constants: a member read off its class costs about
+# ten module-global reads, more than the rest of ``assign_pseudo_label``.
+_SPOOF, _LIVE, _DISCARD = PseudoLabel.SPOOF, PseudoLabel.LIVE, PseudoLabel.DISCARD
+
 
 def assign_pseudo_label(y: float, margin: float) -> PseudoLabel:
     """Three-way confidence rule.
@@ -26,12 +30,12 @@ def assign_pseudo_label(y: float, margin: float) -> PseudoLabel:
     tie at 0.5 resolves to live.
     """
     if y > 1.0 - margin:
-        return PseudoLabel.SPOOF
+        return _SPOOF
     if y < margin:
-        return PseudoLabel.LIVE
+        return _LIVE
     if margin == 0.5:
-        return PseudoLabel.LIVE
-    return PseudoLabel.DISCARD
+        return _LIVE
+    return _DISCARD
 
 
 def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
@@ -50,7 +54,7 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
         raise ValueError("frame_indices and labels disagree in length")
     if idx.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if (idx[1:] <= idx[:-1]).any():
+    if np.count_nonzero(idx[1:] <= idx[:-1]):
         raise ValueError("frame indices must be strictly increasing")
 
     half = window / 2.0

@@ -112,9 +112,11 @@ class TestPretrain:
                      "--set", "replay_size=10"]) == 3
 
     def test_same_head_and_replay_as_build_artifacts(self, tmp_path):
-        """``oap generate`` + ``oap pretrain`` and ``build_artifacts`` each
-        spell the seed's ``init``, ``pretrain`` and ``replay`` sub-streams;
-        for one seed they train the same head and keep the same replay."""
+        """``oap pretrain`` and ``build_artifacts`` both train through
+        ``presets.fit_head``, so this guards how the CLI passes the seed,
+        ``replay_size`` and the schedule to it: for one seed, ``oap
+        generate`` + ``oap pretrain`` train the same head and keep the same
+        replay as ``build_artifacts``."""
         seed, gen, pre = 3, tmp_path / "gen", tmp_path / "pre"
         assert main([
             "generate", "--out", str(gen), "--set", f"seed={seed}", "--set", "d=8",
@@ -532,6 +534,56 @@ def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, 
     capsys.readouterr()
     assert main(argv) == code
     assert f"{bad}: not a text file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def truncated_mid_row(source: bytes) -> bytes:
+    """``source`` cut halfway through its middle line, or for a binary head
+    file halfway through a parameter."""
+    if source.startswith(b"OAPH"):
+        return source[: len(source) // 2 + 3]
+    lines = source.split(b"\n")
+    middle = len(lines) // 2
+    return b"\n".join(lines[:middle] + [lines[middle][: len(lines[middle]) // 2]])
+
+
+BROKEN_FILES = {
+    "corrupt": lambda source: b"\xff" + source,
+    "empty": lambda source: b"",
+    "truncated mid-row": truncated_mid_row,
+}
+CONFIG_TEXT = b"seed = 0\nreplay_size = 10\npretrain_iterations = 10\n"
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_FILES))
+@pytest.mark.parametrize("command, flag", [
+    ("pretrain", "--train"), ("run", "--head"), ("run", "--replay"), ("run", "--stream"),
+    ("sweep", "--head"), ("sweep", "--train"), ("sweep", "--stream"), ("report", "--trace"),
+    ("generate", "--config"), ("pretrain", "--config"), ("run", "--config"),
+    ("sweep", "--config"),
+])
+def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_traces, tmp_path,
+                                                               capsys, command, flag, broken):
+    """Every flag that reads a file, given a corrupt file (one that starts
+    with a byte that is not UTF-8), an empty one or one truncated mid-row,
+    exits 2 for a config file or 3 for a data file, names the file and
+    writes no output."""
+    _, gen_dir, pre_dir = pipeline
+    source = {
+        "--train": gen_dir / "train.oapf", "--stream": gen_dir / "stream_seed0.oapf",
+        "--head": pre_dir / "head.oaph", "--replay": pre_dir / "replay.oapf",
+        "--trace": seed_traces[0],
+    }.get(flag)
+    bad = tmp_path / "bad"
+    bad.write_bytes(BROKEN_FILES[broken](source.read_bytes() if source else CONFIG_TEXT))
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", "--trace", str(bad), "--out", str(out)]
+    else:
+        argv = command_argv(command, pipeline, tmp_path) + [flag, str(bad)]
+    capsys.readouterr()
+    assert main(argv) == (2 if flag == "--config" else 3)
+    assert str(bad) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -176,6 +176,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_kv_file(cfg)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
+    def test_file_without_an_entry_rejected(self, tmp_path, text):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}: no 'key = value' line")):
+            parse_kv_file(cfg)
+
     def test_undecodable_bytes_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"margin = 0.05\nseed = \xff\n")

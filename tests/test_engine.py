@@ -308,6 +308,41 @@ class TestInputContract:
         with pytest.raises(DataError, match=re.escape(f"got {np.shape(feature)}")):
             engine.process_frame(feature, 4, 3 / 30)
 
+    # Indices operator.index refuses, or outside int64, after frame 3.
+    BAD_INDICES = {
+        "beyond int64": 2**70,
+        "just past int64": 2**63,
+        "half past the last": 3.5,
+        "integral float": 4.0,
+        "numpy float": np.float64(4.0),
+        "string": "4",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INDICES))
+    def test_bad_index_type_or_range_rejected_without_state_change(self, artifacts, case):
+        """The index is refused before the frame is scored, so the engine
+        (its last index, buffer, head and sampler state) is as it was and
+        later frames give the verdicts of an engine that never saw it."""
+        _, _, frames, _ = artifacts
+        engine, reference = self.warmed_engine(artifacts), self.warmed_engine(artifacts)
+        before = engine_state(engine)
+        with pytest.raises(DataError, match="frame index"):
+            engine.process_frame(frames[3].feature, self.BAD_INDICES[case], 3 / 30)
+        assert engine_state(engine) == before
+        for k in range(3, 40):
+            a = engine.process_frame(frames[k].feature, k + 1, k / 30)
+            assert a == reference.process_frame(frames[k].feature, k + 1, k / 30)
+
+    @pytest.mark.parametrize("index", [2**70, -(2**63) - 1])
+    def test_first_frame_index_must_fit_int64(self, artifacts, index):
+        head, replay, frames, _ = artifacts
+        engine = Engine(head, replay, desk_params())
+        before = engine_state(engine)
+        with pytest.raises(DataError, match="lies outside int64"):
+            engine.process_frame(frames[0].feature, index, 0.0)
+        assert engine_state(engine) == before
+        assert engine.process_frame(frames[0].feature, 1, 0.0).frame_index == 1
+
     def test_first_frame_time_must_be_finite(self, artifacts):
         head, replay, frames, _ = artifacts
         engine = Engine(head, replay, desk_params())
@@ -398,6 +433,50 @@ class TestCostModel:
         assert all(b >= a for a, b in zip(flops, flops[1:]))
         assert flops[98] == 0.0  # nothing fired yet
         assert flops[99] > 0.0  # first event at frame 100
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    @pytest.mark.parametrize("finetune_freq", [1.0, 0.37, 0.05])
+    def test_ledger_is_the_running_sum_of_the_per_frame_formula(self, artifacts, monkeypatch,
+                                                                finetune_freq, iterations):
+        """After every frame the ledger holds, bit for bit, the running sum
+        of ``events * iterations * batch_size * per_sample_flops(d)`` with
+        the frame's committed events: none while both stores are empty,
+        none for a rolled-back frame."""
+        import oap.engine as engine_mod
+
+        head, _, frames, _ = artifacts
+        params = desk_params(finetune_freq=finetune_freq, iterations_per_call=iterations)
+        engine = Engine(head, ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64)), params)
+        # The first 25 frames are discarded, so the accumulator fires while
+        # both stores are empty; the third gradient is poisoned, which
+        # rolls its frame back.
+        real_assign, real_grad = engine_mod.assign_pseudo_label, engine_mod.loss_and_grad
+        grads = []
+
+        def assign(y, margin):
+            return PseudoLabel.DISCARD if frame <= 25 else real_assign(y, margin)
+
+        def grad(h, feats, labels):
+            loss, g = real_grad(h, feats, labels)
+            grads.append(1)
+            if len(grads) == 3:
+                g[0] = np.nan
+            return loss, g
+
+        monkeypatch.setattr(engine_mod, "assign_pseudo_label", assign)
+        monkeypatch.setattr(engine_mod, "loss_and_grad", grad)
+        ledger, fired_empty, rolled_back, events = 0.0, 0, 0, 0
+        for frame, f in enumerate(frames[:200], start=1):
+            accumulator, calls = engine.finetune_accumulator, len(grads)
+            v = engine.process_frame(f.feature, f.frame_index, f.time)
+            committed = int(v.finetuned_this_frame)
+            ledger += committed * iterations * params.batch_size * per_sample_flops(D)
+            assert engine.cumulative_flops.hex() == ledger.hex()
+            fired = engine.finetune_accumulator < accumulator + finetune_freq
+            fired_empty += fired and len(engine.online) == 0
+            rolled_back += fired and len(grads) > calls and not committed
+            events += committed
+        assert fired_empty > 0 and rolled_back == 1 and events > 1
 
 
 class TestFrozenBaseline:

@@ -31,6 +31,45 @@ class TestOnlineBuffer:
         with pytest.raises(DataError, match="out-of-order"):
             buf.insert(feat(2), PseudoLabel.LIVE, 5, 0.1)
 
+    BAD_INDICES = {
+        "beyond int64": 2**70,
+        "just past int64": 2**63,
+        "just below int64": -(2**63) - 1,
+        "half past the last": 40.5,
+        "integral float": 41.0,
+        "numpy float": np.float64(41.0),
+        "string": "41",
+        "none": None,
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INDICES))
+    def test_index_outside_int64_or_not_an_integer_refused(self, case):
+        """An index ``operator.index`` refuses, or one the int64 column
+        cannot hold, raises DataError and leaves the buffer as it was;
+        the next valid entry goes in and a mixed-class refresh runs."""
+        buf = OnlineBuffer()
+        buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
+        buf.insert(feat(2), PseudoLabel.SPOOF, 40, 0.1)
+
+        def contents():
+            return buf.frame_indices, buf.raw_labels, buf.times, buf.features_matrix()
+
+        before = contents()
+        with pytest.raises(DataError, match="frame index"):
+            buf.insert(feat(3), PseudoLabel.SPOOF, self.BAD_INDICES[case], 0.2)
+        for was, now in zip(before, contents()):
+            np.testing.assert_array_equal(now, was)
+        buf.insert(feat(3), PseudoLabel.SPOOF, 41, 0.2)
+        buf.refresh_working_labels(5)
+        np.testing.assert_array_equal(buf.frame_indices, [39, 40, 41])
+        np.testing.assert_array_equal(buf.working_labels, [1, 1, 1])
+
+    def test_int64_ends_accepted(self):
+        buf = OnlineBuffer()
+        buf.insert(feat(1), PseudoLabel.LIVE, -(2**63), 0.0)
+        buf.insert(feat(2), PseudoLabel.LIVE, np.int64(2**63 - 1), 0.1)
+        np.testing.assert_array_equal(buf.frame_indices, [-(2**63), 2**63 - 1])
+
     def test_eviction_is_strict_inequality(self):
         """Entries at 0..5 s, now=5, horizon=4 -> ages 3,2,1,0 survive."""
         buf = OnlineBuffer()

@@ -12,11 +12,13 @@ raise their own error type."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oap.engine
 from oap.config import PseudoLabel, parse_kv_file
@@ -45,6 +47,7 @@ from oap.head import (
     AdamState,
     ClassifierHead,
     _sigmoid,
+    all_finite,
     apply_update,
     forward,
     forward_batch,
@@ -675,6 +678,90 @@ def test_in_place_adam_matches_fresh_arrays(d, seed, grad_scales, poison, learni
         assert state.m_flat.tobytes() == m.tobytes()
         assert state.v_flat.tobytes() == v.tobytes()
         assert state.step_count == t
+
+
+# ---------------------------------------------------------------------------
+# Finite checks by count against np.isfinite(...).all()
+# ---------------------------------------------------------------------------
+
+NON_FINITE = [np.nan, -np.nan, np.inf, -np.inf]
+# Finite values at the edges: signed zeros, subnormals and +-max.
+EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -2.225e-308, sys.float_info.max,
+               -sys.float_info.max]
+# An empty row, a (d,) row, an (n, d) stack and a vector of ``flat``'s size at d = 32.
+finite_check_shapes = st.one_of(
+    st.just((0,)), st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(0, 20), st.integers(1, 40)), st.just((2177,)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(shape=finite_check_shapes, data=st.data())
+def test_all_finite_agrees_with_isfinite_all(shape, data):
+    """Finite arrays of edge values with 0-3 non-finite values planted at
+    drawn positions."""
+    a = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(EDGE_FINITE), st.floats(allow_nan=False, allow_infinity=False))))
+    if a.size:
+        for _ in range(data.draw(st.integers(0, 3))):
+            a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(st.sampled_from(NON_FINITE))
+    assert all_finite(a) == np.isfinite(a).all()
+
+
+def flat_position(size, at):
+    return {"first": 0, "middle": size // 2, "last": size - 1}[at]
+
+
+def planted(shape, at, value):
+    """Ones of ``shape`` with ``value`` at the first, middle or last flat position."""
+    a = np.ones(shape)
+    a.flat[flat_position(a.size, at)] = value
+    return a
+
+
+def param_at(h, at):
+    """The parameter holding the first, middle or last coordinate of ``h.flat``."""
+    ends = np.cumsum([p.size for p in h.params().values()])
+    return PARAM_NAMES[int(np.searchsorted(ends, flat_position(h.flat.size, at), side="right"))]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_feature_doors_keep_their_error_text(at, value):
+    h = drawn_head(5, 0, 0.5)
+    message = "^non-finite value in feature input$"
+    with pytest.raises(DataError, match=message):
+        forward(h, planted(5, at, value))
+    with pytest.raises(DataError, match=message):
+        forward_batch(h, planted((4, 5), at, value))
+    with pytest.raises(DataError, match=message):
+        loss_and_grad(h, planted((4, 5), at, value), [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_update_doors_keep_their_error_text_and_touch_nothing(at, value):
+    """A non-finite gradient, or a parameter that steps to a non-finite
+    value, names its parameter and leaves head and state as they were. At
+    d = 1 the first, middle and last coordinates lie in w1, b1 and b2."""
+    h = drawn_head(1, 0, 0.5)
+    state = AdamState.for_head(h)
+    finite_grad = np.full(h.flat.size, 0.1)
+    apply_update(h, state, finite_grad, 1e-3)
+    name = param_at(h, at)
+
+    def stepped_state():
+        return h.flat.tobytes(), state.m_flat.tobytes(), state.v_flat.tobytes(), state.step_count
+
+    before = stepped_state()
+    with pytest.raises(NumericalError, match=f"^non-finite gradient for parameter '{name}'$"):
+        apply_update(h, state, planted(h.flat.size, at, value), 1e-3)
+    assert stepped_state() == before
+    h.flat[:] = planted(h.flat.size, at, value)
+    before = stepped_state()
+    with pytest.raises(NumericalError, match=f"^update produced non-finite values in '{name}'$"):
+        apply_update(h, state, finite_grad, 1e-3)
+    assert stepped_state() == before
 
 
 # ---------------------------------------------------------------------------
