@@ -37,6 +37,10 @@ class PseudoLabel(IntEnum):
     DISCARD = -1
 
 
+# Frame indices are int64 values.
+FRAME_INDEX_MIN, FRAME_INDEX_MAX = -(2**63), 2**63 - 1
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """The full hyper-parameter ledger of the adaptation engine.

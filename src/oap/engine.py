@@ -4,13 +4,13 @@ The hard contract: every frame is scored by the model as it stood BEFORE
 that frame arrived, and only then may the frame influence the model. Each
 step runs, in order: input checks (frame indices strictly increase, times
 are finite and never decrease) -> forward pass -> pseudo-label -> buffer
-insert (unless discarded) -> time-based eviction -> zero or more fine-tune
-invocations, driven by an accumulator that adds ``finetune_freq`` per frame
-and fires on every whole unit. Each invocation first brings the buffer's
-working labels up to date (majority smoothing over the whole buffer, redone
-only when an entry came or went since the last pass), then samples its
-batches. Labels are read only by the sampler, so this is the same as
-smoothing on every frame. The verdict for frame t is therefore a
+insert (unless discarded) -> time-based eviction -> at most one fine-tune
+event, driven by an accumulator that adds ``finetune_freq`` (at most 1) per
+frame and fires when it reaches a whole unit. The event first brings the
+buffer's working labels up to date (majority smoothing over the whole
+buffer, redone only when an entry came or went since the last pass), then
+samples its batches. Labels are read only by the sampler, so this is the
+same as smoothing on every frame. The verdict for frame t is therefore a
 deterministic function of frames 1..t only, and a frozen-head run is
 exactly the degenerate case with adaptation disabled.
 
@@ -43,7 +43,7 @@ from .head import (
     forward,
 )
 # Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
-from .head import trusted_grad as loss_and_grad
+from .head import _grad_kernel as loss_and_grad
 from .memory import OnlineBuffer, ReplayStore, check_frame_index, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
@@ -148,21 +148,25 @@ class Engine:
         self.last_frame_index: int | None = None  # of the last frame processed
         self.last_frame_time: float | None = None
         self.rng = seeded_rng(params.seed, "sampler")
-        # FLOPs of one fine-tune event; finetune_freq <= 1 fires at most one a frame.
+        # FLOPs of one committed fine-tune event.
         self._event_flops = (
             params.iterations_per_call * params.batch_size * per_sample_flops(head.d)
         )
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
         """Score one frame, then let it adapt the head. Frame indices must
-        strictly increase and times must be finite and never decrease; a
-        frame that breaks this, whose index is not an int64 integer (see
-        ``check_frame_index``), or whose feature has the wrong dimension or
-        a non-finite value, raises DataError before any state changes."""
+        strictly increase and times must be finite reals that never
+        decrease; a frame that breaks this, whose index is not an int64
+        integer (see ``check_frame_index``), or whose feature has the wrong
+        dimension or a non-numeric or non-finite value, raises DataError
+        before any state changes."""
         p = self.params
         frame_index = check_frame_index(frame_index)
-        if not math.isfinite(time):
-            raise DataError(f"non-finite frame time {time!r}")
+        try:
+            if not math.isfinite(time):
+                raise DataError(f"non-finite frame time {time!r}")
+        except (TypeError, OverflowError):  # not a real number, or beyond float64
+            raise DataError(f"frame time {time!r} is not a finite real number") from None
         if self.last_frame_index is not None:
             if not frame_index > self.last_frame_index:
                 raise DataError(
@@ -185,37 +189,31 @@ class Engine:
         self.online.evict_old(time, p.eviction_horizon)
 
         self.finetune_accumulator += p.finetune_freq
-        events = 0
-        snapshot = None
-        while self.finetune_accumulator >= 1.0:
-            self.finetune_accumulator -= 1.0
-            if len(self.online) == 0 and len(self.replay) == 0:
-                continue
-            # finetune_freq <= 1 fires at most one event per frame, and
-            # apply_update commits atomically, so a single update needs no
-            # snapshot to roll back to.
-            if snapshot is None and p.iterations_per_call > 1:
-                snapshot = (self.head.copy(), self.adam.copy())
-            self.online.refresh_working_labels(p.window)
-            try:
-                for _ in range(p.iterations_per_call):
-                    feats, labels = sample_batch(
-                        self.online, self.replay, p.batch_size, p.online_prob, self.rng
-                    )
-                    _, grad = loss_and_grad(self.head, feats, labels)
-                    apply_update(self.head, self.adam, grad, p.learning_rate, p.weight_decay)
-            except NumericalError:
-                # Rejected update: roll the whole frame's fine-tuning back
-                # and mark the verdict as not fine-tuned.
-                if snapshot is not None:
-                    self.head, self.adam = snapshot
-                events = 0
-                break
-            events += 1
+        if self.finetune_accumulator < 1.0:
+            return FrameVerdict(frame_index, y, decision, pseudo, False)
+        self.finetune_accumulator -= 1.0
+        return FrameVerdict(frame_index, y, decision, pseudo, self._finetune())
 
-        if events:
-            self.cumulative_flops += self._event_flops
-        return FrameVerdict(frame_index, y, decision, pseudo, events > 0)
+    def _finetune(self) -> bool:
+        """One fine-tune event, undone whole if an update is rejected; True if committed."""
+        p = self.params
+        if len(self.online) == 0 and len(self.replay) == 0:
+            return False
+        # apply_update commits atomically, so one update needs no snapshot.
+        snapshot = (self.head.copy(), self.adam.copy()) if p.iterations_per_call > 1 else None
+        self.online.refresh_working_labels(p.window)
+        try:
+            for _ in range(p.iterations_per_call):
+                feats, labels = sample_batch(self.online, self.replay, p.batch_size,
+                                             p.online_prob, self.rng)
+                _, grad = loss_and_grad(self.head, feats, labels)
+                apply_update(self.head, self.adam, grad, p.learning_rate, p.weight_decay)
+        except NumericalError:
+            if snapshot is not None:
+                self.head, self.adam = snapshot
+            return False
+        self.cumulative_flops += self._event_flops
+        return True
 
     def run_stream(
         self, frames: Sequence[StreamFrame], ground_truth=None
@@ -254,8 +252,8 @@ def _scores(head: ClassifierHead, frames: Sequence[StreamFrame]) -> Iterator[flo
     for start in range(0, len(frames), SCORE_ROWS_PER_CALL):
         chunk = [f.feature for f in frames[start : start + SCORE_ROWS_PER_CALL]]
         try:
-            ys = forward(head, np.array(chunk, dtype=np.float64))
-        except (ValueError, DataError):
+            ys = forward(head, chunk)
+        except DataError:
             ys = None
         if isinstance(ys, np.ndarray):  # one probability per row of the stack
             yield from ys.tolist()
@@ -286,26 +284,21 @@ def run_baseline_smoothed(
     frames: Sequence[StreamFrame],
     momentum: float,
     ground_truth=None,
-    reset_at: Iterable[int] = (),
     eval_threshold: float = 0.5,
 ) -> list[TraceRecord]:
     """Frozen head whose emitted probability is an exponential moving
-    average of the per-frame probabilities. ``reset_at`` lists frame
-    indices at which the average restarts (for scripted video boundaries).
-    The head never changes, so the frames are scored in stacked passes
-    (``_scores``), as the fold reaches them, with the bits of per-frame
-    scoring.
-    """
+    average of the per-frame probabilities. The head never changes, so the
+    frames are scored in stacked passes (``_scores``), as the fold reaches
+    them, with the bits of per-frame scoring."""
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum out of range: {momentum!r} (want 0 <= momentum < 1)")
-    resets = set(int(i) for i in reset_at)
     scores = _scores(head, frames)
     ema: float | None = None
 
     def step(frame: StreamFrame) -> tuple:
         nonlocal ema
         y = next(scores)
-        if ema is None or frame.frame_index in resets:
+        if ema is None:
             ema = y
         else:
             ema = momentum * ema + (1.0 - momentum) * y

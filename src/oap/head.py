@@ -20,11 +20,11 @@ flat vector holding w1, b1, w2, b2 in that order, each row-major
 (``ClassifierHead.flat``). ``loss_and_grad`` returns the gradient in that
 layout and ``apply_update`` steps all of it in one pass.
 
-``loss_and_grad`` checks its inputs, then runs ``_grad_kernel``;
-``trusted_grad`` runs the kernel alone and skips the loss, with the same
-gradient bits. The engine trains through ``trusted_grad``, because every
-batch it builds comes from stores whose contents passed a check at their
-door. Online rows passed ``forward``'s finite ``(d,)`` check before
+``loss_and_grad`` checks its inputs, then runs ``_grad_kernel`` and
+computes the loss. The engine and ``pretrain`` call the kernel alone, with
+the same gradient bits and no loss, because every batch they build comes
+from data checked once at its door. ``pretrain`` checks its whole set.
+Online rows passed ``forward``'s finite ``(d,)`` check before
 ``OnlineBuffer.insert``, and their labels are LIVE or SPOOF or the
 majority-smoothed values of those. Replay rows and labels passed
 ``ReplayStore``'s finite and 0/1 checks and are write-protected, and
@@ -161,10 +161,18 @@ def all_finite(a: np.ndarray) -> np.bool_:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _as_floats(a) -> np.ndarray:
+    """``a`` as float64; a string, a complex or an int beyond float64 is a DataError."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"non-numeric value in feature input ({exc})") from None
+
+
 def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
     """``feats`` as a finite float64 matrix of shape (n, d); any other
-    shape or a non-finite value is a DataError."""
-    feats = np.asarray(feats, dtype=np.float64)
+    shape, a non-numeric or a non-finite value is a DataError."""
+    feats = _as_floats(feats)
     if feats.ndim != 2 or feats.shape[1] != head.d:
         raise DataError(
             f"feature dimension mismatch: head expects shape (n, {head.d}), got {feats.shape}"
@@ -179,7 +187,7 @@ def forward(head: ClassifierHead, feature):
     into (0, 1), as a float. Pure function: no state is touched. An (n, d)
     stack of rows is passed to ``forward_batch`` and gives the (n,) array
     of their probabilities, each with the bits of its row on its own. Any
-    other shape, or a non-finite value, is a DataError.
+    other shape, or a non-numeric or non-finite value, is a DataError.
 
     The products keep their shapes, (1, d) @ (d, 64) and (1, 64) . (64,);
     the bias add and the ReLU write into the first. ``np.dot`` of a row and
@@ -187,7 +195,7 @@ def forward(head: ClassifierHead, feature):
     dispatch. The scalar tail runs the sigmoid branch and clamp on Python
     floats, with ``np.exp`` (``math.exp`` rounds differently on some
     inputs)."""
-    feature = np.asarray(feature, dtype=np.float64)
+    feature = _as_floats(feature)
     if feature.shape != (head.d,):
         if feature.ndim == 2:
             return forward_batch(head, feature)
@@ -239,7 +247,7 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     {0, 1} the two products above are ``1 * a`` and ``0 * b``, so the sum
     is exactly ``a`` or exactly ``b``.
     """
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = _as_floats(feats)
     if feats.ndim == 1:
         feats = feats.reshape(1, -1)
     feats = _check_features(head, feats)
@@ -257,13 +265,6 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     y_safe = np.minimum(np.maximum(y, PROB_EPS), 1.0 - PROB_EPS)
     loss = -float(np.add.reduce(np.log(np.where(spoof, y_safe, 1.0 - y_safe))) / n)
     return loss, grad
-
-
-def trusted_grad(head: ClassifierHead, feats: np.ndarray, labels) -> tuple[None, np.ndarray]:
-    """``(None, grad)`` with the bits of ``loss_and_grad``'s gradient, for
-    a batch that would pass its checks; nothing is checked and no loss is
-    computed."""
-    return None, _grad_kernel(head, feats, labels)[1]
 
 
 def _grad_kernel(head: ClassifierHead, feats: np.ndarray, labels: np.ndarray):
@@ -403,13 +404,16 @@ def pretrain(
     schedule: PretrainSchedule,
     rng: np.random.Generator,
 ) -> ClassifierHead:
-    """Train the head on a labeled (n, d) feature matrix. The dataset must
-    contain both classes; a zero-iteration schedule returns the head
-    unchanged."""
+    """Train the head on a finite (n, d) feature matrix and labels of
+    exactly 0 or 1, holding both classes, all checked before any update; a
+    zero-iteration schedule returns the head unchanged."""
     feats = _check_features(head, feats)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels).ravel()
     if feats.shape[0] != labels.shape[0]:
         raise DataError("features and labels disagree in length")
+    if np.count_nonzero((labels == 0) | (labels == 1)) != labels.size:
+        raise DataError("pre-training labels must be 0 or 1")
+    labels = labels.astype(np.float64)  # as ``loss_and_grad`` hands them on
     if schedule.iterations > 0 and len(np.unique(labels)) < 2:
         raise DataError("pre-training data contains a single class")
 
@@ -418,7 +422,7 @@ def pretrain(
     for it in range(schedule.iterations):
         lr = schedule.learning_rate * schedule.decay_gamma ** (it // schedule.decay_every)
         batch_idx = rng.integers(0, n, size=schedule.batch_size)
-        _, grad = loss_and_grad(head, feats[batch_idx], labels[batch_idx])
+        _, grad = _grad_kernel(head, feats[batch_idx], labels[batch_idx])
         apply_update(head, state, grad, lr, schedule.weight_decay)
     return head
 

@@ -20,16 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ClassLabel, PseudoLabel
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, ClassLabel, PseudoLabel
 from .errors import DataError
 from .pseudolabel import smooth_labels
 
 
 # An enum member as a module constant, read faster than off its class.
 _DISCARD = PseudoLabel.DISCARD
-
-# The frame indices the buffer's int64 column can hold.
-_INDEX_MIN, _INDEX_MAX = -(2**63), 2**63 - 1
 
 
 def check_frame_index(frame_index) -> int:
@@ -39,7 +36,7 @@ def check_frame_index(frame_index) -> int:
         index = operator.index(frame_index)
     except TypeError:
         raise DataError(f"frame index {frame_index!r} is not an integer") from None
-    if not _INDEX_MIN <= index <= _INDEX_MAX:
+    if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
         raise DataError(f"frame index {index} lies outside int64")
     return index
 

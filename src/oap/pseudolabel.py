@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import PseudoLabel
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel
 
 # The labels as module constants: a member read off its class costs about
 # ten module-global reads, more than the rest of ``assign_pseudo_label``.
@@ -48,7 +48,7 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     tie resolves to live. Windows truncate at the buffer edges; entries
     missing from storage contribute nothing to either side of the mean.
     """
-    idx = np.asarray(frame_indices, dtype=np.float64)
+    idx = np.asarray(frame_indices, dtype=np.int64)
     lab = np.asarray(labels, dtype=np.int64)
     if idx.shape != lab.shape:
         raise ValueError("frame_indices and labels disagree in length")
@@ -57,9 +57,10 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     if np.count_nonzero(idx[1:] <= idx[:-1]):
         raise ValueError("frame indices must be strictly increasing")
 
-    half = window / 2.0
-    lo = idx.searchsorted(idx - half, side="left")
-    hi = idx.searchsorted(idx + half, side="right")
+    # On integers |j - i| <= window / 2 iff |j - i| <= window // 2; bounds saturate in int64.
+    half = min(window // 2, FRAME_INDEX_MAX)
+    lo = idx.searchsorted(np.maximum(idx, FRAME_INDEX_MIN + half) - half, side="left")
+    hi = idx.searchsorted(np.minimum(idx, FRAME_INDEX_MAX - half) + half, side="right")
     csum = np.empty(idx.size + 1, dtype=np.int64)
     csum[0] = 0
     lab.cumsum(out=csum[1:])

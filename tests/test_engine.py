@@ -168,6 +168,29 @@ class TestCausalityAndDeterminism:
         assert np.isfinite(engine.head.flat).all()
         assert engine.adam.step_count == 10_000
 
+    def test_stream_indexed_from_2_to_the_60_gives_the_trace_from_1(self):
+        """Smoothing compares frame indices as int64: float64 has no gaps
+        of one above 2**53, so there a two-class buffer would see repeated
+        indices. Apart from the index column, the trace is that of the
+        same stream indexed from 1."""
+        gen = GeneratorConfig(d=4, seed=7)
+        feats, labels = generate_pretraining_set(gen, n_users=2, frames_per_user=100)
+        head = init_head(4, seeded_rng(0, "init"))
+        pretrain(head, feats, labels, PretrainSchedule(iterations=200), seeded_rng(0, "pretrain"))
+        replay = subsample_pretraining(feats, labels, 50, seeded_rng(0, "replay"))
+        scenario = StreamScenario((Segment(ClassLabel.LIVE, 60), Segment(ClassLabel.SPOOF, 60),
+                                   Segment(ClassLabel.LIVE, 60)), user_id=1)
+        frames, truth = generate_stream(gen, scenario)
+        params = desk_params(margin=0.5, window=9)
+        traces = []
+        for base in (0, 2**60 - 1):
+            shifted = [f._replace(frame_index=base + f.frame_index) for f in frames]
+            engine = Engine(head, replay, params)
+            trace = engine.run_stream(shifted, truth)
+            traces.append(([r[1:] for r in trace], engine.head.flat.tobytes()))
+        assert {r.pseudo_label for r in trace} == {0, 1}
+        assert traces[0] == traces[1]
+
     def test_rejected_update_restores_head_and_marks_verdict(self, artifacts, monkeypatch):
         """A non-finite gradient mid-frame rolls the head back to its
         pre-frame parameters and reports finetuned=False."""
@@ -261,6 +284,10 @@ class TestInputContract:
         "nan time": (4, float("nan")),
         "inf time": (4, float("inf")),
         "minus inf time": (4, float("-inf")),
+        "string time": (4, "0.1"),
+        "None time": (4, None),
+        "complex time": (4, 1 + 2j),
+        "time beyond float64": (4, 10**400),
     }
 
     def warmed_engine(self, artifacts, **overrides):
@@ -288,6 +315,9 @@ class TestInputContract:
         "matrix": np.zeros((3, D)),
         "stack": np.zeros((2, 3, D)),
         "scalar": np.float64(0.0),
+        "string feature": ["0.5x"] * D,
+        "complex feature": [1j] * D,
+        "feature beyond float64": [10**400] * D,
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_FEATURES))
@@ -435,13 +465,15 @@ class TestCostModel:
         assert flops[99] > 0.0  # first event at frame 100
 
     @pytest.mark.parametrize("iterations", [1, 3])
-    @pytest.mark.parametrize("finetune_freq", [1.0, 0.37, 0.05])
+    @pytest.mark.parametrize("finetune_freq", [1.0, float(np.nextafter(1.0, 0.0)), 0.37, 0.05])
     def test_ledger_is_the_running_sum_of_the_per_frame_formula(self, artifacts, monkeypatch,
                                                                 finetune_freq, iterations):
         """After every frame the ledger holds, bit for bit, the running sum
         of ``events * iterations * batch_size * per_sample_flops(d)`` with
         the frame's committed events: none while both stores are empty,
-        none for a rolled-back frame."""
+        none for a rolled-back frame. The accumulator stays in [0, 1), so a
+        frame fires at most one event, also at the largest frequency below
+        1, which keeps it just below 1."""
         import oap.engine as engine_mod
 
         head, _, frames, _ = artifacts
@@ -472,6 +504,7 @@ class TestCostModel:
             committed = int(v.finetuned_this_frame)
             ledger += committed * iterations * params.batch_size * per_sample_flops(D)
             assert engine.cumulative_flops.hex() == ledger.hex()
+            assert 0.0 <= engine.finetune_accumulator < 1.0
             fired = engine.finetune_accumulator < accumulator + finetune_freq
             fired_empty += fired and len(engine.online) == 0
             rolled_back += fired and len(grads) > calls and not committed
@@ -542,7 +575,9 @@ class TestBaselineErrors:
         (np.full(D, np.nan), np.zeros(D + 1), "non-finite"),
         (np.zeros((1, D)), np.zeros(D + 1), re.escape(f"got {(1, D)}")),
         (np.float64(0.0), np.full(D, np.inf), re.escape("got ()")),
-    ], ids=["width before nan", "nan before width", "row before width", "scalar before inf"])
+        ([1j] * D, np.zeros(D + 1), "non-numeric"),
+    ], ids=["width before nan", "nan before width", "row before width", "scalar before inf",
+            "complex before width"])
     @pytest.mark.parametrize("at", [2, SCORE_ROWS_PER_CALL + 2], ids=["first stack", "second stack"])
     def test_first_bad_frame_named(self, artifacts, kind, first, second, message, at):
         head = artifacts[0]
@@ -601,14 +636,6 @@ class TestSmoothedBaseline:
                 crossing = k
         expected = int(np.ceil(np.log(0.5) / np.log(momentum)))
         assert crossing == expected
-
-    def test_reset_restarts_average(self, artifacts):
-        head, _, _, _ = artifacts
-        rng = np.random.default_rng(3)
-        frames = [StreamFrame(rng.normal(size=D), t, t / 30.0) for t in range(1, 40)]
-        with_reset = run_baseline_smoothed(head, frames, momentum=0.95, reset_at=[20])
-        raw = run_baseline_frozen(head, frames)
-        assert with_reset[19].y == raw[19].y  # reset frame emits its raw score
 
     def test_momentum_range_checked(self, artifacts):
         head, _, frames, _ = artifacts

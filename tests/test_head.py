@@ -365,6 +365,21 @@ class TestPretrain:
         for k in results[0]:
             np.testing.assert_array_equal(results[0][k], results[1][k])
 
+    @pytest.mark.parametrize("bad", [2, 0.7], ids=["two", "fraction"])
+    def test_label_other_than_0_or_1_rejected_before_any_update(self, bad):
+        """The labels are checked as given, so 0.7 is refused rather than
+        truncated to 0, and a bad label that the first batches would miss
+        still fails before the head moves."""
+        feats, labels = two_blob_dataset(d=4, n=64)
+        labels = labels.astype(np.float64)
+        labels[-1] = bad
+        head = init_head(4, seeded_rng(0, "init"))
+        before = head.flat.copy()
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
+            pretrain(head, feats, labels, PretrainSchedule(iterations=10, batch_size=4),
+                     seeded_rng(0, "pretrain"))
+        assert head.flat.tobytes() == before.tobytes()
+
     def test_single_class_rejected(self):
         feats = np.zeros((10, 4))
         labels = np.ones(10, dtype=int)

@@ -4,8 +4,9 @@ sampler against the per-slot loop it replaced, majority smoothing against
 a direct recount, the head's numerics (sigmoid, forward, loss and
 gradient, Adam) against the plain expressions they replaced, bit for bit,
 the stacked forward pass against per-row forward and the baselines
-against a per-frame fold, bit for bit, the engine's trusted gradient step
-against the checked ``loss_and_grad``, alone and over whole streams, and
+against a per-frame fold, bit for bit, the engine's gradient kernel
+against the checked ``loss_and_grad``, alone and over whole streams,
+pre-training on the kernel against the checked loop it replaced, and
 the column-wise trace writers against the per-row writers they replaced,
 byte for byte, and the file readers on edited bytes, which either read or
 raise their own error type."""
@@ -46,6 +47,8 @@ from oap.head import (
     PROB_EPS,
     AdamState,
     ClassifierHead,
+    PretrainSchedule,
+    _grad_kernel,
     _sigmoid,
     all_finite,
     apply_update,
@@ -54,8 +57,8 @@ from oap.head import (
     init_head,
     load_head,
     loss_and_grad,
+    pretrain,
     save_head,
-    trusted_grad,
 )
 from oap.memory import OnlineBuffer, ReplayStore, _class_buckets, sample_batch
 from oap.presets import build_artifacts, continual_scenario, desk_params
@@ -376,14 +379,23 @@ def recount_smooth(frame_indices, labels, window):
     return out
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 @PROPERTY_SETTINGS
 @given(
     gaps=st.lists(st.integers(1, 6), max_size=80),
     data=st.data(),
     window=st.integers(0, 15),
+    base=st.sampled_from(["0", "2**53", "2**62", "int64 min", "int64 max"]),
 )
-def test_smoothing_matches_recount_on_gapped_indices(gaps, data, window):
-    frame_indices = np.cumsum(gaps).tolist()
+def test_smoothing_matches_recount_on_gapped_indices(gaps, data, window, base):
+    """Indices from 2**53 up are beyond float64's integers; at the int64
+    ends a window reaches past the range."""
+    offsets = np.cumsum(gaps).tolist()
+    start = {"0": 0, "2**53": 2**53, "2**62": 2**62, "int64 min": INT64_MIN - 1,
+             "int64 max": INT64_MAX - (offsets[-1] if offsets else 0)}[base]
+    frame_indices = [start + k for k in offsets]
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(gaps), max_size=len(gaps)))
     smoothed = smooth_labels(frame_indices, labels, window)
     assert smoothed.tolist() == recount_smooth(frame_indices, labels, window)
@@ -526,13 +538,13 @@ def test_stacked_cases_reach_both_sigmoid_branches_and_the_clamp():
     assert (ys == PROB_EPS).any() and (ys == 1.0 - PROB_EPS).any()
 
 
-def per_frame_smoothed(head, frames, momentum, ground_truth, reset_at):
+def per_frame_smoothed(head, frames, momentum, ground_truth):
     """The smoothed baseline folded a frame at a time: forward on each
-    frame's feature, then the EMA, restarting at ``reset_at``."""
+    frame's feature, then the EMA."""
     trace, ema = [], None
     for frame, truth in zip(frames, ground_truth or [None] * len(frames)):
         y = forward(head, frame.feature)
-        if ema is None or frame.frame_index in reset_at:
+        if ema is None:
             ema = y
         else:
             ema = momentum * ema + (1.0 - momentum) * y
@@ -547,16 +559,14 @@ stream_lengths = st.one_of(st.integers(1, 40), st.sampled_from(
 
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 12), n=stream_lengths, seed=st.integers(0, 2**32 - 1),
-       scale=log_scales, momentum=st.sampled_from([0.0, 0.7]), labeled=st.booleans(),
-       data=st.data())
-def test_baselines_match_the_per_frame_fold(d, n, seed, scale, momentum, labeled, data):
+       scale=log_scales, momentum=st.sampled_from([0.0, 0.7]), labeled=st.booleans())
+def test_baselines_match_the_per_frame_fold(d, n, seed, scale, momentum, labeled):
     h, feats = stacked_case(d, n, seed, scale, 0.0)
     gaps = np.random.default_rng(seed + 2).integers(1, 4, size=n)
     frames = [StreamFrame(f, int(i), i / 30.0) for f, i in zip(feats, np.cumsum(gaps))]
     truth = np.random.default_rng(seed + 3).integers(0, 2, size=n).tolist() if labeled else None
-    resets = data.draw(st.lists(st.sampled_from([f.frame_index for f in frames]), max_size=4))
-    expected = per_frame_smoothed(h, frames, momentum, truth, set(resets))
-    trace = run_baseline_smoothed(h, frames, momentum, ground_truth=truth, reset_at=resets)
+    expected = per_frame_smoothed(h, frames, momentum, truth)
+    trace = run_baseline_smoothed(h, frames, momentum, ground_truth=truth)
     assert trace == expected
     assert bits([r.y for r in trace]) == bits([r.y for r in expected])
     if momentum == 0.0:
@@ -609,10 +619,12 @@ def gradient_case(d, rows, seed, head_scale, feature_scale, label_dtype):
 @settings(max_examples=100, deadline=None)
 @given(case=gradient_cases)
 def test_trusted_gradient_has_the_bits_of_the_checked_one(case):
+    """The unchecked kernel gives the checked function's gradient bits,
+    and in place of the loss the batch's probabilities."""
     h, feats, labels = gradient_case(*case)
     _, grad = loss_and_grad(h, feats, labels)
-    loss, trusted = trusted_grad(h, feats, labels)
-    assert loss is None
+    y, trusted = _grad_kernel(h, feats, labels)
+    assert y.shape == (feats.shape[0],)
     assert trusted.tobytes() == grad.tobytes()
 
 
@@ -622,6 +634,50 @@ def test_checked_loss_keeps_the_bits_of_its_expression(case):
     h, feats, labels = gradient_case(*case)
     loss, _ = loss_and_grad(h, feats, labels)
     assert bits(loss) == bits(expression_loss(h, feats, labels))
+
+
+def checked_pretrain(head, feats, labels, schedule, rng):
+    """``pretrain``'s loop as it ran on the checked ``loss_and_grad``,
+    which re-checked every batch and computed its loss."""
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    state = AdamState.for_head(head)
+    n = feats.shape[0]
+    for it in range(schedule.iterations):
+        lr = schedule.learning_rate * schedule.decay_gamma ** (it // schedule.decay_every)
+        batch_idx = rng.integers(0, n, size=schedule.batch_size)
+        _, grad = loss_and_grad(head, feats[batch_idx], labels[batch_idx])
+        apply_update(head, state, grad, lr, schedule.weight_decay)
+    return head
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    scale=log_scales,
+    iterations=st.integers(1, 40),
+    batch_size=st.integers(1, 80),
+    learning_rate=st.sampled_from([1e-3, 0.05]),
+    weight_decay=st.sampled_from([0.0, 1e-3]),
+    decay_gamma=st.sampled_from([0.8, 0.5, 1.0]),
+    decay_every=st.integers(1, 15),
+    label_dtype=st.sampled_from([np.int64, np.float64, bool]),
+)
+def test_pretrain_on_the_kernel_has_the_bits_of_the_checked_loop(
+    d, n, seed, scale, iterations, batch_size, learning_rate, weight_decay, decay_gamma,
+    decay_every, label_dtype,
+):
+    h, feats = stacked_case(d, n, seed, 0.0, scale)
+    labels = np.random.default_rng(seed + 2).integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    labels = labels.astype(label_dtype)
+    schedule = PretrainSchedule(iterations=iterations, batch_size=batch_size,
+                                learning_rate=learning_rate, weight_decay=weight_decay,
+                                decay_gamma=decay_gamma, decay_every=decay_every)
+    trained = pretrain(h.copy(), feats, labels, schedule, np.random.default_rng(seed))
+    reference = checked_pretrain(h.copy(), feats, labels, schedule, np.random.default_rng(seed))
+    assert trained.flat.tobytes() == reference.flat.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -858,15 +914,15 @@ def small_stream():
 def test_engine_on_the_trusted_step_matches_the_checked_step(
     small_stream, trace_dir, margin, iterations, finetune_freq, online_prob, with_replay, seed
 ):
-    """The engine trains through ``trusted_grad``. Run on the checked
+    """The engine trains through ``_grad_kernel``. Run on the checked
     ``loss_and_grad`` instead, it gives the same trace bytes, head and Adam
     moments, and no batch it builds fails the checks."""
-    assert oap.engine.loss_and_grad is trusted_grad
+    assert oap.engine.loss_and_grad is _grad_kernel
     head, replays, frames, truth = small_stream
     params = desk_params(seed, margin=margin, iterations_per_call=iterations,
                          finetune_freq=finetune_freq, online_prob=online_prob)
     runs = []
-    for step in (loss_and_grad, trusted_grad):
+    for step in (loss_and_grad, _grad_kernel):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oap.engine, "loss_and_grad", step)
             engine = Engine(head, replays[with_replay], params)
