@@ -39,17 +39,24 @@ Python-level slow paths, with the same bits:
 - finite checks count (``all_finite``) rather than call ``.all()``;
 - reductions call the ufunc (``np.add.reduce``), never a method such as
   ``.sum()`` or ``.any()``;
-- ``forward``'s scalar tail runs on Python floats, not numpy scalars.
+- ``forward``'s scalar tail runs on Python floats, not numpy scalars;
+- ``forward`` reads a row's finite check off its first product: a
+  non-finite feature makes every product of its row non-finite, so the
+  count runs only when that product is not finite;
+- ``_as_floats`` hands a float64 ``np.ndarray`` back as it is; only other
+  inputs are converted.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .config import check_ranges
 from .errors import ConfigError, DataError, NumericalError
@@ -161,11 +168,20 @@ def all_finite(a: np.ndarray) -> np.bool_:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_floats(a) -> np.ndarray:
-    """``a`` as float64; a string, a complex or an int beyond float64 is a DataError."""
+    """``a`` as float64: a float64 ``np.ndarray`` as it is, anything else
+    converted. A string, a complex (numpy would only warn and drop the
+    imaginary part) or an int beyond float64 is a DataError."""
+    if a.__class__ is np.ndarray and a.dtype is _FLOAT64:
+        return a
     try:
-        return np.asarray(a, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ComplexWarning)
+            return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError, ComplexWarning) as exc:
         raise DataError(f"non-numeric value in feature input ({exc})") from None
 
 
@@ -189,12 +205,19 @@ def forward(head: ClassifierHead, feature):
     of their probabilities, each with the bits of its row on its own. Any
     other shape, or a non-numeric or non-finite value, is a DataError.
 
-    The products keep their shapes, (1, d) @ (d, 64) and (1, 64) . (64,);
-    the bias add and the ReLU write into the first. ``np.dot`` of a row and
-    a vector runs the float64 dot that matmul runs on them, with less
-    dispatch. The scalar tail runs the sigmoid branch and clamp on Python
-    floats, with ``np.exp`` (``math.exp`` rounds differently on some
-    inputs)."""
+    The first product is one gemv, ``np.dot`` of the (d,) row and the
+    (d, 64) ``w1``: the BLAS call that a (1, d) @ (d, 64) matmul makes,
+    with less dispatch. A non-finite feature makes every entry of that
+    product non-finite (inf * 0 is NaN, and NaN and inf carry through the
+    sum), so a finite first entry clears the row. Only a non-finite one
+    runs the full check, which tells a non-finite feature from a finite
+    row whose product overflowed. Such a feature may make the product warn
+    of an invalid value first; where np.errstate or a warnings filter
+    raises that warning, the feature is still refused with a DataError.
+    The bias add and the ReLU write into the product, and ``np.dot`` of it
+    and ``w2`` gives the logit. The scalar tail runs the sigmoid branch and
+    clamp on Python floats, with ``np.exp`` (``math.exp`` rounds differently
+    on some inputs)."""
     feature = _as_floats(feature)
     if feature.shape != (head.d,):
         if feature.ndim == 2:
@@ -202,9 +225,14 @@ def forward(head: ClassifierHead, feature):
         raise DataError(
             f"feature dimension mismatch: head expects shape ({head.d},), got {feature.shape}"
         )
-    if not all_finite(feature):
+    try:
+        hidden = np.dot(feature, head.w1)
+    except (FloatingPointError, RuntimeWarning):  # np.errstate or a warnings filter raised
+        if all_finite(feature):
+            raise
+        raise DataError("non-finite value in feature input") from None
+    if not math.isfinite(hidden.item(0)) and not all_finite(feature):
         raise DataError("non-finite value in feature input")
-    hidden = feature[None, :] @ head.w1
     np.add(hidden, head.b1, out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
     z = np.dot(hidden, head.w2).item() + head.b2.item()
@@ -222,12 +250,12 @@ def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
 
     Row i is bit-identical to ``forward(head, feats[i])`` for every n. The
     products are stacked, (n, 1, d) @ (d, 64) and (n, 1, 64) @ (64,), so
-    numpy's matmul runs its inner loop once per row on the same (1, d) and
-    (1, 64) operands that ``forward`` builds, with the same BLAS call each
-    time (gemv, then dot). An (n, d) @ (d, 64) GEMM would block and order
-    the sums by n and rounds differently. The bias adds, the sigmoid's
-    branches and the clamp are elementwise and correctly rounded, the
-    same operations as ``forward``'s scalar tail."""
+    numpy's matmul runs its inner loop once per row, with the BLAS calls
+    ``forward`` makes on that row: a gemv of the row and ``w1``, then a
+    dot of the hidden row and ``w2``. An (n, d) @ (d, 64) GEMM would block
+    and order the sums by n and rounds differently. The bias adds, the
+    sigmoid's branches and the clamp are elementwise and correctly rounded,
+    the same operations as ``forward``'s scalar tail."""
     feats = _check_features(head, feats)
     hidden = np.maximum(np.matmul(feats[:, None, :], head.w1) + head.b1, 0.0)
     logits = np.matmul(hidden, head.w2)[:, 0] + head.b2[0]
@@ -251,7 +279,10 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     if feats.ndim == 1:
         feats = feats.reshape(1, -1)
     feats = _check_features(head, feats)
-    labels = np.asarray(labels, dtype=np.float64).ravel()
+    try:
+        labels = np.asarray(labels, dtype=np.float64).ravel()
+    except (TypeError, ValueError, OverflowError):
+        raise DataError("labels must be 0 or 1") from None
     n = feats.shape[0]
     if n == 0:
         raise DataError("empty batch")

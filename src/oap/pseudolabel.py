@@ -57,10 +57,17 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     if np.count_nonzero(idx[1:] <= idx[:-1]):
         raise ValueError("frame indices must be strictly increasing")
 
-    # On integers |j - i| <= window / 2 iff |j - i| <= window // 2; bounds saturate in int64.
+    # On integers |j - i| <= window / 2 iff |j - i| <= window // 2. The
+    # bounds saturate in int64, which only a buffer within ``half`` of an
+    # end of the range needs.
     half = min(window // 2, FRAME_INDEX_MAX)
-    lo = idx.searchsorted(np.maximum(idx, FRAME_INDEX_MIN + half) - half, side="left")
-    hi = idx.searchsorted(np.minimum(idx, FRAME_INDEX_MAX - half) + half, side="right")
+    if idx.item(0) - FRAME_INDEX_MIN < half or FRAME_INDEX_MAX - idx.item(-1) < half:
+        lo_keys = np.maximum(idx, FRAME_INDEX_MIN + half) - half
+        hi_keys = np.minimum(idx, FRAME_INDEX_MAX - half) + half
+    else:
+        lo_keys, hi_keys = idx - half, idx + half
+    lo = idx.searchsorted(lo_keys, side="left")
+    hi = idx.searchsorted(hi_keys, side="right")
     csum = np.empty(idx.size + 1, dtype=np.int64)
     csum[0] = 0
     lab.cumsum(out=csum[1:])

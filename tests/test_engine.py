@@ -317,6 +317,7 @@ class TestInputContract:
         "scalar": np.float64(0.0),
         "string feature": ["0.5x"] * D,
         "complex feature": [1j] * D,
+        "complex array feature": np.full(D, 1 + 5j),
         "feature beyond float64": [10**400] * D,
     }
 

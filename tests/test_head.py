@@ -167,6 +167,36 @@ class TestBatchShapes:
         assert ys.tobytes() == np.array([forward(h, f) for f in feats]).tobytes()
 
 
+# Complex features, each at an entry point: numpy casts a complex array to
+# float64 with only a ComplexWarning, dropping the imaginary part.
+COMPLEX_FEATURES = {
+    "forward row": lambda h: forward(h, np.array([1 + 5j] + [0j] * 7)),
+    "forward row of complex64": lambda h: forward(h, np.ones(8, dtype=np.complex64)),
+    "forward list of complex rows": lambda h: forward(h, [np.full(8, 1 + 5j)] * 3),
+    "forward_batch": lambda h: forward_batch(h, np.full((3, 8), 2 + 0j)),
+    "loss_and_grad": lambda h: loss_and_grad(h, np.full((2, 8), 1j), [0, 1]),
+    "pretrain": lambda h: pretrain(h, np.full((4, 8), 1 + 1j), [0, 1, 0, 1],
+                                   PretrainSchedule(iterations=3), seeded_rng(0, "pretrain")),
+}
+
+
+class TestNonNumericDoors:
+    @pytest.mark.parametrize("case", COMPLEX_FEATURES.values(), ids=COMPLEX_FEATURES.keys())
+    def test_complex_features_refused(self, case):
+        h = random_head(8, seed=0)
+        before = h.flat.copy()
+        with pytest.raises(DataError, match="^non-numeric value in feature input"):
+            case(h)
+        assert h.flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("labels", [["a", "b"], [None, 1], [1 + 2j, 0]],
+                             ids=["strings", "None", "complex"])
+    def test_loss_and_grad_refuses_non_numeric_labels(self, labels):
+        h = random_head(2, seed=0)
+        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+            loss_and_grad(h, np.ones((2, 2)), labels)
+
+
 class TestLoss:
     def test_zero_head_loss_is_ln2(self):
         h = ClassifierHead(np.zeros((4, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),

@@ -19,10 +19,10 @@ WRAPPED_METHODS = {"all", "any", "sum", "mean", "min", "max"}
 # The functions a frame or a fine-tune event runs, by module. Error-path
 # helpers such as ``head._first_nonfinite`` are not on the list.
 HOT_FUNCTIONS = {
-    oap.head: ["forward", "_grad_kernel", "apply_update"],
+    oap.head: ["_as_floats", "forward", "_grad_kernel", "apply_update"],
     oap.engine: ["process_frame", "_finetune"],
     oap.memory: ["insert", "evict_old", "refresh_working_labels", "sample_batch"],
-    oap.pseudolabel: ["smooth_labels"],
+    oap.pseudolabel: ["assign_pseudo_label", "smooth_labels"],
 }
 
 

@@ -4,16 +4,18 @@ sampler against the per-slot loop it replaced, majority smoothing against
 a direct recount, the head's numerics (sigmoid, forward, loss and
 gradient, Adam) against the plain expressions they replaced, bit for bit,
 the stacked forward pass against per-row forward and the baselines
-against a per-frame fold, bit for bit, the engine's gradient kernel
-against the checked ``loss_and_grad``, alone and over whole streams,
-pre-training on the kernel against the checked loop it replaced, and
-the column-wise trace writers against the per-row writers they replaced,
-byte for byte, and the file readers on edited bytes, which either read or
-raise their own error type."""
+against a per-frame fold, bit for bit, the row's gemv and the finite
+check read off it against the row matmul behind a full check, the
+engine's gradient kernel against the checked ``loss_and_grad``, alone
+and over whole streams, pre-training on the kernel against the checked
+loop it replaced, and the column-wise trace writers against the per-row
+writers they replaced, byte for byte, and the file readers on edited
+bytes, which either read or raise their own error type."""
 
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from oap.head import (
     AdamState,
     ClassifierHead,
     PretrainSchedule,
+    _as_floats,
     _grad_kernel,
     _sigmoid,
     all_finite,
@@ -734,6 +737,135 @@ def test_in_place_adam_matches_fresh_arrays(d, seed, grad_scales, poison, learni
         assert state.m_flat.tobytes() == m.tobytes()
         assert state.v_flat.tobytes() == v.tobytes()
         assert state.step_count == t
+
+
+# ---------------------------------------------------------------------------
+# The row's gemv and the finite check read off it
+# ---------------------------------------------------------------------------
+
+
+def matmul_forward(head, feature):
+    """``forward`` on one row with a (1, d) @ (d, 64) matmul behind a full
+    finite check: the row path before it read the check off a gemv."""
+    feature = np.asarray(feature, dtype=np.float64)
+    if not np.isfinite(feature).all():
+        raise DataError("non-finite value in feature input")
+    hidden = feature[None, :] @ head.w1
+    np.add(hidden, head.b1, out=hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    z = np.dot(hidden, head.w2).item() + head.b2.item()
+    if z >= 0:
+        y = 1.0 / (1.0 + float(np.exp(-z)))
+    else:
+        e = float(np.exp(z))
+        y = e / (1.0 + e)
+    return min(max(y, PROB_EPS), 1.0 - PROB_EPS)
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_row_gemv_has_the_bits_of_the_row_matmul(d):
+    """``forward`` scores a row with ``np.dot(f, w1)``, the gemv that
+    ``f[None, :] @ w1`` makes and ``forward_batch`` makes per row. A BLAS
+    whose two calls round differently fails here."""
+    rng = np.random.default_rng(d)
+    for scale in (1e-3, 1.0, 1e3):
+        w1 = rng.normal(0.0, scale, size=(d, HIDDEN_UNITS))
+        for _ in range(4):
+            f = rng.normal(0.0, scale, size=d)
+            assert np.dot(f, w1).tobytes() == (f[None, :] @ w1)[0].tobytes()
+
+
+def engine_door_state(engine):
+    return (engine.last_frame_index, len(engine.online), engine.finetune_accumulator,
+            engine.head.flat.tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_non_finite_feature_refused_whatever_w1_holds(d, seed, data):
+    """Zeros in ``w1``, up to its whole first column and the rows of the
+    planted values, turn inf into NaN rather than hide it: a feature with
+    inf, -inf or NaN at one or more positions is refused, and the engine
+    is left as it was."""
+    h = drawn_head(d, seed, 1.0)
+    at = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=min(d, 4), unique=True))
+    for k in at:
+        if data.draw(st.booleans()):
+            h.w1[k, 0] = 0.0
+    if data.draw(st.booleans()):
+        h.w1[:, 0] = 0.0
+    zeros = data.draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, HIDDEN_UNITS - 1)),
+                               max_size=20))
+    for row, col in zeros:
+        h.w1[row, col] = 0.0
+    feature = np.random.default_rng(seed + 1).normal(size=d)
+    for k in at:
+        feature[k] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    message = "^non-finite value in feature input$"
+    # The product may warn of inf * 0 or inf - inf; raised as an error by a
+    # warnings filter or by np.errstate, the refusal is still a DataError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DataError, match=message):
+            forward(h, feature)
+        with np.errstate(all="raise"), pytest.raises(DataError, match=message):
+            forward(h, feature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match=message):
+            forward(h, feature)
+
+        empty = ReplayStore(np.zeros((0, d)), np.zeros(0, dtype=np.int64))
+        engine = Engine(h, empty, desk_params(seed % 2**16, margin=0.5, finetune_freq=0.5))
+        engine.process_frame(np.zeros(d), 1, 0.0)
+        before = engine_door_state(engine)
+        with pytest.raises(DataError, match=message):
+            engine.process_frame(feature, 2, 0.1)
+        assert engine_door_state(engine) == before
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       feature_scale=st.floats(150.0, 308.0), head_scale=st.floats(0.0, 300.0))
+def test_finite_row_whose_product_overflows_keeps_its_bits(d, seed, feature_scale, head_scale):
+    """Large features on large weights overflow the product to inf or NaN.
+    The row is finite, so it is scored, with the bits of the full check."""
+    h = drawn_head(d, seed, 10.0**head_scale)
+    f = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=d) * 10.0**feature_scale
+    with np.errstate(all="ignore"):
+        assert bits(forward(h, f)) == bits(matmul_forward(h, f))
+
+
+def test_overflowed_first_product_takes_the_full_check():
+    """The case the property must reach: the first entry of the product is
+    not finite while the row is."""
+    h = drawn_head(2, 0, 1.0)
+    h.w1[:, 0] = 1e300
+    f = np.array([1e300, -1e300 * 0.5])
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(np.dot(f, h.w1)[0])
+        assert bits(forward(h, f)) == bits(matmul_forward(h, f))
+
+
+def test_row_layout_does_not_change_its_score():
+    """A strided or reversed view of a row scores with the bits of its
+    contiguous copy."""
+    h = drawn_head(8, 0, 1.0)
+    base = np.random.default_rng(1).normal(size=16)
+    for view in (base[::2], base[7::-1], base[::-2]):
+        assert not view.flags.c_contiguous
+        assert bits(forward(h, view)) == bits(forward(h, view.copy()))
+
+
+def test_float64_rows_pass_through_as_floats_untouched():
+    f = np.arange(4.0)
+    assert _as_floats(f) is f
+    view = f[::2]
+    assert _as_floats(view) is view
+    for other in (f.astype(np.float32), f.astype(">f8"), np.ma.masked_array(f), f.tolist()):
+        got = _as_floats(other)
+        assert got.__class__ is np.ndarray and got.dtype == np.float64
+        assert got.tolist() == f.tolist()
 
 
 # ---------------------------------------------------------------------------
