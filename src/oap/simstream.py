@@ -52,7 +52,14 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_ranges(self, (("d", lambda v: v >= 1, "d >= 1"),))
+        check_ranges(self, (
+            ("d", lambda v: v >= 1, "d >= 1"),
+            ("class_separation", math.isfinite, "a finite class_separation"),
+            ("noise_std", math.isfinite, "a finite noise_std"),
+            ("user_shift_scale", math.isfinite, "a finite user_shift_scale"),
+            ("drift_rate", math.isfinite, "a finite drift_rate"),
+            ("seed", lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
+        ))
         if self.class_separation <= 0 or self.noise_std <= 0:
             raise ConfigError("class_separation and noise_std must be positive")
 
@@ -74,7 +81,8 @@ class Segment:
 class StreamScenario:
     """A timed sequence of single-class segments. One segment is the
     single-video regime; several interleaved segments form the continual
-    regime."""
+    regime. ``user_id`` is at least 0, so the stream's user
+    (``HELD_OUT_USER_BASE + user_id``) stays in the held-out id range."""
 
     segments: tuple[Segment, ...]
     frame_rate: float = 30.0
@@ -86,6 +94,7 @@ class StreamScenario:
         check_ranges(self, (
             ("frame_rate", math.isfinite, "a finite frame_rate"),
             ("frame_rate", lambda v: v > 0, "frame_rate > 0"),
+            ("user_id", lambda v: v >= 0, "user_id >= 0"),
         ))
 
     @property
@@ -149,30 +158,44 @@ def generate_stream(
     indices are 1-based; frame t occurs at wall time (t - 1) / frame_rate.
     Cluster means drift by ``drift_rate`` std units per second along one
     seeded random direction for the whole stream.
+
+    The features are the rows of one (n, d) array, filled a segment at a
+    time: each frame's feature is a view of its row. Every element is
+    ``(base + drift) + noise`` with ``drift = ((direction * drift_rate) *
+    noise_std) * time``, the operations and order of a frame-at-a-time
+    loop, so the bits do not depend on how the stream is cut. No
+    temporary is larger than one segment's (k, d) block.
     """
     uid = HELD_OUT_USER_BASE + scenario.user_id
     offset = _user_offset(cfg, uid)
     drift_rng = seeded_rng(cfg.seed, f"drift-direction-{uid}")
     direction = drift_rng.standard_normal(cfg.d)
     direction /= np.linalg.norm(direction)
+    drift_per_second = direction * cfg.drift_rate * cfg.noise_std
     noise_rng = seeded_rng(cfg.seed, f"stream-noise-{uid}")
 
-    frames: list[StreamFrame] = []
-    labels = np.empty(scenario.total_frames, dtype=np.int64)
-    t = 0
+    n = scenario.total_frames
+    times = np.arange(n) / scenario.frame_rate
+    features = np.empty((n, cfg.d))
+    labels = np.empty(n, dtype=np.int64)
+    start = 0
     for seg in scenario.segments:
+        stop = start + seg.duration_frames
         source_rng = seeded_rng(cfg.seed, f"source-{int(seg.label)}-{seg.source_id}-{uid}")
         source_offset = (
             source_rng.standard_normal(cfg.d) * SOURCE_SHIFT_SCALE * cfg.noise_std
         )
         base = _class_mean(cfg, seg.label) + offset + source_offset
-        noise = noise_rng.standard_normal((seg.duration_frames, cfg.d)) * cfg.noise_std
-        for k in range(seg.duration_frames):
-            time = t / scenario.frame_rate
-            drift = direction * cfg.drift_rate * cfg.noise_std * time
-            frames.append(StreamFrame(base + drift + noise[k], t + 1, time))
-            labels[t] = int(seg.label)
-            t += 1
+        block = features[start:stop]
+        np.multiply(times[start:stop, None], drift_per_second, out=block)
+        block += base
+        noise = noise_rng.standard_normal((seg.duration_frames, cfg.d))
+        noise *= cfg.noise_std
+        block += noise
+        del noise  # freed before the next segment's draw and the frame list
+        labels[start:stop] = int(seg.label)
+        start = stop
+    frames = list(map(StreamFrame, features, range(1, n + 1), times.tolist()))
     return frames, labels
 
 
@@ -372,8 +395,15 @@ def save_stream_file(
     frame_rate: float = 30.0,
 ) -> None:
     """Convenience wrapper: persist a generated stream (with its hidden
-    labels, when the harness wants them) in the feature-file format."""
-    features = np.stack([f.feature for f in frames])
+    labels, when the harness wants them) in the feature-file format. An
+    empty frame list, or frames whose features differ in shape, is a
+    DataError."""
+    if not frames:
+        raise DataError("no frames to save: a stream file needs at least one frame")
+    try:
+        features = np.stack([f.feature for f in frames])
+    except ValueError as exc:
+        raise DataError("frames must all have features of one shape") from exc
     save_feature_file(
         path,
         features,

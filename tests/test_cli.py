@@ -323,6 +323,12 @@ class TestConfigAtTheDoor:
         ("generate", ["--set", "segments="],
          "segments out of range: scenario needs at least one segment"),
         ("generate", ["--set", "frame_rate=inf"], "frame_rate out of range: inf"),
+        ("generate", ["--set", "user_id=-999997"], "user_id out of range: -999997"),
+        ("generate", ["--set", "drift_rate=nan"], "drift_rate out of range: nan"),
+        ("generate", ["--set", "user_shift_scale=inf"], "user_shift_scale out of range: inf"),
+        ("generate", ["--set", "class_separation=inf"], "class_separation out of range: inf"),
+        ("generate", ["--set", "noise_std=nan"], "noise_std out of range: nan"),
+        ("generate", ["--set", "seed=-1"], "seed out of range: -1"),
     ])
     def test_rejected_with_key_named(self, pipeline, tmp_path, capsys, command, extra, message):
         if "--config" in extra:

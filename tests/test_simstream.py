@@ -12,12 +12,18 @@ from hypothesis import strategies as st
 
 from oap.config import ClassLabel, from_mapping
 from oap.errors import ConfigError, DataError
+from oap.rng import seeded_rng
 from oap.simstream import (
     FEATURE_ROWS_PER_WRITE,
+    HELD_OUT_USER_BASE,
+    SOURCE_SHIFT_SCALE,
+    _class_mean,
+    _user_offset,
     _read_lines,
     _read_table,
     GeneratorConfig,
     Segment,
+    StreamFrame,
     StreamScenario,
     generate_pretraining_set,
     generate_stream,
@@ -66,6 +72,14 @@ OUT_OF_RANGE_CHANGES = [
     ({"d": 0}, "d out of range"),
     ({"noise_std": 0.0}, "must be positive"),
     ({"class_separation": -1.0}, "must be positive"),
+    ({"drift_rate": float("nan")}, "drift_rate out of range: nan"),
+    ({"drift_rate": float("-inf")}, "drift_rate out of range: -inf"),
+    ({"user_shift_scale": float("inf")}, "user_shift_scale out of range: inf"),
+    ({"class_separation": float("inf")}, "class_separation out of range: inf"),
+    ({"noise_std": float("inf")}, "noise_std out of range: inf"),
+    ({"noise_std": float("nan")}, "noise_std out of range: nan"),
+    ({"seed": -1}, "seed out of range: -1"),
+    ({"seed": 2**64}, "seed out of range: 18446744073709551616"),
 ]
 
 
@@ -81,6 +95,108 @@ def test_generator_config_checks_its_ranges_however_built(build, change, message
     one that is out of range."""
     with pytest.raises(ConfigError, match=message):
         build(change)
+
+
+@pytest.mark.parametrize("build", [
+    lambda user_id: StreamScenario((Segment(ClassLabel.LIVE, 3),), user_id=user_id),
+    lambda user_id: dataclasses.replace(StreamScenario((Segment(ClassLabel.LIVE, 3),)),
+                                        user_id=user_id),
+    lambda user_id: scenario_from_mapping({"segments": "live:3", "user_id": str(user_id)}),
+], ids=["constructor", "replace", "from_mapping"])
+@pytest.mark.parametrize("user_id", [-1, -999_997, -HELD_OUT_USER_BASE])
+def test_scenario_refuses_a_negative_user_id(build, user_id):
+    """A negative ``user_id`` would number the stream's user below
+    ``HELD_OUT_USER_BASE``, among the pre-training users (-999997 is
+    pre-training user 3), so it is refused however the scenario is built."""
+    with pytest.raises(ConfigError, match=f"user_id out of range: {user_id} "):
+        build(user_id)
+
+
+def per_frame_stream(cfg, scenario):
+    """The frame-at-a-time generator that ``generate_stream`` replaced: the
+    reference for its bits, its frame types and its labels."""
+    uid = HELD_OUT_USER_BASE + scenario.user_id
+    offset = _user_offset(cfg, uid)
+    drift_rng = seeded_rng(cfg.seed, f"drift-direction-{uid}")
+    direction = drift_rng.standard_normal(cfg.d)
+    direction /= np.linalg.norm(direction)
+    noise_rng = seeded_rng(cfg.seed, f"stream-noise-{uid}")
+
+    frames = []
+    labels = np.empty(scenario.total_frames, dtype=np.int64)
+    t = 0
+    for seg in scenario.segments:
+        source_rng = seeded_rng(cfg.seed, f"source-{int(seg.label)}-{seg.source_id}-{uid}")
+        source_offset = (
+            source_rng.standard_normal(cfg.d) * SOURCE_SHIFT_SCALE * cfg.noise_std
+        )
+        base = _class_mean(cfg, seg.label) + offset + source_offset
+        noise = noise_rng.standard_normal((seg.duration_frames, cfg.d)) * cfg.noise_std
+        for k in range(seg.duration_frames):
+            time = t / scenario.frame_rate
+            drift = direction * cfg.drift_rate * cfg.noise_std * time
+            frames.append(StreamFrame(base + drift + noise[k], t + 1, time))
+            labels[t] = int(seg.label)
+            t += 1
+    return frames, labels
+
+
+@st.composite
+def stream_setups(draw):
+    """A generator config and a scenario of 1-4 segments of 1-400 frames."""
+    cfg = GeneratorConfig(
+        d=draw(st.integers(1, 64)),
+        drift_rate=draw(st.sampled_from([0.0, 0.1, -5.0])),
+        user_shift_scale=draw(st.sampled_from([0.0, 1.5])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    segments = draw(st.lists(
+        st.builds(Segment, st.sampled_from(list(ClassLabel)), st.integers(1, 400),
+                  st.integers(0, 5)),
+        min_size=1, max_size=4,
+    ))
+    scenario = StreamScenario(
+        tuple(segments),
+        frame_rate=draw(st.sampled_from([30.0, 29.97, 1e-3, 1e6])),
+        user_id=draw(st.integers(0, 10**6)),
+    )
+    return cfg, scenario
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup=stream_setups())
+def test_stream_matches_the_per_frame_generator(setup):
+    """``generate_stream`` gives every frame the feature bits, the Python
+    int index and the Python float time of the per-frame loop, and the same
+    labels."""
+    frames, labels = generate_stream(*setup)
+    want_frames, want_labels = per_frame_stream(*setup)
+    assert len(frames) == len(want_frames)
+    assert np.stack([f.feature for f in frames]).tobytes() == (
+        np.stack([f.feature for f in want_frames]).tobytes()
+    )
+    for got, want in zip(frames, want_frames):
+        assert type(got.frame_index) is int and type(got.time) is float
+        assert (got.frame_index, got.time) == (want.frame_index, want.time)
+    assert labels.dtype == want_labels.dtype
+    assert labels.tobytes() == want_labels.tobytes()
+
+
+def test_stream_peak_memory_is_bounded_by_its_block():
+    """No temporary is larger than one segment's block: a 20000-frame
+    stream at d = 32 peaks well below 3.5 times its (n, d) feature block
+    (about 2.1 times, counting the frame objects). The per-frame loop
+    peaked at 3.0 and a whole-stream ``base + drift + noise`` at 4.1."""
+    n, d = 20_000, 32
+    scenario = StreamScenario((Segment(ClassLabel.LIVE, n),))
+    tracemalloc.start()
+    try:
+        frames, _ = generate_stream(GeneratorConfig(d=d), scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == n
+    assert peak < 3.5 * n * d * 8
 
 
 class TestStream:
@@ -159,6 +275,17 @@ class TestStream:
         feats = np.stack([f.feature for f in frames])
         gap = np.linalg.norm(feats[:500].mean(axis=0) - feats[500:].mean(axis=0))
         assert gap > 0.5
+
+    def test_frames_are_rows_of_one_array(self):
+        """Each frame's feature is a view of its own row: writing into one
+        frame's feature changes that frame alone."""
+        scenario = StreamScenario((Segment(ClassLabel.LIVE, 3), Segment(ClassLabel.SPOOF, 2)))
+        frames, _ = generate_stream(CFG, scenario)
+        before = np.stack([f.feature for f in frames])
+        frames[2].feature[:] = 0.0
+        after = np.stack([f.feature for f in frames])
+        assert not after[2].any()
+        np.testing.assert_array_equal(np.delete(after, 2, axis=0), np.delete(before, 2, axis=0))
 
 
 def per_row_save(path, features, frame_indices, times, labels=None, frame_rate=30.0):
@@ -262,6 +389,19 @@ class TestFeatureFiles:
         assert len(roundtrip) == 40
         np.testing.assert_array_equal(roundtrip[7].feature, frames[7].feature)
         assert roundtrip[7].time == frames[7].time
+
+    def test_stream_file_refuses_no_frames(self, tmp_path):
+        path = tmp_path / "s.oapf"
+        with pytest.raises(DataError, match="at least one frame"):
+            save_stream_file(path, [])
+        assert not path.exists()
+
+    def test_stream_file_refuses_ragged_frames(self, tmp_path):
+        frames = [StreamFrame(np.zeros(2), 1, 0.0), StreamFrame(np.zeros(3), 2, 0.1)]
+        path = tmp_path / "s.oapf"
+        with pytest.raises(DataError, match="features of one shape"):
+            save_stream_file(path, frames)
+        assert not path.exists()
 
 
 HEADER = "oapf v1 d=2 labeled=1 fps=30.0"
