@@ -47,6 +47,7 @@ from .simstream import (
     GeneratorConfig,
     Segment,
     StreamFrame,
+    StreamFrames,
     StreamScenario,
     generate_pretraining_set,
     generate_stream,

@@ -46,6 +46,7 @@ from .memory import ReplayStore
 from .metrics import MetricReport, check_both_classes, evaluate_frames
 from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS, carve_replay, fit_head
 from .simstream import (
+    HELD_OUT_USER_BASE,
     GeneratorConfig,
     StreamScenario,
     generate_pretraining_set,
@@ -77,6 +78,8 @@ class RunnerConfig:
             ("seeds", lambda v: v >= 1, "seeds >= 1"),
             ("ema_momentum", lambda v: 0.0 <= v < 1.0, "0 <= ema_momentum < 1"),
             ("n_users", lambda v: v >= 2, "n_users >= 2"),
+            # Pre-training users are 0 .. n_users - 1, below the held-out ids.
+            ("n_users", lambda v: v <= HELD_OUT_USER_BASE, f"n_users <= {HELD_OUT_USER_BASE}"),
             ("frames_per_user", lambda v: v >= 2, "frames_per_user >= 2"),
         ))
         if self.mode not in MODES:
@@ -183,6 +186,27 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_stream_order(path, data) -> None:
+    """What the engine asks of a stream's frames, checked on its columns at
+    once, before anything is written: frame indices strictly increase and
+    times are finite and never decrease. A DataError names the file and
+    the first bad row, from 1, with the engine's reason."""
+    indices, times = data.frame_indices, data.times
+    bad = ~np.isfinite(times)
+    bad[1:] |= (indices[1:] <= indices[:-1]) | (times[1:] < times[:-1])
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    index, time = indices.item(k), times.item(k)
+    if not np.isfinite(time):
+        reason = f"non-finite frame time {time!r}"
+    elif index <= indices.item(k - 1):
+        reason = f"frame index {index} does not follow the previous row's {indices.item(k - 1)}"
+    else:
+        reason = f"frame time {time!r} precedes the previous row's {times.item(k - 1)!r}"
+    raise DataError(f"{path}: row {k + 1}: {reason}")
+
+
 def _run_mode(runner, head, replay, params, data, save_head_path):
     frames, truth = data.to_frames(), data.labels
     if runner.mode == "frozen":
@@ -237,6 +261,7 @@ def cmd_run(args) -> int:
             )
         if not len(data.features):
             raise DataError(f"{path}: empty stream")
+        _check_stream_order(path, data)
         streams.append((Path(path).stem, data))
     labeled = [data.labels for _, data in streams if data.labels is not None]
     if labeled:
@@ -285,6 +310,7 @@ def cmd_sweep(args) -> int:
     if stream.labels is None:
         raise DataError(f"{args.stream}: sweep needs a labeled stream")
     check_both_classes(stream.labels)
+    _check_stream_order(args.stream, stream)
     frames = stream.to_frames()
 
     rows = []

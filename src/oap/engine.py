@@ -37,6 +37,7 @@ from .config import ClassLabel, HyperParams, PseudoLabel
 from .errors import ConfigError, DataError, NumericalError
 from .head import (
     HIDDEN_UNITS,
+    SCORE_ROWS_PER_CALL,
     AdamState,
     ClassifierHead,
     apply_update,
@@ -237,18 +238,13 @@ def _not_a_row(head: ClassifierHead, feature) -> DataError:
     )
 
 
-# Frames per ``forward`` call of a baseline: the stacked features and the
-# products behind them (about 1 MB at d = 32) stay the same size, whatever
-# the stream's length.
-SCORE_ROWS_PER_CALL = 1024
-
-
 def _scores(head: ClassifierHead, frames: Sequence[StreamFrame]) -> Iterator[float]:
     """``forward``'s probability for each frame, in order, from one call on
-    each stack of SCORE_ROWS_PER_CALL frames; the bits are those of scoring
-    each frame on its own (see ``forward_batch``). A stack that will not
-    form or score is scored a frame at a time, so the first frame that is
-    not a finite (d,) row raises the DataError it raises on its own."""
+    each stack of SCORE_ROWS_PER_CALL frames, ``forward_batch``'s block;
+    the bits are those of scoring each frame on its own (see
+    ``forward_batch``). A stack that will not form or score is scored a
+    frame at a time, so the first frame that is not a finite (d,) row
+    raises the DataError it raises on its own."""
     for start in range(0, len(frames), SCORE_ROWS_PER_CALL):
         chunk = [f.feature for f in frames[start : start + SCORE_ROWS_PER_CALL]]
         try:

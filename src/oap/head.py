@@ -66,6 +66,10 @@ PROB_EPS = 1e-7
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
+# Rows per block of ``forward_batch``: a block's stacked products (about
+# 0.5 MB at 64 hidden units) stay the same size, whatever the input's length.
+SCORE_ROWS_PER_CALL = 1024
+
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -249,17 +253,29 @@ def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
     other shape is a DataError.
 
     Row i is bit-identical to ``forward(head, feats[i])`` for every n. The
-    products are stacked, (n, 1, d) @ (d, 64) and (n, 1, 64) @ (64,), so
+    products are stacked, (k, 1, d) @ (d, 64) and (k, 1, 64) @ (64,), so
     numpy's matmul runs its inner loop once per row, with the BLAS calls
     ``forward`` makes on that row: a gemv of the row and ``w1``, then a
     dot of the hidden row and ``w2``. An (n, d) @ (d, 64) GEMM would block
     and order the sums by n and rounds differently. The bias adds, the
     sigmoid's branches and the clamp are elementwise and correctly rounded,
-    the same operations as ``forward``'s scalar tail."""
+    the same operations as ``forward``'s scalar tail.
+
+    The rows are scored SCORE_ROWS_PER_CALL at a time into one (n,) output,
+    so no temporary is larger than one block's (k, 1, 64) products, about
+    0.5 MB, whatever n is; a row's bits do not depend on its block."""
     feats = _check_features(head, feats)
-    hidden = np.maximum(np.matmul(feats[:, None, :], head.w1) + head.b1, 0.0)
-    logits = np.matmul(hidden, head.w2)[:, 0] + head.b2[0]
-    return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
+    n = feats.shape[0]
+    out = np.empty(n)
+    for start in range(0, n, SCORE_ROWS_PER_CALL):
+        rows = slice(start, start + SCORE_ROWS_PER_CALL)
+        hidden = np.matmul(feats[rows, None, :], head.w1)
+        np.add(hidden, head.b1, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        logits = np.matmul(hidden, head.w2)[:, 0]
+        np.add(logits, head.b2[0], out=logits)
+        np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS, out=out[rows])
+    return out
 
 
 def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarray]:

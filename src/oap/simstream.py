@@ -20,8 +20,11 @@ ranges when built, so the generators take them as given.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +32,7 @@ import numpy as np
 
 from .config import ClassLabel, check_ranges, from_mapping
 from .errors import ConfigError, DataError
+from .head import _as_floats
 from .rng import seeded_rng
 
 # Held-out stream users are offset into their own id range so they can
@@ -111,6 +115,57 @@ class StreamFrame(NamedTuple):
     time: float
 
 
+# Frames made per step of iterating a ``StreamFrames``: the Python ints and
+# floats of one step stay the same size, whatever the stream's length.
+FRAMES_PER_READ = 1024
+
+
+class StreamFrames(Sequence):
+    """A read-only sequence of ``StreamFrame`` over three columns of one
+    length: an (n, d) float64 ``features`` array, an int64
+    ``frame_indices`` column and a float64 ``times`` column.
+
+    Each frame is made when it is read, as a list of frames would hold it:
+    its feature is a view of its row (a write through it lands in
+    ``features``), its index a Python int and its time a Python float.
+    ``[i]`` takes a negative ``i`` too and raises IndexError out of range;
+    a slice is a ``StreamFrames`` over views of the columns. A held stream
+    costs its columns alone, where a list of frames costs about 300 bytes
+    a frame more. It equals a list or a ``StreamFrames`` of equal frames."""
+
+    __slots__ = ("features", "frame_indices", "times")
+
+    def __init__(self, features: np.ndarray, frame_indices: np.ndarray, times: np.ndarray):
+        if not len(features) == len(frame_indices) == len(times):
+            raise DataError("features, frame indices and times must have one length")
+        self.features, self.frame_indices, self.times = features, frame_indices, times
+
+    def __len__(self) -> int:
+        return len(self.frame_indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return StreamFrames(self.features[i], self.frame_indices[i], self.times[i])
+        i = operator.index(i)
+        return StreamFrame(self.features[i], self.frame_indices.item(i), self.times.item(i))
+
+    def __iter__(self):
+        return chain.from_iterable(map(self._read, range(0, len(self), FRAMES_PER_READ)))
+
+    def _read(self, start: int):
+        """The frames of rows ``start`` up to FRAMES_PER_READ more, made as
+        they are iterated. ``tuple.__new__`` builds each as the NamedTuple's
+        own ``__new__`` does, without that Python-level call."""
+        rows = slice(start, start + FRAMES_PER_READ)
+        indices, times = self.frame_indices[rows].tolist(), self.times[rows].tolist()
+        return map(tuple.__new__, repeat(StreamFrame), zip(self.features[rows], indices, times))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, StreamFrames)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def _user_offset(cfg: GeneratorConfig, user_id: int) -> np.ndarray:
     rng = seeded_rng(cfg.seed, f"user-offset-{user_id}")
     return rng.standard_normal(cfg.d) * cfg.user_shift_scale * cfg.noise_std
@@ -127,9 +182,17 @@ def generate_pretraining_set(
     cfg: GeneratorConfig, n_users: int, frames_per_user: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced labeled features from ``n_users`` training users, each with
-    its own random offset. Deterministic under cfg.seed."""
+    its own random offset. Deterministic under cfg.seed. The users are
+    numbered 0 .. n_users - 1, so ``n_users`` is at most
+    ``HELD_OUT_USER_BASE``: one more would draw the offset of held-out
+    user 0."""
     if n_users < 2:
         raise ConfigError(f"need at least 2 training users, got {n_users}")
+    if n_users > HELD_OUT_USER_BASE:
+        raise ConfigError(
+            f"n_users out of range: {n_users} (want at most {HELD_OUT_USER_BASE}, "
+            "the first held-out user id)"
+        )
     feats = []
     labels = []
     n_live = frames_per_user - frames_per_user // 2
@@ -150,7 +213,7 @@ def generate_pretraining_set(
 
 def generate_stream(
     cfg: GeneratorConfig, scenario: StreamScenario
-) -> tuple[list[StreamFrame], np.ndarray]:
+) -> tuple[StreamFrames, np.ndarray]:
     """Feature stream for a held-out user.
 
     Returns (frames, hidden_labels): the frames carry only features and
@@ -160,11 +223,13 @@ def generate_stream(
     seeded random direction for the whole stream.
 
     The features are the rows of one (n, d) array, filled a segment at a
-    time: each frame's feature is a view of its row. Every element is
-    ``(base + drift) + noise`` with ``drift = ((direction * drift_rate) *
-    noise_std) * time``, the operations and order of a frame-at-a-time
-    loop, so the bits do not depend on how the stream is cut. No
-    temporary is larger than one segment's (k, d) block.
+    time. Every element is ``(base + drift) + noise`` with ``drift =
+    ((direction * drift_rate) * noise_std) * time``, the operations and
+    order of a frame-at-a-time loop, so the bits do not depend on how the
+    stream is cut. No temporary is larger than one segment's (k, d) block.
+    The frames are a ``StreamFrames`` over that array and the index and
+    time columns: each frame is made when it is read, with its feature a
+    view of its row, so the stream holds (d + 2) * 8 bytes a frame.
     """
     uid = HELD_OUT_USER_BASE + scenario.user_id
     offset = _user_offset(cfg, uid)
@@ -192,11 +257,10 @@ def generate_stream(
         noise = noise_rng.standard_normal((seg.duration_frames, cfg.d))
         noise *= cfg.noise_std
         block += noise
-        del noise  # freed before the next segment's draw and the frame list
+        del noise  # freed before the next segment's draw
         labels[start:stop] = int(seg.label)
         start = stop
-    frames = list(map(StreamFrame, features, range(1, n + 1), times.tolist()))
-    return frames, labels
+    return StreamFrames(features, np.arange(1, n + 1, dtype=np.int64), times), labels
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +287,8 @@ class FeatureFileData:
     times: np.ndarray
     frame_rate: float
 
-    def to_frames(self) -> list[StreamFrame]:
-        return list(
-            map(StreamFrame, self.features, self.frame_indices.tolist(), self.times.tolist())
-        )
+    def to_frames(self) -> StreamFrames:
+        return StreamFrames(self.features, self.frame_indices, self.times)
 
 
 def save_feature_file(
@@ -241,8 +303,16 @@ def save_feature_file(
     record per line: frame_index, time, optional label, then the feature
     values. Floats are printed with shortest round-trip repr, so a save /
     load cycle is bit-exact. ``frame_indices``, ``times`` and ``labels``
-    hold one entry per feature row."""
-    features = np.asarray(features, dtype=np.float64)
+    hold one entry per feature row.
+
+    What ``load_feature_file`` would refuse, or could not read back with
+    the same bits, is a DataError raised before the file is opened: a
+    non-numeric, complex or non-finite feature, a frame index that is not an int64 integer (1.7 or
+    2**64), a label other than 0 or 1 (0.5 or 2), a time that is not a
+    finite float (a NaN's sign and payload do not survive the text, and
+    the engine refuses a non-finite time) or a frame rate that is not
+    finite and > 0. An entry is named by its row, from 1."""
+    features = _as_floats(features)
     if features.ndim != 2 or features.shape[1] < 1:
         raise DataError("features must be a 2-d array with at least one column")
     if not np.isfinite(features).all():
@@ -251,15 +321,52 @@ def save_feature_file(
     labeled = labels is not None
     if len(frame_indices) != n or len(times) != n or (labeled and len(labels) != n):
         raise DataError(f"frame indices, times and labels must each have {n} entries")
+    frame_indices = _column(frame_indices, int, _INT64.__contains__, "frame index",
+                            "an int64 integer")
+    times = _column(times, float, math.isfinite, "frame time", "a finite float")
+    if labeled:
+        labels = _column(labels, int, (0, 1).__contains__, "label", "0 or 1")
+    try:
+        fps = float(frame_rate)
+    except (TypeError, ValueError):
+        fps = math.nan
+    if not (math.isfinite(fps) and fps > 0):
+        raise DataError(f"frame rate out of range: {frame_rate!r} (want a finite rate > 0)")
     with open(path, "w") as fh:
-        fh.write(f"oapf {FEATURE_FILE_VERSION} d={d} labeled={int(labeled)} fps={frame_rate!r}\n")
+        fh.write(f"oapf {FEATURE_FILE_VERSION} d={d} labeled={int(labeled)} fps={fps!r}\n")
         for start in range(0, n, FEATURE_ROWS_PER_WRITE):
             rows = slice(start, start + FEATURE_ROWS_PER_WRITE)
-            cols = [map(str, map(int, frame_indices[rows])), map(repr, map(float, times[rows]))]
+            cols = [map(str, frame_indices[rows]), map(repr, times[rows])]
             if labeled:
-                cols.append(map(str, map(int, labels[rows])))
+                cols.append(map(str, labels[rows]))
             cols.append(",".join(map(repr, row)) for row in features[rows].tolist())
             fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
+
+
+_INT64 = range(-(2**63), 2**63)
+
+
+def _column(values, convert, valid, what: str, want: str) -> list:
+    """``values`` as a list of ``convert(value)``, when each entry equals
+    its converted value and that passes ``valid``; otherwise a DataError
+    naming the first entry that does not."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    try:
+        cells = list(map(convert, values))
+    except (TypeError, ValueError, OverflowError):
+        cells = None
+    if cells is None or cells != values or not all(map(valid, cells)):
+        row = next(k for k, v in enumerate(values) if not _fits(v, convert, valid))
+        raise DataError(f"{what} out of range at row {row + 1}: {values[row]!r} (want {want})")
+    return cells
+
+
+def _fits(value, convert, valid) -> bool:
+    try:
+        cell = convert(value)
+        return bool(cell == value) and valid(cell)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
