@@ -278,7 +278,7 @@ def cmd_run(args) -> int:
             write_trace_csv(out_dir / f"trace_seed{run_params.seed}_{stem}.csv", trace)
             write_trace_jsonl(out_dir / f"trace_seed{run_params.seed}_{stem}.jsonl", trace)
             if data.labels is not None:
-                scores.extend(r.y for r in trace)
+                scores += [r.y for r in trace]
                 truth.extend(data.labels.tolist())
         if truth:
             report = evaluate_frames(scores, truth, params.eval_threshold)

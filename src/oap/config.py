@@ -10,6 +10,7 @@ here are plain values, safe to copy and share between threads.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from enum import IntEnum
@@ -109,13 +110,17 @@ class HyperParams:
 _RANGE_CHECKS = (
     ("margin", lambda v: 0.0 < v <= 0.5, "0 < margin <= 0.5"),
     ("window", lambda v: v >= 1, "window >= 1"),
+    ("eviction_horizon", math.isfinite, "a finite eviction_horizon"),
     ("eviction_horizon", lambda v: v > 0.0, "eviction_horizon > 0"),
+    ("frame_rate", math.isfinite, "a finite frame_rate"),
     ("frame_rate", lambda v: v > 0.0, "frame_rate > 0"),
     ("finetune_freq", lambda v: 0.0 < v <= 1.0, "0 < finetune_freq <= 1"),
     ("iterations_per_call", lambda v: v >= 1, "iterations_per_call >= 1"),
     ("online_prob", lambda v: 0.0 <= v <= 1.0, "0 <= online_prob <= 1"),
     ("batch_size", lambda v: v >= 1, "batch_size >= 1"),
+    ("learning_rate", math.isfinite, "a finite learning_rate"),
     ("learning_rate", lambda v: v > 0.0, "learning_rate > 0"),
+    ("weight_decay", math.isfinite, "a finite weight_decay"),
     ("weight_decay", lambda v: v >= 0.0, "weight_decay >= 0"),
     ("replay_size", lambda v: v >= 0, "replay_size >= 0"),
     ("eval_threshold", lambda v: 0.0 < v < 1.0, "0 < eval_threshold < 1"),

@@ -16,6 +16,12 @@ exactly the degenerate case with adaptation disabled.
 
 Per-frame results are named tuples, ``FrameVerdict`` and ``TraceRecord``;
 a TraceRecord's fields, in order, are the columns of the trace files.
+``Engine.run_stream`` and both baselines run through one block fold: it
+reads the stream SCORE_ROWS_PER_CALL frames at a time, hands each block to
+the runner's block step (``process_frame`` frame by frame for the engine,
+one stacked ``forward`` call for the baselines, whose head never changes)
+and builds the block's records from the step's columns. No frame is made
+twice, and a ``StreamFrames`` stream is scored from its arrays.
 
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
 counting: one sample costs 2*(d*64 + 64) forward, times 3 for the joint
@@ -48,7 +54,7 @@ from .head import _grad_kernel as loss_and_grad
 from .memory import OnlineBuffer, ReplayStore, check_frame_index, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
-from .simstream import StreamFrame
+from .simstream import StreamFrame, StreamFrames
 
 # Cost of the full-size deployment this desk-scale model stands in for, at
 # finetune_freq=1. Sweep reports scale it by finetune_freq; the engine
@@ -109,23 +115,48 @@ class TraceRecord(NamedTuple):
 def _fold(
     frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, step: Callable
 ) -> list[TraceRecord]:
-    """The one stream runner behind the engine and both baselines. It visits
-    each frame exactly once, in order. ``step(frame)`` returns ``y`` and
-    then the trace fields after ``decision``; the fold adds the frame
-    index, the ground truth (which ``step`` never sees) and the decision."""
-    if len(frames) == 0:
+    """The one stream runner behind the engine and both baselines. It reads
+    the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time.
+    ``step(block, features)`` gets the block and its frames' features and
+    returns the column of ``y`` and then the columns of the trace fields
+    after ``decision`` (a constant column may be a ``repeat``); the fold
+    adds the frame indices, the ground truth (which ``step`` never sees)
+    and the decisions, and builds the block's records from the columns, as
+    ``StreamFrames`` builds its frames. A block of any other sequence is
+    made into a list of frames once. A ``StreamFrames`` block gives its
+    features and indices from its columns, so its frames are made only if
+    the step iterates it: the engine's does, the baselines' does not."""
+    n = len(frames)
+    if n == 0:
         raise DataError("empty stream")
     if ground_truth is None:
-        truths = [None] * len(frames)
-    elif len(ground_truth) != len(frames):
+        truths = None
+    elif len(ground_truth) != n:
         raise DataError("ground truth length does not match the stream")
     else:
-        truths = [int(g) for g in ground_truth]
+        truths = list(map(int, ground_truth))
     trace = []
-    for frame, truth in zip(frames, truths):
-        y, *context = step(frame)
-        decision = int(_SPOOF if y > eval_threshold else _LIVE)
-        trace.append(TraceRecord(frame.frame_index, truth, y, decision, *context))
+    for start in range(0, n, SCORE_ROWS_PER_CALL):
+        stop = start + SCORE_ROWS_PER_CALL
+        block = frames[start:stop]
+        if isinstance(block, StreamFrames):  # read its columns; frames are made if iterated
+            # Rows stacked contiguously, as a list's rows are: the stacked
+            # matmul over rows a file record apart runs slower and raised
+            # peak RSS by about 1 MiB.
+            features = np.ascontiguousarray(block.features)
+            indices = block.frame_indices.tolist()
+        else:
+            block = list(block)
+            features, indices = [f.feature for f in block], [f.frame_index for f in block]
+        ys, *context = step(block, features)
+        columns = zip(
+            indices,
+            repeat(None) if truths is None else truths[start:stop],
+            ys,
+            [1 if y > eval_threshold else 0 for y in ys],  # spoof iff y > eval_threshold
+            *context,
+        )
+        trace += map(tuple.__new__, repeat(TraceRecord), columns)
     return trace
 
 
@@ -223,12 +254,15 @@ class Engine:
         frame visited exactly once. ``ground_truth`` is harness-side only;
         it is copied into the trace and never touches the model."""
 
-        def step(frame: StreamFrame) -> tuple:
-            v = self.process_frame(frame.feature, frame.frame_index, frame.time)
-            flops = self.cumulative_flops
-            return v.y, int(v.pseudo), v.finetuned_this_frame, len(self.online), flops
+        def process_block(block: Sequence[StreamFrame], features) -> Iterator[tuple]:
+            rows = []
+            for frame in block:
+                v = self.process_frame(frame.feature, frame.frame_index, frame.time)
+                rows.append((v.y, int(v.pseudo), v.finetuned_this_frame, len(self.online),
+                             self.cumulative_flops))
+            return zip(*rows)
 
-        return _fold(frames, ground_truth, self.params.eval_threshold, step)
+        return _fold(frames, ground_truth, self.params.eval_threshold, process_block)
 
 
 def _not_a_row(head: ClassifierHead, feature) -> DataError:
@@ -236,29 +270,6 @@ def _not_a_row(head: ClassifierHead, feature) -> DataError:
     return DataError(
         f"feature dimension mismatch: head expects shape ({head.d},), got {np.shape(feature)}"
     )
-
-
-def _scores(head: ClassifierHead, frames: Sequence[StreamFrame]) -> Iterator[float]:
-    """``forward``'s probability for each frame, in order, from one call on
-    each stack of SCORE_ROWS_PER_CALL frames, ``forward_batch``'s block;
-    the bits are those of scoring each frame on its own (see
-    ``forward_batch``). A stack that will not form or score is scored a
-    frame at a time, so the first frame that is not a finite (d,) row
-    raises the DataError it raises on its own."""
-    for start in range(0, len(frames), SCORE_ROWS_PER_CALL):
-        chunk = [f.feature for f in frames[start : start + SCORE_ROWS_PER_CALL]]
-        try:
-            ys = forward(head, chunk)
-        except DataError:
-            ys = None
-        if isinstance(ys, np.ndarray):  # one probability per row of the stack
-            yield from ys.tolist()
-            continue
-        for feature in chunk:
-            y = forward(head, feature)
-            if y.__class__ is not float:
-                raise _not_a_row(head, feature)
-            yield y
 
 
 def run_baseline_frozen(
@@ -283,24 +294,40 @@ def run_baseline_smoothed(
     eval_threshold: float = 0.5,
 ) -> list[TraceRecord]:
     """Frozen head whose emitted probability is an exponential moving
-    average of the per-frame probabilities. The head never changes, so the
-    frames are scored in stacked passes (``_scores``), as the fold reaches
-    them, with the bits of per-frame scoring."""
+    average of the per-frame probabilities. The head never changes, so each
+    block of the fold is scored in one ``forward`` call on its stack of
+    features, with the bits of per-frame scoring (see ``forward_batch``),
+    and the average runs over the block's scores as Python floats. A stack
+    that will not form or score is scored a frame at a time, so the first
+    frame that is not a finite (d,) row raises the DataError it raises on
+    its own."""
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum out of range: {momentum!r} (want 0 <= momentum < 1)")
-    scores = _scores(head, frames)
-    ema: float | None = None
+    rest = 1.0 - momentum
+    ema: float | None = None  # the last frame's average, carried into the next block
 
-    def step(frame: StreamFrame) -> tuple:
+    def score_block(block: Sequence[StreamFrame], features) -> tuple:
         nonlocal ema
-        y = next(scores)
-        if ema is None:
-            ema = y
-        else:
-            ema = momentum * ema + (1.0 - momentum) * y
-        return ema, None, False, 0, 0.0
+        try:
+            scores = forward(head, features)
+        except DataError:
+            scores = None
+        if isinstance(scores, np.ndarray):  # one probability per row of the stack
+            ys = scores.tolist()
+        else:  # frame by frame, so the first bad frame raises its own DataError
+            ys = []
+            for feature in features:
+                y = forward(head, feature)
+                if y.__class__ is not float:
+                    raise _not_a_row(head, feature)
+                ys.append(y)
+        if momentum:  # at momentum 0 each average is exactly its y
+            for i, y in enumerate(ys):
+                ema = y if ema is None else momentum * ema + rest * y
+                ys[i] = ema
+        return ys, repeat(None), repeat(False), repeat(0), repeat(0.0)
 
-    return _fold(frames, ground_truth, eval_threshold, step)
+    return _fold(frames, ground_truth, eval_threshold, score_block)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +359,39 @@ def _column_formatters(none: str, true: str, false: str, float_cells: Callable) 
             return lambda col: [true if v else false for v in col]
         cells = float_cells if float in types else lambda col: list(map(repr, col))
         if type(None) in types:
-            return lambda col: [none if v is None else c for v, c in zip(col, cells(col))]
+            return lambda col: _cells_or_none(col, cells, none)
         return cells
 
     return tuple(pick(types) for types in _FIELD_TYPES)
+
+
+def _cells_or_none(col: tuple, cells: Callable, none: str) -> list[str]:
+    """The cells of a column that may hold None: ``none`` for each None,
+    and the cells of the other values, formatted without the Nones."""
+    nones = col.count(None)
+    if nones == 0:
+        return cells(col)
+    if nones == len(col):
+        return [none] * nones
+    known = iter(cells([v for v in col if v is not None]))
+    return [none if v is None else next(known) for v in col]
+
+
+def _json_float_cells(col: tuple) -> list[str]:
+    """The JSON text of a column of floats: the repr, or json.dumps'
+    spelling of a non-finite value. A non-finite value makes the column's
+    sum non-finite, so a finite sum clears the column at once."""
+    cells = list(map(repr, col))
+    if math.isfinite(sum(col)):
+        return cells
+    return [_JSON_NONFINITE.get(c, c) for c in cells]
 
 
 # A CSV cell is blank for None, 0/1 for a bool and the repr otherwise (the
 # shortest round-trip form for a float, the digits for an int); a JSON value
 # is what json.dumps writes for it.
 _CSV_FORMATTERS = _column_formatters("", "1", "0", lambda col: list(map(repr, col)))
-_JSON_FORMATTERS = _column_formatters(
-    "null", "true", "false", lambda col: [_JSON_NONFINITE.get(c, c) for c in map(repr, col)]
-)
+_JSON_FORMATTERS = _column_formatters("null", "true", "false", _json_float_cells)
 _CSV_PIECES = ("", *[","] * (len(TRACE_COLUMNS) - 1), "\n")
 _JSON_PIECES = (
     *(("{" if i == 0 else ", ") + json.dumps(name) + ": " for i, name in enumerate(TRACE_COLUMNS)),

@@ -440,6 +440,11 @@ class PretrainSchedule:
         check_ranges(self, (
             ("iterations", lambda v: v >= 0, ">= 0"),
             ("batch_size", lambda v: v >= 1, ">= 1"),
+            ("learning_rate", math.isfinite, "a finite value"),
+            ("learning_rate", lambda v: v > 0.0, "> 0"),
+            ("weight_decay", math.isfinite, "a finite value"),
+            ("weight_decay", lambda v: v >= 0.0, ">= 0"),
+            ("decay_gamma", lambda v: 0.0 < v <= 1.0, "> 0 and <= 1"),
             ("decay_every", lambda v: v >= 1, ">= 1"),
         ), PRETRAIN_PREFIX)
 

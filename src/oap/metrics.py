@@ -44,7 +44,10 @@ def fixed_threshold_metrics(scores, labels, threshold: float) -> tuple[float, fl
     bpcer = fraction of live frames with score > threshold;
     acer = their mean, exactly.
     """
-    live, spoof = _split_scores(scores, labels)
+    return _fixed_threshold(*_split_scores(scores, labels), threshold)
+
+
+def _fixed_threshold(live: np.ndarray, spoof: np.ndarray, threshold: float) -> tuple:
     apcer = float(np.mean(spoof <= threshold))
     bpcer = float(np.mean(live > threshold))
     return apcer, bpcer, (apcer + bpcer) / 2.0
@@ -60,7 +63,10 @@ def equal_error_rate(scores, labels) -> float:
     points, which makes the estimate invariant to any strictly increasing
     transformation of the scores.
     """
-    live, spoof = _split_scores(scores, labels)
+    return _equal_error_rate(*_split_scores(scores, labels))
+
+
+def _equal_error_rate(live: np.ndarray, spoof: np.ndarray) -> float:
     uniq = np.unique(np.concatenate([live, spoof]))
     thresholds = np.concatenate(
         ([uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0])
@@ -106,14 +112,14 @@ class MetricReport:
 
 
 def evaluate_frames(scores, labels, threshold: float = 0.5) -> MetricReport:
-    """Full report over a set of scored frames."""
+    """Full report over a set of scored frames, split by class once."""
     live, spoof = _split_scores(scores, labels)
-    apcer, bpcer, acer = fixed_threshold_metrics(scores, labels, threshold)
+    apcer, bpcer, acer = _fixed_threshold(live, spoof, threshold)
     return MetricReport(
         apcer=apcer,
         bpcer=bpcer,
         acer=acer,
-        eer=equal_error_rate(scores, labels),
+        eer=_equal_error_rate(live, spoof),
         threshold=float(threshold),
         n_live=int(len(live)),
         n_spoof=int(len(spoof)),

@@ -329,6 +329,14 @@ class TestConfigAtTheDoor:
         ("generate", ["--set", "class_separation=inf"], "class_separation out of range: inf"),
         ("generate", ["--set", "noise_std=nan"], "noise_std out of range: nan"),
         ("generate", ["--set", "seed=-1"], "seed out of range: -1"),
+        ("run", ["--set", "eviction_horizon=inf"], "eviction_horizon out of range: inf"),
+        ("run", ["--set", "learning_rate=inf"], "learning_rate out of range: inf"),
+        ("run", ["--set", "weight_decay=inf"], "weight_decay out of range: inf"),
+        ("sweep", ["--set", "eviction_horizon=nan"], "eviction_horizon out of range: nan"),
+        ("pretrain", ["--set", "pretrain_learning_rate=inf"],
+         "pretrain_learning_rate out of range: inf"),
+        ("pretrain", ["--set", "pretrain_weight_decay=-1"], "pretrain_weight_decay out of range: -1.0"),
+        ("pretrain", ["--set", "pretrain_decay_gamma=0"], "pretrain_decay_gamma out of range: 0.0"),
     ])
     def test_rejected_with_key_named(self, pipeline, tmp_path, capsys, command, extra, message):
         if "--config" in extra:

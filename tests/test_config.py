@@ -2,6 +2,7 @@
 geometry, config-file syntax, and the tagged deterministic RNG contract."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -125,6 +126,39 @@ OUT_OF_RANGE = {
     "from_mapping": (
         lambda: from_mapping(PretrainSchedule(), {"pretrain_iterations": "-5"}, "pretrain_"),
         "pretrain_iterations out of range: -5"),
+    "HyperParams-eviction_horizon-inf": (
+        lambda: HyperParams(eviction_horizon=math.inf),
+        "eviction_horizon out of range: inf (want a finite eviction_horizon)"),
+    "HyperParams-frame_rate-inf": (
+        lambda: HyperParams(frame_rate=math.inf),
+        "frame_rate out of range: inf (want a finite frame_rate)"),
+    "HyperParams-learning_rate-inf": (
+        lambda: HyperParams(learning_rate=math.inf),
+        "learning_rate out of range: inf (want a finite learning_rate)"),
+    "HyperParams-weight_decay-inf": (
+        lambda: HyperParams(weight_decay=math.inf),
+        "weight_decay out of range: inf (want a finite weight_decay)"),
+    "HyperParams-eviction_horizon-nan": (
+        lambda: HyperParams(eviction_horizon=math.nan), "eviction_horizon out of range: nan"),
+    "PretrainSchedule-learning_rate-inf": (
+        lambda: PretrainSchedule(learning_rate=math.inf),
+        "pretrain_learning_rate out of range: inf (want a finite value)"),
+    "PretrainSchedule-learning_rate-zero": (
+        lambda: PretrainSchedule(learning_rate=0.0), "pretrain_learning_rate out of range: 0.0"),
+    "PretrainSchedule-learning_rate-nan": (
+        lambda: PretrainSchedule(learning_rate=math.nan),
+        "pretrain_learning_rate out of range: nan"),
+    "PretrainSchedule-weight_decay-inf": (
+        lambda: PretrainSchedule(weight_decay=math.inf),
+        "pretrain_weight_decay out of range: inf"),
+    "PretrainSchedule-weight_decay-negative": (
+        lambda: PretrainSchedule(weight_decay=-1e-3), "pretrain_weight_decay out of range: -0.001"),
+    "PretrainSchedule-decay_gamma-zero": (
+        lambda: PretrainSchedule(decay_gamma=0.0), "pretrain_decay_gamma out of range: 0.0"),
+    "PretrainSchedule-decay_gamma-above-1": (
+        lambda: PretrainSchedule(decay_gamma=1.5), "pretrain_decay_gamma out of range: 1.5"),
+    "PretrainSchedule-decay_gamma-nan": (
+        lambda: PretrainSchedule(decay_gamma=math.nan), "pretrain_decay_gamma out of range: nan"),
 }
 
 

@@ -2,6 +2,7 @@
 cadence, cost accounting, baselines, and trace files."""
 
 import re
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -596,6 +597,41 @@ class TestBaselineErrors:
         frames = [StreamFrame(np.zeros(shape), t, t / 30.0) for t in range(1, D + 1)]
         with pytest.raises(DataError, match=re.escape(f"got {shape}")):
             baseline(kind, head, frames)
+
+
+class CountingFrames(Sequence):
+    """A sequence of frames that counts each frame it hands out, by index,
+    by iteration or through a slice of it."""
+
+    def __init__(self, frames, made=None):
+        self.frames, self.made = frames, made if made is not None else [0]
+
+    def __len__(self):
+        return len(self.frames)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CountingFrames(self.frames[i], self.made)
+        frame = self.frames[i]
+        self.made[0] += 1
+        return frame
+
+
+@pytest.mark.parametrize("kind", ["frozen", "ema", "engine"])
+@pytest.mark.parametrize("n", [5, SCORE_ROWS_PER_CALL + 3])
+def test_each_frame_is_made_once(artifacts, kind, n):
+    """A run makes each of the stream's frames once, however many blocks
+    the stream spans, and gives the trace of the plain list."""
+    head, replay, _, _ = artifacts
+    frames = rows(n)
+    counting = CountingFrames(frames)
+    if kind == "engine":
+        trace = Engine(head, replay, desk_params()).run_stream(counting)
+        assert trace == Engine(head, replay, desk_params()).run_stream(frames)
+    else:
+        trace = baseline(kind, head, counting)
+        assert trace == baseline(kind, head, frames)
+    assert counting.made[0] <= n
 
 
 class TestSmoothedBaseline:

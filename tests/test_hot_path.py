@@ -20,7 +20,7 @@ WRAPPED_METHODS = {"all", "any", "sum", "mean", "min", "max"}
 # helpers such as ``head._first_nonfinite`` are not on the list.
 HOT_FUNCTIONS = {
     oap.head: ["_as_floats", "forward", "_grad_kernel", "apply_update"],
-    oap.engine: ["process_frame", "_finetune"],
+    oap.engine: ["process_frame", "_finetune", "_fold", "score_block"],
     oap.memory: ["insert", "evict_old", "refresh_working_labels", "sample_batch"],
     oap.pseudolabel: ["assign_pseudo_label", "smooth_labels"],
 }

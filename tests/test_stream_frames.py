@@ -190,3 +190,46 @@ def test_forward_batch_blocks_keep_each_rows_bits(n):
 
 def test_the_engine_stacks_frames_by_the_heads_block():
     assert oap.engine.SCORE_ROWS_PER_CALL is SCORE_ROWS_PER_CALL
+
+
+def record_strided(features, indices, times):
+    """The columns as views of one structured table, laid out as the
+    feature-file reader's: rows of a column are a record apart."""
+    n, d = features.shape
+    table = np.empty(n, dtype=[("index", "<i8"), ("time", "<f8"), ("features", "<f8", (d,))])
+    table["index"], table["time"], table["features"] = indices, times, features
+    return table["features"], table["index"], table["time"]
+
+
+@pytest.mark.parametrize("n", [5, SCORE_ROWS_PER_CALL + 3])
+@pytest.mark.parametrize("layout", ["contiguous", "record-strided"])
+@pytest.mark.parametrize("momentum", [0.0, 0.7])
+def test_baselines_read_the_columns_with_the_bits_of_the_list(n, layout, momentum):
+    """The baselines score a ``StreamFrames`` block from its columns and
+    give the trace of its list of frames, bit for bit."""
+    head = init_head(8, seeded_rng(3, "init"))
+    cols = columns(n, 8, seed=n)
+    if layout == "record-strided":
+        cols = record_strided(*cols)
+    frames = StreamFrames(*cols)
+    truth = np.random.default_rng(n).integers(0, 2, size=n)
+    got = oap.engine.run_baseline_smoothed(head, frames, momentum, ground_truth=truth)
+    want = oap.engine.run_baseline_smoothed(head, as_list(*cols), momentum, ground_truth=truth)
+    assert got == want
+    assert np.array([r.y for r in got]).tobytes() == np.array([r.y for r in want]).tobytes()
+    assert [type(v) for v in got[-1]] == [type(v) for v in want[-1]]
+
+
+@pytest.mark.parametrize("at", [3, SCORE_ROWS_PER_CALL + 3])
+@pytest.mark.parametrize("d", [8, 9], ids=["nan row", "head of another width"])
+def test_baselines_name_a_bad_row_of_the_columns_as_of_its_frame(at, d):
+    """A bad block of columns raises the DataError of its list of frames."""
+    head = init_head(d, seeded_rng(3, "init"))
+    cols = columns(SCORE_ROWS_PER_CALL + 9, 8)
+    cols[0][at, 2] = np.nan
+    errors = []
+    for frames in (StreamFrames(*cols), as_list(*cols)):
+        with pytest.raises(DataError) as info:
+            oap.engine.run_baseline_frozen(head, frames)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
