@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -375,7 +376,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``oap`` parser, built once per process: parsing leaves it as
+    it was, and each call's repeatable options start from no list."""
     parser = argparse.ArgumentParser(
         prog="oap",
         description="Streaming per-frame classification with online adaptive personalization.",

@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, ClassLabel, PseudoLabel
 from .errors import DataError
+from .head import _as_floats
 from .pseudolabel import smooth_labels
 
 
@@ -104,8 +105,8 @@ class OnlineBuffer:
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
         """Append an accepted entry. The working label starts equal to the
         raw label until the next smoothing pass. A refused entry (see
-        ``check_frame_index`` for the index) raises DataError and leaves
-        the buffer as it was."""
+        ``check_frame_index`` for the index and ``head._as_floats`` for the
+        feature) raises DataError and leaves the buffer as it was."""
         if pseudo_label == _DISCARD:
             raise DataError("discard labels are never inserted into the online buffer")
         frame_index = check_frame_index(frame_index)
@@ -117,7 +118,7 @@ class OnlineBuffer:
                 raise DataError(f"out-of-order insert: frame {frame_index} after {last_index}")
             if time < last_time:
                 raise DataError(f"out-of-order insert: time {time!r} after {last_time!r}")
-        feature = np.asarray(feature, dtype=np.float64)
+        feature = _as_floats(feature)
         if self._features is None:
             self._features = np.empty((len(self._raw),) + feature.shape)
         elif feature.shape != self._features.shape[1:]:

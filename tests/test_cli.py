@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oap.cli import main
+from oap.config import parse_kv_file
 from oap.engine import read_trace_csv
 from oap.head import PretrainSchedule, save_head
 from oap.memory import ReplayStore
@@ -223,6 +224,36 @@ class TestRun:
             "run", "--out", str(tmp_path / "probe2"), "--head", str(adapted),
             "--stream", str(streams[1]), "--mode", "frozen",
         ]) == 0
+
+    def test_successive_calls_see_only_their_own_lists(self, pipeline, tmp_path):
+        """One parser serves every call: the repeatable ``--set`` and
+        ``--stream`` of a call carry nothing into the next."""
+        _, gen_dir, pre_dir = pipeline
+        streams = sorted(gen_dir.glob("stream_seed*.oapf"))
+        calls = [
+            ([streams[0], streams[1]], ["margin=0.1", "eval_threshold=0.4"]),
+            ([streams[2]], ["learning_rate=0.002"]),
+        ]
+        for i, (paths, sets) in enumerate(calls):
+            argv = ["run", "--out", str(tmp_path / f"o{i}"), "--head", str(pre_dir / "head.oaph"),
+                    "--mode", "frozen"]
+            for path in paths:
+                argv += ["--stream", str(path)]
+            for kv in sets:
+                argv += ["--set", kv]
+            assert main(argv) == 0
+        for i, (paths, sets) in enumerate(calls):
+            out = tmp_path / f"o{i}"
+            assert sorted(p.name for p in out.glob("trace_*.csv")) == sorted(
+                f"trace_seed0_{p.stem}.csv" for p in paths)
+            resolved = parse_kv_file(out / "resolved.cfg")
+            _, other_sets = calls[1 - i]
+            for kv in sets:
+                key, value = kv.split("=")
+                assert resolved[key] == value
+            for kv in other_sets:  # each differs from the default
+                key, value = kv.split("=")
+                assert resolved.get(key) != value
 
 
 class TestSweep:

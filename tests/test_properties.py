@@ -7,10 +7,12 @@ the stacked forward pass against per-row forward and the baselines
 against a per-frame fold, bit for bit, the row's gemv and the finite
 check read off it against the row matmul behind a full check, the
 engine's gradient kernel against the checked ``loss_and_grad``, alone
-and over whole streams, pre-training on the kernel against the checked
-loop it replaced, and the column-wise trace writers against the per-row
-writers they replaced, byte for byte, and the file readers on edited
-bytes, which either read or raise their own error type."""
+and over whole streams, the products on ``ndarray.dot`` against the
+``np.dot`` and ``@`` forms they replaced, in several memory layouts,
+pre-training on the kernel against the checked loop it replaced, and the
+column-wise trace writers against the per-row writers they replaced, byte
+for byte, and the file readers on edited bytes, which either read or raise
+their own error type."""
 
 import json
 import math
@@ -276,6 +278,19 @@ def test_buffer_rejects_a_feature_of_another_shape():
     with pytest.raises(DataError, match="shape"):
         buf.insert(np.zeros(D + 1), PseudoLabel.LIVE, 2, 0.1)
     assert len(buf) == 1
+
+
+def test_buffer_stores_any_row_of_floats_and_refuses_a_non_numeric_one():
+    """A float64 row is stored as it is and any other row of numbers as its
+    floats; a non-numeric row is refused, like ``forward`` refuses it."""
+    rows = [np.array([0.5, -0.0, 3.0]), [1, 2, 3], np.arange(6.0)[::2], np.ones(D, np.float32)]
+    buf = OnlineBuffer()
+    for i, row in enumerate(rows):
+        buf.insert(row, PseudoLabel.LIVE, i, 0.0)
+    assert buf.features_matrix().tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    with pytest.raises(DataError, match="^non-numeric value in feature input"):
+        buf.insert(["a", "b", "c"], PseudoLabel.LIVE, len(rows), 0.0)
+    assert len(buf) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +768,11 @@ def matmul_forward(head, feature):
     hidden = feature[None, :] @ head.w1
     np.add(hidden, head.b1, out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
-    z = np.dot(hidden, head.w2).item() + head.b2.item()
+    return scalar_tail(np.dot(hidden, head.w2).item() + head.b2.item())
+
+
+def scalar_tail(z):
+    """``forward``'s sigmoid and clamp of the logit ``z`` on Python floats."""
     if z >= 0:
         y = 1.0 / (1.0 + float(np.exp(-z)))
     else:
@@ -764,7 +783,7 @@ def matmul_forward(head, feature):
 
 @pytest.mark.parametrize("d", range(1, 65))
 def test_row_gemv_has_the_bits_of_the_row_matmul(d):
-    """``forward`` scores a row with ``np.dot(f, w1)``, the gemv that
+    """``forward`` scores a row with ``f.dot(w1)``, the gemv that
     ``f[None, :] @ w1`` makes and ``forward_batch`` makes per row. A BLAS
     whose two calls round differently fails here."""
     rng = np.random.default_rng(d)
@@ -772,7 +791,106 @@ def test_row_gemv_has_the_bits_of_the_row_matmul(d):
         w1 = rng.normal(0.0, scale, size=(d, HIDDEN_UNITS))
         for _ in range(4):
             f = rng.normal(0.0, scale, size=d)
-            assert np.dot(f, w1).tobytes() == (f[None, :] @ w1)[0].tobytes()
+            assert f.dot(w1).tobytes() == (f[None, :] @ w1)[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Products on ndarray.dot against the np.dot and @ forms they replaced
+# ---------------------------------------------------------------------------
+
+
+def np_dot_forward(head, feature):
+    """``forward`` on one finite row as it ran on ``np.dot`` and ``.item()``."""
+    hidden = np.dot(feature, head.w1)
+    np.add(hidden, head.b1, out=hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    return scalar_tail(np.dot(hidden, head.w2).item() + head.b2.item())
+
+
+def matmul_grad_kernel(head, feats, labels):
+    """``_grad_kernel`` as it ran on the ``@`` operator (numpy's matmul ufunc)."""
+    n = feats.shape[0]
+    z1 = feats @ head.w1 + head.b1
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ head.w2 + head.b2[0]
+    y = _sigmoid(logits)
+    dlogits = (y - labels) / n
+    dz1 = dlogits[:, None] * head.w2 * (z1 > 0.0)
+    grad = np.concatenate((
+        (feats.T @ dz1).ravel(),
+        np.add.reduce(dz1, axis=0),
+        hidden.T @ dlogits,
+        np.add.reduce(dlogits, keepdims=True),
+    ))
+    return y, grad
+
+
+def in_layout(x, layout):
+    """The values of the 1-D or 2-D ``x`` in the memory layout ``layout``
+    names: ``c`` contiguous; ``row`` a column slice of a wider array, whose
+    rows lie a record apart like a feature file's field view; ``f``
+    Fortran-ordered; ``col`` every other column (or element) of a wider
+    array; ``reversed`` a negative-stride view of a reversed copy."""
+    if layout == "c":
+        return np.ascontiguousarray(x)
+    if layout == "row":
+        wide = np.zeros((x.shape[0], x.shape[1] + 3))
+        wide[:, 1:-2] = x
+        return wide[:, 1:-2]
+    if layout == "f":
+        return np.asfortranarray(x)
+    if layout == "col":
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    assert layout == "reversed"
+    return x[::-1].copy()[::-1]
+
+
+# Batch sizes 1 to 140, widths 1 to 64, and head and feature scales 1e-3 to 1e3.
+product_cases = st.tuples(st.integers(1, 140), st.integers(1, 64), st.integers(0, 2**32 - 1),
+                          log_scales, log_scales)
+
+
+def product_case(rows, d, seed, head_scale, feature_scale):
+    h, feats = stacked_case(d, rows, seed, head_scale, feature_scale)
+    labels = np.random.default_rng(seed + 2).integers(0, 2, size=rows)
+    return h, feats, labels
+
+
+@PROPERTY_SETTINGS
+@given(case=product_cases, layout=st.sampled_from(["c", "row", "f", "col"]))
+def test_dot_kernel_has_the_bits_of_the_matmul_kernel(case, layout):
+    h, feats, labels = product_case(*case)
+    feats = in_layout(feats, layout)
+    y, grad = _grad_kernel(h, feats, labels)
+    y_ref, grad_ref = matmul_grad_kernel(h, feats, labels)
+    assert y.tobytes() == y_ref.tobytes()
+    assert grad.tobytes() == grad_ref.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(case=product_cases)
+def test_negative_stride_batch_has_the_bits_of_its_contiguous_copy(case):
+    """Where ``@`` would leave BLAS for numpy's own loop, ``ndarray.dot``
+    gives a reversed view the bits of its contiguous copy."""
+    h, feats, labels = product_case(*case)
+    view = in_layout(feats, "reversed")
+    assert view.strides[0] < 0
+    for got, want in zip(_grad_kernel(h, view, labels), _grad_kernel(h, feats, labels)):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(loss_and_grad(h, view, labels), loss_and_grad(h, feats, labels)):
+        assert bits(got) == bits(want)
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), head_scale=log_scales,
+       feature_scale=log_scales, layout=st.sampled_from(["c", "col", "reversed"]))
+def test_dot_forward_has_the_bits_of_the_np_dot_forward(d, seed, head_scale, feature_scale,
+                                                        layout):
+    h, feats = stacked_case(d, 1, seed, head_scale, feature_scale)
+    f = in_layout(feats[0], layout)
+    assert bits(forward(h, f)) == bits(np_dot_forward(h, f))
 
 
 def engine_door_state(engine):
