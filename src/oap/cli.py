@@ -43,7 +43,7 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, NumericalError, OapError
 from .head import PRETRAIN_PREFIX, PretrainSchedule, load_head, save_head
-from .memory import ReplayStore
+from .memory import ReplayStore, first_bad_frame
 from .metrics import MetricReport, check_both_classes, evaluate_frames
 from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS, carve_replay, fit_head
 from .simstream import (
@@ -187,25 +187,21 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _check_stream_order(path, data) -> None:
-    """What the engine asks of a stream's frames, checked on its columns at
-    once, before anything is written: frame indices strictly increase and
-    times are finite and never decrease. A DataError names the file and
-    the first bad row, from 1, with the engine's reason."""
-    indices, times = data.frame_indices, data.times
-    bad = ~np.isfinite(times)
-    bad[1:] |= (indices[1:] <= indices[:-1]) | (times[1:] < times[:-1])
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    index, time = indices.item(k), times.item(k)
-    if not np.isfinite(time):
-        reason = f"non-finite frame time {time!r}"
-    elif index <= indices.item(k - 1):
-        reason = f"frame index {index} does not follow the previous row's {indices.item(k - 1)}"
-    else:
-        reason = f"frame time {time!r} precedes the previous row's {times.item(k - 1)!r}"
-    raise DataError(f"{path}: row {k + 1}: {reason}")
+def _read_stream(path, head):
+    """Load a stream file and check, before anything is written, that it
+    has the head's dimension, a frame, and frames in order (see
+    ``first_bad_frame``). A DataError names the file, and any bad row, from
+    1, with the engine's reason."""
+    data = load_feature_file(path)
+    if (d := data.features.shape[1]) != head.d:
+        raise DataError(f"{path}: stream dimension {d} != head dimension {head.d}")
+    if not len(data.features):
+        raise DataError(f"{path}: empty stream")
+    fault = first_bad_frame(data.frame_indices, data.times)
+    if fault is not None:
+        k, reason = fault
+        raise DataError(f"{path}: row {k + 1}: {reason}")
+    return data
 
 
 def _run_mode(runner, head, replay, params, data, save_head_path):
@@ -253,17 +249,7 @@ def cmd_run(args) -> int:
     )
     if replay.d and replay.d != head.d:
         raise DataError(f"replay dimension {replay.d} != head dimension {head.d}")
-    streams = []
-    for path in args.stream:
-        data = load_feature_file(path)
-        if data.features.shape[1] != head.d:
-            raise DataError(
-                f"{path}: stream dimension {data.features.shape[1]} != head dimension {head.d}"
-            )
-        if not len(data.features):
-            raise DataError(f"{path}: empty stream")
-        _check_stream_order(path, data)
-        streams.append((Path(path).stem, data))
+    streams = [(Path(path).stem, _read_stream(path, head)) for path in args.stream]
     labeled = [data.labels for _, data in streams if data.labels is not None]
     if labeled:
         check_both_classes(np.concatenate(labeled))
@@ -307,11 +293,12 @@ def cmd_sweep(args) -> int:
     train = load_feature_file(args.train)
     if train.labels is None:
         raise DataError(f"{args.train}: sweep needs labeled pre-training data")
-    stream = load_feature_file(args.stream)
+    if (d := train.features.shape[1]) != head.d:
+        raise DataError(f"{args.train}: pre-training dimension {d} != head dimension {head.d}")
+    stream = _read_stream(args.stream, head)
     if stream.labels is None:
         raise DataError(f"{args.stream}: sweep needs a labeled stream")
     check_both_classes(stream.labels)
-    _check_stream_order(args.stream, stream)
     frames = stream.to_frames()
 
     rows = []

@@ -54,7 +54,7 @@ from .head import (
 )
 # Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
 from .head import _grad_kernel as loss_and_grad
-from .memory import OnlineBuffer, ReplayStore, check_frame_index, sample_batch
+from .memory import OnlineBuffer, ReplayStore, check_frame, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
 from .simstream import StreamFrame, StreamFrames
@@ -176,8 +176,7 @@ class Engine:
         self.params = params
         self.finetune_accumulator = 0.0
         self.cumulative_flops = 0.0  # non-decreasing adaptation FLOPs
-        self.last_frame_index: int | None = None  # of the last frame processed
-        self.last_frame_time: float | None = None
+        self.last_frame: tuple[int, float] | None = None  # (index, time) of the last frame
         self.rng = seeded_rng(params.seed, "sampler")
         # FLOPs of one committed fine-tune event.
         self._event_flops = (
@@ -185,33 +184,17 @@ class Engine:
         )
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
-        """Score one frame, then let it adapt the head. Frame indices must
-        strictly increase and times must be finite reals that never
-        decrease; a frame that breaks this, whose index is not an int64
-        integer (see ``check_frame_index``), or whose feature has the wrong
-        dimension or a non-numeric or non-finite value, raises DataError
-        before any state changes."""
+        """Score one frame, then let it adapt the head. A frame that breaks
+        the stream contract (see ``check_frame``: int64 indices strictly
+        increase, times are finite reals that never decrease), or whose
+        feature has the wrong dimension or a non-numeric or non-finite
+        value, raises DataError before any state changes."""
         p = self.params
-        frame_index = check_frame_index(frame_index)
-        try:
-            if not math.isfinite(time):
-                raise DataError(f"non-finite frame time {time!r}")
-        except (TypeError, OverflowError):  # not a real number, or beyond float64
-            raise DataError(f"frame time {time!r} is not a finite real number") from None
-        if self.last_frame_index is not None:
-            if not frame_index > self.last_frame_index:
-                raise DataError(
-                    f"frame index {frame_index} does not follow the last frame's "
-                    f"{self.last_frame_index}"
-                )
-            if time < self.last_frame_time:
-                raise DataError(
-                    f"frame time {time!r} precedes the last frame's {self.last_frame_time!r}"
-                )
+        frame_index = check_frame(frame_index, time, self.last_frame)
         y = forward(self.head, feature)
         if y.__class__ is not float:  # forward scored a stack of rows
             raise _not_a_row(self.head, feature)
-        self.last_frame_index, self.last_frame_time = frame_index, time
+        self.last_frame = frame_index, time
         decision = _SPOOF if y > p.eval_threshold else _LIVE
         pseudo = assign_pseudo_label(y, p.margin)
 

@@ -15,7 +15,7 @@ class ConfigError(OapError):
 
 class DataError(OapError):
     """Malformed input data: bad file, dimension mismatch, missing class,
-    out-of-order frames."""
+    frames that break the stream contract (see ``memory.check_frame``)."""
 
 
 class NumericalError(OapError):

@@ -303,17 +303,14 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     {0, 1} the two products above are ``1 * a`` and ``0 * b``, so the sum
     is exactly ``a`` or exactly ``b``.
 
-    The products are ``ndarray.dot`` calls. Those give the bits of the ``@``
-    operator on a contiguous, Fortran-ordered, row-strided or
-    column-strided ``feats``. A negative-stride ``feats`` (``a[::-1]``, say)
-    gets the bits of its contiguous copy, where ``@`` ran numpy's own loop
-    and could round differently; no engine or pre-training batch is such a
-    view.
+    ``feats`` is made C-contiguous first, so a strided, Fortran-ordered or
+    reversed view gets the bits of its contiguous copy; BLAS, handed such an
+    operand as it is, can round differently.
     """
     feats = _as_floats(feats)
     if feats.ndim == 1:
         feats = feats.reshape(1, -1)
-    feats = _check_features(head, feats)
+    feats = np.ascontiguousarray(_check_features(head, feats))
     try:
         labels = np.asarray(labels, dtype=np.float64).ravel()
     except (TypeError, ValueError, OverflowError):

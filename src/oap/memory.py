@@ -9,6 +9,10 @@ uniformly among the classes present in that source, then an entry
 uniformly within the class, with replacement. An empty source redirects
 its slots to the other store, which keeps fine-tuning alive during cold
 start when the online buffer is still empty.
+
+The stream contract, in one wording: int64 frame indices strictly increase
+and times are finite reals that never decrease. ``check_frame`` checks one
+frame, ``first_bad_frame`` a stream's index and time columns.
 """
 
 from __future__ import annotations
@@ -30,16 +34,47 @@ from .pseudolabel import smooth_labels
 _DISCARD = PseudoLabel.DISCARD
 
 
-def check_frame_index(frame_index) -> int:
-    """``frame_index`` as an int. A value ``operator.index`` refuses (a
-    float, say) or one outside int64 is a DataError."""
+def check_frame(frame_index, time, last) -> int:
+    """``frame_index`` as an int if the frame keeps the stream contract
+    after ``last``, the ``(index, time)`` of the frame before it or None.
+    An index ``operator.index`` refuses (a float, say) is a DataError, and
+    so is any other break of the contract."""
     try:
         index = operator.index(frame_index)
     except TypeError:
         raise DataError(f"frame index {frame_index!r} is not an integer") from None
     if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
         raise DataError(f"frame index {index} lies outside int64")
+    try:
+        finite = math.isfinite(time)
+    except (TypeError, OverflowError):  # not a real number, or beyond float64
+        raise DataError(f"frame time {time!r} is not a finite real number") from None
+    if not finite or last is not None and (index <= last[0] or time < last[1]):
+        raise DataError(_frame_fault(index, time, last))
     return index
+
+
+def first_bad_frame(indices: np.ndarray, times: np.ndarray) -> tuple[int, str] | None:
+    """The block form of ``check_frame`` on a stream's int64 index and
+    float64 time columns: the position of the first frame it would refuse
+    and the same reason, or None."""
+    bad = ~np.isfinite(times)
+    bad[1:] |= (indices[1:] <= indices[:-1]) | (times[1:] < times[:-1])
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    last = (indices.item(k - 1), times.item(k - 1)) if k else None
+    return k, _frame_fault(indices.item(k), times.item(k), last)
+
+
+def _frame_fault(index: int, time, last) -> str:
+    """Why a frame with an int64 ``index`` and a real ``time`` breaks the
+    contract after ``last``, in the words of both doors."""
+    if not math.isfinite(time):
+        return f"non-finite frame time {time!r}"
+    if index <= last[0]:
+        return f"frame index {index} does not follow the last frame's {last[0]}"
+    return f"frame time {time!r} precedes the last frame's {last[1]!r}"
 
 
 class OnlineBuffer:
@@ -104,20 +139,14 @@ class OnlineBuffer:
 
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
         """Append an accepted entry. The working label starts equal to the
-        raw label until the next smoothing pass. A refused entry (see
-        ``check_frame_index`` for the index and ``head._as_floats`` for the
-        feature) raises DataError and leaves the buffer as it was."""
+        raw label until the next smoothing pass. The entry keeps the stream
+        contract after the newest entry (see ``check_frame``), and its
+        feature is a row of numbers (see ``head._as_floats``) shaped like
+        the stored ones. A refused entry raises DataError and leaves the
+        buffer as it was."""
         if pseudo_label == _DISCARD:
             raise DataError("discard labels are never inserted into the online buffer")
-        frame_index = check_frame_index(frame_index)
-        if not math.isfinite(time):
-            raise DataError(f"non-finite insert time {time!r}")
-        if self._hi > self._lo:
-            last_index, last_time = self._last
-            if frame_index <= last_index:
-                raise DataError(f"out-of-order insert: frame {frame_index} after {last_index}")
-            if time < last_time:
-                raise DataError(f"out-of-order insert: time {time!r} after {last_time!r}")
+        frame_index = check_frame(frame_index, time, self._last if self._hi > self._lo else None)
         feature = _as_floats(feature)
         if self._features is None:
             self._features = np.empty((len(self._raw),) + feature.shape)

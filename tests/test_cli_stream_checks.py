@@ -1,6 +1,7 @@
 """``oap run`` and ``oap sweep`` check a stream's frame order and times at
-the door, and ``n_users`` stays below the held-out user ids: a data error
-exits 3 and a config error 2, and neither writes anything."""
+the door, ``oap sweep`` the dimension of its stream and pre-training file,
+and ``n_users`` stays below the held-out user ids: a data error exits 3
+and a config error 2, and neither writes anything."""
 
 import pytest
 
@@ -31,9 +32,9 @@ def files(tmp_path_factory):
 FAULTS = {
     "nan time": (lambda row, prev: [row[0], "nan", *row[2:]], "non-finite frame time nan"),
     "repeated index": (lambda row, prev: [prev[0], *row[1:]],
-                       "frame index 30 does not follow the previous row's 30"),
+                       "frame index 30 does not follow the last frame's 30"),
     "backward time": (lambda row, prev: [row[0], "0.5", *row[2:]],
-                      "frame time 0.5 precedes the previous row's 0.9666666666666667"),
+                      "frame time 0.5 precedes the last frame's 0.9666666666666667"),
 }
 
 
@@ -77,6 +78,40 @@ def test_sweep_refuses_a_stream_out_of_order_writing_nothing(files, tmp_path, ca
                  "--head", str(pre_dir / "head.oaph"), "--train", str(gen_dir / "train.oapf"),
                  "--stream", str(bad), "--set", "replay_size=10"]) == 3
     assert f"{bad}: row 31: {FAULTS[fault][1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """A pre-training set and a stream of dimension 8, twice the head's."""
+    gen_dir = tmp_path_factory.mktemp("cli_checks_wide")
+    assert main([
+        "generate", "--out", str(gen_dir), "--set", "d=8", "--set", "n_users=2",
+        "--set", "frames_per_user=10", "--set", "segments=live:10,spoof:10",
+    ]) == 0
+    return gen_dir
+
+
+@pytest.mark.parametrize("wide", ["stream", "train"])
+def test_sweep_refuses_a_file_of_another_dimension_writing_nothing(files, wide_files, tmp_path,
+                                                                   capsys, monkeypatch, wide):
+    """A stream or a pre-training file whose dimension is not the head's
+    exits 3, naming the file, before a replay store is carved."""
+
+    def no_carve(*args):
+        raise AssertionError("carved a replay store")
+
+    monkeypatch.setattr(oap.cli, "carve_replay", no_carve)
+    gen_dir, pre_dir = files
+    paths = {"stream": gen_dir / "stream_seed0.oapf", "train": gen_dir / "train.oapf"}
+    paths[wide] = wide_files / paths[wide].name
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--out", str(out), "--axis", "margin", "--values", "0.1,0.2",
+                 "--head", str(pre_dir / "head.oaph"), "--train", str(paths["train"]),
+                 "--stream", str(paths["stream"]), "--set", "replay_size=10"]) == 3
+    what = {"stream": "stream", "train": "pre-training"}[wide]
+    assert f"{paths[wide]}: {what} dimension 8 != head dimension 4" in capsys.readouterr().err
     assert not out.exists()
 
 

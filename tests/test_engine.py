@@ -99,7 +99,7 @@ class TestFiringCadence:
         engine = Engine(head, replay, desk_params(finetune_freq=1.0))
         trace = engine.run_stream(frames[:50])
         assert all(r.finetuned for r in trace)
-        assert engine.last_frame_index == 50
+        assert engine.last_frame[0] == 50
 
     def test_every_hundredth_frame_at_0p01(self, artifacts):
         head, replay, frames, _ = artifacts
@@ -268,8 +268,7 @@ def engine_state(engine):
         buf.features_matrix().tobytes(),
         engine.finetune_accumulator,
         engine.cumulative_flops,
-        engine.last_frame_index,
-        engine.last_frame_time,
+        engine.last_frame,
         repr(engine.rng.bit_generator.state),
     )
 
@@ -409,7 +408,7 @@ class TestInputContract:
         _, _, frames, _ = artifacts
         engine = self.warmed_engine(artifacts)
         engine.process_frame(frames[3].feature, 4, 2 / 30)
-        assert engine.last_frame_index == 4
+        assert engine.last_frame[0] == 4
 
     # Margin 1e-9 discards the first frame, so its batch comes from the
     # replay store alone; margin 0.5 stores it, and online_prob 0.5 then

@@ -32,7 +32,7 @@ DISPATCHED_PRODUCTS = {"dot", "matmul"}
 HOT_FUNCTIONS = {
     oap.head: ["_as_floats", "forward", "_grad_kernel", "apply_update"],
     oap.engine: ["process_frame", "_finetune", "_fold", "score_block"],
-    oap.memory: ["insert", "evict_old", "refresh_working_labels", "sample_batch"],
+    oap.memory: ["check_frame", "insert", "evict_old", "refresh_working_labels", "sample_batch"],
     oap.pseudolabel: ["assign_pseudo_label", "smooth_labels"],
 }
 

@@ -28,7 +28,7 @@ class TestOnlineBuffer:
     def test_out_of_order_insert_rejected(self):
         buf = OnlineBuffer()
         buf.insert(feat(1), PseudoLabel.LIVE, 5, 0.0)
-        with pytest.raises(DataError, match="out-of-order"):
+        with pytest.raises(DataError, match="does not follow"):
             buf.insert(feat(2), PseudoLabel.LIVE, 5, 0.1)
 
     BAD_INDICES = {
@@ -63,6 +63,27 @@ class TestOnlineBuffer:
         buf.refresh_working_labels(5)
         np.testing.assert_array_equal(buf.frame_indices, [39, 40, 41])
         np.testing.assert_array_equal(buf.working_labels, [1, 1, 1])
+
+    BAD_TIMES = {
+        "string": "x",
+        "none": None,
+        "beyond float64": 10**400,
+        "nan": float("nan"),
+        "inf": float("inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_TIMES))
+    def test_time_not_a_finite_real_refused(self, case):
+        """A time that is not a finite real number raises DataError, as it
+        does at ``process_frame``, and leaves the buffer as it was."""
+        buf = OnlineBuffer()
+        buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
+        before = len(buf), buf.frame_indices, buf.times
+        with pytest.raises(DataError, match="frame time"):
+            buf.insert(feat(2), PseudoLabel.SPOOF, 40, self.BAD_TIMES[case])
+        assert len(buf) == before[0]
+        np.testing.assert_array_equal(buf.frame_indices, before[1])
+        np.testing.assert_array_equal(buf.times, before[2])
 
     def test_int64_ends_accepted(self):
         buf = OnlineBuffer()

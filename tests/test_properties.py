@@ -870,17 +870,21 @@ def test_dot_kernel_has_the_bits_of_the_matmul_kernel(case, layout):
 
 
 @PROPERTY_SETTINGS
-@given(case=product_cases)
-def test_negative_stride_batch_has_the_bits_of_its_contiguous_copy(case):
-    """Where ``@`` would leave BLAS for numpy's own loop, ``ndarray.dot``
-    gives a reversed view the bits of its contiguous copy."""
+@given(case=product_cases, layout=st.sampled_from(["row", "f", "col", "reversed"]))
+def test_strided_batch_has_the_bits_of_its_contiguous_copy(case, layout):
+    """``loss_and_grad`` gives a row-strided, Fortran-ordered,
+    column-strided or reversed view the bits of its contiguous copy, which
+    BLAS, handed the view as it is, need not. Where ``@`` would leave BLAS
+    for numpy's own loop, ``ndarray.dot`` already gives a reversed view
+    those bits in the kernel."""
     h, feats, labels = product_case(*case)
-    view = in_layout(feats, "reversed")
-    assert view.strides[0] < 0
-    for got, want in zip(_grad_kernel(h, view, labels), _grad_kernel(h, feats, labels)):
-        assert got.tobytes() == want.tobytes()
+    view = in_layout(feats, layout)
     for got, want in zip(loss_and_grad(h, view, labels), loss_and_grad(h, feats, labels)):
         assert bits(got) == bits(want)
+    if layout == "reversed":
+        assert view.strides[0] < 0
+        for got, want in zip(_grad_kernel(h, view, labels), _grad_kernel(h, feats, labels)):
+            assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -894,7 +898,7 @@ def test_dot_forward_has_the_bits_of_the_np_dot_forward(d, seed, head_scale, fea
 
 
 def engine_door_state(engine):
-    return (engine.last_frame_index, len(engine.online), engine.finetune_accumulator,
+    return (engine.last_frame, len(engine.online), engine.finetune_accumulator,
             engine.head.flat.tobytes())
 
 
