@@ -54,7 +54,7 @@ from .simstream import (
     generate_stream,
     load_feature_file,
     save_feature_file,
-    save_stream_file,
+    save_labeled_set,
     scenario_from_mapping,
 )
 
@@ -145,21 +145,15 @@ def cmd_generate(args) -> int:
 
     feats, labels = generate_pretraining_set(generator, runner.n_users, runner.frames_per_user)
     train_path = out_dir / "train.oapf"
-    save_feature_file(
-        train_path,
-        feats,
-        frame_indices=np.arange(1, len(feats) + 1),
-        times=np.arange(len(feats)) / scenario.frame_rate,
-        labels=labels,
-        frame_rate=scenario.frame_rate,
-    )
+    save_labeled_set(train_path, feats, labels, scenario.frame_rate)
     print(f"{train_path} rows={len(feats)}")
 
     for i in range(runner.seeds):
         seeded = dataclasses.replace(generator, seed=generator.seed + i)
         frames, hidden = generate_stream(seeded, scenario)
         path = out_dir / f"stream_seed{generator.seed + i}.oapf"
-        save_stream_file(path, frames, labels=hidden, frame_rate=scenario.frame_rate)
+        save_feature_file(path, frames.features, frames.frame_indices, frames.times,
+                          labels=hidden, frame_rate=scenario.frame_rate)
         print(f"{path} rows={len(frames)}")
     return 0
 
@@ -187,14 +181,19 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_dimension(path, what: str, features, head) -> None:
+    """A DataError naming ``path`` unless its ``features`` are as wide as the head's."""
+    if (d := features.shape[1]) != head.d:
+        raise DataError(f"{path}: {what} dimension {d} != head dimension {head.d}")
+
+
 def _read_stream(path, head):
     """Load a stream file and check, before anything is written, that it
     has the head's dimension, a frame, and frames in order (see
     ``first_bad_frame``). A DataError names the file, and any bad row, from
     1, with the engine's reason."""
     data = load_feature_file(path)
-    if (d := data.features.shape[1]) != head.d:
-        raise DataError(f"{path}: stream dimension {d} != head dimension {head.d}")
+    _check_dimension(path, "stream", data.features, head)
     if not len(data.features):
         raise DataError(f"{path}: empty stream")
     fault = first_bad_frame(data.frame_indices, data.times)
@@ -244,11 +243,11 @@ def cmd_run(args) -> int:
         raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
 
     head = load_head(args.head)
-    replay = ReplayStore.load(args.replay) if args.replay else ReplayStore(
-        np.zeros((0, head.d)), np.zeros(0, dtype=np.int64)
-    )
-    if replay.d and replay.d != head.d:
-        raise DataError(f"replay dimension {replay.d} != head dimension {head.d}")
+    if args.replay:
+        replay = ReplayStore.load(args.replay)
+        _check_dimension(args.replay, "replay", replay.features, head)
+    else:
+        replay = ReplayStore(np.zeros((0, head.d)), np.zeros(0, dtype=np.int64))
     streams = [(Path(path).stem, _read_stream(path, head)) for path in args.stream]
     labeled = [data.labels for _, data in streams if data.labels is not None]
     if labeled:
@@ -293,8 +292,7 @@ def cmd_sweep(args) -> int:
     train = load_feature_file(args.train)
     if train.labels is None:
         raise DataError(f"{args.train}: sweep needs labeled pre-training data")
-    if (d := train.features.shape[1]) != head.d:
-        raise DataError(f"{args.train}: pre-training dimension {d} != head dimension {head.d}")
+    _check_dimension(args.train, "pre-training", train.features, head)
     stream = _read_stream(args.stream, head)
     if stream.labels is None:
         raise DataError(f"{args.stream}: sweep needs a labeled stream")

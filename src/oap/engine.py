@@ -70,11 +70,15 @@ def per_sample_flops(d: int, hidden: int = HIDDEN_UNITS) -> float:
     return 3.0 * 2.0 * (d * hidden + hidden)
 
 
+def event_flops(params: HyperParams, d: int, events=1) -> float:
+    """The one cost formula: FLOPs of ``events`` fine-tune events, multiplied
+    left to right; ``events`` = 1, an int, leaves the other factors' product."""
+    return events * params.iterations_per_call * params.batch_size * per_sample_flops(d)
+
+
 def adaptation_cost(params: HyperParams, d: int) -> float:
-    """Expected adaptation FLOPs per frame:
-    finetune_freq * iterations * batch_size * per_sample_flops(d)."""
-    p = params
-    return p.finetune_freq * p.iterations_per_call * p.batch_size * per_sample_flops(d)
+    """Expected adaptation FLOPs per frame: ``finetune_freq`` events."""
+    return event_flops(params, d, params.finetune_freq)
 
 
 def calibrated_kflops_per_frame(params: HyperParams) -> float:
@@ -178,10 +182,7 @@ class Engine:
         self.cumulative_flops = 0.0  # non-decreasing adaptation FLOPs
         self.last_frame: tuple[int, float] | None = None  # (index, time) of the last frame
         self.rng = seeded_rng(params.seed, "sampler")
-        # FLOPs of one committed fine-tune event.
-        self._event_flops = (
-            params.iterations_per_call * params.batch_size * per_sample_flops(head.d)
-        )
+        self._event_flops = event_flops(params, head.d)
 
     def process_frame(self, feature, frame_index: int, time: float) -> FrameVerdict:
         """Score one frame, then let it adapt the head. A frame that breaks

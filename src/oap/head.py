@@ -20,15 +20,16 @@ flat vector holding w1, b1, w2, b2 in that order, each row-major
 (``ClassifierHead.flat``). ``loss_and_grad`` returns the gradient in that
 layout and ``apply_update`` steps all of it in one pass.
 
-``loss_and_grad`` checks its inputs, then runs ``_grad_kernel`` and
-computes the loss. The engine and ``pretrain`` call the kernel alone, with
-the same gradient bits and no loss, because every batch they build comes
-from data checked once at its door. ``pretrain`` checks its whole set.
-Online rows passed ``forward``'s finite ``(d,)`` check before
-``OnlineBuffer.insert``, and their labels are LIVE or SPOOF or the
-majority-smoothed values of those. Replay rows and labels passed
-``ReplayStore``'s finite and 0/1 checks and are write-protected, and
-``Engine`` refuses a replay store whose ``d`` differs from the head's.
+Every in-memory feature table passes one door, in one wording:
+``check_features`` and ``check_labels``. ``loss_and_grad`` checks its
+inputs there, then runs ``_grad_kernel`` and computes the loss. The engine
+and ``pretrain`` call the kernel alone, with the same gradient bits and no
+loss, because every batch they build comes from data checked once at its
+door. ``pretrain`` checks its whole set. Online rows passed ``forward``'s
+finite ``(d,)`` check before ``OnlineBuffer.insert``, and their labels are
+LIVE or SPOOF or the majority-smoothed values of those. Replay rows and
+labels passed the table door and are write-protected, and ``Engine``
+refuses a replay store whose ``d`` differs from the head's.
 ``sample_batch`` builds a ``(batch_size, d)`` float64 matrix with at least
 one row.
 
@@ -197,17 +198,35 @@ def _as_floats(a) -> np.ndarray:
         raise DataError(f"non-numeric value in feature input ({exc})") from None
 
 
-def _check_features(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
-    """``feats`` as a finite float64 matrix of shape (n, d); any other
-    shape, a non-numeric or a non-finite value is a DataError."""
+def check_features(feats, d: int | None = None) -> np.ndarray:
+    """The features rule: ``feats`` as a float64 (n, d) matrix of finite
+    real numbers, d >= 1 and the head's ``d`` where one is given; anything
+    else is a DataError."""
     feats = _as_floats(feats)
-    if feats.ndim != 2 or feats.shape[1] != head.d:
-        raise DataError(
-            f"feature dimension mismatch: head expects shape (n, {head.d}), got {feats.shape}"
-        )
+    if feats.ndim != 2 or (feats.shape[1] != d if d else feats.shape[1] < 1):
+        want = f"(n, {d})" if d else "(n, d) with at least one column"
+        raise DataError(f"feature table must have shape {want}, got {feats.shape}")
     if not all_finite(feats):
         raise DataError("non-finite value in feature input")
     return feats
+
+
+def check_labels(labels, n: int) -> np.ndarray:
+    """The labels rule of a table of ``n`` rows: one label per row, each a
+    real number (not a string) equal to 0 or 1. The labels as a bool
+    array, True for 1; anything else is a DataError."""
+    try:
+        labels = np.asarray(labels).ravel()
+    except ValueError:  # a ragged list
+        labels = None
+    if labels is None or labels.dtype.kind not in "biuf":
+        raise DataError("labels must be 0 or 1")
+    if labels.size != n:
+        raise DataError(f"{labels.size} labels for {n} rows: want one label per row")
+    spoof = labels == 1
+    if np.count_nonzero(spoof | (labels == 0)) != n:
+        raise DataError("labels must be 0 or 1")
+    return spoof
 
 
 def forward(head: ClassifierHead, feature):
@@ -275,7 +294,7 @@ def forward_batch(head: ClassifierHead, feats) -> np.ndarray:
     block is copied to a contiguous array first: over rows that are not
     adjacent, such as a feature file's field view, the stacked matmul runs
     slower, and a row's copy scores with its bits."""
-    feats = _check_features(head, feats)
+    feats = check_features(feats, head.d)
     n = feats.shape[0]
     out = np.empty(n)
     for start in range(0, n, SCORE_ROWS_PER_CALL):
@@ -296,7 +315,8 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
 
         loss = -(1/n) sum_i [ l_i log y_i + (1 - l_i) log(1 - y_i) ]
 
-    ``feats`` is an (n, d) matrix or one (d,) row; labels must be 0/1;
+    ``feats`` is an (n, d) matrix or one (d,) row, and the labels are one
+    per row, each 0 or 1 (see ``check_features`` and ``check_labels``);
     discard-labeled samples never reach this point.
     The loss is computed as the mean of ``log(y_i)`` or ``log(1 - y_i)``
     picked by the label. That is exact, not an approximation: with l in
@@ -310,21 +330,13 @@ def loss_and_grad(head: ClassifierHead, feats, labels) -> tuple[float, np.ndarra
     feats = _as_floats(feats)
     if feats.ndim == 1:
         feats = feats.reshape(1, -1)
-    feats = np.ascontiguousarray(_check_features(head, feats))
-    try:
-        labels = np.asarray(labels, dtype=np.float64).ravel()
-    except (TypeError, ValueError, OverflowError):
-        raise DataError("labels must be 0 or 1") from None
+    feats = np.ascontiguousarray(check_features(feats, head.d))
     n = feats.shape[0]
     if n == 0:
         raise DataError("empty batch")
-    if labels.shape[0] != n:
-        raise DataError(f"batch has {n} features but {labels.shape[0]} labels")
-    spoof = labels == 1.0
-    if not (spoof | (labels == 0.0)).all():
-        raise DataError("labels must be 0 or 1")
+    spoof = check_labels(labels, n)
 
-    y, grad = _grad_kernel(head, feats, labels)
+    y, grad = _grad_kernel(head, feats, spoof)
     y_safe = np.minimum(np.maximum(y, PROB_EPS), 1.0 - PROB_EPS)
     loss = -float(np.add.reduce(np.log(np.where(spoof, y_safe, 1.0 - y_safe))) / n)
     return loss, grad
@@ -472,18 +484,14 @@ def pretrain(
     schedule: PretrainSchedule,
     rng: np.random.Generator,
 ) -> ClassifierHead:
-    """Train the head on a finite (n, d) feature matrix and labels of
-    exactly 0 or 1, holding both classes, all checked before any update; a
-    zero-iteration schedule returns the head unchanged."""
-    feats = _check_features(head, feats)
-    labels = np.asarray(labels).ravel()
-    if feats.shape[0] != labels.shape[0]:
-        raise DataError("features and labels disagree in length")
-    if np.count_nonzero((labels == 0) | (labels == 1)) != labels.size:
-        raise DataError("pre-training labels must be 0 or 1")
-    labels = labels.astype(np.float64)  # as ``loss_and_grad`` hands them on
-    if schedule.iterations > 0 and len(np.unique(labels)) < 2:
+    """Train the head on a feature table and its labels, which keep the
+    table door's rules and hold both classes, all checked before any
+    update; a zero-iteration schedule returns the head unchanged."""
+    feats = check_features(feats, head.d)
+    spoof = check_labels(labels, feats.shape[0])
+    if schedule.iterations > 0 and np.count_nonzero(spoof) in (0, spoof.size):
         raise DataError("pre-training data contains a single class")
+    labels = spoof.astype(np.float64)  # so no batch's ``y - labels`` casts
 
     state = AdamState.for_head(head)
     n = feats.shape[0]

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, ClassLabel, PseudoLabel
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel
 from .errors import DataError
-from .head import _as_floats
+from .head import _as_floats, check_features, check_labels
 from .pseudolabel import smooth_labels
 
 
@@ -243,21 +243,13 @@ def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, n
 
 
 class ReplayStore:
-    """Immutable labeled feature store. Arrays are write-protected after
-    construction; ``fingerprint()`` hashes content for bit-identity
-    checks across a run."""
+    """Immutable labeled feature store: write-protected copies of a table
+    and its int64 labels that passed the table door (see ``oap.head``);
+    ``fingerprint()`` hashes content for bit-identity checks across a run."""
 
     def __init__(self, features, labels) -> None:
-        features = np.array(features, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64).ravel()
-        if features.ndim != 2:
-            raise DataError("replay features must be a 2-d array")
-        if features.shape[0] != labels.shape[0]:
-            raise DataError("replay features and labels disagree in length")
-        if features.size and not np.isfinite(features).all():
-            raise DataError("non-finite value in replay features")
-        if labels.size and not np.isin(labels, (0, 1)).all():
-            raise DataError("replay labels must be 0 or 1")
+        features = check_features(features).copy()
+        labels = check_labels(labels, len(features)).astype(np.int64)
         features.setflags(write=False)
         labels.setflags(write=False)
         self._features = features
@@ -291,15 +283,7 @@ class ReplayStore:
     def save(self, path: str | Path, frame_rate: float = 30.0) -> None:
         from . import simstream
 
-        n = len(self)
-        simstream.save_feature_file(
-            path,
-            self._features,
-            frame_indices=np.arange(1, n + 1),
-            times=np.arange(n, dtype=np.float64) / frame_rate,
-            labels=self._labels,
-            frame_rate=frame_rate,
-        )
+        simstream.save_labeled_set(path, self._features, self._labels, frame_rate)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
@@ -314,18 +298,20 @@ class ReplayStore:
 def subsample_pretraining(features, labels, target_size: int, rng) -> ReplayStore:
     """Uniform subset without replacement, stratified so both classes are
     represented whenever the source has them and target_size >= 2. Class
-    counts are allocated proportionally to the source composition."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    n = features.shape[0]
+    counts are allocated proportionally to the source composition. The
+    draw goes by the labels, so all of them pass the table door; the drawn
+    rows pass it in ``ReplayStore``, which spares the pre-training path a
+    second finite scan of the whole matrix after ``pretrain``'s."""
+    features = _as_floats(features)
+    spoof = check_labels(labels, len(features))
+    n = spoof.size
     if target_size > n:
         raise DataError(f"cannot subsample {target_size} from {n} entries")
-    if target_size == 0:
-        return ReplayStore(np.zeros((0, features.shape[1])), np.zeros(0, dtype=np.int64))
 
-    live_idx = np.flatnonzero(labels == ClassLabel.LIVE)
-    spoof_idx = np.flatnonzero(labels == ClassLabel.SPOOF)
-    if len(live_idx) == 0 or len(spoof_idx) == 0:
+    live_idx, spoof_idx = np.flatnonzero(~spoof), np.flatnonzero(spoof)
+    if target_size == 0:
+        chosen = np.arange(0)
+    elif len(live_idx) == 0 or len(spoof_idx) == 0:
         chosen = rng.choice(n, size=target_size, replace=False)
     else:
         n_live = int(round(target_size * len(live_idx) / n))
@@ -341,7 +327,7 @@ def subsample_pretraining(features, labels, target_size: int, rng) -> ReplayStor
             ]
         )
         rng.shuffle(chosen)
-    return ReplayStore(features[chosen], labels[chosen])
+    return ReplayStore(features[chosen], spoof[chosen])
 
 
 def sample_batch(

@@ -17,15 +17,14 @@ import numpy as np
 
 from .config import ClassLabel
 from .errors import DataError
+from .head import check_labels
 
 
 def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if scores.shape != labels.shape:
-        raise DataError("scores and labels disagree in length")
-    check_both_classes(labels)
-    return scores[labels == ClassLabel.LIVE], scores[labels == ClassLabel.SPOOF]
+    spoof = check_labels(labels, scores.size)
+    check_both_classes(spoof)
+    return scores[~spoof], scores[spoof]
 
 
 def check_both_classes(labels) -> None:

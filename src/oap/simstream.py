@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import ClassLabel, check_ranges, from_mapping
 from .errors import ConfigError, DataError
-from .head import _as_floats
+from .head import check_features
 from .rng import seeded_rng
 
 # Held-out stream users are offset into their own id range so they can
@@ -306,17 +306,13 @@ def save_feature_file(
     hold one entry per feature row.
 
     What ``load_feature_file`` would refuse, or could not read back with
-    the same bits, is a DataError raised before the file is opened: a
-    non-numeric, complex or non-finite feature, a frame index that is not an int64 integer (1.7 or
-    2**64), a label other than 0 or 1 (0.5 or 2), a time that is not a
-    finite float (a NaN's sign and payload do not survive the text, and
-    the engine refuses a non-finite time) or a frame rate that is not
-    finite and > 0. An entry is named by its row, from 1."""
-    features = _as_floats(features)
-    if features.ndim != 2 or features.shape[1] < 1:
-        raise DataError("features must be a 2-d array with at least one column")
-    if not np.isfinite(features).all():
-        raise DataError("refusing to write non-finite feature values")
+    the same bits, is a DataError raised before the file is opened:
+    features that ``head.check_features`` refuses, a frame index that is
+    not an int64 integer (1.7 or 2**64), a label other than 0 or 1 (0.5 or
+    2), a time that is not a finite float (a NaN's sign and payload do not
+    survive the text, and the engine refuses a non-finite time) or a frame
+    rate that is not finite and > 0. An entry is named by its row, from 1."""
+    features = check_features(features)
     n, d = features.shape
     labeled = labels is not None
     if len(frame_indices) != n or len(times) != n or (labeled and len(labels) != n):
@@ -341,6 +337,14 @@ def save_feature_file(
                 cols.append(map(str, labels[rows]))
             cols.append(",".join(map(repr, row)) for row in features[rows].tolist())
             fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
+
+
+def save_labeled_set(path: str | Path, features, labels, frame_rate: float = 30.0) -> None:
+    """A labeled set without timing, such as a pre-training set or a replay
+    store, as a feature file: row k gets frame index k and time (k - 1) / frame_rate."""
+    n = len(features)
+    save_feature_file(path, features, np.arange(1, n + 1), np.arange(n) / frame_rate, labels,
+                      frame_rate)
 
 
 _INT64 = range(-(2**63), 2**63)
@@ -492,32 +496,6 @@ def _read_lines(path: Path) -> FeatureFileData:
         np.array(values, dtype=np.float64).reshape(len(times), d),
         np.array(labels, dtype=np.int64) if labeled else None,
         np.array(frame_indices, dtype=np.int64), np.array(times, dtype=np.float64), frame_rate,
-    )
-
-
-def save_stream_file(
-    path: str | Path,
-    frames: list[StreamFrame],
-    labels=None,
-    frame_rate: float = 30.0,
-) -> None:
-    """Convenience wrapper: persist a generated stream (with its hidden
-    labels, when the harness wants them) in the feature-file format. An
-    empty frame list, or frames whose features differ in shape, is a
-    DataError."""
-    if not frames:
-        raise DataError("no frames to save: a stream file needs at least one frame")
-    try:
-        features = np.stack([f.feature for f in frames])
-    except ValueError as exc:
-        raise DataError("frames must all have features of one shape") from exc
-    save_feature_file(
-        path,
-        features,
-        frame_indices=[f.frame_index for f in frames],
-        times=[f.time for f in frames],
-        labels=labels,
-        frame_rate=frame_rate,
     )
 
 

@@ -1,7 +1,8 @@
 """``oap run`` and ``oap sweep`` check a stream's frame order and times at
 the door, ``oap sweep`` the dimension of its stream and pre-training file,
-and ``n_users`` stays below the held-out user ids: a data error exits 3
-and a config error 2, and neither writes anything."""
+``oap run`` that of its replay store, and ``n_users`` stays below the
+held-out user ids: a data error exits 3 and a config error 2, and neither
+writes anything."""
 
 import pytest
 
@@ -112,6 +113,25 @@ def test_sweep_refuses_a_file_of_another_dimension_writing_nothing(files, wide_f
                  "--stream", str(paths["stream"]), "--set", "replay_size=10"]) == 3
     what = {"stream": "stream", "train": "pre-training"}[wide]
     assert f"{paths[wide]}: {what} dimension 8 != head dimension 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["oap", "frozen", "ema"])
+def test_run_refuses_a_replay_of_another_dimension_writing_nothing(files, wide_files, tmp_path,
+                                                                   capsys, mode):
+    """A replay store whose dimension is not the head's exits 3 in every
+    mode, naming the file, as a stream of another dimension does."""
+    gen_dir, pre_dir = files
+    replay = tmp_path / "replay.oapf"
+    assert main(["pretrain", "--out", str(tmp_path / "wide"), "--train",
+                 str(wide_files / "train.oapf"), "--set", "pretrain_iterations=0",
+                 "--set", "replay_size=6"]) == 0
+    (tmp_path / "wide" / "replay.oapf").rename(replay)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--out", str(out), "--mode", mode, "--head", str(pre_dir / "head.oaph"),
+                 "--replay", str(replay), "--stream", str(gen_dir / "stream_seed0.oapf")]) == 3
+    assert f"{replay}: replay dimension 8 != head dimension 4" in capsys.readouterr().err
     assert not out.exists()
 
 

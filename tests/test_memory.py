@@ -230,6 +230,39 @@ class TestSubsample:
         assert len(np.unique(store.features, axis=0)) == 400
 
 
+# A four-row table with one bad entry: each is refused by the table door
+# (``head.check_features`` and ``head.check_labels``) at both replay entry
+# points. A fraction or a 2 was stored as live or dropped by the draw, a
+# string label was parsed, a complex feature lost its imaginary part with
+# a warning, and the rest escaped as a bare ValueError or OverflowError.
+BAD_TABLES = {
+    "label 0.7": (np.zeros((4, 3)), [0, 1, 0.7, 1]),
+    "label 2": (np.zeros((4, 3)), [0, 1, 2, 1]),
+    "string label": (np.zeros((4, 3)), [0, 1, "1", 1]),
+    "label 2**70": (np.zeros((4, 3)), [0, 1, 2**70, 1]),
+    "complex feature": (np.full((4, 3), 1 + 2j), [0, 1, 0, 1]),
+    "string feature": ([["a", "b", "c"]] * 4, [0, 1, 0, 1]),
+    "feature 10**400": ([[0, 0, 0]] * 3 + [[0, 0, 10**400]], [0, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TABLES.values(), ids=BAD_TABLES.keys())
+@pytest.mark.parametrize("entry", ["ReplayStore", "subsample_pretraining"])
+def test_replay_entry_points_refuse_what_the_table_door_refuses(entry, case):
+    features, labels = case
+    with pytest.raises(DataError):
+        if entry == "ReplayStore":
+            ReplayStore(features, labels)
+        else:
+            subsample_pretraining(features, labels, 2, seeded_rng(0, "replay"))
+
+
+@pytest.mark.parametrize("d", [1, 3, 700])
+def test_an_empty_store_of_any_width_is_accepted(d):
+    store = ReplayStore(np.zeros((0, d)), np.zeros(0, dtype=np.int64))
+    assert (len(store), store.d, store.labels.dtype) == (0, d, np.int64)
+
+
 def populated_stores(n_online=40, n_replay=200, d=3):
     buf = OnlineBuffer()
     rng = np.random.default_rng(10)

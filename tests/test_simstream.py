@@ -30,7 +30,6 @@ from oap.simstream import (
     load_feature_file,
     parse_segments,
     save_feature_file,
-    save_stream_file,
     scenario_from_mapping,
 )
 
@@ -310,7 +309,7 @@ def test_save_matches_the_per_row_writer(tmp_path, n, labeled):
     special = [0.0, -0.0, 5e-324, -2.5e-308, 1e300, -1e-300, 0.1, 1 / 3]
     features = rng.choice(special, size=(n, 3)) * rng.choice([1.0, -1.0], size=(n, 3))
     features[:, 0] = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
-    frame_indices = list(range(7, 7 + n))  # a list, as save_stream_file passes
+    frame_indices = list(range(7, 7 + n))  # a list, not an array
     times = np.arange(n) / 29.97
     labels = rng.integers(0, 2, size=n) if labeled else None
     save_feature_file(tmp_path / "new.oapf", features, frame_indices, times, labels, 29.97)
@@ -378,30 +377,18 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="3 entries"):
             save_feature_file(tmp_path / "s.oapf", np.zeros((3, 2)), **columns)
 
-    def test_stream_file_helper(self, tmp_path):
+    def test_stream_columns_round_trip(self, tmp_path):
         frames, labels = generate_stream(
             CFG, StreamScenario((Segment(ClassLabel.LIVE, 40),))
         )
         path = tmp_path / "s.oapf"
-        save_stream_file(path, frames, labels=labels, frame_rate=30.0)
+        save_feature_file(path, frames.features, frames.frame_indices, frames.times,
+                          labels=labels, frame_rate=30.0)
         data = load_feature_file(path)
         roundtrip = data.to_frames()
         assert len(roundtrip) == 40
         np.testing.assert_array_equal(roundtrip[7].feature, frames[7].feature)
         assert roundtrip[7].time == frames[7].time
-
-    def test_stream_file_refuses_no_frames(self, tmp_path):
-        path = tmp_path / "s.oapf"
-        with pytest.raises(DataError, match="at least one frame"):
-            save_stream_file(path, [])
-        assert not path.exists()
-
-    def test_stream_file_refuses_ragged_frames(self, tmp_path):
-        frames = [StreamFrame(np.zeros(2), 1, 0.0), StreamFrame(np.zeros(3), 2, 0.1)]
-        path = tmp_path / "s.oapf"
-        with pytest.raises(DataError, match="features of one shape"):
-            save_stream_file(path, frames)
-        assert not path.exists()
 
 
 HEADER = "oapf v1 d=2 labeled=1 fps=30.0"
