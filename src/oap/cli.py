@@ -104,7 +104,7 @@ def _entries(obj, prefix: str = "") -> dict[str, str]:
 
 
 _DEFAULTS = {
-    "segments": "live:900",
+    "segments": "live:900,spoof:900",
     "user_id": "0",
     "frame_rate": "30.0",
     "learning_rate": repr(DESK_LEARNING_RATE),

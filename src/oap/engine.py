@@ -50,6 +50,7 @@ from .head import (
     AdamState,
     ClassifierHead,
     apply_update,
+    check_labels,
     forward,
 )
 # Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
@@ -136,12 +137,8 @@ def _fold(
     n = len(frames)
     if n == 0:
         raise DataError("empty stream")
-    if ground_truth is None:
-        truths = None
-    elif len(ground_truth) != n:
-        raise DataError("ground truth length does not match the stream")
-    else:
-        truths = list(map(int, ground_truth))
+    if ground_truth is not None:  # the labels rule's spoof mask, as 0/1 ints
+        ground_truth = check_labels(ground_truth, n).view(np.uint8).tolist()
     trace = []
     for start in range(0, n, SCORE_ROWS_PER_CALL):
         stop = start + SCORE_ROWS_PER_CALL
@@ -154,7 +151,7 @@ def _fold(
         ys, *context = step(block, features)
         columns = zip(
             indices,
-            repeat(None) if truths is None else truths[start:stop],
+            repeat(None) if ground_truth is None else ground_truth[start:stop],
             ys,
             [1 if y > eval_threshold else 0 for y in ys],  # spoof iff y > eval_threshold
             *context,
@@ -416,9 +413,9 @@ def write_trace_csv(path: str | Path, trace: Iterable[TraceRecord]) -> None:
 
 
 def _read_trace(path: str | Path, lines: list[str], parse_row) -> list[TraceRecord]:
-    """Parse every non-blank line; any row the parser rejects (a wrong
-    cell count or type, a missing key, a line that is not JSON) is a
-    DataError naming the file and the row."""
+    """Parse every non-blank line. A row the parser rejects (a wrong cell
+    count or type, a missing key, not JSON) is a DataError naming the file
+    and the row; a ground truth or decision that ``check_labels`` refuses, the column."""
     trace = []
     for line in lines:
         if not line:
@@ -427,6 +424,12 @@ def _read_trace(path: str | Path, lines: list[str], parse_row) -> list[TraceReco
             trace.append(parse_row(line))
         except (ValueError, TypeError) as exc:
             raise DataError(f"{path}: malformed trace row {line!r}") from exc
+    truths = [r.ground_truth for r in trace if r.ground_truth is not None]
+    for name, labels in (("ground_truth", truths), ("decision", [r.decision for r in trace])):
+        try:
+            check_labels(labels, len(labels))
+        except DataError as exc:
+            raise DataError(f"{path}: {name}: {exc}") from None
     return trace
 
 

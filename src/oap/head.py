@@ -186,13 +186,16 @@ _FLOAT64 = np.dtype(np.float64)
 
 def _as_floats(a) -> np.ndarray:
     """``a`` as float64: a float64 ``np.ndarray`` as it is, anything else
-    converted. A string, a complex (numpy would only warn and drop the
-    imaginary part) or an int beyond float64 is a DataError."""
+    converted. A string (a numeric one too), a complex (numpy would only
+    warn and drop the imaginary part) or an int beyond float64 is a DataError."""
     if a.__class__ is np.ndarray and a.dtype is _FLOAT64:
         return a
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ComplexWarning)
+            a = np.asarray(a)
+            if a.dtype.kind in "US":  # numpy would parse a numeric string
+                raise TypeError(f"text of dtype {a.dtype}")
             return np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError, OverflowError, ComplexWarning) as exc:
         raise DataError(f"non-numeric value in feature input ({exc})") from None

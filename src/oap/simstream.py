@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ClassLabel, check_ranges, from_mapping
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, ClassLabel, check_ranges, from_mapping
 from .errors import ConfigError, DataError
 from .head import check_features
 from .rng import seeded_rng
@@ -317,8 +317,8 @@ def save_feature_file(
     labeled = labels is not None
     if len(frame_indices) != n or len(times) != n or (labeled and len(labels) != n):
         raise DataError(f"frame indices, times and labels must each have {n} entries")
-    frame_indices = _column(frame_indices, int, _INT64.__contains__, "frame index",
-                            "an int64 integer")
+    in_int64 = range(FRAME_INDEX_MIN, FRAME_INDEX_MAX + 1).__contains__
+    frame_indices = _column(frame_indices, int, in_int64, "frame index", "an int64 integer")
     times = _column(times, float, math.isfinite, "frame time", "a finite float")
     if labeled:
         labels = _column(labels, int, (0, 1).__contains__, "label", "0 or 1")
@@ -345,9 +345,6 @@ def save_labeled_set(path: str | Path, features, labels, frame_rate: float = 30.
     n = len(features)
     save_feature_file(path, features, np.arange(1, n + 1), np.arange(n) / frame_rate, labels,
                       frame_rate)
-
-
-_INT64 = range(-(2**63), 2**63)
 
 
 def _column(values, convert, valid, what: str, want: str) -> list:
@@ -482,7 +479,7 @@ def _read_lines(path: Path) -> FeatureFileData:
                     raise DataError(f"{path}:{lineno}: unparseable value") from exc
                 if not all(map(math.isfinite, feature)):
                     raise DataError(f"{path}:{lineno}: non-finite feature value")
-                if not -(2**63) <= index < 2**63:
+                if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
                     raise DataError(f"{path}:{lineno}: frame index out of range")
                 if label not in (0, 1):
                     raise DataError(f"{path}:{lineno}: label out of range")

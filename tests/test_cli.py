@@ -69,6 +69,19 @@ class TestGenerate:
         for name in ["train.oapf"] + [p.name for p in gen_dir.glob("stream_seed*.oapf")]:
             assert sha(gen_dir / name) == sha(redo / name), name
 
+    def test_the_default_stream_is_one_that_run_takes(self, tmp_path):
+        """Without ``--set segments`` the stream has a live and a spoof
+        segment, so ``pretrain`` and then ``run`` on it exit 0."""
+        gen, pre = tmp_path / "gen", tmp_path / "pre"
+        assert main(["generate", "--out", str(gen), "--set", "n_users=4",
+                     "--set", "frames_per_user=250"]) == 0
+        stream = gen / "stream_seed0.oapf"
+        assert set(load_feature_file(stream).labels.tolist()) == {0, 1}
+        assert main(["pretrain", "--out", str(pre), "--train", str(gen / "train.oapf"),
+                     "--set", "pretrain_iterations=50"]) == 0
+        assert main(["run", "--out", str(tmp_path / "run"), "--head", str(pre / "head.oaph"),
+                     "--replay", str(pre / "replay.oapf"), "--stream", str(stream)]) == 0
+
 
 class TestPretrain:
     def test_artifacts_written(self, pipeline):
@@ -549,6 +562,36 @@ class TestReport:
         assert main(["report", "--trace", str(seed_traces[0]), "--trace", str(other),
                      "--out", str(out)]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, value", [(1, "7"), (3, "5")],
+                             ids=["ground truth 7", "decision 5"])
+    def test_a_label_other_than_0_or_1_is_data_error(self, seed_traces, tmp_path, capsys,
+                                                     column, value):
+        """A ground truth or decision that the labels rule refuses exits 3,
+        naming the file and the column, and writes nothing."""
+        lines = Path(seed_traces[0]).read_text().splitlines()
+        cols = lines[5].split(",")
+        cols[column] = value
+        lines[5] = ",".join(cols)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert main(["report", "--trace", str(bad), "--out", str(out)]) == 3
+        name = lines[0].split(",")[column]
+        assert f"{bad}: {name}: labels must be 0 or 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_all_blank_ground_truth_column_is_merged(self, seed_traces, tmp_path):
+        lines = Path(seed_traces[0]).read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join([lines[0], *(",".join([r[0], "", *r[2:]]) for r in rows)])
+                         + "\n")
+        out = tmp_path / "m.csv"
+        assert main(["report", "--trace", str(blank), "--out", str(out)]) == 0
+        merged = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [m[:2] for m in merged] == [[r[0], ""] for r in rows]
 
     def test_malformed_trace_is_data_error(self, seed_traces, tmp_path):
         """A trace cell that does not parse exits 3 like any other bad input."""

@@ -27,13 +27,13 @@ GOLDEN = {
     "pretrain": {
         "head.oaph": "6ba0b21d3d6dbe06cc83554f17d3463ae04c1574a362d4a1d9de302ed6decac6",
         "replay.oapf": "9b78eb2b021f9ad830a1f2827df4c46129fce225db4b74ea0516ba8c548ceee7",
-        "resolved.cfg": "a671bc084faed278e9636342ca66d3cfc99a3ae16e41dd56136366621b17625b",
+        "resolved.cfg": "4134a9ce57767690c68b23672f19da44820f01e82a6bae40088a6d9cf311eac4",
     },
     "run_ema": {
         "metrics_seed0.json": "3bfb9bdfab347e02cb946a5b4867051aa4376200822691f6d150bf02f2d3e023",
         "metrics_seed1.json": "3bfb9bdfab347e02cb946a5b4867051aa4376200822691f6d150bf02f2d3e023",
         "metrics_summary.json": "7b42010b978fa553cfc967930bb3f4ca595afc180aa430df5dc7358382bb8240",
-        "resolved.cfg": "fd33b3c05fb87b9c32ebcbe5f06a51ed364215ea5cfea551e23ae83aa25b6670",
+        "resolved.cfg": "0d839875640c4785a24bbba5bc1a8736ce0e237446f1e809774cff01080819b6",
         "trace_seed0_stream_seed0.csv": "d77ff0fcda052a13cc919238252663b1f5b2d9d4b816ecc3fc2c1b73bffd5d8c",
         "trace_seed0_stream_seed0.jsonl": "18e4e7495644887285fc0dd277376dfb73342d41346be64aabafd98f590e36dd",
         "trace_seed0_stream_seed1.csv": "2c6659a64907ac29c35841295c1d5e9e718f1f731b6e6c893f70112f5d47d2ca",
@@ -47,7 +47,7 @@ GOLDEN = {
         "metrics_seed0.json": "eb9440265349829963ad187012924406f6bd3c93f870767b3bb2a5389135232c",
         "metrics_seed1.json": "eb9440265349829963ad187012924406f6bd3c93f870767b3bb2a5389135232c",
         "metrics_summary.json": "aa71825d79946757d7354804a0018ca390b80ec671608f7bcf2d7a9ae27bd945",
-        "resolved.cfg": "4dfa9255770f0ae200eda584c02c34a2e0a7e3abfe00265b7e159b4efda491b7",
+        "resolved.cfg": "5929445f9a86e1f17872cc0f54cb3d4b15f96bcde3623457ff94a463fce4e148",
         "trace_seed0_stream_seed0.csv": "7d8b587fc19d0e20a2aad773a99ddd94cc2be41ee3e01f4a435147c3cbc2bdfa",
         "trace_seed0_stream_seed0.jsonl": "a7e635fa00d21a0b66364ab06683c941499179cf3d50047b555290992d04f8b2",
         "trace_seed0_stream_seed1.csv": "2944fc40199c2b951207f60d5f7cdb4ed06b3d602588ca0eaf9fff6289526301",
@@ -61,7 +61,7 @@ GOLDEN = {
         "metrics_seed0.json": "eb9440265349829963ad187012924406f6bd3c93f870767b3bb2a5389135232c",
         "metrics_seed1.json": "4c4c7c466aebb2c7c6eadbb2a2847f0334417e6cd3fc43bd00b4f72fb634296b",
         "metrics_summary.json": "e100fed6555fd54cead295efb22cc767868102b95e8e3240bf670375db497228",
-        "resolved.cfg": "b21c4b31670a94800dbc212cf42eb7fa5950bd05f6f9329b86add55a6a4e84e7",
+        "resolved.cfg": "5022896e3e537b97287076673570eb33e88d2a3c4dea6cd48dc326b811c929a2",
         "trace_seed0_stream_seed0.csv": "3e8cd87c14226d78f152fe4fd1d589e250b5d9fcb100f6d88967ffbbf161d3b6",
         "trace_seed0_stream_seed0.jsonl": "15d63b9ef8aec3effc29242ceafbd3521bf6119a7aa81282ddc4239a980689d7",
         "trace_seed0_stream_seed1.csv": "bd0e52e6fb3262ef4ba0204815d2120bb8f51475cb6092bb1e1a3a30dd653c02",
@@ -72,11 +72,11 @@ GOLDEN = {
         "trace_seed1_stream_seed1.jsonl": "c2bffb8bb6f10f1112a1d8f7b94d189cb233ec528e8fc8f5b7e8fad0cb9d2508",
     },
     "sweep_finetune_freq": {
-        "resolved.cfg": "3e2e3445b90035fac1a0447b0632a136465d068f5eea9d710e9647ea190fc63e",
+        "resolved.cfg": "a8f6c509533d3d9ffd80ec46fe0c2fa0fe6a782623662e22f2ba5d915574ed50",
         "sweep_finetune_freq.csv": "7c7126b070081657937ed889fa7f2544defe512175f0122db94aecd362f978bd",
     },
     "sweep_replay_size": {
-        "resolved.cfg": "b269c0c5409512d7f8286ccf7e153c34e7a2651029851058fea8698859becfa9",
+        "resolved.cfg": "837baaa0a56eb560248797f45d7d89e2426786ec7c19b1c1c6c75fa76f803cb8",
         "sweep_replay_size.csv": "d70c0e1fc57eb35d26cbb75fcc04b45827b4ec7633ce2b500eb300305ca7123e",
     },
 }

@@ -316,6 +316,7 @@ class TestInputContract:
         "stack": np.zeros((2, 3, D)),
         "scalar": np.float64(0.0),
         "string feature": ["0.5x"] * D,
+        "numeric string feature": ["0.5"] * D,
         "complex feature": [1j] * D,
         "complex array feature": np.full(D, 1 + 5j),
         "feature beyond float64": [10**400] * D,
@@ -568,7 +569,7 @@ class TestBaselineErrors:
         head = artifacts[0]
         frames = rows(4)
         frames[0] = StreamFrame(np.zeros(D + 1), 1, 0.0)
-        with pytest.raises(DataError, match="ground truth length"):
+        with pytest.raises(DataError, match="^3 labels for 4 rows: want one label per row$"):
             baseline(kind, head, frames, ground_truth=[0] * 3)
 
     @pytest.mark.parametrize("first, second, message", [
@@ -756,10 +757,12 @@ class TestTraceFiles:
     @pytest.mark.parametrize("n_frames, n_truth", [(300, 10), (10, 300)])
     def test_ground_truth_length_checked(self, artifacts, runner, n_frames, n_truth):
         """Ground truth shorter or longer than the stream is a DataError in
-        every runner, not an IndexError or a silent truncation."""
+        every runner, in the labels rule's words, not an IndexError or a
+        silent truncation."""
         head, replay, frames, truth = artifacts
         frames, truth = frames[:n_frames], truth[:n_truth]
-        with pytest.raises(DataError, match="ground truth length"):
+        want = f"^{n_truth} labels for {n_frames} rows: want one label per row$"
+        with pytest.raises(DataError, match=want):
             if runner == "engine":
                 Engine(head, replay, desk_params()).run_stream(frames, ground_truth=truth)
             elif runner == "frozen":

@@ -189,6 +189,15 @@ class TestNonNumericDoors:
             case(h)
         assert h.flat.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("feature", [["0.5", "1.5"], np.array([b"0.5", b"1.5"]),
+                                         [[0.5, "1.5"]] * 3],
+                             ids=["row of str", "row of bytes", "stack with a str"])
+    def test_forward_refuses_numeric_strings(self, feature):
+        """numpy would parse "0.5" as 0.5; like a label, a feature is a number."""
+        h = random_head(2, seed=0)
+        with pytest.raises(DataError, match=r"^non-numeric value in feature input \(text of"):
+            forward(h, feature)
+
     @pytest.mark.parametrize("labels", [["a", "b"], [None, 1], [1 + 2j, 0]],
                              ids=["strings", "None", "complex"])
     def test_loss_and_grad_refuses_non_numeric_labels(self, labels):

@@ -1110,8 +1110,14 @@ TRACE_VALUES = {
         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     ),
 }
+# Ground truth and decision are labels: often 0 or 1, which the readers
+# take back, and otherwise any value of their type, which the writers
+# write and the readers refuse unless it is None or 0 or 1.
+LABEL_FIELDS = ("ground_truth", "decision")
 trace_records = st.builds(TraceRecord, *(
-    st.one_of(*(TRACE_VALUES[t] for t in types)) for types in _FIELD_TYPES
+    st.one_of(*([st.sampled_from([0, 1])] if name in LABEL_FIELDS else []),
+              *(TRACE_VALUES[t] for t in types))
+    for name, types in zip(TRACE_COLUMNS, _FIELD_TYPES)
 ))
 # Short traces, and lengths on both sides of the writers' chunk boundary.
 N = TRACE_ROWS_PER_WRITE
@@ -1134,8 +1140,11 @@ def test_trace_writers_match_the_per_row_writers(trace_dir, records, length):
         writer(trace_dir / "new", trace)
         reference(trace_dir / "old", trace)
         assert (trace_dir / "new").read_bytes() == (trace_dir / "old").read_bytes()
-        if not any(isinstance(v, float) and math.isnan(v) for r in trace
-                   for v in r._asdict().values()):
+        if not all(r.ground_truth in (None, 0, 1) and r.decision in (0, 1) for r in trace):
+            with pytest.raises(DataError, match="labels must be 0 or 1"):
+                reader(trace_dir / "new")
+        elif not any(isinstance(v, float) and math.isnan(v) for r in trace
+                     for v in r._asdict().values()):
             assert reader(trace_dir / "new") == trace
 
 

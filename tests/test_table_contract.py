@@ -4,7 +4,8 @@ real numbers, d >= 1, the head's d where a head is given) and
 ``check_labels`` the labels rule (one label per row, each a real number
 equal to 0 or 1). Every entry point that takes a table refuses what the
 door refuses, in the door's words, and the words are spelled in one
-module only."""
+module only. The ground truth of the stream runners and the ground truth
+and decision columns of a trace file keep the labels rule too."""
 
 import ast
 import os
@@ -13,13 +14,16 @@ import numpy as np
 import pytest
 from test_stream_contract import SOURCES, message_texts
 
+from oap.engine import Engine, read_trace_csv, read_trace_jsonl, run_baseline_frozen
+from oap.engine import run_baseline_smoothed, write_trace_csv, write_trace_jsonl
 from oap.errors import DataError
 from oap.head import PretrainSchedule, check_features, check_labels, forward_batch, init_head
 from oap.head import loss_and_grad, pretrain
 from oap.memory import ReplayStore, subsample_pretraining
 from oap.metrics import equal_error_rate, evaluate_frames, fixed_threshold_metrics
+from oap.presets import desk_params
 from oap.rng import seeded_rng
-from oap.simstream import save_feature_file
+from oap.simstream import StreamFrame, StreamFrames, save_feature_file
 
 D = 3
 HEAD = init_head(D, np.random.default_rng(0))
@@ -49,6 +53,7 @@ BAD_FEATURES = {
     "no column": np.zeros((4, 0)),
     "complex": GOOD_FEATURES + 1j,
     "strings": [["a"] * D] * 4,
+    "numeric strings": [["0.5"] * D] * 4,
     "10**400": [[0] * D] * 3 + [[0, 0, 10**400]],
 }
 
@@ -104,6 +109,15 @@ BAD_LABELS = {
 }
 
 SCORES = [0.1, 0.9, 0.5, 0.7]
+FRAMES = [StreamFrame(row, k + 1, k / 30) for k, row in enumerate(GOOD_FEATURES)]
+# The three stream runners, each taking a stream and its ground truth.
+RUNNERS = {
+    "run_stream": lambda frames, y: Engine(HEAD, ReplayStore(GOOD_FEATURES, GOOD_LABELS),
+                                           desk_params()).run_stream(frames, ground_truth=y),
+    "run_baseline_frozen": lambda frames, y: run_baseline_frozen(HEAD, frames, ground_truth=y),
+    "run_baseline_smoothed": lambda frames, y: run_baseline_smoothed(HEAD, frames, 0.9,
+                                                                     ground_truth=y),
+}
 LABEL_DOORS = {
     "loss_and_grad": lambda y: loss_and_grad(HEAD, GOOD_FEATURES, y),
     "pretrain": lambda y: pretrain(HEAD.copy(), GOOD_FEATURES, y, PretrainSchedule(),
@@ -114,6 +128,7 @@ LABEL_DOORS = {
     "evaluate_frames": lambda y: evaluate_frames(SCORES, y),
     "fixed_threshold_metrics": lambda y: fixed_threshold_metrics(SCORES, y, 0.5),
     "equal_error_rate": lambda y: equal_error_rate(SCORES, y),
+    **{name: lambda y, run=run: run(FRAMES, y) for name, run in RUNNERS.items()},
 }
 
 
@@ -140,6 +155,62 @@ def test_the_labels_door_takes_any_real_0_or_1_and_gives_the_spoof_mask(labels):
     assert check_labels(labels, 3).tolist() == [False, True, True]
 
 
+# ---------------------------------------------------------------------------
+# Ground truth: the runners write it as 0/1, and the trace readers hold the
+# ground truth and decision columns to the labels rule
+# ---------------------------------------------------------------------------
+
+STREAM = StreamFrames(np.random.default_rng(1).normal(size=(1100, D)), np.arange(1, 1101),
+                      np.arange(1100) / 30)
+TRUTH = [k // 300 % 2 for k in range(len(STREAM))]
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_any_real_0_or_1_ground_truth_gives_the_same_trace_bytes(runner, tmp_path):
+    """The ground truth crosses a block boundary of the fold."""
+    run = RUNNERS[runner]
+    write_trace_csv(tmp_path / "ints.csv", run(STREAM, TRUTH))
+    want = (tmp_path / "ints.csv").read_bytes()
+    for truth in ([bool(y) for y in TRUTH], [float(y) for y in TRUTH],
+                  np.array(TRUTH, dtype=np.uint8), np.array(TRUTH, dtype=np.int64)):
+        write_trace_csv(tmp_path / "other.csv", run(STREAM, truth))
+        assert (tmp_path / "other.csv").read_bytes() == want
+
+
+def trace_file(tmp_path, write, change: dict):
+    """A frozen trace of FRAMES, written by ``write`` with the fields in
+    ``change`` replaced in its third record."""
+    trace = run_baseline_frozen(HEAD, FRAMES, ground_truth=GOOD_LABELS)
+    trace[2] = trace[2]._replace(**change)
+    path = tmp_path / "trace"
+    write(path, trace)
+    return path
+
+
+READERS = {"csv": (write_trace_csv, read_trace_csv),
+           "jsonl": (write_trace_jsonl, read_trace_jsonl)}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("column, value", [("ground_truth", 7), ("decision", 5),
+                                           ("ground_truth", -1), ("decision", 2**70)])
+def test_the_trace_readers_refuse_a_label_other_than_0_or_1(tmp_path, reader, column, value):
+    write, read = READERS[reader]
+    path = trace_file(tmp_path, write, {column: value})
+    assert refusal(lambda: read(path)) == f"{path}: {column}: labels must be 0 or 1"
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_the_trace_readers_take_an_unknown_ground_truth(tmp_path, reader):
+    write, read = READERS[reader]
+    trace = run_baseline_frozen(HEAD, FRAMES)
+    assert [r.ground_truth for r in trace] == [None] * len(FRAMES)
+    write(tmp_path / "trace", trace)
+    assert read(tmp_path / "trace") == trace
+    path = trace_file(tmp_path, write, {"ground_truth": None})
+    assert [r.ground_truth for r in read(path)] == [0, 1, None, 1]
+
+
 def test_the_features_door_hands_a_float64_matrix_back_as_it_is():
     assert check_features(GOOD_FEATURES, D) is GOOD_FEATURES
     empty = np.zeros((0, 5))
@@ -160,3 +231,22 @@ def test_each_door_message_is_spelled_in_one_module(words):
     spelled_in = [path.name for path in SOURCES
                   if any(words in text for text in message_texts(ast.parse(path.read_text())))]
     assert spelled_in == ["head.py"]
+
+
+def spells_2_to_the_63(tree: ast.AST) -> bool:
+    """Whether ``tree`` computes ``2**63`` anywhere."""
+    return any(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and [getattr(side, "value", None) for side in (node.left, node.right)] == [2, 63]
+        for node in ast.walk(tree)
+    )
+
+
+def test_the_int64_range_is_spelled_in_config_only():
+    """Frame indices are int64: the bounds are ``config.FRAME_INDEX_MIN``
+    and ``FRAME_INDEX_MAX``, and no other module spells them."""
+    assert spells_2_to_the_63(ast.parse("x = range(-(2 ** 63), 2**63)"))
+    assert not spells_2_to_the_63(ast.parse('"""Up to 2**63."""\nx = 2**64'))
+    assert [path.name for path in SOURCES if spells_2_to_the_63(ast.parse(path.read_text()))] == [
+        "config.py"
+    ]
