@@ -9,8 +9,9 @@ reproduces outputs bit-exactly) and writes machine-readable results.
 Every config key is a field of one of the dataclasses in ``_SECTIONS``
 (hyper-parameters, generator, scenario, the pre-training schedule behind
 ``pretrain_``, and ``RunnerConfig``), read by ``config.from_mapping`` with
-the field's type. Each dataclass checks its own ranges when built. A value
-that does not parse or lies out of range is a config error, and so is a
+the field's type. Each dataclass checks its own types and ranges when
+built. A value that does not parse or lies out of range is a config error,
+in one wording (``<key> out of range: <value> (want ...)``), and so is a
 ``--set`` key that names no field; a config error writes nothing, not even
 the echo, and neither does a data error in an input file. A config file
 may carry keys for other tools.
@@ -32,31 +33,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import HyperParams, apply_overrides, check_ranges, from_mapping, parse_kv_file
-from .engine import (
-    Engine,
-    calibrated_kflops_per_frame,
-    run_baseline_frozen,
-    run_baseline_smoothed,
-    write_trace_csv,
-    write_trace_jsonl,
-    read_trace_csv,
-)
+from .engine import MOMENTUM_RULE, Engine, calibrated_kflops_per_frame, read_trace_csv
+from .engine import run_baseline_frozen, run_baseline_smoothed, write_trace_csv, write_trace_jsonl
 from .errors import ConfigError, DataError, NumericalError, OapError
 from .head import PRETRAIN_PREFIX, PretrainSchedule, load_head, save_head
 from .memory import ReplayStore, first_bad_frame
 from .metrics import MetricReport, check_both_classes, evaluate_frames
 from .presets import DESK_FRAMES_PER_USER, DESK_LEARNING_RATE, DESK_N_USERS, carve_replay, fit_head
-from .simstream import (
-    HELD_OUT_USER_BASE,
-    GeneratorConfig,
-    StreamScenario,
-    generate_pretraining_set,
-    generate_stream,
-    load_feature_file,
-    save_feature_file,
-    save_labeled_set,
-    scenario_from_mapping,
-)
+from .simstream import N_USERS_RULE, GeneratorConfig, StreamScenario, generate_pretraining_set
+from .simstream import generate_stream, load_feature_file, save_feature_file, save_labeled_set
+from .simstream import scenario_from_mapping
 
 MODES = ("oap", "frozen", "ema")
 SWEEP_AXES = ("finetune_freq", "margin", "online_prob", "replay_size")
@@ -76,15 +62,12 @@ class RunnerConfig:
 
     def __post_init__(self) -> None:
         check_ranges(self, (
+            ("mode", MODES.__contains__, f"one of {MODES}"),
             ("seeds", lambda v: v >= 1, "seeds >= 1"),
-            ("ema_momentum", lambda v: 0.0 <= v < 1.0, "0 <= ema_momentum < 1"),
-            ("n_users", lambda v: v >= 2, "n_users >= 2"),
-            # Pre-training users are 0 .. n_users - 1, below the held-out ids.
-            ("n_users", lambda v: v <= HELD_OUT_USER_BASE, f"n_users <= {HELD_OUT_USER_BASE}"),
+            ("ema_momentum", *MOMENTUM_RULE),
+            ("n_users", *N_USERS_RULE),
             ("frames_per_user", lambda v: v >= 2, "frames_per_user >= 2"),
         ))
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r} (want one of {MODES})")
 
 
 # Every config key is a field of one of these dataclasses behind its prefix.
@@ -309,11 +292,7 @@ def cmd_sweep(args) -> int:
             trace = Engine(head, replay, run_params).run_stream(frames)
             report = evaluate_frames([r.y for r in trace], stream.labels, params.eval_threshold)
             acers.append(report.acer)
-        row = {
-            "value": value,
-            "acer_mean": float(np.mean(acers)),
-            "acer_std": float(np.std(acers)),
-        }
+        row = {"value": value, "acer_mean": float(np.mean(acers)), "acer_std": float(np.std(acers))}
         if args.axis == "finetune_freq":
             row["kflops_per_frame"] = calibrated_kflops_per_frame(params)
         if args.axis == "replay_size":
@@ -341,22 +320,19 @@ def cmd_report(args) -> int:
     lengths = {len(t) for t in traces}
     if len(lengths) != 1:
         raise DataError(f"trace lengths differ: {sorted(lengths)}")
-    n = lengths.pop()
     for path, trace in zip(args.trace[1:], traces[1:]):
         for column in ("frame_index", "ground_truth"):
-            if any(getattr(a, column) != getattr(b, column) for a, b in zip(trace, traces[0])):
+            if [getattr(r, column) for r in trace] != [getattr(r, column) for r in traces[0]]:
                 raise DataError(f"{path}: {column} differs from {args.trace[0]}")
-    ys = np.array([[r.y for r in t] for t in traces])
+    # A row per frame, reduced as its 1-D column would be: a reduction over
+    # axis 0 of the (traces, frames) array gives other bits from 8 traces on.
+    ys = np.ascontiguousarray(np.array([[r.y for r in t] for t in traces]).T)
+    rows = zip(traces[0], ys.mean(axis=1).tolist(), ys.std(axis=1).tolist())
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("frame_index,ground_truth,y_mean,y_std,n_traces\n")
-        for j in range(n):
-            truth = traces[0][j].ground_truth
-            fh.write(
-                f"{traces[0][j].frame_index},"
-                f"{'' if truth is None else truth},"
-                f"{float(ys[:, j].mean())!r},{float(ys[:, j].std())!r},{len(traces)}\n"
-            )
+        fh.writelines(f"{r.frame_index},{'' if r.ground_truth is None else r.ground_truth},"
+                      f"{m!r},{s!r},{len(traces)}\n" for r, m, s in rows)
     print(out)
     return 0
 

@@ -42,8 +42,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_args,
 
 import numpy as np
 
-from .config import ClassLabel, HyperParams, PseudoLabel
-from .errors import ConfigError, DataError, NumericalError
+from .config import ClassLabel, HyperParams, PseudoLabel, check_value, open_text
+from .errors import DataError, NumericalError
 from .head import (
     HIDDEN_UNITS,
     SCORE_ROWS_PER_CALL,
@@ -64,6 +64,9 @@ from .simstream import StreamFrame, StreamFrames
 # finetune_freq=1. Sweep reports scale it by finetune_freq; the engine
 # accumulates the raw model count.
 FULL_SCALE_KFLOPS_PER_FRAME = 960.0
+
+# The momentum of ``run_baseline_smoothed``, and so of the ``ema`` runner.
+MOMENTUM_RULE = (lambda v: 0.0 <= v < 1.0, "0 <= momentum < 1")
 
 
 def per_sample_flops(d: int, hidden: int = HIDDEN_UNITS) -> float:
@@ -282,9 +285,8 @@ def run_baseline_smoothed(
     and the average runs over the block's scores as Python floats. A stack
     that will not form or score is scored a frame at a time, so the first
     frame that is not a finite (d,) row raises the DataError it raises on
-    its own."""
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"momentum out of range: {momentum!r} (want 0 <= momentum < 1)")
+    its own. A momentum that is not a real number in [0, 1) is a ConfigError."""
+    check_value("momentum", momentum, float, MOMENTUM_RULE)
     rest = 1.0 - momentum
     ema: float | None = None  # the last frame's average, carried into the next block
 
@@ -446,10 +448,8 @@ def _parse_jsonl_row(line: str) -> TraceRecord:
 
 
 def _text_lines(path: str | Path) -> list[str]:
-    try:
-        return Path(path).read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file ({exc.reason})") from exc
+    with open_text(path, DataError) as fh:
+        return fh.read().splitlines()
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:

@@ -67,13 +67,16 @@ from pathlib import Path
 import numpy as np
 from numpy.exceptions import ComplexWarning
 
-from .config import check_ranges
-from .errors import ConfigError, DataError, NumericalError
+from .config import check_ranges, check_value
+from .errors import DataError, NumericalError
 
 HIDDEN_UNITS = 64
 PROB_EPS = 1e-7
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+# The feature width ``d`` of a head or of generated features.
+WIDTH_RULE = (lambda v: v >= 1, "d >= 1")
 
 # Rows per block of ``forward_batch``: a block's stacked products (about
 # 0.5 MB at 64 hidden units) stay the same size, whatever the input's length.
@@ -154,9 +157,8 @@ class AdamState:
 
 def init_head(d: int, rng: np.random.Generator) -> ClassifierHead:
     """Fresh head: zero-mean uniform weights scaled by 1/sqrt(fan_in),
-    zero biases."""
-    if d < 1:
-        raise ConfigError(f"feature dimension must be >= 1, got {d}")
+    zero biases. A ``d`` that is not an integer >= 1 is a ConfigError."""
+    check_value("d", d, int, WIDTH_RULE)
     w1_scale = 1.0 / np.sqrt(d)
     w2_scale = 1.0 / np.sqrt(HIDDEN_UNITS)
     return ClassifierHead(
@@ -471,10 +473,8 @@ class PretrainSchedule:
         check_ranges(self, (
             ("iterations", lambda v: v >= 0, ">= 0"),
             ("batch_size", lambda v: v >= 1, ">= 1"),
-            ("learning_rate", math.isfinite, "a finite value"),
-            ("learning_rate", lambda v: v > 0.0, "> 0"),
-            ("weight_decay", math.isfinite, "a finite value"),
-            ("weight_decay", lambda v: v >= 0.0, ">= 0"),
+            ("learning_rate", lambda v: math.isfinite(v) and v > 0.0, "a finite value > 0"),
+            ("weight_decay", lambda v: math.isfinite(v) and v >= 0.0, "a finite value >= 0"),
             ("decay_gamma", lambda v: 0.0 < v <= 1.0, "> 0 and <= 1"),
             ("decay_every", lambda v: v >= 1, ">= 1"),
         ), PRETRAIN_PREFIX)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel
+from .errors import DataError
 
 # The labels as module constants: a member read off its class costs about
 # ten module-global reads, more than the rest of ``assign_pseudo_label``.
@@ -51,11 +52,11 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     idx = np.asarray(frame_indices, dtype=np.int64)
     lab = np.asarray(labels, dtype=np.int64)
     if idx.shape != lab.shape:
-        raise ValueError("frame_indices and labels disagree in length")
+        raise DataError("frame_indices and labels disagree in length")
     if idx.size == 0:
         return np.zeros(0, dtype=np.int64)
     if np.count_nonzero(idx[1:] <= idx[:-1]):
-        raise ValueError("frame indices must be strictly increasing")
+        raise DataError("frame indices must be strictly increasing")
 
     # On integers |j - i| <= window / 2 iff |j - i| <= window // 2. The
     # bounds saturate in int64, which only a buffer within ``half`` of an

@@ -13,16 +13,18 @@ import hashlib
 
 import numpy as np
 
+from .config import SEED_RULE, check_value
+
 
 def seeded_rng(seed: int, stream_tag: str) -> np.random.Generator:
     """Return a PCG64 generator keyed by (seed, stream_tag).
 
     The tag is folded into the seed material by hashing, so any printable
-    string can name a stream without colliding with integer seeds.
+    string can name a stream without colliding with integer seeds. A seed
+    that is not an integer in [0, 2**64) is a ConfigError.
     """
+    check_value("seed", seed, int, SEED_RULE)
     seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     digest = hashlib.sha256(stream_tag.encode("utf-8")).digest()
     tag_words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([seed, *tag_words]))

@@ -30,9 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, ClassLabel, check_ranges, from_mapping
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, FRAME_RATE_RULE, SEED_RULE, ClassLabel
+from .config import check_ranges, check_value, from_mapping, open_text
 from .errors import ConfigError, DataError
-from .head import check_features
+from .head import WIDTH_RULE, check_features
 from .rng import seeded_rng
 
 # Held-out stream users are offset into their own id range so they can
@@ -41,6 +42,9 @@ HELD_OUT_USER_BASE = 1_000_000
 
 # Per-source sub-offset magnitude, in units of within-cluster std.
 SOURCE_SHIFT_SCALE = 0.5
+
+# Pre-training users are numbered 0 .. n_users - 1, below the held-out ids.
+N_USERS_RULE = (lambda v: 2 <= v <= HELD_OUT_USER_BASE, f"2 <= n_users <= {HELD_OUT_USER_BASE}")
 
 
 @dataclass(frozen=True)
@@ -57,15 +61,14 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         check_ranges(self, (
-            ("d", lambda v: v >= 1, "d >= 1"),
-            ("class_separation", math.isfinite, "a finite class_separation"),
-            ("noise_std", math.isfinite, "a finite noise_std"),
+            ("d", *WIDTH_RULE),
+            ("class_separation", lambda v: math.isfinite(v) and v > 0,
+             "a finite class_separation > 0"),
+            ("noise_std", lambda v: math.isfinite(v) and v > 0, "a finite noise_std > 0"),
             ("user_shift_scale", math.isfinite, "a finite user_shift_scale"),
             ("drift_rate", math.isfinite, "a finite drift_rate"),
-            ("seed", lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
+            ("seed", *SEED_RULE),
         ))
-        if self.class_separation <= 0 or self.noise_std <= 0:
-            raise ConfigError("class_separation and noise_std must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,10 @@ class Segment:
     duration_frames: int
     source_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.duration_frames < 1:
-            raise ConfigError(
-                f"segments out of range: segment duration must be >= 1, got {self.duration_frames}"
-            )
+    def __post_init__(self) -> None:  # a segment is written in the ``segments`` entry
+        check_value("segments", self.label, (lambda v: v.__class__ is ClassLabel, "a ClassLabel"))
+        check_value("segments", self.duration_frames, int, (lambda v: v >= 1, "durations >= 1"))
+        check_value("segments", self.source_id, int)
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,9 @@ class StreamScenario:
     user_id: int = 0
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise ConfigError("segments out of range: scenario needs at least one segment")
         check_ranges(self, (
-            ("frame_rate", math.isfinite, "a finite frame_rate"),
-            ("frame_rate", lambda v: v > 0, "frame_rate > 0"),
+            ("segments", bool, "at least one segment"),
+            ("frame_rate", *FRAME_RATE_RULE),
             ("user_id", lambda v: v >= 0, "user_id >= 0"),
         ))
 
@@ -185,30 +185,25 @@ def generate_pretraining_set(
     its own random offset. Deterministic under cfg.seed. The users are
     numbered 0 .. n_users - 1, so ``n_users`` is at most
     ``HELD_OUT_USER_BASE``: one more would draw the offset of held-out
-    user 0."""
-    if n_users < 2:
-        raise ConfigError(f"need at least 2 training users, got {n_users}")
-    if n_users > HELD_OUT_USER_BASE:
-        raise ConfigError(
-            f"n_users out of range: {n_users} (want at most {HELD_OUT_USER_BASE}, "
-            "the first held-out user id)"
-        )
-    feats = []
-    labels = []
+    user 0 (``N_USERS_RULE``). Each block of rows is drawn in place into
+    the (n, d) array, with the bits of ``(mean + offset) + noise * noise_std``."""
+    check_value("n_users", n_users, int, N_USERS_RULE)
     n_live = frames_per_user - frames_per_user // 2
     counts = {ClassLabel.LIVE: n_live, ClassLabel.SPOOF: frames_per_user // 2}
+    feats = np.empty((n_users * frames_per_user, cfg.d))
+    labels = np.empty(n_users * frames_per_user, dtype=np.int64)
+    start = 0
     for user in range(n_users):
         offset = _user_offset(cfg, user)
         noise_rng = seeded_rng(cfg.seed, f"pretrain-noise-{user}")
         for label, count in counts.items():
-            block = (
-                _class_mean(cfg, label)
-                + offset
-                + noise_rng.standard_normal((count, cfg.d)) * cfg.noise_std
-            )
-            feats.append(block)
-            labels.append(np.full(count, int(label), dtype=np.int64))
-    return np.concatenate(feats), np.concatenate(labels)
+            block = feats[start : start + count]
+            noise_rng.standard_normal(out=block)
+            block *= cfg.noise_std
+            block += _class_mean(cfg, label) + offset
+            labels[start : start + count] = int(label)
+            start += count
+    return feats, labels
 
 
 def generate_stream(
@@ -247,9 +242,7 @@ def generate_stream(
     for seg in scenario.segments:
         stop = start + seg.duration_frames
         source_rng = seeded_rng(cfg.seed, f"source-{int(seg.label)}-{seg.source_id}-{uid}")
-        source_offset = (
-            source_rng.standard_normal(cfg.d) * SOURCE_SHIFT_SCALE * cfg.noise_std
-        )
+        source_offset = source_rng.standard_normal(cfg.d) * SOURCE_SHIFT_SCALE * cfg.noise_std
         base = _class_mean(cfg, seg.label) + offset + source_offset
         block = features[start:stop]
         np.multiply(times[start:stop, None], drift_per_second, out=block)
@@ -291,14 +284,8 @@ class FeatureFileData:
         return StreamFrames(self.features, self.frame_indices, self.times)
 
 
-def save_feature_file(
-    path: str | Path,
-    features,
-    frame_indices,
-    times,
-    labels=None,
-    frame_rate: float = 30.0,
-) -> None:
+def save_feature_file(path: str | Path, features, frame_indices, times, labels=None,
+                      frame_rate: float = 30.0) -> None:
     """Write header ``oapf v1 d=<dim> labeled=<0|1> fps=<rate>`` then one
     record per line: frame_index, time, optional label, then the feature
     values. Floats are printed with shortest round-trip repr, so a save /
@@ -456,39 +443,34 @@ def _read_lines(path: Path) -> FeatureFileData:
     Each row is checked as it is read: its column count, then that every
     cell parses, then that its features are finite, its frame index fits
     int64 and its label is 0 or 1."""
-    try:
-        with open(path) as fh:
-            d, labeled, frame_rate = _read_header(path, fh)
-            first = 2 + int(labeled)  # the first feature column
-            expected_cols = first + d
-            # The columns; ``values`` holds the feature cells of every row, row-major.
-            frame_indices, times, labels, values = [], [], [], []
-            for lineno, line in enumerate(map(str.strip, fh), start=2):
-                if not line:
-                    continue
-                cols = line.split(",")
-                if len(cols) != expected_cols:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}"
-                    )
-                try:
-                    index, time = int(cols[0]), float(cols[1])
-                    label = int(cols[2]) if labeled else 0
-                    feature = [float(c) for c in cols[first:]]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: unparseable value") from exc
-                if not all(map(math.isfinite, feature)):
-                    raise DataError(f"{path}:{lineno}: non-finite feature value")
-                if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
-                    raise DataError(f"{path}:{lineno}: frame index out of range")
-                if label not in (0, 1):
-                    raise DataError(f"{path}:{lineno}: label out of range")
-                frame_indices.append(index)
-                times.append(time)
-                labels.append(label)
-                values.extend(feature)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file ({exc.reason})") from exc
+    with open_text(path, DataError) as fh:
+        d, labeled, frame_rate = _read_header(path, fh)
+        first = 2 + int(labeled)  # the first feature column
+        expected_cols = first + d
+        # The columns; ``values`` holds the feature cells of every row, row-major.
+        frame_indices, times, labels, values = [], [], [], []
+        for lineno, line in enumerate(map(str.strip, fh), start=2):
+            if not line:
+                continue
+            cols = line.split(",")
+            if len(cols) != expected_cols:
+                raise DataError(f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}")
+            try:
+                index, time = int(cols[0]), float(cols[1])
+                label = int(cols[2]) if labeled else 0
+                feature = [float(c) for c in cols[first:]]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: unparseable value") from exc
+            if not all(map(math.isfinite, feature)):
+                raise DataError(f"{path}:{lineno}: non-finite feature value")
+            if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
+                raise DataError(f"{path}:{lineno}: frame index out of range")
+            if label not in (0, 1):
+                raise DataError(f"{path}:{lineno}: label out of range")
+            frame_indices.append(index)
+            times.append(time)
+            labels.append(label)
+            values.extend(feature)
     return FeatureFileData(
         np.array(values, dtype=np.float64).reshape(len(times), d),
         np.array(labels, dtype=np.int64) if labeled else None,

@@ -36,9 +36,7 @@ from oap.pseudolabel import assign_pseudo_label, smooth_labels
 from oap.rng import seeded_rng
 from oap.simstream import Segment, StreamScenario, generate_stream
 
-from test_head import random_head
-from test_metrics import dense_sweep_eer
-from test_pseudolabel import brute_force_smooth
+from oracles import brute_force_smooth, dense_sweep_eer, random_head
 
 
 def report(number, name, ok, detail):

@@ -11,7 +11,7 @@ import pytest
 
 from oap.cli import main
 from oap.config import parse_kv_file
-from oap.engine import read_trace_csv
+from oap.engine import TraceRecord, read_trace_csv, write_trace_csv
 from oap.head import PretrainSchedule, save_head
 from oap.memory import ReplayStore
 from oap.presets import build_artifacts
@@ -338,10 +338,11 @@ class TestConfigAtTheDoor:
     the item after ``--config`` is the text of a config file."""
 
     @pytest.mark.parametrize("command,extra,message", [
-        ("generate", ["--set", "seeds=abc"], "bad value for seeds: 'abc'"),
-        ("generate", ["--set", "frame_rate=fast"], "bad value for frame_rate: 'fast'"),
-        ("generate", ["--set", "n_users=x"], "bad value for n_users: 'x'"),
-        ("run", ["--mode", "ema", "--set", "ema_momentum=abc"], "bad value for ema_momentum"),
+        ("generate", ["--set", "seeds=abc"], "seeds out of range: 'abc' (want an integer)"),
+        ("generate", ["--set", "frame_rate=fast"],
+         "frame_rate out of range: 'fast' (want a real number)"),
+        ("generate", ["--set", "n_users=x"], "n_users out of range: 'x' (want an integer)"),
+        ("run", ["--mode", "ema", "--set", "ema_momentum=abc"], "ema_momentum out of range: 'abc'"),
         ("generate", ["--set", "seeds=0"], "seeds out of range"),
         ("run", ["--set", "seeds=0"], "seeds out of range"),
         ("run", ["--seeds", "0"], "seeds out of range"),
@@ -349,7 +350,8 @@ class TestConfigAtTheDoor:
         ("generate", ["--set", "d=0"], "d out of range"),
         ("pretrain", ["--set", "pretrain_decay_every=0"], "pretrain_decay_every out of range"),
         ("pretrain", ["--set", "pretrain_batch_size=0"], "pretrain_batch_size out of range"),
-        ("sweep", ["--axis", "replay_size", "--values", "10,4.5"], "bad value for replay_size"),
+        ("sweep", ["--axis", "replay_size", "--values", "10,4.5"],
+         "replay_size out of range: '4.5'"),
         ("run", ["--set", "marign=0.2"], "unknown config key 'marign'"),
         ("generate", ["--set", "sweep_axis=margin"], "unknown config key 'sweep_axis'"),
         ("generate", ["--set", "frames_per_user=0"], "frames_per_user out of range: 0"),
@@ -357,15 +359,17 @@ class TestConfigAtTheDoor:
         ("generate", ["--set", "n_users=1"], "n_users out of range: 1"),
         ("pretrain", ["--set", "pretrain_iterations=-1"], "pretrain_iterations out of range: -1"),
         ("run", ["--set", "ema_momentum=1.5"], "ema_momentum out of range: 1.5"),
-        ("generate", ["--config", "mode = bogus\n"], "unknown mode 'bogus'"),
+        ("generate", ["--config", "mode = bogus\n"],
+         "mode out of range: 'bogus' (want one of ('oap', 'frozen', 'ema'))"),
         ("run", ["--set", "margin=0.9"], "margin out of range: 0.9"),
-        ("generate", ["--set", "segments=live:0"], "segment duration must be >= 1, got 0"),
+        ("generate", ["--set", "segments=spoof:-3:2"],
+         "segments out of range: -3 (want durations >= 1)"),
         ("generate", ["--set", "frame_rate=0"], "frame_rate out of range: 0.0"),
         ("sweep", ["--values", "0.1,0.7"], "margin out of range: 0.7"),
         ("generate", ["--set", "segments=live:0"],
-         "segments out of range: segment duration must be >= 1, got 0"),
+         "segments out of range: 0 (want durations >= 1)"),
         ("generate", ["--set", "segments="],
-         "segments out of range: scenario needs at least one segment"),
+         "segments out of range: () (want at least one segment)"),
         ("generate", ["--set", "frame_rate=inf"], "frame_rate out of range: inf"),
         ("generate", ["--set", "user_id=-999997"], "user_id out of range: -999997"),
         ("generate", ["--set", "drift_rate=nan"], "drift_rate out of range: nan"),
@@ -602,6 +606,29 @@ class TestReport:
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["report", "--trace", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_merged_bytes_match_the_per_frame_reduction(self, tmp_path, k):
+        """``report`` reduces all frames at once, with the bits of a mean
+        and a spread taken frame by frame over each frame's column of
+        ``y``, for 1 to 12 traces of drawn scores at mixed scales."""
+        rng = np.random.default_rng(k)
+        n = 64
+        index = np.cumsum(rng.integers(1, 4, n)).tolist()
+        truth = [None if u < 0.2 else int(u > 0.6) for u in rng.random(n)]
+        ys = rng.random((k, n)) * 10.0 ** rng.integers(-12, 3, (k, n))
+        paths = []
+        for t, row in enumerate(ys):
+            paths += ["--trace", str(tmp_path / f"t{t}.csv")]
+            write_trace_csv(paths[-1], [TraceRecord(i, g, y, int(y > 0.5), None, False, 0, 0.0)
+                                        for i, g, y in zip(index, truth, row.tolist())])
+        out = tmp_path / "merged.csv"
+        assert main(["report", *paths, "--out", str(out)]) == 0
+        expected = "frame_index,ground_truth,y_mean,y_std,n_traces\n" + "".join(
+            f"{i},{'' if g is None else g},{float(ys[:, j].mean())!r},"
+            f"{float(ys[:, j].std())!r},{k}\n"
+            for j, (i, g) in enumerate(zip(index, truth)))
+        assert out.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("command, code", [("pretrain", 3), ("report", 3), ("generate", 2)])

@@ -174,5 +174,5 @@ def test_n_users_beyond_the_held_out_ids_exits_2_writing_nothing(files, tmp_path
 
 def test_runner_config_takes_n_users_up_to_the_held_out_ids():
     assert RunnerConfig(n_users=HELD_OUT_USER_BASE).n_users == HELD_OUT_USER_BASE
-    with pytest.raises(ConfigError, match=f"want n_users <= {HELD_OUT_USER_BASE}"):
+    with pytest.raises(ConfigError, match=f"want 2 <= n_users <= {HELD_OUT_USER_BASE}"):
         RunnerConfig(n_users=HELD_OUT_USER_BASE + 1)

@@ -95,24 +95,26 @@ OUT_OF_RANGE = {
     "HyperParams-margin": (lambda: HyperParams(margin=0.9), "margin out of range: 0.9"),
     "GeneratorConfig-d": (lambda: GeneratorConfig(d=0), "d out of range: 0"),
     "GeneratorConfig-noise_std": (
-        lambda: GeneratorConfig(noise_std=0.0), "noise_std must be positive"),
+        lambda: GeneratorConfig(noise_std=0.0),
+        "noise_std out of range: 0.0 (want a finite noise_std > 0)"),
     "Segment-duration": (
-        lambda: Segment(ClassLabel.LIVE, 0), "segment duration must be >= 1, got 0"),
+        lambda: Segment(ClassLabel.LIVE, 0), "segments out of range: 0 (want durations >= 1)"),
     "StreamScenario-segments": (
-        lambda: StreamScenario(()), "scenario needs at least one segment"),
+        lambda: StreamScenario(()), "segments out of range: () (want at least one segment)"),
     "StreamScenario-frame_rate": (
         lambda: StreamScenario(ONE_SEGMENT, frame_rate=0.0),
-        "frame_rate out of range: 0.0 (want frame_rate > 0)"),
+        "frame_rate out of range: 0.0 (want a finite frame_rate > 0)"),
     "StreamScenario-frame_rate-inf": (
         lambda: StreamScenario(ONE_SEGMENT, frame_rate=float("inf")),
-        "frame_rate out of range: inf (want a finite frame_rate)"),
+        "frame_rate out of range: inf (want a finite frame_rate > 0)"),
     "PretrainSchedule-iterations": (
         lambda: PretrainSchedule(iterations=-1), "pretrain_iterations out of range: -1"),
     "PretrainSchedule-batch_size": (
         lambda: PretrainSchedule(batch_size=0), "pretrain_batch_size out of range: 0"),
     "PretrainSchedule-decay_every": (
         lambda: PretrainSchedule(decay_every=0), "pretrain_decay_every out of range: 0"),
-    "RunnerConfig-mode": (lambda: RunnerConfig(mode="bogus"), "unknown mode 'bogus'"),
+    "RunnerConfig-mode": (
+        lambda: RunnerConfig(mode="bogus"), "mode out of range: 'bogus' (want one of ("),
     "RunnerConfig-seeds": (lambda: RunnerConfig(seeds=0), "seeds out of range: 0"),
     "RunnerConfig-ema_momentum-high": (
         lambda: RunnerConfig(ema_momentum=1.0), "ema_momentum out of range: 1.0"),
@@ -128,21 +130,21 @@ OUT_OF_RANGE = {
         "pretrain_iterations out of range: -5"),
     "HyperParams-eviction_horizon-inf": (
         lambda: HyperParams(eviction_horizon=math.inf),
-        "eviction_horizon out of range: inf (want a finite eviction_horizon)"),
+        "eviction_horizon out of range: inf (want a finite eviction_horizon > 0)"),
     "HyperParams-frame_rate-inf": (
         lambda: HyperParams(frame_rate=math.inf),
-        "frame_rate out of range: inf (want a finite frame_rate)"),
+        "frame_rate out of range: inf (want a finite frame_rate > 0)"),
     "HyperParams-learning_rate-inf": (
         lambda: HyperParams(learning_rate=math.inf),
-        "learning_rate out of range: inf (want a finite learning_rate)"),
+        "learning_rate out of range: inf (want a finite learning_rate > 0)"),
     "HyperParams-weight_decay-inf": (
         lambda: HyperParams(weight_decay=math.inf),
-        "weight_decay out of range: inf (want a finite weight_decay)"),
+        "weight_decay out of range: inf (want a finite weight_decay >= 0)"),
     "HyperParams-eviction_horizon-nan": (
         lambda: HyperParams(eviction_horizon=math.nan), "eviction_horizon out of range: nan"),
     "PretrainSchedule-learning_rate-inf": (
         lambda: PretrainSchedule(learning_rate=math.inf),
-        "pretrain_learning_rate out of range: inf (want a finite value)"),
+        "pretrain_learning_rate out of range: inf (want a finite value > 0)"),
     "PretrainSchedule-learning_rate-zero": (
         lambda: PretrainSchedule(learning_rate=0.0), "pretrain_learning_rate out of range: 0.0"),
     "PretrainSchedule-learning_rate-nan": (
@@ -245,5 +247,5 @@ class TestSeededRng:
         assert not np.array_equal(a, b)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="seed out of range: -1"):
             seeded_rng(-1, "sampler")

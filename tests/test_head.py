@@ -31,16 +31,7 @@ from oap.head import (
 )
 from oap.rng import seeded_rng
 
-
-def random_head(d, seed, scale=0.3):
-    """Small random head (biases included) for gradient checks."""
-    rng = np.random.default_rng(seed)
-    return ClassifierHead(
-        w1=rng.normal(0, scale / np.sqrt(d), size=(d, HIDDEN_UNITS)),
-        b1=rng.normal(0, 0.05, size=HIDDEN_UNITS),
-        w2=rng.normal(0, scale / np.sqrt(HIDDEN_UNITS), size=HIDDEN_UNITS),
-        b2=rng.normal(0, 0.05, size=1),
-    )
+from oracles import random_head
 
 
 def reference_forward(head, f):

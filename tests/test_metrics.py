@@ -14,20 +14,7 @@ from oap.metrics import (
     fixed_threshold_metrics,
 )
 
-
-def dense_sweep_eer(scores, labels, n_thresholds=10_001):
-    """Brute-force oracle: evaluate APCER/BPCER definitionally on an even
-    threshold grid over [0, 1] and return their mean where they are
-    closest. No sorting, no interpolation."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    spoof = scores[labels == 1]
-    live = scores[labels == 0]
-    grid = np.linspace(0.0, 1.0, n_thresholds)
-    apcer = (spoof[None, :] <= grid[:, None]).mean(axis=1)
-    bpcer = (live[None, :] > grid[:, None]).mean(axis=1)
-    best = np.argmin(np.abs(apcer - bpcer))
-    return (apcer[best] + bpcer[best]) / 2.0
+from oracles import dense_sweep_eer
 
 
 class TestFixedThreshold:

@@ -8,22 +8,10 @@ import numpy as np
 import pytest
 
 from oap.config import PseudoLabel
+from oap.errors import DataError
 from oap.pseudolabel import assign_pseudo_label, smooth_labels
 
-
-def brute_force_smooth(frame_indices, labels, window):
-    """Naive windowed majority recount: for each stored entry, average the
-    stored 0/1 labels with frame index in [t - W/2, t + W/2]; spoof iff
-    strictly above one half. One explicit membership test per entry, no
-    shared prefix sums with the production path."""
-    idx = np.asarray(frame_indices, dtype=float)
-    lab = np.asarray(labels, dtype=float)
-    out = []
-    half = window / 2.0
-    for t in idx:
-        in_window = (idx >= t - half) & (idx <= t + half)
-        out.append(1 if lab[in_window].mean() > 0.5 else 0)
-    return np.array(out)
+from oracles import brute_force_smooth
 
 
 class TestAssign:
@@ -119,5 +107,5 @@ class TestSmoothing:
             )
 
     def test_rejects_non_increasing_indices(self):
-        with pytest.raises(ValueError, match="increasing"):
+        with pytest.raises(DataError, match="increasing"):
             smooth_labels([3, 3], [0, 1], 10)

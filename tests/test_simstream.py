@@ -69,8 +69,8 @@ class TestPretrainingSet:
 
 OUT_OF_RANGE_CHANGES = [
     ({"d": 0}, "d out of range"),
-    ({"noise_std": 0.0}, "must be positive"),
-    ({"class_separation": -1.0}, "must be positive"),
+    ({"noise_std": 0.0}, "noise_std out of range: 0.0"),
+    ({"class_separation": -1.0}, "class_separation out of range: -1.0"),
     ({"drift_rate": float("nan")}, "drift_rate out of range: nan"),
     ({"drift_rate": float("-inf")}, "drift_rate out of range: -inf"),
     ({"user_shift_scale": float("inf")}, "user_shift_scale out of range: inf"),

@@ -6,20 +6,20 @@ spelled in one module only."""
 
 import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import oap
 from oap.config import PseudoLabel
 from oap.engine import Engine
 from oap.errors import DataError
 from oap.head import init_head
 from oap.memory import OnlineBuffer, ReplayStore, first_bad_frame
 from oap.presets import desk_params
+
+from oracles import message_texts, spelled_in
 
 D = 2
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -96,31 +96,11 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
 # ---------------------------------------------------------------------------
 
 CONTRACT_WORDS = ("does not follow", "precedes", "non-finite frame time")
-SOURCES = sorted(Path(oap.__file__).parent.glob("*.py"))
-
-
-def message_texts(tree: ast.AST) -> list[str]:
-    """Every string literal in ``tree``, f-string pieces included, other
-    than docstrings."""
-    docstrings = {
-        id(node.body[0].value)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.body and isinstance(node.body[0], ast.Expr)
-        and isinstance(node.body[0].value, ast.Constant)
-    }
-    return [
-        node.value for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and id(node) not in docstrings
-    ]
 
 
 @pytest.mark.parametrize("words", CONTRACT_WORDS)
 def test_each_contract_message_is_spelled_in_one_module(words):
-    spelled_in = [path.name for path in SOURCES
-                  if any(words in text for text in message_texts(ast.parse(path.read_text())))]
-    assert spelled_in == ["memory.py"]
+    assert spelled_in(words) == ["memory.py"]
 
 
 def test_the_scan_sees_a_message_and_skips_a_docstring():
