@@ -12,6 +12,7 @@ from .config import ClassLabel, HyperParams, PseudoLabel
 from .engine import (
     Engine,
     FrameVerdict,
+    Trace,
     TraceRecord,
     adaptation_cost,
     calibrated_kflops_per_frame,

@@ -247,7 +247,7 @@ def cmd_run(args) -> int:
             write_trace_csv(out_dir / f"trace_seed{run_params.seed}_{stem}.csv", trace)
             write_trace_jsonl(out_dir / f"trace_seed{run_params.seed}_{stem}.jsonl", trace)
             if data.labels is not None:
-                scores += [r.y for r in trace]
+                scores += trace.columns.y
                 truth.extend(data.labels.tolist())
         if truth:
             report = evaluate_frames(scores, truth, params.eval_threshold)
@@ -290,7 +290,7 @@ def cmd_sweep(args) -> int:
         for i in range(runner.seeds):
             run_params = params.replace(seed=params.seed + i)
             trace = Engine(head, replay, run_params).run_stream(frames)
-            report = evaluate_frames([r.y for r in trace], stream.labels, params.eval_threshold)
+            report = evaluate_frames(trace.columns.y, stream.labels, params.eval_threshold)
             acers.append(report.acer)
         row = {"value": value, "acer_mean": float(np.mean(acers)), "acer_std": float(np.std(acers))}
         if args.axis == "finetune_freq":
@@ -320,19 +320,21 @@ def cmd_report(args) -> int:
     lengths = {len(t) for t in traces}
     if len(lengths) != 1:
         raise DataError(f"trace lengths differ: {sorted(lengths)}")
+    first = traces[0].columns
     for path, trace in zip(args.trace[1:], traces[1:]):
         for column in ("frame_index", "ground_truth"):
-            if [getattr(r, column) for r in trace] != [getattr(r, column) for r in traces[0]]:
+            if getattr(trace.columns, column) != getattr(first, column):
                 raise DataError(f"{path}: {column} differs from {args.trace[0]}")
     # A row per frame, reduced as its 1-D column would be: a reduction over
     # axis 0 of the (traces, frames) array gives other bits from 8 traces on.
-    ys = np.ascontiguousarray(np.array([[r.y for r in t] for t in traces]).T)
-    rows = zip(traces[0], ys.mean(axis=1).tolist(), ys.std(axis=1).tolist())
+    ys = np.ascontiguousarray(np.array([t.columns.y for t in traces]).T)
+    rows = zip(first.frame_index, first.ground_truth, ys.mean(axis=1).tolist(),
+               ys.std(axis=1).tolist())
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("frame_index,ground_truth,y_mean,y_std,n_traces\n")
-        fh.writelines(f"{r.frame_index},{'' if r.ground_truth is None else r.ground_truth},"
-                      f"{m!r},{s!r},{len(traces)}\n" for r, m, s in rows)
+        fh.writelines(f"{i},{'' if g is None else g},{m!r},{s!r},{len(traces)}\n"
+                      for i, g, m, s in rows)
     print(out)
     return 0
 

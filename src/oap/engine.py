@@ -23,8 +23,10 @@ Intel Xeon).
 reads the stream SCORE_ROWS_PER_CALL frames at a time, hands each block to
 the runner's block step (``process_frame`` frame by frame for the engine,
 one stacked ``forward`` call for the baselines, whose head never changes)
-and builds the block's records from the step's columns. No frame is made
-twice, and a ``StreamFrames`` stream is scored from its arrays.
+and extends one column per trace field with the step's columns into a
+``Trace``, which the trace readers return too. No frame is made twice, and
+a ``StreamFrames`` stream is scored from its arrays. Both trace formats
+share a ``Trace``'s cells: each value's repr is made once.
 
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
 counting: one sample costs 2*(d*64 + 64) forward, times 3 for the joint
@@ -35,10 +37,11 @@ in ``finetune_freq``.
 from __future__ import annotations
 
 import json
-import math
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -123,26 +126,84 @@ class TraceRecord(NamedTuple):
     cumulative_flops: float
 
 
+class Trace(Sequence):
+    """A read-only sequence of ``TraceRecord`` over ``columns``, a
+    TraceRecord of tuples of one length (``trace.columns.y`` is the ``y``
+    column). Each record is made when it is read; ``[i]`` takes a negative
+    ``i`` too and raises IndexError out of range, and a slice is a
+    ``Trace``. It equals a list or a ``Trace`` of equal records, and
+    ``list(trace)`` is an editable copy. It keeps the cells a trace writer
+    formats, so a second writer makes no ``repr`` again."""
+
+    __slots__ = ("columns", "_cells")
+
+    def __init__(self, columns: Iterable[Iterable]) -> None:
+        self.columns = TraceRecord._make(map(tuple, columns))
+        if len(set(map(len, self.columns))) != 1:
+            raise DataError("trace columns must have one length")
+        self._cells = {}  # (start, stop) of a write's rows -> their kept cells
+
+    @classmethod
+    def from_records(cls, records: Iterable[Sequence]) -> Trace:
+        rows = list(records)
+        return cls(zip(*rows) if rows else repeat((), len(TRACE_COLUMNS)))
+
+    def __len__(self) -> int:
+        return len(self.columns.frame_index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(column[i] for column in self.columns)
+        return tuple.__new__(TraceRecord, [column[i] for column in self.columns])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(tuple.__new__, repeat(TraceRecord), zip(*self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Trace)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _reprs(self, rows: slice) -> list[tuple[list[str], bool]]:
+        """The repr cells of each column over ``rows``, and whether a format
+        may spell one of them its own way; a column that is one object over
+        ``rows`` has one cell. They are made once and kept as one text per
+        column, which a second writer splits: an engine trace keeps about
+        50 bytes a frame, where a list of the cells would keep some 440."""
+        if (kept := self._cells.get((rows.start, rows.stop))) is not None:
+            return [(text.split("\n"), respelled) for text, respelled in kept]
+        made = []
+        for column in self.columns:
+            column = column[rows]
+            if column and all(map(operator.is_, column, repeat(column[0]))):
+                column = column[:1]
+            cells = list(map(repr, column))
+            made.append((cells, not _RESPELLED.isdisjoint(cells)))
+        self._cells[rows.start, rows.stop] = [("\n".join(c), respelled) for c, respelled in made]
+        return made
+
+
 def _fold(
     frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, step: Callable
-) -> list[TraceRecord]:
+) -> Trace:
     """The one stream runner behind the engine and both baselines. It reads
     the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time.
     ``step(block, features)`` gets the block and its frames' features and
     returns the column of ``y`` and then the columns of the trace fields
     after ``decision`` (a constant column may be a ``repeat``); the fold
     adds the frame indices, the ground truth (which ``step`` never sees)
-    and the decisions, and builds the block's records from the columns, as
-    ``StreamFrames`` builds its frames. A block of any other sequence is
-    made into a list of frames once. A ``StreamFrames`` block gives its
-    features and indices from its columns, so its frames are made only if
-    the step iterates it: the engine's does, the baselines' does not."""
+    and the decisions, and extends the trace's columns with the block's.
+    No record is made: the ``Trace`` makes one when it is read. A block of
+    any other sequence is made into a list of frames once. A
+    ``StreamFrames`` block gives its features and indices from its
+    columns, so its frames are made only if the step iterates it: the
+    engine's does, the baselines' does not."""
     n = len(frames)
     if n == 0:
         raise DataError("empty stream")
     if ground_truth is not None:  # the labels rule's spoof mask, as 0/1 ints
         ground_truth = check_labels(ground_truth, n).view(np.uint8).tolist()
-    trace = []
+    columns = [[] for _ in TRACE_COLUMNS]
     for start in range(0, n, SCORE_ROWS_PER_CALL):
         stop = start + SCORE_ROWS_PER_CALL
         block = frames[start:stop]
@@ -152,15 +213,16 @@ def _fold(
             block = list(block)
             features, indices = [f.feature for f in block], [f.frame_index for f in block]
         ys, *context = step(block, features)
-        columns = zip(
+        block_columns = (
             indices,
             repeat(None) if ground_truth is None else ground_truth[start:stop],
             ys,
             [1 if y > eval_threshold else 0 for y in ys],  # spoof iff y > eval_threshold
             *context,
         )
-        trace += map(tuple.__new__, repeat(TraceRecord), columns)
-    return trace
+        for column, values in zip(columns, block_columns):
+            column += islice(values, len(ys))
+    return Trace(columns)
 
 
 class Engine:
@@ -232,9 +294,7 @@ class Engine:
         self.cumulative_flops += self._event_flops
         return True
 
-    def run_stream(
-        self, frames: Sequence[StreamFrame], ground_truth=None
-    ) -> list[TraceRecord]:
+    def run_stream(self, frames: Sequence[StreamFrame], ground_truth=None) -> Trace:
         """Fold process_frame over the stream: one verdict per frame, each
         frame visited exactly once. ``ground_truth`` is harness-side only;
         it is copied into the trace and never touches the model."""
@@ -262,7 +322,7 @@ def run_baseline_frozen(
     frames: Sequence[StreamFrame],
     ground_truth=None,
     eval_threshold: float = 0.5,
-) -> list[TraceRecord]:
+) -> Trace:
     """Pure inference with no adaptation: what run_stream degenerates to
     when nothing fires. The head is never touched. It is the smoothed
     baseline at momentum 0, where 0*ema + 1*y is exactly y."""
@@ -277,7 +337,7 @@ def run_baseline_smoothed(
     momentum: float,
     ground_truth=None,
     eval_threshold: float = 0.5,
-) -> list[TraceRecord]:
+) -> Trace:
     """Frozen head whose emitted probability is an exponential moving
     average of the per-frame probabilities. The head never changes, so each
     block of the fold is scored in one ``forward`` call on its stack of
@@ -329,53 +389,13 @@ _FIELD_TYPES = tuple(get_args(h) or (h,) for h in get_type_hints(TraceRecord).va
 # length.
 TRACE_ROWS_PER_WRITE = 1024
 
-# json.dumps spells the non-finite floats its own way.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _column_formatters(none: str, true: str, false: str, float_cells: Callable) -> tuple:
-    """One formatter per trace field, picked by the field's annotated type.
-    Each maps a column of values to their cells, given the text of None
-    and of the two bools, and the cells of a column of floats."""
-
-    def pick(types: tuple) -> Callable:
-        if bool in types:
-            return lambda col: [true if v else false for v in col]
-        cells = float_cells if float in types else lambda col: list(map(repr, col))
-        if type(None) in types:
-            return lambda col: _cells_or_none(col, cells, none)
-        return cells
-
-    return tuple(pick(types) for types in _FIELD_TYPES)
-
-
-def _cells_or_none(col: tuple, cells: Callable, none: str) -> list[str]:
-    """The cells of a column that may hold None: ``none`` for each None,
-    and the cells of the other values, formatted without the Nones."""
-    nones = col.count(None)
-    if nones == 0:
-        return cells(col)
-    if nones == len(col):
-        return [none] * nones
-    known = iter(cells([v for v in col if v is not None]))
-    return [none if v is None else next(known) for v in col]
-
-
-def _json_float_cells(col: tuple) -> list[str]:
-    """The JSON text of a column of floats: the repr, or json.dumps'
-    spelling of a non-finite value. A non-finite value makes the column's
-    sum non-finite, so a finite sum clears the column at once."""
-    cells = list(map(repr, col))
-    if math.isfinite(sum(col)):
-        return cells
-    return [_JSON_NONFINITE.get(c, c) for c in cells]
-
-
-# A CSV cell is blank for None, 0/1 for a bool and the repr otherwise (the
-# shortest round-trip form for a float, the digits for an int); a JSON value
-# is what json.dumps writes for it.
-_CSV_FORMATTERS = _column_formatters("", "1", "0", lambda col: list(map(repr, col)))
-_JSON_FORMATTERS = _column_formatters("null", "true", "false", _json_float_cells)
+# A cell is the value's repr (the shortest round-trip form for a float, the
+# digits for an int), shared by both formats, but for the reprs of None, the
+# bools and the non-finite floats, which each format spells its own way.
+_CSV_SPELLING = {"None": "", "True": "1", "False": "0"}
+_JSON_SPELLING = {"None": "null", "True": "true", "False": "false",
+                  "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RESPELLED = _CSV_SPELLING.keys() | _JSON_SPELLING.keys()
 _CSV_PIECES = ("", *[","] * (len(TRACE_COLUMNS) - 1), "\n")
 _JSON_PIECES = (
     *(("{" if i == 0 else ", ") + json.dumps(name) + ": " for i, name in enumerate(TRACE_COLUMNS)),
@@ -384,19 +404,36 @@ _JSON_PIECES = (
 
 
 def _write_trace(path: str | Path, trace: Iterable[TraceRecord], head: str, pieces: tuple,
-                 formatters: tuple) -> None:
+                 spelling: dict) -> None:
     """Write ``head``, then each record as ``pieces[0]``, its first cell,
-    ``pieces[1]``, ..., its last cell and ``pieces[-1]``. Records are
-    formatted a column at a time, TRACE_ROWS_PER_WRITE at once."""
-    records = iter(trace)
+    ``pieces[1]``, ..., its last cell and ``pieces[-1]``, a column at a time,
+    TRACE_ROWS_PER_WRITE rows per write, ``spelling`` mapping the cells
+    that this format spells its own way. A ``Trace`` lends its repr cells;
+    any other iterable of records is read TRACE_ROWS_PER_WRITE records at a
+    time, each batch a ``Trace``. A column of one cell joins the pieces
+    around it, so its rows are not zipped."""
+    if isinstance(trace, Trace):
+        parts = [trace]
+    else:
+        records = iter(trace)
+        batches = iter(lambda: list(islice(records, TRACE_ROWS_PER_WRITE)), [])
+        parts = map(Trace.from_records, batches)
     with open(path, "w") as fh:
         fh.write(head)
-        while chunk := list(islice(records, TRACE_ROWS_PER_WRITE)):
-            columns = zip(*chunk)
-            texts = [repeat(pieces[0])]
-            for fmt, col, piece in zip(formatters, columns, pieces[1:]):
-                texts += (fmt(col), repeat(piece))
-            fh.write("".join(chain.from_iterable(zip(*texts))))
+        for part in parts:
+            for start in range(0, len(part), TRACE_ROWS_PER_WRITE):
+                texts, piece = [], pieces[0]
+                columns = part._reprs(slice(start, start + TRACE_ROWS_PER_WRITE))
+                for (cells, respelled), after in zip(columns, pieces[1:]):
+                    if respelled:
+                        cells = [spelling.get(c, c) for c in cells]
+                    if len(cells) == 1:
+                        piece += cells[0] + after
+                    else:
+                        texts += (repeat(piece), cells)
+                        piece = after
+                texts.append([piece] * min(TRACE_ROWS_PER_WRITE, len(part) - start))
+                fh.write("".join(chain.from_iterable(zip(*texts))))
 
 
 def _parse_cell(cell: str, types: tuple):
@@ -411,23 +448,24 @@ def _parse_cell(cell: str, types: tuple):
 
 
 def write_trace_csv(path: str | Path, trace: Iterable[TraceRecord]) -> None:
-    _write_trace(path, trace, ",".join(TRACE_COLUMNS) + "\n", _CSV_PIECES, _CSV_FORMATTERS)
+    _write_trace(path, trace, ",".join(TRACE_COLUMNS) + "\n", _CSV_PIECES, _CSV_SPELLING)
 
 
-def _read_trace(path: str | Path, lines: list[str], parse_row) -> list[TraceRecord]:
+def _read_trace(path: str | Path, lines: list[str], parse_row) -> Trace:
     """Parse every non-blank line. A row the parser rejects (a wrong cell
     count or type, a missing key, not JSON) is a DataError naming the file
     and the row; a ground truth or decision that ``check_labels`` refuses, the column."""
-    trace = []
+    rows = []
     for line in lines:
         if not line:
             continue
         try:
-            trace.append(parse_row(line))
+            rows.append(parse_row(line))
         except (ValueError, TypeError) as exc:
             raise DataError(f"{path}: malformed trace row {line!r}") from exc
-    truths = [r.ground_truth for r in trace if r.ground_truth is not None]
-    for name, labels in (("ground_truth", truths), ("decision", [r.decision for r in trace])):
+    trace = Trace.from_records(rows)
+    truths = [v for v in trace.columns.ground_truth if v is not None]
+    for name, labels in (("ground_truth", truths), ("decision", trace.columns.decision)):
         try:
             check_labels(labels, len(labels))
         except DataError as exc:
@@ -435,9 +473,9 @@ def _read_trace(path: str | Path, lines: list[str], parse_row) -> list[TraceReco
     return trace
 
 
-def _parse_csv_row(line: str) -> TraceRecord:
+def _parse_csv_row(line: str) -> list:
     cells = zip(line.split(","), _FIELD_TYPES, strict=True)
-    return TraceRecord(*(_parse_cell(cell, types) for cell, types in cells))
+    return [_parse_cell(cell, types) for cell, types in cells]
 
 
 def _parse_jsonl_row(line: str) -> TraceRecord:
@@ -452,7 +490,7 @@ def _text_lines(path: str | Path) -> list[str]:
         return fh.read().splitlines()
 
 
-def read_trace_csv(path: str | Path) -> list[TraceRecord]:
+def read_trace_csv(path: str | Path) -> Trace:
     lines = _text_lines(path)
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise DataError(f"{path}: not a trace file")
@@ -460,8 +498,8 @@ def read_trace_csv(path: str | Path) -> list[TraceRecord]:
 
 
 def write_trace_jsonl(path: str | Path, trace: Iterable[TraceRecord]) -> None:
-    _write_trace(path, trace, "", _JSON_PIECES, _JSON_FORMATTERS)
+    _write_trace(path, trace, "", _JSON_PIECES, _JSON_SPELLING)
 
 
-def read_trace_jsonl(path: str | Path) -> list[TraceRecord]:
+def read_trace_jsonl(path: str | Path) -> Trace:
     return _read_trace(path, _text_lines(path), _parse_jsonl_row)

@@ -298,7 +298,8 @@ def save_feature_file(path: str | Path, features, frame_indices, times, labels=N
     not an int64 integer (1.7 or 2**64), a label other than 0 or 1 (0.5 or
     2), a time that is not a finite float (a NaN's sign and payload do not
     survive the text, and the engine refuses a non-finite time) or a frame
-    rate that is not finite and > 0. An entry is named by its row, from 1."""
+    rate that ``FRAME_RATE_RULE`` refuses, in its words (a real number,
+    finite and > 0). An entry is named by its row, from 1."""
     features = check_features(features)
     n, d = features.shape
     labeled = labels is not None
@@ -309,12 +310,8 @@ def save_feature_file(path: str | Path, features, frame_indices, times, labels=N
     times = _column(times, float, math.isfinite, "frame time", "a finite float")
     if labeled:
         labels = _column(labels, int, (0, 1).__contains__, "label", "0 or 1")
-    try:
-        fps = float(frame_rate)
-    except (TypeError, ValueError):
-        fps = math.nan
-    if not (math.isfinite(fps) and fps > 0):
-        raise DataError(f"frame rate out of range: {frame_rate!r} (want a finite rate > 0)")
+    check_value("frame rate", frame_rate, float, FRAME_RATE_RULE, error=DataError)
+    fps = float(frame_rate)
     with open(path, "w") as fh:
         fh.write(f"oapf {FEATURE_FILE_VERSION} d={d} labeled={int(labeled)} fps={fps!r}\n")
         for start in range(0, n, FEATURE_ROWS_PER_WRITE):
@@ -383,7 +380,9 @@ _MAX_D = np.iinfo(np.int64).max // np.dtype(np.float64).itemsize
 
 
 def _read_header(path: Path, fh) -> tuple[int, bool, float]:
-    """``d``, ``labeled`` and ``fps`` from the header line of ``fh``."""
+    """``d``, ``labeled`` and ``fps`` from the header line of ``fh``. A
+    ``d`` is held to ``WIDTH_RULE`` and to one float64 row, and ``fps`` to
+    ``FRAME_RATE_RULE``; a refusal names the field in its rule's words."""
     header = fh.readline().strip()
     parts = header.split()
     if len(parts) != 5 or parts[0] != "oapf":
@@ -395,12 +394,13 @@ def _read_header(path: Path, fh) -> tuple[int, bool, float]:
         d = int(fields["d"])
         labeled = bool(int(fields["labeled"]))
         frame_rate = float(fields["fps"])
-        if not 1 <= d <= _MAX_D:
-            raise ValueError(f"dimension out of range: {d}")
-        if not (math.isfinite(frame_rate) and frame_rate > 0):
-            raise ValueError(f"fps out of range: {frame_rate!r}")
     except (ValueError, KeyError) as exc:
         raise DataError(f"{path}: malformed header {header!r}") from exc
+    try:
+        check_value("d", d, WIDTH_RULE, (_MAX_D.__ge__, f"d <= {_MAX_D}"), error=DataError)
+        check_value("fps", frame_rate, FRAME_RATE_RULE, error=DataError)
+    except DataError as exc:
+        raise DataError(f"{path}: malformed header {header!r}: {exc}") from None
     return d, labeled, frame_rate
 
 

@@ -51,16 +51,16 @@ WRONG_KIND = {
 # Values of the right kind that lie outside each field's range.
 OUT_OF_RANGE = {
     "HyperParams.margin": (0.0, 0.51, math.nan),
-    "HyperParams.window": (0, -1),
+    "HyperParams.window": (0, -1, 2**64),
     "HyperParams.eviction_horizon": (0.0, math.inf, math.nan, 10**400),
     "HyperParams.frame_rate": (0.0, -30.0, math.inf, math.nan, 10**400),
     "HyperParams.finetune_freq": (0.0, 1.5, math.nan),
-    "HyperParams.iterations_per_call": (0,),
+    "HyperParams.iterations_per_call": (0, 1025),
     "HyperParams.online_prob": (-0.1, 1.1, math.nan),
-    "HyperParams.batch_size": (0,),
+    "HyperParams.batch_size": (0, 65537, 2**62),
     "HyperParams.learning_rate": (0.0, math.inf, math.nan, 10**400),
     "HyperParams.weight_decay": (-1e-3, math.inf, math.nan),
-    "HyperParams.replay_size": (-1,),
+    "HyperParams.replay_size": (-1, 2**53 + 1),
     "HyperParams.eval_threshold": (0.0, 1.0, math.nan),
     "HyperParams.seed": (-1, 2**64),
     "GeneratorConfig.d": (0, -3),

@@ -2,6 +2,7 @@
 with the same bits, and the pre-training users stay below the held-out ids."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -54,6 +55,33 @@ def test_save_refuses_a_frame_rate_load_refuses(tmp_path, frame_rate):
     with pytest.raises(DataError, match="frame rate out of range"):
         save_feature_file(path, FEATURES, **GOOD, frame_rate=frame_rate)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("frame_rate, want", [
+    (0.0, "a finite frame_rate > 0"), (10**400, "a finite frame_rate > 0"),
+    ("30", "a real number"), (True, "a real number"),
+])
+def test_save_words_a_bad_frame_rate_as_the_frame_rate_rule(tmp_path, frame_rate, want):
+    """A rate too large for a float was an OverflowError, and a numeric
+    string was written; both are refused, in ``FRAME_RATE_RULE``'s words."""
+    path = tmp_path / "s.oapf"
+    words = f"frame rate out of range: {frame_rate!r} (want {want})"
+    with pytest.raises(DataError, match=re.escape(words)):
+        save_feature_file(path, FEATURES, **GOOD, frame_rate=frame_rate)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("header, words", [
+    ("oapf v1 d=0 labeled=1 fps=30.0", "d out of range: 0 (want d >= 1)"),
+    (f"oapf v1 d={2**60} labeled=1 fps=30.0", f"d out of range: {2**60} (want d <= {2**60 - 1})"),
+    ("oapf v1 d=2 labeled=1 fps=-5.0", "fps out of range: -5.0 (want a finite frame_rate > 0)"),
+    ("oapf v1 d=2 labeled=1 fps=inf", "fps out of range: inf (want a finite frame_rate > 0)"),
+])
+def test_a_header_d_or_fps_is_worded_as_its_rule(tmp_path, header, words):
+    path = tmp_path / "bad.oapf"
+    path.write_text(f"{header}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: malformed header {header!r}: {words}")):
+        load_feature_file(path)
 
 
 def test_save_writes_a_numpy_frame_rate_as_a_float(tmp_path):

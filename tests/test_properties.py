@@ -33,6 +33,7 @@ from oap.engine import (
     TRACE_COLUMNS,
     TRACE_ROWS_PER_WRITE,
     Engine,
+    Trace,
     TraceRecord,
     read_trace_csv,
     read_trace_jsonl,
@@ -1129,23 +1130,90 @@ def trace_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("traces")
 
 
+TRACE_FORMATS = {"csv": (write_trace_csv, per_row_csv, read_trace_csv),
+                 "jsonl": (write_trace_jsonl, per_row_jsonl, read_trace_jsonl)}
+
+
 @settings(max_examples=40, deadline=None)
 @given(records=st.lists(trace_records, min_size=1, max_size=3), length=trace_lengths)
 def test_trace_writers_match_the_per_row_writers(trace_dir, records, length):
+    """A list of records, and one ``Trace`` written in each order of the two
+    formats and in one format twice: a cell shared between the formats
+    keeps each format's own spelling of None, the bools and the
+    non-finite floats."""
     trace = (records * (length // len(records) + 1))[:length]
-    for writer, reference, reader in [
-        (write_trace_csv, per_row_csv, read_trace_csv),
-        (write_trace_jsonl, per_row_jsonl, read_trace_jsonl),
-    ]:
+    want = {}
+    for name, (writer, reference, reader) in TRACE_FORMATS.items():
         writer(trace_dir / "new", trace)
         reference(trace_dir / "old", trace)
-        assert (trace_dir / "new").read_bytes() == (trace_dir / "old").read_bytes()
+        want[name] = (trace_dir / "old").read_bytes()
+        assert (trace_dir / "new").read_bytes() == want[name]
         if not all(r.ground_truth in (None, 0, 1) and r.decision in (0, 1) for r in trace):
             with pytest.raises(DataError, match="labels must be 0 or 1"):
                 reader(trace_dir / "new")
         elif not any(isinstance(v, float) and math.isnan(v) for r in trace
                      for v in r._asdict().values()):
             assert reader(trace_dir / "new") == trace
+    for order in [("jsonl", "csv"), ("csv", "jsonl"), ("csv", "csv"), ("jsonl", "jsonl")]:
+        shared = Trace.from_records(trace)
+        for name in order:
+            TRACE_FORMATS[name][0](trace_dir / "new", shared)
+            assert (trace_dir / "new").read_bytes() == want[name], order
+
+
+def fresh_floats(record: TraceRecord) -> TraceRecord:
+    """``record`` with each float a new object of the same value: a NaN is
+    then unequal to the record's own, as in a list."""
+    return TraceRecord(*(float(repr(v)) if isinstance(v, float) else v for v in record))
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(trace_records, max_size=6), data=st.data())
+def test_a_trace_behaves_as_the_list_of_its_records(records, data):
+    trace = Trace.from_records(records)
+    assert len(trace) == len(records)
+    for i in range(-len(records), len(records)):
+        assert type(trace[i]) is TraceRecord and trace[i] == records[i]
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    cut = data.draw(st.slices(len(records)))
+    assert type(trace[cut]) is Trace and trace[cut] == records[cut]
+    assert all(type(r) is TraceRecord for r in trace) and list(trace) == records
+    fresh = list(map(fresh_floats, records))
+    for other in (records, records[:-1], records[::-1], fresh):
+        for equal in (trace == other, other == trace, trace == Trace.from_records(other)):
+            assert equal is (records == other)
+        for unequal in (trace != other, other != trace, trace != Trace.from_records(other)):
+            assert unequal is (records != other)
+    with pytest.raises(TypeError):
+        trace[0] = TraceRecord(0, None, 0.5, 0, None, False, 0, 0.0)
+
+
+class CountedFloat(float):
+    """A float that counts the calls of its ``repr``."""
+
+    calls = 0
+
+    def __repr__(self) -> str:
+        CountedFloat.calls += 1
+        return float.__repr__(self)
+
+
+def test_both_trace_files_format_each_value_once(trace_dir):
+    n = 2 * N + 1
+    ys = [CountedFloat(math.nan if i == 5 else math.inf if i == N else i / n) for i in range(n)]
+    records = [TraceRecord(i, i % 2, y, 1, None, i % 3 == 0, i % 7, 0.0) for i, y in enumerate(ys)]
+    want = {}
+    for name, (_, reference, _) in TRACE_FORMATS.items():
+        reference(trace_dir / name, records)
+        want[name] = (trace_dir / name).read_bytes()
+    CountedFloat.calls = 0
+    trace = Trace.from_records(records)
+    for name, (writer, _, _) in TRACE_FORMATS.items():
+        writer(trace_dir / name, trace)
+        assert (trace_dir / name).read_bytes() == want[name]
+    assert CountedFloat.calls == n
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_any_real_0_or_1_ground_truth_gives_the_same_trace_bytes(runner, tmp_pat
 def trace_file(tmp_path, write, change: dict):
     """A frozen trace of FRAMES, written by ``write`` with the fields in
     ``change`` replaced in its third record."""
-    trace = run_baseline_frozen(HEAD, FRAMES, ground_truth=GOOD_LABELS)
+    trace = list(run_baseline_frozen(HEAD, FRAMES, ground_truth=GOOD_LABELS))
     trace[2] = trace[2]._replace(**change)
     path = tmp_path / "trace"
     write(path, trace)
