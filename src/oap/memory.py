@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import simstream
 from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel
 from .errors import DataError
 from .head import _as_floats, check_features, check_labels
@@ -281,14 +282,10 @@ class ReplayStore:
         return digest.hexdigest()
 
     def save(self, path: str | Path, frame_rate: float = 30.0) -> None:
-        from . import simstream
-
         simstream.save_labeled_set(path, self._features, self._labels, frame_rate)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
-        from . import simstream
-
         data = simstream.load_feature_file(path)
         if data.labels is None:
             raise DataError(f"{path}: replay store file must carry labels")

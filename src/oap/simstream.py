@@ -1,4 +1,6 @@
-"""Synthetic drift-stream lab and the feature-file exchange format.
+"""Synthetic drift-stream lab and the feature-file exchange format: an
+``oapf`` header line, then a v1 text body (streams, one record a line) or
+a v2 binary body (labeled sets, packed records that load without a parse).
 
 The generator is a Gaussian cluster model with three separately
 controllable shift sources: a per-user random offset (new user), small
@@ -33,7 +35,7 @@ import numpy as np
 from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, FRAME_RATE_RULE, SEED_RULE, ClassLabel
 from .config import check_ranges, check_value, from_mapping, open_text
 from .errors import ConfigError, DataError
-from .head import WIDTH_RULE, check_features
+from .head import WIDTH_RULE, check_features, check_labels
 from .rng import seeded_rng
 
 # Held-out stream users are offset into their own id range so they can
@@ -257,11 +259,8 @@ def generate_stream(
 
 
 # ---------------------------------------------------------------------------
-# Feature files: plain-text, bit-exact round trip
+# Feature files: a v1 text or a v2 binary body, bit-exact round trip
 # ---------------------------------------------------------------------------
-
-FEATURE_FILE_VERSION = "v1"
-
 
 # Rows per write of a feature file: the text of one write grows with the
 # feature dimension, not with the file's length (about 170 kB at d=32).
@@ -284,13 +283,20 @@ class FeatureFileData:
         return StreamFrames(self.features, self.frame_indices, self.times)
 
 
+def _record_dtype(d: int, labeled: bool) -> np.dtype:
+    """A feature-file row as one packed little-endian record: a v2 body's
+    record, and the table a v1 body is parsed into."""
+    return np.dtype([("index", "<i8"), ("time", "<f8"), *([("label", "<i8")] * labeled),
+                     ("features", "<f8", (d,))])
+
+
 def save_feature_file(path: str | Path, features, frame_indices, times, labels=None,
                       frame_rate: float = 30.0) -> None:
-    """Write header ``oapf v1 d=<dim> labeled=<0|1> fps=<rate>`` then one
-    record per line: frame_index, time, optional label, then the feature
-    values. Floats are printed with shortest round-trip repr, so a save /
-    load cycle is bit-exact. ``frame_indices``, ``times`` and ``labels``
-    hold one entry per feature row.
+    """Write an ``oapf v1`` file: header ``oapf v1 d=<dim> labeled=<0|1>
+    fps=<rate>`` then one record per line: frame_index, time, optional
+    label, then the feature values. Floats are printed with shortest
+    round-trip repr, so a save / load cycle is bit-exact. ``frame_indices``,
+    ``times`` and ``labels`` hold one entry per feature row.
 
     What ``load_feature_file`` would refuse, or could not read back with
     the same bits, is a DataError raised before the file is opened:
@@ -300,6 +306,21 @@ def save_feature_file(path: str | Path, features, frame_indices, times, labels=N
     survive the text, and the engine refuses a non-finite time) or a frame
     rate that ``FRAME_RATE_RULE`` refuses, in its words (a real number,
     finite and > 0). An entry is named by its row, from 1."""
+    _save(path, "v1", features, frame_indices, times, labels, frame_rate)
+
+
+def save_labeled_set(path: str | Path, features, labels, frame_rate: float = 30.0) -> None:
+    """A labeled set without timing, such as a pre-training set or a replay
+    store, as an ``oapf v2`` file: row k gets frame index k and time (k - 1)
+    / frame_rate. It passes the checks of ``save_feature_file``; its body is
+    one ``_record_dtype`` record per row, which loads without a text parse."""
+    n = len(features)
+    _save(path, "v2", features, np.arange(1, n + 1), np.arange(n) / frame_rate, labels,
+          frame_rate)
+
+
+def _save(path, version: str, features, frame_indices, times, labels, frame_rate) -> None:
+    """Check as ``save_feature_file`` says; write a v1 text or v2 records body."""
     features = check_features(features)
     n, d = features.shape
     labeled = labels is not None
@@ -311,9 +332,18 @@ def save_feature_file(path: str | Path, features, frame_indices, times, labels=N
     if labeled:
         labels = _column(labels, int, (0, 1).__contains__, "label", "0 or 1")
     check_value("frame rate", frame_rate, float, FRAME_RATE_RULE, error=DataError)
-    fps = float(frame_rate)
+    header = f"oapf {version} d={d} labeled={int(labeled)} fps={float(frame_rate)!r}\n"
+    if version == "v2":
+        table = np.empty(n, _record_dtype(d, labeled))
+        table["index"], table["time"], table["features"] = frame_indices, times, features
+        if labeled:
+            table["label"] = labels
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            table.tofile(fh)
+        return
     with open(path, "w") as fh:
-        fh.write(f"oapf {FEATURE_FILE_VERSION} d={d} labeled={int(labeled)} fps={fps!r}\n")
+        fh.write(header)
         for start in range(0, n, FEATURE_ROWS_PER_WRITE):
             rows = slice(start, start + FEATURE_ROWS_PER_WRITE)
             cols = [map(str, frame_indices[rows]), map(repr, times[rows])]
@@ -321,14 +351,6 @@ def save_feature_file(path: str | Path, features, frame_indices, times, labels=N
                 cols.append(map(str, labels[rows]))
             cols.append(",".join(map(repr, row)) for row in features[rows].tolist())
             fh.write("".join([",".join(cells) + "\n" for cells in zip(*cols)]))
-
-
-def save_labeled_set(path: str | Path, features, labels, frame_rate: float = 30.0) -> None:
-    """A labeled set without timing, such as a pre-training set or a replay
-    store, as a feature file: row k gets frame index k and time (k - 1) / frame_rate."""
-    n = len(features)
-    save_feature_file(path, features, np.arange(1, n + 1), np.arange(n) / frame_rate, labels,
-                      frame_rate)
 
 
 def _column(values, convert, valid, what: str, want: str) -> list:
@@ -355,22 +377,23 @@ def _fits(value, convert, valid) -> bool:
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
-    """Read a feature file. A malformed header (a ``d`` below 1 or too
-    large for one float64 row, or an ``fps`` that is not finite and > 0),
-    a malformed row (a wrong column count, a cell that does not parse, a
-    non-finite feature, a frame index outside int64, a label other than 0
-    or 1) or bytes that do not decode is a DataError naming the file, and
-    for a row the first bad line.
-
-    The body is parsed in one ``np.loadtxt`` pass into a record table, and
-    ``features`` is its (n, d) field: a strided view that need not be
-    C-contiguous. A file that numpy refuses, or whose table fails a check,
-    is read again by ``_read_lines``, which takes what numpy does not (say,
-    blank lines of spaces or ``1_000``) and names the first bad line. numpy
-    converts a float cell with the correctly rounded routine ``float()``
-    uses, and accepts a subset of what ``float()`` and ``int()`` accept, so
-    both readers give the same bits on every file numpy takes."""
+    """Read a feature file; the header's version word picks the body's
+    reader. A malformed header (a ``d`` below 1 or too large for one float64
+    row, or an ``fps`` that is not finite and > 0) or body is a DataError
+    naming the file, and the first bad line or record. A v2 body is one
+    read of the record table (``_read_records``). A v1 body is parsed into
+    it by one ``np.loadtxt`` pass; a file that numpy refuses, or whose table
+    fails a check, is read again by ``_read_lines``, which takes what numpy
+    does not (say, blank lines of spaces or ``1_000``) and names the first
+    bad line. numpy converts a float cell as ``float()`` does and accepts a
+    subset of what ``float()`` and ``int()`` accept, so both readers give
+    the same bits on every file numpy takes. Either way ``features`` is the
+    table's (n, d) field: a strided view that need not be C-contiguous."""
     path = Path(path)
+    with open_text(path, DataError) as fh:
+        version, d, labeled, frame_rate = _read_header(path, fh)
+        if version == "v2":
+            return _read_records(path, bytearray(fh.buffer.read()), d, labeled, frame_rate)
     return _read_table(path) or _read_lines(path)
 
 
@@ -379,15 +402,18 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
 _MAX_D = np.iinfo(np.int64).max // np.dtype(np.float64).itemsize
 
 
-def _read_header(path: Path, fh) -> tuple[int, bool, float]:
-    """``d``, ``labeled`` and ``fps`` from the header line of ``fh``. A
-    ``d`` is held to ``WIDTH_RULE`` and to one float64 row, and ``fps`` to
-    ``FRAME_RATE_RULE``; a refusal names the field in its rule's words."""
-    header = fh.readline().strip()
+def _read_header(path: Path, fh) -> tuple[str, int, bool, float]:
+    """The version, ``d``, ``labeled`` and ``fps`` of the header line of the
+    text file ``fh``, read from its byte buffer and leaving it after the line
+    break, so a binary body is not decoded. ``d`` is held to ``WIDTH_RULE``
+    and one float64 row, ``fps`` to ``FRAME_RATE_RULE``, in their words."""
+    line = (fh.buffer.readline().splitlines(keepends=True) or [b""])[0]
+    fh.buffer.seek(len(line))
+    header = line.decode(fh.encoding).strip()
     parts = header.split()
     if len(parts) != 5 or parts[0] != "oapf":
         raise DataError(f"{path}: malformed header {header!r}")
-    if parts[1] != FEATURE_FILE_VERSION:
+    if parts[1] not in ("v1", "v2"):
         raise DataError(f"{path}: unsupported format version {parts[1]!r}")
     try:
         fields = dict(p.split("=", 1) for p in parts[2:])
@@ -401,20 +427,50 @@ def _read_header(path: Path, fh) -> tuple[int, bool, float]:
         check_value("fps", frame_rate, FRAME_RATE_RULE, error=DataError)
     except DataError as exc:
         raise DataError(f"{path}: malformed header {header!r}: {exc}") from None
-    return d, labeled, frame_rate
+    return parts[1], d, labeled, frame_rate
+
+
+def _check_record(where: str, feature, label) -> None:
+    """A record's features and label (or None) at the table door, refused after ``where``."""
+    try:
+        check_features([feature])
+        if label is not None:
+            check_labels([label], 1)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def _read_records(path: Path, body: bytearray, d: int, labeled: bool,
+                  frame_rate: float) -> FeatureFileData:
+    """A v2 body as ``_record_dtype`` records, viewed in place in the
+    writable ``body``. A part record, a non-finite feature or a label other
+    than 0 or 1 is a DataError naming the first bad record, from 1."""
+    try:
+        dtype = _record_dtype(d, labeled)
+    except ValueError as exc:  # numpy makes no record of 2 GiB or more
+        raise DataError(f"{path}: no record holds d={d} features ({exc})") from None
+    n, extra = divmod(len(body), dtype.itemsize)
+    if extra:
+        raise DataError(f"{path}: record {n + 1}: only {extra} of its {dtype.itemsize} bytes")
+    table = np.frombuffer(body, dtype)
+    features, labels = table["features"], table["label"] if labeled else None
+    good = np.isfinite(features).all(axis=1) & (np.isin(labels, (0, 1)) if labeled else True)
+    for k in np.flatnonzero(~good)[:1]:
+        _check_record(f"{path}: record {k + 1}", features[k], labels[k] if labeled else None)
+    return FeatureFileData(features, labels, table["index"], table["time"], frame_rate)
 
 
 def _read_table(path: Path) -> FeatureFileData | None:
-    """The file through ``np.loadtxt``, or None when numpy refuses it, warns
-    (an empty body does), or a feature is not finite or a label not 0 or 1.
-    A malformed header raises its DataError here.
+    """A v1 file through ``np.loadtxt``, or None when numpy refuses it,
+    warns (an empty body does), or a feature is not finite or a label not 0
+    or 1. A malformed header raises its DataError here.
 
     The first non-blank row must have the header's column count before
     numpy sees the body: numpy sizes its first block of records by ``d``,
     so a large ``d`` over a short row would allocate for nothing."""
     try:
         with open(path) as fh:
-            d, labeled, frame_rate = _read_header(path, fh)
+            _, d, labeled, frame_rate = _read_header(path, fh)
             first = 2 + int(labeled)  # the first feature column
             body = fh.tell()
             row = fh.readline()
@@ -423,11 +479,10 @@ def _read_table(path: Path) -> FeatureFileData | None:
             if row.count(",") != first + d - 1:
                 return None
             fh.seek(body)
-            dtype = [("index", "<i8"), ("time", "<f8"), *([("label", "<i8")] * labeled),
-                     ("features", "<f8", (d,))]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                table = np.loadtxt(fh, dtype=_record_dtype(d, labeled), delimiter=",",
+                                   comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     features = table["features"]
@@ -438,13 +493,13 @@ def _read_table(path: Path) -> FeatureFileData | None:
 
 
 def _read_lines(path: Path) -> FeatureFileData:
-    """The file a line at a time: the reader that names a malformed file's
+    """A v1 file a line at a time: the reader that names a malformed file's
     first bad line, and the reference ``_read_table`` is tested against.
     Each row is checked as it is read: its column count, then that every
-    cell parses, then that its features are finite, its frame index fits
-    int64 and its label is 0 or 1."""
+    cell parses, then its features and label at the table door, then that
+    its frame index fits int64."""
     with open_text(path, DataError) as fh:
-        d, labeled, frame_rate = _read_header(path, fh)
+        _, d, labeled, frame_rate = _read_header(path, fh)
         first = 2 + int(labeled)  # the first feature column
         expected_cols = first + d
         # The columns; ``values`` holds the feature cells of every row, row-major.
@@ -461,12 +516,10 @@ def _read_lines(path: Path) -> FeatureFileData:
                 feature = [float(c) for c in cols[first:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: unparseable value") from exc
-            if not all(map(math.isfinite, feature)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
+            if not all(map(math.isfinite, feature)) or label not in (0, 1):
+                _check_record(f"{path}:{lineno}", feature, label)
             if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
                 raise DataError(f"{path}:{lineno}: frame index out of range")
-            if label not in (0, 1):
-                raise DataError(f"{path}:{lineno}: label out of range")
             frame_indices.append(index)
             times.append(time)
             labels.append(label)

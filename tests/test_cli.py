@@ -3,7 +3,9 @@ pipeline in a temp directory, exit codes, and config-echo reproducibility."""
 
 import hashlib
 import json
+import math
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from oap.engine import TraceRecord, read_trace_csv, write_trace_csv
 from oap.head import PretrainSchedule, save_head
 from oap.memory import ReplayStore
 from oap.presets import build_artifacts
-from oap.simstream import load_feature_file, save_feature_file
+from oap.simstream import _save, load_feature_file, save_feature_file
 
 
 def sha(path):
@@ -433,7 +435,7 @@ def test_malformed_feature_file_exits_3_naming_the_line(pipeline, tmp_path, caps
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(command_argv(command, pipeline, tmp_path) + [flag, str(bad)]) == 3
-    assert f"{bad}:5: non-finite feature value" in capsys.readouterr().err
+    assert f"{bad}:5: non-finite value in feature input" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -452,7 +454,7 @@ def test_sweep_data_error_at_a_later_grid_point_writes_nothing(pipeline, tmp_pat
     ("99999999999999999999", "frame index out of range"),
     ("short", "expected 11 columns, got 10"),
     ("long", "expected 11 columns, got 12"),
-    ("label 7", "label out of range"),
+    ("label 7", "labels must be 0 or 1"),
 ])
 def test_run_on_a_bad_stream_exits_3_without_a_trace(pipeline, tmp_path, capsys, mode, row,
                                                       message):
@@ -631,6 +633,14 @@ class TestReport:
         assert out.read_bytes() == expected.encode()
 
 
+def text_copy(source, dest):
+    """``dest``: the feature file ``source`` written again as ``oapf v1`` text."""
+    data = load_feature_file(source)
+    save_feature_file(dest, data.features, data.frame_indices, data.times, data.labels,
+                      data.frame_rate)
+    return dest
+
+
 @pytest.mark.parametrize("command, code", [("pretrain", 3), ("report", 3), ("generate", 2)])
 def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, capsys,
                                                command, code):
@@ -638,8 +648,8 @@ def test_undecodable_input_exits_with_its_code(pipeline, seed_traces, tmp_path, 
     a config file) exits 3 for data or 2 for config, naming the file, and
     writes nothing."""
     _, gen_dir, _ = pipeline
-    source = {"pretrain": gen_dir / "train.oapf", "report": seed_traces[0],
-              "generate": None}[command]
+    source = {"pretrain": text_copy(gen_dir / "train.oapf", tmp_path / "train_v1.oapf"),
+              "report": seed_traces[0], "generate": None}[command]
     bad = tmp_path / "bad"
     bad.write_bytes((source.read_bytes() if source else b"d = 8\n") + b"\xff\n")
     out = tmp_path / "out"
@@ -700,6 +710,83 @@ def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_tr
     assert main(argv) == (2 if flag == "--config" else 3)
     assert str(bad) in capsys.readouterr().err
     assert not out.exists()
+
+
+def with_cell(source: bytes, offset: int, cell: bytes) -> bytes:
+    """The ``oapf v2`` file ``source`` with the 8 bytes at ``offset`` of its
+    first record, which starts after the header line, replaced by ``cell``."""
+    at = source.index(b"\n") + 1 + offset
+    return source[:at] + cell + source[at + 8:]
+
+
+# Labeled sets that ``oap generate`` and ``oap pretrain`` write as binary
+# records, broken in ways that only a v2 file can be. A record of d=8 is
+# index, time, label, then the features, 8 bytes each.
+BROKEN_LABELED_SETS = {
+    "body cut by one byte": lambda source: source[:-1],
+    "one extra byte": lambda source: source + b"\0",
+    "header d off by one": lambda source: source.replace(b" d=8 ", b" d=9 ", 1),
+    "version v3": lambda source: source.replace(b"oapf v2 ", b"oapf v3 ", 1),
+    "nan feature": lambda source: with_cell(source, 24, struct.pack("<d", math.nan)),
+    "label 2": lambda source: with_cell(source, 16, struct.pack("<q", 2)),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_LABELED_SETS))
+@pytest.mark.parametrize("command, flag", [
+    ("pretrain", "--train"), ("sweep", "--train"), ("run", "--replay"),
+])
+def test_broken_labeled_set_exits_3_writing_nothing(pipeline, tmp_path, capsys, command, flag,
+                                                     broken):
+    """A training set or a replay store whose binary body is cut, too long,
+    of another ``d``, of an unknown version or holds a NaN feature or a
+    label of 2 exits 3, names the file and writes no output."""
+    _, gen_dir, pre_dir = pipeline
+    source = (gen_dir / "train.oapf" if flag == "--train" else pre_dir / "replay.oapf").read_bytes()
+    assert source.startswith(b"oapf v2 d=8 labeled=1 ")
+    bad = tmp_path / "bad.oapf"
+    bad.write_bytes(BROKEN_LABELED_SETS[broken](source))
+    capsys.readouterr()
+    assert main(command_argv(command, pipeline, tmp_path) + [flag, str(bad)]) == 3
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unlabeled_binary_replay_exits_3_writing_nothing(pipeline, tmp_path, capsys):
+    _, _, pre_dir = pipeline
+    replay = load_feature_file(pre_dir / "replay.oapf")
+    bad = tmp_path / "unlabeled.oapf"
+    _save(bad, "v2", replay.features, replay.frame_indices, replay.times, None, replay.frame_rate)
+    capsys.readouterr()
+    assert main(command_argv("run", pipeline, tmp_path) + ["--replay", str(bad)]) == 3
+    assert f"{bad}: replay store file must carry labels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_text_labeled_sets_give_the_same_head_replay_and_traces(pipeline, tmp_path):
+    """``oap pretrain`` on a v1 text copy of the binary training set writes
+    the same ``head.oaph`` and keeps the same replay store, and ``oap run``
+    with a v1 text copy of the binary replay store writes the same traces."""
+    _, gen_dir, pre_dir = pipeline
+    text_train = text_copy(gen_dir / "train.oapf", tmp_path / "train_v1.oapf")
+    assert text_train.read_bytes().startswith(b"oapf v1 ")
+    pretrain = ["--set", "pretrain_iterations=300", "--set", "replay_size=100"]
+    for name, train in [("pre_v1", text_train), ("pre_v2", gen_dir / "train.oapf")]:
+        assert main(["pretrain", "--out", str(tmp_path / name), "--train", str(train),
+                     *pretrain]) == 0
+    assert sha(tmp_path / "pre_v1" / "head.oaph") == sha(tmp_path / "pre_v2" / "head.oaph")
+    assert (ReplayStore.load(tmp_path / "pre_v1" / "replay.oapf").fingerprint()
+            == ReplayStore.load(tmp_path / "pre_v2" / "replay.oapf").fingerprint())
+
+    text_replay = text_copy(pre_dir / "replay.oapf", tmp_path / "replay_v1.oapf")
+    for name, replay in [("run_v1", text_replay), ("run_v2", pre_dir / "replay.oapf")]:
+        assert main(["run", "--out", str(tmp_path / name), "--mode", "oap", "--seeds", "2",
+                     "--head", str(pre_dir / "head.oaph"), "--replay", str(replay),
+                     "--stream", str(gen_dir / "stream_seed0.oapf")]) == 0
+    traces = sorted(p.name for p in (tmp_path / "run_v2").glob("trace_*"))
+    assert len(traces) == 4
+    for name in traces:
+        assert sha(tmp_path / "run_v1" / name) == sha(tmp_path / "run_v2" / name), name
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -22,11 +22,11 @@ GOLDEN = {
         "resolved.cfg": "247e4ce6fd8483b23cd2b61176b2f9c30554a70826593bcceda44b7a8bd2e0f2",
         "stream_seed0.oapf": "b663bd8fb69cd2643394314dcc50f7a62c45feb3f82df26ae33e7ee650af57f2",
         "stream_seed1.oapf": "d683781f1160cb0db892985ad1d9101e2d514f4b70059157dce16236fc3d59cd",
-        "train.oapf": "ea0461ffee192537fb8ac89d414eee5b7471d01ee4f67a36df54d96268f2edc1",
+        "train.oapf": "1c5bea143149b4822ee6e745de0adbadef41ebaa3623e0548abcbb13dfc45a50",
     },
     "pretrain": {
         "head.oaph": "6ba0b21d3d6dbe06cc83554f17d3463ae04c1574a362d4a1d9de302ed6decac6",
-        "replay.oapf": "9b78eb2b021f9ad830a1f2827df4c46129fce225db4b74ea0516ba8c548ceee7",
+        "replay.oapf": "e9de1dfc35ddd4eff8a5307fb28b775bee5022eb54a4b8b1c9bb53a937ad2d39",
         "resolved.cfg": "4134a9ce57767690c68b23672f19da44820f01e82a6bae40088a6d9cf311eac4",
     },
     "run_ema": {

@@ -1,8 +1,11 @@
-"""``save_feature_file`` writes only what ``load_feature_file`` reads back
-with the same bits, and the pre-training users stay below the held-out ids."""
+"""``save_feature_file`` (v1 text) and ``save_labeled_set`` (v2 records)
+write only what ``load_feature_file`` reads back with the same bits, a
+broken v2 body is refused naming its first bad record, and the
+pre-training users stay below the held-out ids."""
 
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -12,13 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oap.simstream
+from oap.config import FRAME_INDEX_MAX, FRAME_INDEX_MIN
 from oap.errors import ConfigError, DataError
 from oap.simstream import (
     HELD_OUT_USER_BASE,
     GeneratorConfig,
+    _save,
     generate_pretraining_set,
     load_feature_file,
     save_feature_file,
+    save_labeled_set,
 )
 
 FEATURES = np.arange(6.0).reshape(3, 2)
@@ -160,6 +166,112 @@ def test_what_save_accepts_loads_back_bit_equal(data, n, d, rate, labeled):
     else:
         assert loaded.labels is None
     assert bits(loaded.frame_rate) == bits(rate)
+
+
+# float64 cells at the edges: signed zeros, subnormals and the largest finite values.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+EDGE_INDICES = st.one_of(st.integers(FRAME_INDEX_MIN, FRAME_INDEX_MAX),
+                         st.sampled_from([FRAME_INDEX_MIN, FRAME_INDEX_MAX]))
+
+
+def int_bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 50), d=st.integers(1, 6), labeled=st.booleans(),
+       rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_both_versions_load_back_bit_equal(data, n, d, labeled, rate):
+    """A table written as v1 text and as v2 records loads back from each
+    with the bits it was given, so the two loads are equal too."""
+    features = np.array(data.draw(st.lists(EDGE_FLOATS, min_size=n * d, max_size=n * d)),
+                        dtype=np.float64).reshape(n, d)
+    indices = data.draw(st.lists(EDGE_INDICES, min_size=n, max_size=n))
+    times = data.draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if labeled else None
+    with tempfile.TemporaryDirectory() as tmp:
+        text, records = Path(tmp) / "v1.oapf", Path(tmp) / "v2.oapf"
+        save_feature_file(text, features, indices, times, labels, frame_rate=rate)
+        _save(records, "v2", features, indices, times, labels, rate)
+        assert text.read_bytes().startswith(b"oapf v1 ")
+        assert records.read_bytes().startswith(b"oapf v2 ")
+        loads = [load_feature_file(text), load_feature_file(records)]
+    columns = [(int_bits(load.features), load.frame_indices.tolist(), int_bits(load.times),
+                None if load.labels is None else load.labels.tolist(),
+                struct.pack("<d", load.frame_rate)) for load in loads]
+    want = (int_bits(features), indices, int_bits(times), labels, struct.pack("<d", rate))
+    assert columns == [want, want]
+
+
+def test_a_labeled_set_is_records_viewed_in_place(tmp_path):
+    """``save_labeled_set`` writes the header line and one packed record per
+    row; the load views them in a writable buffer, without a copy."""
+    path = tmp_path / "set.oapf"
+    save_labeled_set(path, FEATURES, [0, 1, 0], frame_rate=25.0)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert path.read_bytes().startswith(b"oapf v2 d=2 labeled=1 fps=25.0\n")
+    assert len(body) == 3 * 5 * 8
+    data = load_feature_file(path)
+    assert data.features.tobytes() == FEATURES.tobytes()
+    assert data.frame_indices.tolist() == [1, 2, 3]
+    assert data.times.tolist() == [0.0, 1 / 25.0, 2 / 25.0]
+    assert data.labels.tolist() == [0, 1, 0]
+    assert not data.features.flags.owndata and data.features.flags.writeable
+    assert data.features.strides == (5 * 8, 8)
+
+
+def cell(value, fmt="<d") -> bytes:
+    return struct.pack(fmt, value)
+
+
+def record(index, label, *features) -> bytes:
+    return cell(index, "<q") + cell(0.0) + cell(label, "<q") + b"".join(map(cell, features))
+
+
+V2_HEADER = b"oapf v2 d=2 labeled=1 fps=30.0\n"
+GOOD_RECORD = record(1, 0, 0.5, -1.5)
+
+# Each: the body after V2_HEADER, then the error's tail.
+BROKEN_BODIES = {
+    "cut by one byte": (GOOD_RECORD * 2 + GOOD_RECORD[:-1], "record 3: only 39 of its 40 bytes"),
+    "one extra byte": (GOOD_RECORD * 2 + b"\0", "record 3: only 1 of its 40 bytes"),
+    "nan feature": (GOOD_RECORD + record(2, 1, 0.5, math.nan),
+                    "record 2: non-finite value in feature input"),
+    "inf feature": (record(1, 1, math.inf, 0.0), "record 1: non-finite value in feature input"),
+    "label 2": (GOOD_RECORD * 2 + record(3, 2, 0.5, 1.0), "record 3: labels must be 0 or 1"),
+    "label -1 before a nan": (record(1, -1, 0.5, 1.0) + record(2, 0, math.nan, 1.0),
+                              "record 1: labels must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("body, words", BROKEN_BODIES.values(), ids=BROKEN_BODIES.keys())
+def test_a_broken_v2_body_names_its_first_bad_record(tmp_path, body, words):
+    path = tmp_path / "bad.oapf"
+    path.write_bytes(V2_HEADER + body)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {words}")):
+        load_feature_file(path)
+
+
+def test_a_v2_header_d_beyond_any_record_is_refused(tmp_path):
+    """numpy makes no record of 2 GiB or more: such a ``d`` is a DataError,
+    not numpy's ValueError."""
+    path = tmp_path / "wide.oapf"
+    path.write_bytes(f"oapf v2 d={2**40} labeled=0 fps=30.0\n".encode())
+    with pytest.raises(DataError, match=re.escape(f"{path}: no record holds d={2**40} features")):
+        load_feature_file(path)
+
+
+def test_an_unlabeled_v2_file_loads_without_labels(tmp_path):
+    path = tmp_path / "unlabeled.oapf"
+    _save(path, "v2", FEATURES, [5, 6, 7], [0.0, 0.5, 1.0], None, 2.0)
+    data = load_feature_file(path)
+    assert data.labels is None
+    assert data.frame_indices.tolist() == [5, 6, 7]
+    assert data.features.tobytes() == FEATURES.tobytes()
 
 
 def test_pretraining_users_stay_below_the_held_out_ids(monkeypatch):

@@ -405,15 +405,15 @@ MALFORMED_FILES = {
     "bad label": (["1,0.0,live,0.5,1.0"], "unparseable value", 2),
     "bad feature": ([GOOD_ROW, "2,0.1,1,0.5,abc"], "unparseable value", 3),
     "empty feature": (["1,0.0,0,,1.0"], "unparseable value", 2),
-    "nan feature": (["1,0.0,0,nan,1.0"], "non-finite feature value", 2),
-    "inf feature": ([GOOD_ROW, "2,0.1,0,0.5,-inf"], "non-finite feature value", 3),
-    "overflowing feature": (["1,0.0,0,1e999,1.0"], "non-finite feature value", 2),
+    "nan feature": (["1,0.0,0,nan,1.0"], "non-finite value in feature input", 2),
+    "inf feature": ([GOOD_ROW, "2,0.1,0,0.5,-inf"], "non-finite value in feature input", 3),
+    "overflowing feature": (["1,0.0,0,1e999,1.0"], "non-finite value in feature input", 2),
     "blank lines first": (["", "  ", GOOD_ROW, "", "2,0.1,0,0.5"], "expected 5 columns, got 4", 6),
     "non-finite before short row": (
-        [GOOD_ROW, "2,0.1,1,inf,0.0", GOOD_ROW, "3,0.2"], "non-finite feature value", 3,
+        [GOOD_ROW, "2,0.1,1,inf,0.0", GOOD_ROW, "3,0.2"], "non-finite value in feature input", 3,
     ),
     "non-finite before bad cell": (
-        [GOOD_ROW, "2,0.1,1,nan,0.0", "3,0.2,1,0.0,zz"], "non-finite feature value", 3,
+        [GOOD_ROW, "2,0.1,1,nan,0.0", "3,0.2,1,0.0,zz"], "non-finite value in feature input", 3,
     ),
     "bad cell before non-finite": (
         [GOOD_ROW, "2,0.1,1,0.0,zz", "3,0.2,1,nan,0.0"], "unparseable value", 3,
@@ -422,13 +422,13 @@ MALFORMED_FILES = {
         [GOOD_ROW, "99999999999999999999,0.1,1,0.5,2.0"], "frame index out of range", 3,
     ),
     "index below int64": (["-9223372036854775809,0.0,0,0.5,1.0"], "frame index out of range", 2),
-    "overflowing label": ([GOOD_ROW, "2,0.1,18446744073709551616,0.5,1.0"], "label out of range", 3),
+    "overflowing label": ([GOOD_ROW, "2,0.1,18446744073709551616,0.5,1.0"], "labels must be 0 or 1", 3),
     "overflowing index before short row": (
         [GOOD_ROW, "99999999999999999999,0.1,0,0.5,1.0", "3,0.2"], "frame index out of range", 3,
     ),
     "non-finite before overflowing index": (
         [GOOD_ROW, "2,0.1,1,inf,0.0", "99999999999999999999,0.2,0,0.5,1.0"],
-        "non-finite feature value", 3,
+        "non-finite value in feature input", 3,
     ),
     "overflowing index before non-finite": (
         ["99999999999999999999,0.1,0,0.5,1.0", "2,0.1,1,inf,0.0"], "frame index out of range", 2,
@@ -436,16 +436,16 @@ MALFORMED_FILES = {
     "overflowing index on a bad line": (
         [GOOD_ROW, "99999999999999999999,t,0,0.5,1.0"], "unparseable value", 3,
     ),
-    "label 7": ([GOOD_ROW, "2,0.1,7,0.5,1.0"], "label out of range", 3),
-    "label -1": (["1,0.0,-1,0.5,1.0"], "label out of range", 2),
+    "label 7": ([GOOD_ROW, "2,0.1,7,0.5,1.0"], "labels must be 0 or 1", 3),
+    "label -1": (["1,0.0,-1,0.5,1.0"], "labels must be 0 or 1", 2),
     "non-finite before label 2": (
-        [GOOD_ROW, "2,0.1,1,inf,0.0", "3,0.2,2,0.5,1.0"], "non-finite feature value", 3,
+        [GOOD_ROW, "2,0.1,1,inf,0.0", "3,0.2,2,0.5,1.0"], "non-finite value in feature input", 3,
     ),
     "label 7 before short row": (
-        [GOOD_ROW, "2,0.1,7,0.5,1.0", "3,0.2"], "label out of range", 3,
+        [GOOD_ROW, "2,0.1,7,0.5,1.0", "3,0.2"], "labels must be 0 or 1", 3,
     ),
     "label 7 before overflowing label": (
-        ["1,0.0,7,0.5,1.0", "2,0.1,18446744073709551616,0.5,1.0"], "label out of range", 2,
+        ["1,0.0,7,0.5,1.0", "2,0.1,18446744073709551616,0.5,1.0"], "labels must be 0 or 1", 2,
     ),
 }
 
@@ -499,7 +499,7 @@ class TestMalformedFeatureFiles:
         the fault reported."""
         path = tmp_path / "bad.oapf"
         path.write_bytes(f"{HEADER}\n1,0.0,0,nan,0.0\n".encode() + b"x" * 20000 + b"\xff\n")
-        with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite feature value")):
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite value in feature input")):
             load_feature_file(path)
 
     @pytest.mark.parametrize("labeled", [0, 1])
