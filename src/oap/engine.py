@@ -407,33 +407,27 @@ def _write_trace(path: str | Path, trace: Iterable[TraceRecord], head: str, piec
                  spelling: dict) -> None:
     """Write ``head``, then each record as ``pieces[0]``, its first cell,
     ``pieces[1]``, ..., its last cell and ``pieces[-1]``, a column at a time,
-    TRACE_ROWS_PER_WRITE rows per write, ``spelling`` mapping the cells
-    that this format spells its own way. A ``Trace`` lends its repr cells;
-    any other iterable of records is read TRACE_ROWS_PER_WRITE records at a
-    time, each batch a ``Trace``. A column of one cell joins the pieces
-    around it, so its rows are not zipped."""
-    if isinstance(trace, Trace):
-        parts = [trace]
-    else:
-        records = iter(trace)
-        batches = iter(lambda: list(islice(records, TRACE_ROWS_PER_WRITE)), [])
-        parts = map(Trace.from_records, batches)
+    TRACE_ROWS_PER_WRITE rows per write, ``spelling`` mapping the cells that
+    this format spells its own way. Records that are not a ``Trace`` are made
+    one, held whole; a ``Trace`` lends its repr cells. A column of one cell
+    joins the pieces around it, so its rows are not zipped."""
+    if not isinstance(trace, Trace):
+        trace = Trace.from_records(trace)
     with open(path, "w") as fh:
         fh.write(head)
-        for part in parts:
-            for start in range(0, len(part), TRACE_ROWS_PER_WRITE):
-                texts, piece = [], pieces[0]
-                columns = part._reprs(slice(start, start + TRACE_ROWS_PER_WRITE))
-                for (cells, respelled), after in zip(columns, pieces[1:]):
-                    if respelled:
-                        cells = [spelling.get(c, c) for c in cells]
-                    if len(cells) == 1:
-                        piece += cells[0] + after
-                    else:
-                        texts += (repeat(piece), cells)
-                        piece = after
-                texts.append([piece] * min(TRACE_ROWS_PER_WRITE, len(part) - start))
-                fh.write("".join(chain.from_iterable(zip(*texts))))
+        for start in range(0, len(trace), TRACE_ROWS_PER_WRITE):
+            texts, piece = [], pieces[0]
+            columns = trace._reprs(slice(start, start + TRACE_ROWS_PER_WRITE))
+            for (cells, respelled), after in zip(columns, pieces[1:]):
+                if respelled:
+                    cells = [spelling.get(c, c) for c in cells]
+                if len(cells) == 1:
+                    piece += cells[0] + after
+                else:
+                    texts += (repeat(piece), cells)
+                    piece = after
+            texts.append([piece] * min(TRACE_ROWS_PER_WRITE, len(trace) - start))
+            fh.write("".join(chain.from_iterable(zip(*texts))))
 
 
 def _parse_cell(cell: str, types: tuple):

@@ -516,13 +516,20 @@ HEAD_FORMAT_VERSION = 1
 
 def save_head(head: ClassifierHead, path: str | Path) -> None:
     """Write magic "OAPH", u32 version, u32 d, u32 hidden width, then
-    ``head.flat`` (w1/b1/w2/b2, each row-major) as little-endian f64."""
-    header = HEAD_MAGIC + struct.pack("<III", HEAD_FORMAT_VERSION, head.d, HIDDEN_UNITS)
-    Path(path).write_bytes(header + head.flat.astype("<f8").tobytes())
+    ``head.flat`` (w1/b1/w2/b2, each row-major) as little-endian f64. A head
+    that ``load_head`` would refuse is its DataError, raised before the file is opened."""
+    raw = HEAD_MAGIC + struct.pack("<III", HEAD_FORMAT_VERSION, head.d, HIDDEN_UNITS)
+    raw += head.flat.astype("<f8").tobytes()
+    _decode_head(path, raw)
+    Path(path).write_bytes(raw)
 
 
 def load_head(path: str | Path) -> ClassifierHead:
-    raw = Path(path).read_bytes()
+    return _decode_head(path, Path(path).read_bytes())
+
+
+def _decode_head(path: str | Path, raw: bytes) -> ClassifierHead:
+    """The head in the bytes ``raw`` of a head file, or a DataError naming ``path``."""
     if raw[:4] != HEAD_MAGIC:
         raise DataError(f"{path}: not a head file (bad magic)")
     if len(raw) < 16:

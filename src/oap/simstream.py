@@ -283,11 +283,15 @@ class FeatureFileData:
         return StreamFrames(self.features, self.frame_indices, self.times)
 
 
-def _record_dtype(d: int, labeled: bool) -> np.dtype:
+def _record_dtype(path, d: int, labeled: bool) -> np.dtype:
     """A feature-file row as one packed little-endian record: a v2 body's
-    record, and the table a v1 body is parsed into."""
-    return np.dtype([("index", "<i8"), ("time", "<f8"), *([("label", "<i8")] * labeled),
-                     ("features", "<f8", (d,))])
+    record, and the table a v1 body is parsed into. numpy makes no record
+    of 2 GiB or more, so a wider ``d`` is a DataError naming ``path``."""
+    try:
+        return np.dtype([("index", "<i8"), ("time", "<f8"), *([("label", "<i8")] * labeled),
+                         ("features", "<f8", (d,))])
+    except ValueError as exc:
+        raise DataError(f"{path}: no record holds d={d} features ({exc})") from None
 
 
 def save_feature_file(path: str | Path, features, frame_indices, times, labels=None,
@@ -312,8 +316,9 @@ def save_feature_file(path: str | Path, features, frame_indices, times, labels=N
 def save_labeled_set(path: str | Path, features, labels, frame_rate: float = 30.0) -> None:
     """A labeled set without timing, such as a pre-training set or a replay
     store, as an ``oapf v2`` file: row k gets frame index k and time (k - 1)
-    / frame_rate. It passes the checks of ``save_feature_file``; its body is
-    one ``_record_dtype`` record per row, which loads without a text parse."""
+    / frame_rate. It passes the checks of ``save_feature_file`` and refuses
+    a ``d`` that no record holds; its body is one ``_record_dtype`` record
+    per row, which loads without a text parse."""
     n = len(features)
     _save(path, "v2", features, np.arange(1, n + 1), np.arange(n) / frame_rate, labels,
           frame_rate)
@@ -334,10 +339,8 @@ def _save(path, version: str, features, frame_indices, times, labels, frame_rate
     check_value("frame rate", frame_rate, float, FRAME_RATE_RULE, error=DataError)
     header = f"oapf {version} d={d} labeled={int(labeled)} fps={float(frame_rate)!r}\n"
     if version == "v2":
-        table = np.empty(n, _record_dtype(d, labeled))
-        table["index"], table["time"], table["features"] = frame_indices, times, features
-        if labeled:
-            table["label"] = labels
+        columns = [frame_indices, times, *[labels] * labeled, features]
+        table = np.rec.fromarrays(columns, _record_dtype(path, d, labeled))
         with open(path, "wb") as fh:
             fh.write(header.encode())
             table.tofile(fh)
@@ -377,24 +380,25 @@ def _fits(value, convert, valid) -> bool:
 
 
 def load_feature_file(path: str | Path) -> FeatureFileData:
-    """Read a feature file; the header's version word picks the body's
-    reader. A malformed header (a ``d`` below 1 or too large for one float64
-    row, or an ``fps`` that is not finite and > 0) or body is a DataError
-    naming the file, and the first bad line or record. A v2 body is one
-    read of the record table (``_read_records``). A v1 body is parsed into
-    it by one ``np.loadtxt`` pass; a file that numpy refuses, or whose table
-    fails a check, is read again by ``_read_lines``, which takes what numpy
-    does not (say, blank lines of spaces or ``1_000``) and names the first
-    bad line. numpy converts a float cell as ``float()`` does and accepts a
-    subset of what ``float()`` and ``int()`` accept, so both readers give
-    the same bits on every file numpy takes. Either way ``features`` is the
-    table's (n, d) field: a strided view that need not be C-contiguous."""
+    """Read a feature file, opened once; the header's version word picks the
+    body's reader. A malformed header (a ``d`` below 1 or too large for one
+    float64 row, or an ``fps`` that is not finite and > 0) or body is a
+    DataError naming the file, and the first bad line or record. A v2 body
+    is one read of the record table (``_read_records``). A v1 body is parsed
+    into it by one ``np.loadtxt`` pass; one that numpy refuses, or whose
+    table fails a check, is read again on the same handle by ``_read_lines``,
+    which takes what numpy does not (say, blank lines of spaces or ``1_000``)
+    and names the first bad line. numpy converts a float cell as ``float()``
+    does and accepts a subset of what ``float()`` and ``int()`` accept, so
+    both readers give the same bits on every file numpy takes. Either way
+    ``features`` is the table's (n, d) field: a strided view that need not
+    be C-contiguous."""
     path = Path(path)
     with open_text(path, DataError) as fh:
         version, d, labeled, frame_rate = _read_header(path, fh)
         if version == "v2":
             return _read_records(path, bytearray(fh.buffer.read()), d, labeled, frame_rate)
-    return _read_table(path) or _read_lines(path)
+        return _read_table(path, fh, d, labeled, frame_rate) or _read_lines(path, fh)
 
 
 # The largest header ``d``: numpy refuses a float64 row of more bytes than
@@ -440,19 +444,9 @@ def _check_record(where: str, feature, label) -> None:
         raise DataError(f"{where}: {exc}") from None
 
 
-def _read_records(path: Path, body: bytearray, d: int, labeled: bool,
-                  frame_rate: float) -> FeatureFileData:
-    """A v2 body as ``_record_dtype`` records, viewed in place in the
-    writable ``body``. A part record, a non-finite feature or a label other
-    than 0 or 1 is a DataError naming the first bad record, from 1."""
-    try:
-        dtype = _record_dtype(d, labeled)
-    except ValueError as exc:  # numpy makes no record of 2 GiB or more
-        raise DataError(f"{path}: no record holds d={d} features ({exc})") from None
-    n, extra = divmod(len(body), dtype.itemsize)
-    if extra:
-        raise DataError(f"{path}: record {n + 1}: only {extra} of its {dtype.itemsize} bytes")
-    table = np.frombuffer(body, dtype)
+def _table_data(path: Path, table, labeled: bool, frame_rate: float) -> FeatureFileData:
+    """The columns of a ``_record_dtype`` table; a DataError names its first
+    record with a non-finite feature or a label other than 0 or 1, from 1."""
     features, labels = table["features"], table["label"] if labeled else None
     good = np.isfinite(features).all(axis=1) & (np.isin(labels, (0, 1)) if labeled else True)
     for k in np.flatnonzero(~good)[:1]:
@@ -460,70 +454,74 @@ def _read_records(path: Path, body: bytearray, d: int, labeled: bool,
     return FeatureFileData(features, labels, table["index"], table["time"], frame_rate)
 
 
-def _read_table(path: Path) -> FeatureFileData | None:
-    """A v1 file through ``np.loadtxt``, or None when numpy refuses it,
-    warns (an empty body does), or a feature is not finite or a label not 0
-    or 1. A malformed header raises its DataError here.
+def _read_records(path: Path, body, d: int, labeled: bool, frame_rate: float) -> FeatureFileData:
+    """A v2 body as a ``_record_dtype`` table, viewed in place in the
+    writable ``body``. A part record, a non-finite feature or a label other
+    than 0 or 1 is a DataError naming the first bad record, from 1."""
+    dtype = _record_dtype(path, d, labeled)
+    n, extra = divmod(len(body), dtype.itemsize)
+    if extra:
+        raise DataError(f"{path}: record {n + 1}: only {extra} of its {dtype.itemsize} bytes")
+    return _table_data(path, np.frombuffer(body, dtype), labeled, frame_rate)
+
+
+def _read_table(path: Path, fh, d: int, labeled: bool,
+                frame_rate: float) -> FeatureFileData | None:
+    """The v1 body of the text file ``fh``, read up to its body, as a
+    ``_record_dtype`` table in one ``np.loadtxt`` pass; or None when numpy
+    refuses it or warns (an empty body does), or ``_table_data`` does.
 
     The first non-blank row must have the header's column count before
     numpy sees the body: numpy sizes its first block of records by ``d``,
     so a large ``d`` over a short row would allocate for nothing."""
     try:
-        with open(path) as fh:
-            _, d, labeled, frame_rate = _read_header(path, fh)
-            first = 2 + int(labeled)  # the first feature column
-            body = fh.tell()
-            row = fh.readline()
-            while row and not row.strip():
-                row = fh.readline()
-            if row.count(",") != first + d - 1:
-                return None
-            fh.seek(body)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(fh, dtype=_record_dtype(d, labeled), delimiter=",",
-                                   comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
+        rows = [fh.readline()]
+        while rows[-1] and not rows[-1].strip():
+            rows.append(fh.readline())
+        if rows[-1].count(",") != 1 + int(labeled) + d:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(chain(rows, fh), _record_dtype(path, d, labeled), comments=None,
+                               delimiter=",", ndmin=1)
+            return _table_data(path, table, labeled, frame_rate)
+    except (DataError, ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    features = table["features"]
-    labels = table["label"] if labeled else None
-    if not np.isfinite(features).all() or labeled and not np.isin(labels, (0, 1)).all():
-        return None
-    return FeatureFileData(features, labels, table["index"], table["time"], frame_rate)
 
 
-def _read_lines(path: Path) -> FeatureFileData:
-    """A v1 file a line at a time: the reader that names a malformed file's
-    first bad line, and the reference ``_read_table`` is tested against.
-    Each row is checked as it is read: its column count, then that every
-    cell parses, then its features and label at the table door, then that
-    its frame index fits int64."""
-    with open_text(path, DataError) as fh:
-        _, d, labeled, frame_rate = _read_header(path, fh)
-        first = 2 + int(labeled)  # the first feature column
-        expected_cols = first + d
-        # The columns; ``values`` holds the feature cells of every row, row-major.
-        frame_indices, times, labels, values = [], [], [], []
-        for lineno, line in enumerate(map(str.strip, fh), start=2):
-            if not line:
-                continue
-            cols = line.split(",")
-            if len(cols) != expected_cols:
-                raise DataError(f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}")
-            try:
-                index, time = int(cols[0]), float(cols[1])
-                label = int(cols[2]) if labeled else 0
-                feature = [float(c) for c in cols[first:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable value") from exc
-            if not all(map(math.isfinite, feature)) or label not in (0, 1):
-                _check_record(f"{path}:{lineno}", feature, label)
-            if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
-                raise DataError(f"{path}:{lineno}: frame index out of range")
-            frame_indices.append(index)
-            times.append(time)
-            labels.append(label)
-            values.extend(feature)
+def _read_lines(path: Path, fh) -> FeatureFileData:
+    """A v1 file a line at a time, from the start of the text file ``fh``, so
+    its text decodes in the blocks of a new handle: the reader that names a
+    malformed file's first bad line, and the reference ``_read_table`` is
+    tested against. Each row is checked as it is read: its column count,
+    then that every cell parses, then its features and label at the table
+    door, then that its frame index fits int64."""
+    fh.seek(0)
+    _, d, labeled, frame_rate = _read_header(path, fh)
+    first = 2 + int(labeled)  # the first feature column
+    expected_cols = first + d
+    # The columns; ``values`` holds the feature cells of every row, row-major.
+    frame_indices, times, labels, values = [], [], [], []
+    for lineno, line in enumerate(map(str.strip, fh), start=2):
+        if not line:
+            continue
+        cols = line.split(",")
+        if len(cols) != expected_cols:
+            raise DataError(f"{path}:{lineno}: expected {expected_cols} columns, got {len(cols)}")
+        try:
+            index, time = int(cols[0]), float(cols[1])
+            label = int(cols[2]) if labeled else 0
+            feature = [float(c) for c in cols[first:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable value") from exc
+        if not all(map(math.isfinite, feature)) or label not in (0, 1):
+            _check_record(f"{path}:{lineno}", feature, label)
+        if not FRAME_INDEX_MIN <= index <= FRAME_INDEX_MAX:
+            raise DataError(f"{path}:{lineno}: frame index out of range")
+        frame_indices.append(index)
+        times.append(time)
+        labels.append(label)
+        values.extend(feature)
     return FeatureFileData(
         np.array(values, dtype=np.float64).reshape(len(times), d),
         np.array(labels, dtype=np.int64) if labeled else None,

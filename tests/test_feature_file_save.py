@@ -265,6 +265,32 @@ def test_a_v2_header_d_beyond_any_record_is_refused(tmp_path):
         load_feature_file(path)
 
 
+@pytest.mark.parametrize("labels", [[], None])
+def test_a_v2_save_of_a_width_beyond_any_record_is_refused(tmp_path, labels):
+    """The save holds ``d`` to the record the load would make, and writes nothing."""
+    path = tmp_path / "wide.oapf"
+    with pytest.raises(DataError, match=re.escape(f"{path}: no record holds d={2**28} features")):
+        _save(path, "v2", np.zeros((0, 2**28)), [], [], labels, 30.0)
+    with pytest.raises(DataError, match=re.escape(f"{path}: no record holds d={2**28} features")):
+        save_labeled_set(path, np.zeros((0, 2**28)), [])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("labels", [[], None])
+def test_a_v1_table_wider_than_any_record_round_trips(tmp_path, labels):
+    """v1 text needs no record, so an empty table of 2**28 columns saves
+    and loads back, as a header-only file."""
+    path = tmp_path / "wide.oapf"
+    save_feature_file(path, np.zeros((0, 2**28)), [], [], labels, frame_rate=25.0)
+    labeled = int(labels is not None)
+    assert path.read_bytes() == f"oapf v1 d={2**28} labeled={labeled} fps=25.0\n".encode()
+    data = load_feature_file(path)
+    assert data.features.shape == (0, 2**28) and data.features.dtype == np.float64
+    assert data.frame_indices.tolist() == [] and data.times.tolist() == []
+    assert data.labels is None if labels is None else data.labels.tolist() == []
+    assert data.frame_rate == 25.0
+
+
 def test_an_unlabeled_v2_file_loads_without_labels(tmp_path):
     path = tmp_path / "unlabeled.oapf"
     _save(path, "v2", FEATURES, [5, 6, 7], [0.0, 0.5, 1.0], None, 2.0)

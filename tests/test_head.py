@@ -442,6 +442,23 @@ class TestSerialization:
         with pytest.raises(DataError, match="bytes"):
             load_head(path)
 
+    @pytest.mark.parametrize("fault, words", [
+        ("nan weight", "non-finite parameter value"),
+        ("32 hidden units", "expected 2072 bytes, got 1048"),
+    ])
+    def test_save_refuses_what_load_refuses_writing_nothing(self, tmp_path, fault, words):
+        """A head that ``load_head`` would refuse is refused by ``save_head``
+        in its words, before the file is opened."""
+        if fault == "nan weight":
+            head = random_head(2, seed=3)
+            head.w1[1, 5] = np.nan
+        else:
+            head = ClassifierHead(np.ones((2, 32)), np.zeros(32), np.ones(32), np.zeros(1))
+        path = tmp_path / "head.oaph"
+        with pytest.raises(DataError, match=re.escape(f"{path}: {words}")):
+            save_head(head, path)
+        assert not path.exists()
+
     def test_zero_dimension_rejected(self, tmp_path):
         """A header with d = 0 and the 129 parameters such a head would
         have is refused, as ``init_head`` refuses d < 1."""

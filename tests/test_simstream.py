@@ -1,5 +1,6 @@
 """Synthetic stream generator and the feature-file exchange format."""
 
+import builtins
 import dataclasses
 import re
 import struct
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oap.config import ClassLabel, from_mapping
+from oap.config import ClassLabel, from_mapping, open_text
 from oap.errors import ConfigError, DataError
 from oap.rng import seeded_rng
 from oap.simstream import (
@@ -19,6 +20,7 @@ from oap.simstream import (
     SOURCE_SHIFT_SCALE,
     _class_mean,
     _user_offset,
+    _read_header,
     _read_lines,
     _read_table,
     GeneratorConfig,
@@ -30,6 +32,7 @@ from oap.simstream import (
     load_feature_file,
     parse_segments,
     save_feature_file,
+    save_labeled_set,
     scenario_from_mapping,
 )
 
@@ -560,6 +563,12 @@ def edited_feature_files(draw) -> bytes:
     return bytes(content)
 
 
+def read_lines(path):
+    """``_read_lines`` on the file at ``path``, open as ``load_feature_file`` opens it."""
+    with open_text(path, DataError) as fh:
+        return _read_lines(path, fh)
+
+
 def read_outcome(read, path):
     """The text of the DataError ``read(path)`` raises, or the dtype, shape
     and bytes of each array it returns and the bits of its frame rate."""
@@ -578,6 +587,13 @@ def feature_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("feature_files")
 
 
+# A short row and, about 8 kB in, a byte that does not decode: which one is
+# met first depends on the blocks the text is decoded in.
+SHORT_ROW_THEN_BAD_BYTE = (
+    f"{HEADER}\n" + f"{GOOD_ROW}\n" * 470 + "\n" * 185 + f"3,0.2\n{GOOD_ROW}\n"
+).encode() + b"\xff\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(content=edited_feature_files())
 @example(content=f"{HEADER}\n".encode())  # an empty body
@@ -594,12 +610,13 @@ def feature_dir(tmp_path_factory):
 @example(content=f"{HEADER}\n1,0.1,1,٣.5,1.0\n".encode())
 @example(content=f"{HEADER}\n{GOOD_ROW}\n".encode() + b"\xff\n")
 @example(content=b"oapf v1 d=100000000 labeled=0 fps=30.0\n1,0.0,0.5\n")
+@example(content=SHORT_ROW_THEN_BAD_BYTE)
 def test_numpy_reader_matches_the_line_loop(feature_dir, content):
     """``load_feature_file`` gives the bits of ``_read_lines``, or the same
     DataError, for every file."""
     path = feature_dir / "edited.oapf"
     path.write_bytes(content)
-    assert read_outcome(load_feature_file, path) == read_outcome(_read_lines, path)
+    assert read_outcome(load_feature_file, path) == read_outcome(read_lines, path)
 
 
 @pytest.mark.parametrize("labeled", [False, True])
@@ -610,9 +627,30 @@ def test_written_files_take_the_numpy_pass(tmp_path, labeled):
     path = tmp_path / "s.oapf"
     save_feature_file(path, feats, range(1, 6), np.arange(5) / 30.0,
                       [0, 1, 1, 0, 1] if labeled else None)
-    data = _read_table(path)
+    with open_text(path, DataError) as fh:
+        data = _read_table(path, fh, *_read_header(path, fh)[1:])
     assert data is not None and not data.features.flags.owndata
     assert data.features.tobytes() == feats.tobytes()
+
+
+@pytest.mark.parametrize("body", ["numpy pass", "line loop", "v2 records"])
+def test_a_load_opens_its_file_once(tmp_path, monkeypatch, body):
+    """Each body's reader takes the one handle ``load_feature_file`` opened:
+    a v1 body that numpy refuses (``1_000``) is read again on it."""
+    path = tmp_path / "once.oapf"
+    feats = np.array([[0.5, -1.5], [2.0, 3.0]])
+    if body == "numpy pass":
+        save_feature_file(path, feats, [1, 1000], [0.0, 0.1], [0, 1])
+    elif body == "line loop":
+        path.write_text(f"{HEADER}\n1,0.0,0,0.5,-1.5\n1_000,0.1,1,2.0,3.0\n")
+    else:
+        save_labeled_set(path, feats, [0, 1])
+    opened, real_open = [], builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+    data = load_feature_file(path)
+    monkeypatch.undo()
+    assert opened == [path]
+    assert data.features.tobytes() == feats.tobytes() and data.labels.tolist() == [0, 1]
 
 
 def test_large_header_d_over_a_short_row_allocates_nothing(tmp_path):
