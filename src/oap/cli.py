@@ -17,7 +17,8 @@ the echo, and neither does a data error in an input file. A config file
 may carry keys for other tools.
 
 Exit codes are fixed for scripting: 0 success, 2 config/validation error,
-3 data error, 4 numerical failure.
+3 data error, 4 numerical failure. An input file that cannot be opened (a
+missing one, a directory) is a data error, or a config error for ``--config``.
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def cmd_run(args) -> int:
     params = from_mapping(HyperParams(), mapping)
     if args.save_head and (runner.mode != "oap" or len(args.stream) != 1 or runner.seeds != 1):
         raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
+    stems = [Path(path).stem for path in args.stream]
+    for stem in stems:
+        if stems.count(stem) > 1:  # its traces would overwrite each other's
+            raise ConfigError(f"two --stream files share the stem {stem!r}")
 
     head = load_head(args.head)
     if args.replay:
@@ -231,7 +236,7 @@ def cmd_run(args) -> int:
         _check_dimension(args.replay, "replay", replay.features, head)
     else:
         replay = ReplayStore(np.zeros((0, head.d)), np.zeros(0, dtype=np.int64))
-    streams = [(Path(path).stem, _read_stream(path, head)) for path in args.stream]
+    streams = [(stem, _read_stream(path, head)) for stem, path in zip(stems, args.stream)]
     labeled = [data.labels for _, data in streams if data.labels is not None]
     if labeled:
         check_both_classes(np.concatenate(labeled))

@@ -23,10 +23,11 @@ Intel Xeon).
 reads the stream SCORE_ROWS_PER_CALL frames at a time, hands each block to
 the runner's block step (``process_frame`` frame by frame for the engine,
 one stacked ``forward`` call for the baselines, whose head never changes)
-and extends one column per trace field with the step's columns into a
-``Trace``, which the trace readers return too. No frame is made twice, and
-a ``StreamFrames`` stream is scored from its arrays. Both trace formats
-share a ``Trace``'s cells: each value's repr is made once.
+and extends one column per trace field with the step's columns, among them
+the frame indices its stream door checked, into a ``Trace``. No frame is
+made twice, and a ``StreamFrames`` stream is scored from its arrays. Both
+trace formats share a ``Trace``'s cells: each value's repr is made once.
+``read_trace_csv`` is the one trace reader; the JSON lines are for other tools.
 
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
 counting: one sample costs 2*(d*64 + 64) forward, times 3 for the joint
@@ -58,7 +59,7 @@ from .head import (
 )
 # Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
 from .head import _grad_kernel as loss_and_grad
-from .memory import OnlineBuffer, ReplayStore, check_frame, sample_batch
+from .memory import OnlineBuffer, ReplayStore, check_frame, first_bad_frame, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
 from .simstream import StreamFrame, StreamFrames
@@ -145,8 +146,16 @@ class Trace(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[Sequence]) -> Trace:
+        """The trace of ``records``; a DataError names the first field, and its
+        first record, holding a value not exactly of a type the field admits."""
         rows = list(records)
-        return cls(zip(*rows) if rows else repeat((), len(TRACE_COLUMNS)))
+        trace = cls(zip(*rows) if rows else repeat((), len(TRACE_COLUMNS)))
+        for name, column, types in zip(TRACE_COLUMNS, trace.columns, _FIELD_TYPES):
+            if not set(map(type, column)).issubset(types):
+                k = next(k for k, v in enumerate(column) if type(v) not in types)
+                want = " | ".join(t.__name__ for t in types)
+                raise DataError(f"trace record {k + 1}: {name} {column[k]!r} is not {want}")
+        return trace
 
     def __len__(self) -> int:
         return len(self.columns.frame_index)
@@ -187,17 +196,14 @@ def _fold(
     frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, step: Callable
 ) -> Trace:
     """The one stream runner behind the engine and both baselines. It reads
-    the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time.
-    ``step(block, features)`` gets the block and its frames' features and
-    returns the column of ``y`` and then the columns of the trace fields
-    after ``decision`` (a constant column may be a ``repeat``); the fold
-    adds the frame indices, the ground truth (which ``step`` never sees)
-    and the decisions, and extends the trace's columns with the block's.
-    No record is made: the ``Trace`` makes one when it is read. A block of
-    any other sequence is made into a list of frames once. A
-    ``StreamFrames`` block gives its features and indices from its
-    columns, so its frames are made only if the step iterates it: the
-    engine's does, the baselines' does not."""
+    the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time; a
+    block of any sequence but a ``StreamFrames`` is made into a list once.
+    ``step(block)`` returns the column of frame indices, as the ints its
+    stream door checked, the column of ``y`` and then the columns of the
+    trace fields after ``decision`` (a constant column may be a ``repeat``);
+    the fold adds the ground truth (which ``step`` never sees) and the
+    decisions, and extends the trace's columns with the block's. No record
+    is made: the ``Trace`` makes one when it is read."""
     n = len(frames)
     if n == 0:
         raise DataError("empty stream")
@@ -207,12 +213,9 @@ def _fold(
     for start in range(0, n, SCORE_ROWS_PER_CALL):
         stop = start + SCORE_ROWS_PER_CALL
         block = frames[start:stop]
-        if isinstance(block, StreamFrames):  # read its columns; frames are made if iterated
-            features, indices = block.features, block.frame_indices.tolist()
-        else:
+        if not isinstance(block, StreamFrames):  # which makes a frame only when one is read
             block = list(block)
-            features, indices = [f.feature for f in block], [f.frame_index for f in block]
-        ys, *context = step(block, features)
+        indices, ys, *context = step(block)
         block_columns = (
             indices,
             repeat(None) if ground_truth is None else ground_truth[start:stop],
@@ -299,12 +302,12 @@ class Engine:
         frame visited exactly once. ``ground_truth`` is harness-side only;
         it is copied into the trace and never touches the model."""
 
-        def process_block(block: Sequence[StreamFrame], features) -> Iterator[tuple]:
+        def process_block(block: Sequence[StreamFrame]) -> Iterator[tuple]:
             rows = []
             for frame in block:
                 v = self.process_frame(frame.feature, frame.frame_index, frame.time)
-                rows.append((v.y, int(v.pseudo), v.finetuned_this_frame, len(self.online),
-                             self.cumulative_flops))
+                rows.append((v.frame_index, v.y, int(v.pseudo), v.finetuned_this_frame,
+                             len(self.online), self.cumulative_flops))
             return zip(*rows)
 
         return _fold(frames, ground_truth, self.params.eval_threshold, process_block)
@@ -345,13 +348,29 @@ def run_baseline_smoothed(
     and the average runs over the block's scores as Python floats. A stack
     that will not form or score is scored a frame at a time, so the first
     frame that is not a finite (d,) row raises the DataError it raises on
-    its own. A momentum that is not a real number in [0, 1) is a ConfigError."""
+    its own. Each block first passes the stream door: ``check_frame`` after
+    the last frame, and ``first_bad_frame`` on a ``StreamFrames`` of int64
+    indices and float64 times, whose frames are not made. A momentum that
+    is not a real number in [0, 1) is a ConfigError."""
     check_value("momentum", momentum, float, MOMENTUM_RULE)
     rest = 1.0 - momentum
-    ema: float | None = None  # the last frame's average, carried into the next block
+    ema = last = None  # the last frame's average and (index, time), carried into the next block
 
-    def score_block(block: Sequence[StreamFrame], features) -> tuple:
-        nonlocal ema
+    def score_block(block: Sequence[StreamFrame]) -> tuple:
+        nonlocal ema, last
+        if isinstance(block, StreamFrames) and (block.frame_indices.dtype, block.times.dtype) == (
+                np.int64, np.float64):
+            check_frame(block.frame_indices.item(0), block.times.item(0), last)
+            if fault := first_bad_frame(block.frame_indices, block.times):
+                raise DataError(fault[1])
+            features, indices = block.features, block.frame_indices.tolist()
+            last = indices[-1], block.times.item(-1)
+        else:
+            features, indices = [], []
+            for frame in block:
+                last = check_frame(frame.frame_index, frame.time, last), frame.time
+                features.append(frame.feature)
+                indices.append(last[0])
         try:
             scores = forward(head, features)
         except DataError:
@@ -369,7 +388,7 @@ def run_baseline_smoothed(
             for i, y in enumerate(ys):
                 ema = y if ema is None else momentum * ema + rest * y
                 ys[i] = ema
-        return ys, repeat(None), repeat(False), repeat(0), repeat(0.0)
+        return indices, ys, repeat(None), repeat(False), repeat(0), repeat(0.0)
 
     return _fold(frames, ground_truth, eval_threshold, score_block)
 
@@ -445,17 +464,22 @@ def write_trace_csv(path: str | Path, trace: Iterable[TraceRecord]) -> None:
     _write_trace(path, trace, ",".join(TRACE_COLUMNS) + "\n", _CSV_PIECES, _CSV_SPELLING)
 
 
-def _read_trace(path: str | Path, lines: list[str], parse_row) -> Trace:
-    """Parse every non-blank line. A row the parser rejects (a wrong cell
-    count or type, a missing key, not JSON) is a DataError naming the file
-    and the row; a ground truth or decision that ``check_labels`` refuses, the column."""
+def read_trace_csv(path: str | Path) -> Trace:
+    """The trace in a CSV trace file, blank lines skipped: the one trace
+    reader. A file whose first line is not the header is not a trace file;
+    a row with a wrong cell count or a cell its field does not take is a
+    DataError naming the file and the row; a ground truth or decision that
+    ``check_labels`` refuses, the file and the column."""
+    with open_text(path, DataError) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+        raise DataError(f"{path}: not a trace file")
     rows = []
-    for line in lines:
-        if not line:
-            continue
+    for line in filter(None, lines[1:]):
         try:
-            rows.append(parse_row(line))
-        except (ValueError, TypeError) as exc:
+            cells = zip(line.split(","), _FIELD_TYPES, strict=True)
+            rows.append([_parse_cell(cell, types) for cell, types in cells])
+        except ValueError as exc:
             raise DataError(f"{path}: malformed trace row {line!r}") from exc
     trace = Trace.from_records(rows)
     truths = [v for v in trace.columns.ground_truth if v is not None]
@@ -467,33 +491,6 @@ def _read_trace(path: str | Path, lines: list[str], parse_row) -> Trace:
     return trace
 
 
-def _parse_csv_row(line: str) -> list:
-    cells = zip(line.split(","), _FIELD_TYPES, strict=True)
-    return [_parse_cell(cell, types) for cell, types in cells]
-
-
-def _parse_jsonl_row(line: str) -> TraceRecord:
-    record = TraceRecord(**json.loads(line))
-    if any(type(v) not in t for v, t in zip(record, _FIELD_TYPES)):
-        raise TypeError("a trace field has the wrong type")
-    return record
-
-
-def _text_lines(path: str | Path) -> list[str]:
-    with open_text(path, DataError) as fh:
-        return fh.read().splitlines()
-
-
-def read_trace_csv(path: str | Path) -> Trace:
-    lines = _text_lines(path)
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise DataError(f"{path}: not a trace file")
-    return _read_trace(path, lines[1:], _parse_csv_row)
-
-
 def write_trace_jsonl(path: str | Path, trace: Iterable[TraceRecord]) -> None:
+    """Write each record as ``json.dumps`` of its ``_asdict()``, a line each."""
     _write_trace(path, trace, "", _JSON_PIECES, _JSON_SPELLING)
-
-
-def read_trace_jsonl(path: str | Path) -> Trace:
-    return _read_trace(path, _text_lines(path), _parse_jsonl_row)

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto fixed exit codes: ConfigError -> 2,
-DataError -> 3, NumericalError -> 4.
+DataError -> 3, NumericalError -> 4. An input file that cannot be opened
+is a DataError, or a ConfigError for a config file.
 """
 
 

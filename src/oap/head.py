@@ -67,7 +67,7 @@ from pathlib import Path
 import numpy as np
 from numpy.exceptions import ComplexWarning
 
-from .config import check_ranges, check_value
+from .config import check_ranges, check_value, open_text
 from .errors import DataError, NumericalError
 
 HIDDEN_UNITS = 64
@@ -525,7 +525,8 @@ def save_head(head: ClassifierHead, path: str | Path) -> None:
 
 
 def load_head(path: str | Path) -> ClassifierHead:
-    return _decode_head(path, Path(path).read_bytes())
+    with open_text(path, DataError) as fh:  # its bytes are read, not decoded
+        return _decode_head(path, fh.buffer.read())
 
 
 def _decode_head(path: str | Path, raw: bytes) -> ClassifierHead:

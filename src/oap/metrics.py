@@ -101,14 +101,6 @@ class MetricReport:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        return cls(**json.loads(text))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MetricReport":
-        return cls.from_json(Path(path).read_text())
-
 
 def evaluate_frames(scores, labels, threshold: float = 0.5) -> MetricReport:
     """Full report over a set of scored frames, split by class once."""

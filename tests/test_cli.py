@@ -514,6 +514,24 @@ def test_empty_stream_exits_3_writing_nothing(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("second", ["the same path", "another directory"])
+def test_run_refuses_two_streams_with_one_stem_writing_nothing(pipeline, tmp_path, capsys,
+                                                               second):
+    """Traces are named by the stream's file stem, so a second stream of
+    that stem would overwrite the first one's traces: exit 2, naming it."""
+    _, gen_dir, _ = pipeline
+    stream = gen_dir / "stream_seed0.oapf"
+    copy = tmp_path / "other" / stream.name
+    copy.parent.mkdir()
+    copy.write_bytes(stream.read_bytes())
+    argv = command_argv("run", pipeline, tmp_path)
+    argv += ["--stream", str(stream if second == "the same path" else copy)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "two --stream files share the stem 'stream_seed0'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def seed_traces(pipeline):
     """Trace CSVs of a two-seed oap run on one stream, for the report tests."""
@@ -672,10 +690,13 @@ def truncated_mid_row(source: bytes) -> bytes:
     return b"\n".join(lines[:middle] + [lines[middle][: len(lines[middle]) // 2]])
 
 
+# Each kind makes the broken file at ``path`` from the ``source`` bytes of a good one.
 BROKEN_FILES = {
-    "corrupt": lambda source: b"\xff" + source,
-    "empty": lambda source: b"",
-    "truncated mid-row": truncated_mid_row,
+    "corrupt": lambda path, source: path.write_bytes(b"\xff" + source),
+    "empty": lambda path, source: path.write_bytes(b""),
+    "truncated mid-row": lambda path, source: path.write_bytes(truncated_mid_row(source)),
+    "missing": lambda path, source: None,
+    "a directory": lambda path, source: path.mkdir(),
 }
 CONFIG_TEXT = b"seed = 0\nreplay_size = 10\npretrain_iterations = 10\n"
 
@@ -690,9 +711,9 @@ CONFIG_TEXT = b"seed = 0\nreplay_size = 10\npretrain_iterations = 10\n"
 def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_traces, tmp_path,
                                                                capsys, command, flag, broken):
     """Every flag that reads a file, given a corrupt file (one that starts
-    with a byte that is not UTF-8), an empty one or one truncated mid-row,
-    exits 2 for a config file or 3 for a data file, names the file and
-    writes no output."""
+    with a byte that is not UTF-8), an empty one, one truncated mid-row, a
+    path to no file or a directory, exits 2 for a config file or 3 for a
+    data file, names the file and writes no output."""
     _, gen_dir, pre_dir = pipeline
     source = {
         "--train": gen_dir / "train.oapf", "--stream": gen_dir / "stream_seed0.oapf",
@@ -700,7 +721,7 @@ def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_tr
         "--trace": seed_traces[0],
     }.get(flag)
     bad = tmp_path / "bad"
-    bad.write_bytes(BROKEN_FILES[broken](source.read_bytes() if source else CONFIG_TEXT))
+    BROKEN_FILES[broken](bad, source.read_bytes() if source else CONFIG_TEXT)
     out = tmp_path / "out"
     if command == "report":
         argv = ["report", "--trace", str(bad), "--out", str(out)]
@@ -708,7 +729,11 @@ def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_tr
         argv = command_argv(command, pipeline, tmp_path) + [flag, str(bad)]
     capsys.readouterr()
     assert main(argv) == (2 if flag == "--config" else 3)
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if broken in ("missing", "a directory"):
+        reason = "No such file or directory" if broken == "missing" else "Is a directory"
+        assert err.endswith(f"{bad}: cannot read ({reason})\n")
     assert not out.exists()
 
 

@@ -11,11 +11,11 @@ from oap.config import ClassLabel, HyperParams, PseudoLabel
 from oap.engine import (
     SCORE_ROWS_PER_CALL,
     Engine,
+    TraceRecord,
     adaptation_cost,
     calibrated_kflops_per_frame,
     per_sample_flops,
     read_trace_csv,
-    read_trace_jsonl,
     run_baseline_frozen,
     run_baseline_smoothed,
     write_trace_csv,
@@ -688,12 +688,25 @@ class TestTraceFiles:
         write_trace_csv(path, trace)
         assert read_trace_csv(path) == trace
 
-    def test_jsonl_round_trip(self, artifacts, tmp_path):
-        head, replay, frames, _ = artifacts
-        trace = Engine(head, replay, desk_params()).run_stream(frames[:40])
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, trace)
-        assert read_trace_jsonl(path) == trace
+    @pytest.mark.parametrize("write", [write_trace_csv, write_trace_jsonl])
+    @pytest.mark.parametrize("record, words", [
+        (TraceRecord(np.int64(1), None, 0.5, 1, None, False, 0, 0.0),
+         "frame_index np.int64(1) is not int"),
+        (TraceRecord(1, None, np.float64(0.5), 1, None, False, 0, 0.0),
+         "y np.float64(0.5) is not float"),
+        (TraceRecord(1, True, 0.5, 1, None, False, 0, 0.0), "ground_truth True is not int | NoneType"),
+        (TraceRecord(1, None, 0.5, 1, None, 1, 0, 0.0), "finetuned 1 is not bool"),
+    ])
+    def test_writers_refuse_a_record_the_reader_would_refuse(self, tmp_path, write, record,
+                                                              words):
+        """A value not exactly of its field's type (a bool is not an int) is
+        a DataError naming the field and the first record holding one, and
+        no file is written."""
+        good = TraceRecord(0, None, 0.5, 1, None, False, 0, 0.0)
+        path = tmp_path / "trace"
+        with pytest.raises(DataError, match=f"^trace record 2: {re.escape(words)}$"):
+            write(path, [good, record, record])
+        assert not path.exists()
 
     def test_bad_csv_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -701,16 +714,14 @@ class TestTraceFiles:
         with pytest.raises(DataError):
             read_trace_csv(path)
 
-    @pytest.mark.parametrize("write, read", [(write_trace_csv, read_trace_csv),
-                                             (write_trace_jsonl, read_trace_jsonl)])
-    def test_undecodable_bytes_rejected(self, artifacts, tmp_path, write, read):
+    def test_undecodable_bytes_rejected(self, artifacts, tmp_path):
         """A byte that is not UTF-8 is a DataError naming the file."""
         head, _, frames, _ = artifacts
         path = tmp_path / "trace"
-        write(path, run_baseline_frozen(head, frames[:3]))
+        write_trace_csv(path, run_baseline_frozen(head, frames[:3]))
         path.write_bytes(path.read_bytes() + b"4,\xff\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: not a text file")):
-            read(path)
+            read_trace_csv(path)
 
     @pytest.mark.parametrize(
         "column, cell", [(2, "abc"), (0, "1.5"), (5, ""), (5, "2"), (7, "0.0,1")]
@@ -728,25 +739,6 @@ class TestTraceFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="malformed trace row"):
             read_trace_csv(path)
-
-    @pytest.mark.parametrize("line", [
-        '{"frame_index": 1}',
-        "not json",
-        "[1, 2]",
-        '{"frame_index": 4, "ground_truth": null, "y": "abc", "decision": 1, '
-        '"pseudo_label": null, "finetuned": false, "buffer_size": 0, "cumulative_flops": 0.0}',
-        '{"frame_index": 4, "ground_truth": null, "y": 0.5, "decision": true, '
-        '"pseudo_label": null, "finetuned": false, "buffer_size": 0, "cumulative_flops": 0.0}',
-    ])
-    def test_malformed_jsonl_line_rejected(self, artifacts, tmp_path, line):
-        """A missing key, a value of the wrong type or a line that is not a
-        JSON object is a DataError."""
-        head, _, frames, _ = artifacts
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, run_baseline_frozen(head, frames[:3]))
-        path.write_text(path.read_text() + line + "\n")
-        with pytest.raises(DataError, match="malformed trace row"):
-            read_trace_jsonl(path)
 
     def test_empty_stream_rejected(self, artifacts):
         head, replay, _, _ = artifacts

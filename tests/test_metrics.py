@@ -1,18 +1,14 @@
 """Fixed-threshold error rates and the equal error rate, checked against
 a dense brute-force threshold sweep."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from oap.errors import DataError
-from oap.metrics import (
-    MetricReport,
-    equal_error_rate,
-    evaluate_frames,
-    fixed_threshold_metrics,
-)
+from oap.metrics import equal_error_rate, evaluate_frames, fixed_threshold_metrics
 
 from oracles import dense_sweep_eer
 
@@ -123,7 +119,7 @@ class TestReport:
         assert set(payload) == {"apcer", "bpcer", "acer", "eer", "threshold", "n_live", "n_spoof"}
         path = tmp_path / "metrics.json"
         report.save(path)
-        assert MetricReport.load(path) == report
+        assert json.loads(path.read_text()) == dataclasses.asdict(report)
 
     def test_counts(self):
         report = evaluate_frames([0.1, 0.9, 0.8], [0, 1, 1])

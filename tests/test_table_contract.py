@@ -13,8 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from oap.engine import Engine, read_trace_csv, read_trace_jsonl, run_baseline_frozen
-from oap.engine import run_baseline_smoothed, write_trace_csv, write_trace_jsonl
+from oap.engine import Engine, read_trace_csv, run_baseline_frozen, run_baseline_smoothed
+from oap.engine import write_trace_csv
 from oap.errors import DataError
 from oap.head import PretrainSchedule, check_features, check_labels, forward_batch, init_head
 from oap.head import loss_and_grad, pretrain
@@ -178,38 +178,30 @@ def test_any_real_0_or_1_ground_truth_gives_the_same_trace_bytes(runner, tmp_pat
         assert (tmp_path / "other.csv").read_bytes() == want
 
 
-def trace_file(tmp_path, write, change: dict):
-    """A frozen trace of FRAMES, written by ``write`` with the fields in
+def trace_file(tmp_path, change: dict):
+    """A frozen trace of FRAMES, written as CSV with the fields in
     ``change`` replaced in its third record."""
     trace = list(run_baseline_frozen(HEAD, FRAMES, ground_truth=GOOD_LABELS))
     trace[2] = trace[2]._replace(**change)
-    path = tmp_path / "trace"
-    write(path, trace)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
     return path
 
 
-READERS = {"csv": (write_trace_csv, read_trace_csv),
-           "jsonl": (write_trace_jsonl, read_trace_jsonl)}
-
-
-@pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("column, value", [("ground_truth", 7), ("decision", 5),
                                            ("ground_truth", -1), ("decision", 2**70)])
-def test_the_trace_readers_refuse_a_label_other_than_0_or_1(tmp_path, reader, column, value):
-    write, read = READERS[reader]
-    path = trace_file(tmp_path, write, {column: value})
-    assert refusal(lambda: read(path)) == f"{path}: {column}: labels must be 0 or 1"
+def test_the_trace_reader_refuses_a_label_other_than_0_or_1(tmp_path, column, value):
+    path = trace_file(tmp_path, {column: value})
+    assert refusal(lambda: read_trace_csv(path)) == f"{path}: {column}: labels must be 0 or 1"
 
 
-@pytest.mark.parametrize("reader", READERS)
-def test_the_trace_readers_take_an_unknown_ground_truth(tmp_path, reader):
-    write, read = READERS[reader]
+def test_the_trace_reader_takes_an_unknown_ground_truth(tmp_path):
     trace = run_baseline_frozen(HEAD, FRAMES)
     assert [r.ground_truth for r in trace] == [None] * len(FRAMES)
-    write(tmp_path / "trace", trace)
-    assert read(tmp_path / "trace") == trace
-    path = trace_file(tmp_path, write, {"ground_truth": None})
-    assert [r.ground_truth for r in read(path)] == [0, 1, None, 1]
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    assert read_trace_csv(tmp_path / "trace.csv") == trace
+    path = trace_file(tmp_path, {"ground_truth": None})
+    assert [r.ground_truth for r in read_trace_csv(path)] == [0, 1, None, 1]
 
 
 def test_the_features_door_hands_a_float64_matrix_back_as_it_is():
