@@ -18,7 +18,8 @@ may carry keys for other tools.
 
 Exit codes are fixed for scripting: 0 success, 2 config/validation error,
 3 data error, 4 numerical failure. An input file that cannot be opened (a
-missing one, a directory) is a data error, or a config error for ``--config``.
+missing one, a directory) is a data error, or a config error for ``--config``;
+an output path that cannot be written is a config error, found before any work.
 """
 
 from __future__ import annotations
@@ -117,6 +118,19 @@ def echo_config(mapping: dict[str, str], out_dir: Path) -> Path:
     lines = [f"{key} = {mapping[key]}" for key in sorted(mapping)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _check_outputs(args) -> None:
+    """A ConfigError for an output path that cannot be written: ``--out`` a directory or a
+    path ``mkdir`` can make one, ``report --out`` and ``--save-head`` a file in a directory."""
+    files = [args.out] if args.command == "report" else [getattr(args, "save_head", None)]
+    for path in map(Path, filter(None, files)):
+        if path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"{path}: not a file in an existing directory")
+    out = Path(args.out)
+    nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if args.command != "report" and not nearest.is_dir():
+        raise ConfigError(f"{out}: not a directory, and no directory can be made there")
 
 
 def cmd_generate(args) -> int:
@@ -403,6 +417,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,14 +19,13 @@ a TraceRecord's fields, in order, are the columns of the trace files. Both
 are built with ``tuple.__new__``, which skips the NamedTuple's Python-level
 ``__new__`` (0.20 us against 0.41 us for a verdict, ``timeit`` on a 2-vCPU
 Intel Xeon).
-``Engine.run_stream`` and both baselines run through one block fold: it
-reads the stream SCORE_ROWS_PER_CALL frames at a time, hands each block to
-the runner's block step (``process_frame`` frame by frame for the engine,
-one stacked ``forward`` call for the baselines, whose head never changes)
-and extends one column per trace field with the step's columns, among them
-the frame indices its stream door checked, into a ``Trace``. No frame is
-made twice, and a ``StreamFrames`` stream is scored from its arrays. Both
-trace formats share a ``Trace``'s cells: each value's repr is made once.
+``Engine.run_stream`` and both baselines run through one block fold and one
+stream door, which passes each block of SCORE_ROWS_PER_CALL frames up to the
+first frame ``process_frame`` would refuse, as int64 and float64 columns (by
+column from a ``StreamFrames`` of them, else frame by frame). The runner's
+step scores them (``process_frame`` a frame at a time for the engine, one
+stacked ``forward`` for the baselines) into a ``Trace``; then the refused
+frame raises its own DataError. Both trace formats share a ``Trace``'s cells.
 ``read_trace_csv`` is the one trace reader; the JSON lines are for other tools.
 
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
@@ -54,6 +53,7 @@ from .head import (
     AdamState,
     ClassifierHead,
     apply_update,
+    check_features,
     check_labels,
     forward,
 )
@@ -146,9 +146,13 @@ class Trace(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[Sequence]) -> Trace:
-        """The trace of ``records``; a DataError names the first field, and its
-        first record, holding a value not exactly of a type the field admits."""
-        rows = list(records)
+        """The trace of ``records``; a DataError names the first record of another
+        length, else the first field, and its first record, holding a value
+        not exactly of a type the field admits."""
+        rows, want = list(records), len(TRACE_COLUMNS)
+        if not set(map(len, rows)) <= {want}:
+            k = next(k for k, row in enumerate(rows) if len(row) != want)
+            raise DataError(f"trace record {k + 1}: {len(rows[k])} fields, want {want}")
         trace = cls(zip(*rows) if rows else repeat((), len(TRACE_COLUMNS)))
         for name, column, types in zip(TRACE_COLUMNS, trace.columns, _FIELD_TYPES):
             if not set(map(type, column)).issubset(types):
@@ -192,40 +196,63 @@ class Trace(Sequence):
         return made
 
 
-def _fold(
-    frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, step: Callable
-) -> Trace:
+def _fold(frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, head: ClassifierHead,
+          step: Callable, last: tuple | None = None) -> Trace:
     """The one stream runner behind the engine and both baselines. It reads
-    the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time; a
-    block of any sequence but a ``StreamFrames`` is made into a list once.
-    ``step(block)`` returns the column of frame indices, as the ints its
-    stream door checked, the column of ``y`` and then the columns of the
-    trace fields after ``decision`` (a constant column may be a ``repeat``);
-    the fold adds the ground truth (which ``step`` never sees) and the
-    decisions, and extends the trace's columns with the block's. No record
-    is made: the ``Trace`` makes one when it is read."""
+    the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time,
+    through ``_door`` after ``last``, the (index, time) of the frame before
+    it, if any. ``step`` takes the door's ``StreamFrames`` and returns a
+    column each of their int frame indices, ``y`` and the trace fields after
+    ``decision`` (a constant one may be a ``repeat``). Then the refused frame,
+    if any, raises the DataError of ``process_frame``. No record is made: the
+    ``Trace`` makes one when it is read."""
     n = len(frames)
     if n == 0:
         raise DataError("empty stream")
+    truth = [None] * n
     if ground_truth is not None:  # the labels rule's spoof mask, as 0/1 ints
-        ground_truth = check_labels(ground_truth, n).view(np.uint8).tolist()
-    columns = [[] for _ in TRACE_COLUMNS]
+        truth = check_labels(ground_truth, n).view(np.uint8).tolist()
+    made = [[] for _ in range(len(TRACE_COLUMNS) - 2)]  # all but the truth and the decisions
     for start in range(0, n, SCORE_ROWS_PER_CALL):
-        stop = start + SCORE_ROWS_PER_CALL
-        block = frames[start:stop]
-        if not isinstance(block, StreamFrames):  # which makes a frame only when one is read
-            block = list(block)
-        indices, ys, *context = step(block)
-        block_columns = (
-            indices,
-            repeat(None) if ground_truth is None else ground_truth[start:stop],
-            ys,
-            [1 if y > eval_threshold else 0 for y in ys],  # spoof iff y > eval_threshold
-            *context,
-        )
-        for column, values in zip(columns, block_columns):
-            column += islice(values, len(ys))
-    return Trace(columns)
+        block = frames[start : start + SCORE_ROWS_PER_CALL]
+        good, last = _door(block, head.d, last)
+        for column, values in zip(made, step(good)):
+            column += islice(values, len(good))
+        if len(good) < len(block):
+            frame = block[len(good)]
+            check_frame(frame.frame_index, frame.time, last)
+            forward(head, frame.feature)  # raises, unless the feature is a stack of rows
+            raise _not_a_row(head, frame.feature)
+    indices, ys, *context = made
+    decisions = [1 if y > eval_threshold else 0 for y in ys]  # spoof iff y > eval_threshold
+    return Trace((indices, truth, ys, decisions, *context))
+
+
+def _door(block: Sequence[StreamFrame], d: int, last) -> tuple[StreamFrames, tuple | None]:
+    """The frames of ``block`` before the first that ``process_frame`` would
+    refuse after ``last``, as int64 indices, float64 times and (k, d) float64
+    features, and the (index, time) of the last, as the stream holds it, or
+    ``last``. A ``StreamFrames`` of such columns is checked by column (a
+    refused first frame raises at once), any other sequence frame by frame."""
+    if isinstance(block, StreamFrames) and block.features.shape[1:] == (d,) and (
+            block.frame_indices.dtype, block.times.dtype, block.features.dtype) == (
+            np.int64, np.float64, np.float64):
+        check_frame(block.frame_indices.item(0), block.times.item(0), last)
+        fault = first_bad_frame(block.frame_indices, block.times)
+        rows = np.flatnonzero(~np.isfinite(block.features)) // d  # of the non-finite values
+        good = block[: min([fault[0] if fault else len(block), *rows[:1]])]
+        return good, (good.frame_indices.item(-1), good.times.item(-1)) if len(good) else last
+    good = []
+    for frame in block:
+        try:  # the feature as a (1, d) row, then the frame's order
+            row = check_features([frame.feature], d)
+            last = check_frame(frame.frame_index, frame.time, last), frame.time
+        except DataError:
+            break
+        good.append((row, *last))
+    features, indices, times = list(zip(*good)) or [(), (), ()]
+    return StreamFrames(np.array(features).reshape(len(good), d), np.array(indices, dtype=np.int64),
+                        np.array(times, dtype=np.float64)), last
 
 
 class Engine:
@@ -298,11 +325,11 @@ class Engine:
         return True
 
     def run_stream(self, frames: Sequence[StreamFrame], ground_truth=None) -> Trace:
-        """Fold process_frame over the stream: one verdict per frame, each
-        frame visited exactly once. ``ground_truth`` is harness-side only;
-        it is copied into the trace and never touches the model."""
+        """Fold process_frame over the stream (see ``_fold``), each frame once,
+        its time read as a float64. ``ground_truth`` is harness-side only; it
+        is copied into the trace and never touches the model."""
 
-        def process_block(block: Sequence[StreamFrame]) -> Iterator[tuple]:
+        def process_block(block: StreamFrames) -> Iterator[tuple]:
             rows = []
             for frame in block:
                 v = self.process_frame(frame.feature, frame.frame_index, frame.time)
@@ -310,7 +337,8 @@ class Engine:
                              len(self.online), self.cumulative_flops))
             return zip(*rows)
 
-        return _fold(frames, ground_truth, self.params.eval_threshold, process_block)
+        return _fold(frames, ground_truth, self.params.eval_threshold, self.head, process_block,
+                     self.last_frame)
 
 
 def _not_a_row(head: ClassifierHead, feature) -> DataError:
@@ -343,54 +371,26 @@ def run_baseline_smoothed(
 ) -> Trace:
     """Frozen head whose emitted probability is an exponential moving
     average of the per-frame probabilities. The head never changes, so each
-    block of the fold is scored in one ``forward`` call on its stack of
-    features, with the bits of per-frame scoring (see ``forward_batch``),
-    and the average runs over the block's scores as Python floats. A stack
-    that will not form or score is scored a frame at a time, so the first
-    frame that is not a finite (d,) row raises the DataError it raises on
-    its own. Each block first passes the stream door: ``check_frame`` after
-    the last frame, and ``first_bad_frame`` on a ``StreamFrames`` of int64
-    indices and float64 times, whose frames are not made. A momentum that
-    is not a real number in [0, 1) is a ConfigError."""
+    block that passed the fold's stream door is scored in one ``forward``
+    call on its stack of features, with the bits of per-frame scoring (see
+    ``forward_batch``), and the average runs over the block's scores as
+    Python floats. The first frame ``process_frame`` would refuse raises its
+    DataError there. A momentum that is not a real number in [0, 1) is a
+    ConfigError."""
     check_value("momentum", momentum, float, MOMENTUM_RULE)
     rest = 1.0 - momentum
-    ema = last = None  # the last frame's average and (index, time), carried into the next block
+    ema = None  # the last frame's average, carried into the next block
 
-    def score_block(block: Sequence[StreamFrame]) -> tuple:
-        nonlocal ema, last
-        if isinstance(block, StreamFrames) and (block.frame_indices.dtype, block.times.dtype) == (
-                np.int64, np.float64):
-            check_frame(block.frame_indices.item(0), block.times.item(0), last)
-            if fault := first_bad_frame(block.frame_indices, block.times):
-                raise DataError(fault[1])
-            features, indices = block.features, block.frame_indices.tolist()
-            last = indices[-1], block.times.item(-1)
-        else:
-            features, indices = [], []
-            for frame in block:
-                last = check_frame(frame.frame_index, frame.time, last), frame.time
-                features.append(frame.feature)
-                indices.append(last[0])
-        try:
-            scores = forward(head, features)
-        except DataError:
-            scores = None
-        if isinstance(scores, np.ndarray):  # one probability per row of the stack
-            ys = scores.tolist()
-        else:  # frame by frame, so the first bad frame raises its own DataError
-            ys = []
-            for feature in features:
-                y = forward(head, feature)
-                if y.__class__ is not float:
-                    raise _not_a_row(head, feature)
-                ys.append(y)
+    def score_block(block: StreamFrames) -> tuple:
+        nonlocal ema
+        ys = forward(head, block.features).tolist()
         if momentum:  # at momentum 0 each average is exactly its y
             for i, y in enumerate(ys):
                 ema = y if ema is None else momentum * ema + rest * y
                 ys[i] = ema
-        return indices, ys, repeat(None), repeat(False), repeat(0), repeat(0.0)
+        return block.frame_indices.tolist(), ys, repeat(None), repeat(False), repeat(0), repeat(0.0)
 
-    return _fold(frames, ground_truth, eval_threshold, score_block)
+    return _fold(frames, ground_truth, eval_threshold, head, score_block)
 
 
 # ---------------------------------------------------------------------------

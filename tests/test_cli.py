@@ -737,6 +737,52 @@ def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_tr
     assert not out.exists()
 
 
+# Each kind of output path that cannot be written, under ``root`` beside a
+# file ``afile`` and a link ``alink`` to nothing: its flag and the path.
+UNWRITABLE_OUTPUTS = {
+    "--out a file": ("--out", lambda root: root / "afile"),
+    "--out under a file": ("--out", lambda root: root / "afile" / "out"),
+    "--out a broken link": ("--out", lambda root: root / "alink"),
+    "report --out in no directory": ("--out", lambda root: root / "nodir" / "merged.csv"),
+    "report --out a directory": ("--out", lambda root: root),
+    "--save-head in no directory": ("--save-head", lambda root: root / "nodir" / "head.oaph"),
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("generate", "--out a file"), ("pretrain", "--out a file"), ("run", "--out a file"),
+    ("sweep", "--out a file"), ("sweep", "--out under a file"), ("run", "--out a broken link"),
+    ("report", "report --out in no directory"), ("report", "report --out a directory"),
+    ("run", "--save-head in no directory"),
+])
+def test_unwritable_output_path_exits_2_writing_nothing(pipeline, seed_traces, tmp_path, capsys,
+                                                         monkeypatch, command, kind):
+    """The output-side twin of the broken input file: an output path that
+    cannot be written exits 2 with one config error line naming it, before
+    any input is read, and writes nothing."""
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    (tmp_path / "alink").symlink_to(tmp_path / "nowhere")
+    flag, make = UNWRITABLE_OUTPUTS[kind]
+    path = make(tmp_path)
+    if command == "report":
+        argv = ["report", "--trace", str(seed_traces[0]), "--out", str(path)]
+    else:
+        argv = command_argv(command, pipeline, tmp_path) + [flag, str(path)]
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for name in ("load_feature_file", "load_head", "read_trace_csv", "generate_pretraining_set"):
+        monkeypatch.setattr(f"oap.cli.{name}", work)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "alink"]
+    assert afile.read_bytes() == b"kept" and not (tmp_path / "nowhere").exists()
+
+
 def with_cell(source: bytes, offset: int, cell: bytes) -> bytes:
     """The ``oapf v2`` file ``source`` with the 8 bytes at ``offset`` of its
     first record, which starts after the header line, replaced by ``cell``."""

@@ -29,6 +29,7 @@ from oap.simstream import (
     GeneratorConfig,
     Segment,
     StreamFrame,
+    StreamFrames,
     StreamScenario,
     generate_pretraining_set,
     generate_stream,
@@ -634,6 +635,36 @@ def test_each_frame_is_made_once(artifacts, kind, n):
     assert counting.made[0] <= n
 
 
+@pytest.mark.parametrize("form", ["list", "StreamFrames"])
+@pytest.mark.parametrize("fault", ["nan feature", "time going back"])
+@pytest.mark.parametrize("at", [500, SCORE_ROWS_PER_CALL + 5], ids=["mid-block", "second block"])
+def test_a_refused_frame_leaves_the_state_of_the_per_frame_loop(artifacts, form, fault, at):
+    """``run_stream`` runs the frames before a refused one, then raises its
+    DataError: the engine is left as a loop of ``process_frame`` over the
+    same frames leaves it, fine-tuning on every frame."""
+    head, replay, _, _ = artifacts
+    frames = rows(at + 5)
+    bad = frames[at]
+    if fault == "nan feature":
+        frames[at] = StreamFrame(np.full(D, np.nan), bad.frame_index, bad.time)
+    else:
+        frames[at] = StreamFrame(bad.feature, bad.frame_index, -1.0)
+    params = desk_params(margin=0.3, finetune_freq=1.0)
+    loop = Engine(head, replay, params)
+    with pytest.raises(DataError) as want:
+        for f in frames:
+            loop.process_frame(f.feature, f.frame_index, f.time)
+    stream = frames if form == "list" else StreamFrames(
+        np.array([f.feature for f in frames]), np.array([f.frame_index for f in frames]),
+        np.array([f.time for f in frames]))
+    engine = Engine(head, replay, params)
+    with pytest.raises(DataError) as got:
+        engine.run_stream(stream)
+    assert str(got.value) == str(want.value)
+    assert engine.adam.step_count > 0 and len(engine.online) > 0
+    assert engine_state(engine) == engine_state(loop)
+
+
 class TestSmoothedBaseline:
     def test_zero_momentum_equals_frozen(self, artifacts):
         head, _, frames, _ = artifacts
@@ -706,6 +737,20 @@ class TestTraceFiles:
         path = tmp_path / "trace"
         with pytest.raises(DataError, match=f"^trace record 2: {re.escape(words)}$"):
             write(path, [good, record, record])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write", [write_trace_csv, write_trace_jsonl])
+    @pytest.mark.parametrize("records, words", [
+        ([(1, None, 0.5)], "trace record 1: 3 fields, want 8"),
+        ([(0, None, 0.5, 1, None, False, 0, 0.0), (1, None, 0.5, 1, None, False, 0, 0.0, 7)],
+         "trace record 2: 9 fields, want 8"),
+    ], ids=["three fields", "nine after eight"])
+    def test_writers_refuse_a_record_of_another_length(self, tmp_path, write, records, words):
+        """A record of too few or too many fields is a DataError naming it,
+        and no file is written: the columns are not cut to the shortest."""
+        path = tmp_path / "trace"
+        with pytest.raises(DataError, match=f"^{words}$"):
+            write(path, records)
         assert not path.exists()
 
     def test_bad_csv_rejected(self, tmp_path):

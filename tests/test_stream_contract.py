@@ -1,10 +1,12 @@
 """The stream contract has one scalar door, ``memory.check_frame``, behind
-``Engine.process_frame`` and ``OnlineBuffer.insert``, and one block door,
-``memory.first_bad_frame``, behind the CLI; the baselines check a block
-through either. The block door refuses the frame the scalar doors and the
-baselines refuse first, in the same words, and the words are spelled in
-one module only. Every runner's trace takes its frame indices from its
-door, so they read back from a trace file."""
+``Engine.process_frame`` and ``OnlineBuffer.insert``, one block door,
+``memory.first_bad_frame``, behind the CLI, and one stream door behind the
+three runners, which checks a ``StreamFrames`` of int64 and float64
+columns by column and any other stream frame by frame. Each refuses the
+frame the scalar doors refuse first, in the same words, and the words are
+spelled in one module only. Every runner's trace takes its frame indices
+from its door, so they read back from a trace file, and is the same trace
+whichever form of the stream it reads."""
 
 import ast
 import math
@@ -31,15 +33,20 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 HEAD = init_head(D, np.random.default_rng(0))
 EMPTY_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 FAULTS = ("nan time", "inf time", "repeated index", "index going back", "time going back")
+FEATURE_FAULTS = ("nan", "inf", "-inf", "wide row")
 BASELINES = {"frozen": lambda frames: run_baseline_frozen(HEAD, frames),
              "ema": lambda frames: run_baseline_smoothed(HEAD, frames, 0.9)}
+RUNNERS = {"engine": lambda frames: Engine(HEAD, EMPTY_REPLAY, desk_params(
+    margin=0.5, finetune_freq=0.5)).run_stream(frames), **BASELINES}
 
 
 @st.composite
 def columns(draw):
     """An index and a time column that keep the contract, then zero to
     three planted faults, two of which may hit one row and any of which
-    may hit row 0 (where only a non-finite time can break the contract)."""
+    may hit row 0 (where only a non-finite time can break the contract),
+    and a feature per row, with zero to two planted faults of their own:
+    a non-finite value, or a row one wider than the head."""
     n = draw(st.integers(1, 30))
     start = draw(st.integers(INT64_MIN, INT64_MAX - 10 * n))
     indices = [start]
@@ -63,44 +70,60 @@ def columns(draw):
             indices[k] = max(indices[k - 1] - draw(st.integers(1, 5)), INT64_MIN)
         else:
             times[k] = times[k - 1] - draw(st.sampled_from([1e-3, 0.5, 100.0]))
-    return np.array(indices, dtype=np.int64), np.array(times, dtype=np.float64)
+    features = [np.full(D, 0.25 * k) for k in range(n)]
+    for fault, k in draw(st.lists(st.tuples(st.sampled_from(FEATURE_FAULTS), rows), max_size=2)):
+        if fault == "wide row":
+            features[k] = np.zeros(D + 1)
+        elif len(features[k]) == D:
+            features[k][draw(st.integers(0, D - 1))] = float(fault)
+    return np.array(indices, dtype=np.int64), np.array(times, dtype=np.float64), features
 
 
-def first_refusal(door, indices, times):
+def first_refusal(door, indices, times, features=None):
     """Feed the frames to ``door`` in order, as a stream of Python numbers
-    (what ``StreamFrames`` yields): the position and text of the first
-    DataError, or None."""
-    for k, (index, time) in enumerate(zip(indices.tolist(), times.tolist())):
+    (what ``StreamFrames`` yields), each with its feature if ``features``
+    are given: the position and text of the first DataError, or None."""
+    rows = zip(indices.tolist(), times.tolist(), *[features] * (features is not None))
+    for k, row in enumerate(rows):
         try:
-            door(index, time)
+            door(*row)
         except DataError as exc:
             return k, str(exc)
     return None
 
 
-def prefix_refusal(run, frames):
-    """Run the stream runner ``run`` on ever longer prefixes of ``frames``:
-    the last row of the shortest prefix it refuses and the text of its
-    DataError, or None."""
-    for k in range(len(frames)):
-        try:
-            run(frames[: k + 1])
-        except DataError as exc:
-            return k, str(exc)
-    return None
+def assert_refuses(run, frames, refusal):
+    """``run`` takes ``frames`` if ``refusal`` is None. Else, for (k, text),
+    it takes the first k frames and refuses the first k + 1, and the whole
+    stream, with ``text``."""
+    if refusal is None:
+        run(frames)
+        return
+    k, text = refusal
+    if k:
+        run(frames[:k])
+    for stream in (frames[: k + 1], frames):
+        with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+            run(stream)
 
 
 def int64s(*values):
     return np.array(values, dtype=np.int64)
 
 
+# ``forward`` may warn of the NaN an inf feature makes in its product before it refuses the row.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(cols=columns())
-@example(cols=(int64s(), np.zeros(0)))
-@example(cols=(int64s(7, 9), np.array([-math.inf, 0.0])))
-@example(cols=(int64s(3, 3), np.array([0.0, math.nan])))  # two faults on one row
+@example(cols=(int64s(), np.zeros(0), []))
+@example(cols=(int64s(7, 9), np.array([-math.inf, 0.0]), [np.zeros(D)] * 2))
+@example(cols=(int64s(3, 3), np.array([0.0, math.nan]), [np.zeros(D)] * 2))  # two faults on one row
+@example(cols=(int64s(1, 2, 3), np.array([0.0, 1.0, 0.5]),
+               [np.zeros(D), np.array([0.0, math.inf]), np.zeros(D)]))  # a bad row, then an order fault
+@example(cols=(int64s(1, 2, 2), np.array([0.0, 1.0, 2.0]),
+               [np.zeros(D), np.zeros(D), np.zeros(D + 1)]))  # an order fault on a wide row
 def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
-    indices, times = cols
+    indices, times, features = cols
     feature = np.zeros(D)
     engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
     buffer = OnlineBuffer()
@@ -108,10 +131,91 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     assert first_refusal(lambda i, t: engine.process_frame(feature, i, t), indices, times) == block
     assert first_refusal(lambda i, t: buffer.insert(feature, PseudoLabel.LIVE, i, t),
                          indices, times) == block
-    frames = StreamFrames(np.zeros((len(indices), D)), indices, times)
-    for run in BASELINES.values():
-        assert prefix_refusal(run, frames) == block
-        assert prefix_refusal(run, list(frames)) == block
+    if not len(indices):
+        return
+    engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
+    refusal = first_refusal(lambda i, t, f: engine.process_frame(f, i, t), indices, times, features)
+    frames = [StreamFrame(f, i, t) for f, i, t in zip(features, indices.tolist(), times.tolist())]
+    streams = [frames]
+    if all(len(f) == D for f in features):  # a wide row has no place in an (n, d) column
+        streams.append(StreamFrames(np.array(features), indices, times))
+    for run in RUNNERS.values():
+        for stream in streams:
+            assert_refuses(run, stream, refusal)
+
+
+@pytest.mark.parametrize("form", ["list", "StreamFrames"])
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_every_runner_refuses_the_first_of_two_faults(runner, form):
+    """Six frames, a NaN feature in the third and a time going back in the
+    fifth: every runner raises the third frame's error."""
+    features = np.zeros((6, D))
+    features[2, 0] = np.nan
+    times = np.arange(6.0)
+    times[4] = -1.0
+    frames = StreamFrames(features, np.arange(6), times)
+    with pytest.raises(DataError, match="^non-finite value in feature input$"):
+        RUNNERS[runner](frames if form == "StreamFrames" else list(frames))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       start=st.integers(-(2**31), 2**31 - 1 - 2 * 40))
+def test_every_runner_gives_one_trace_for_every_form_of_a_stream(n, seed, start):
+    """A list of frames, a ``StreamFrames`` of int64 indices and float64
+    features, and one of int32 indices and float32 features, all of one
+    stream: each runner gives each of them the same trace."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, D)).astype(np.float32)
+    indices = start + np.cumsum(rng.integers(1, 3, size=n))
+    times = np.cumsum(rng.choice([0.0, 1 / 30, 0.5], size=n))
+    forms = [
+        [StreamFrame(f, i, t) for f, i, t in zip(features.astype(np.float64), indices.tolist(),
+                                                 times.tolist())],
+        StreamFrames(features.astype(np.float64), indices.astype(np.int64), times),
+        StreamFrames(features, indices.astype(np.int32), times),
+    ]
+    for run in RUNNERS.values():
+        traces = [run(stream) for stream in forms]
+        assert traces[1] == traces[0] and traces[2] == traces[0]
+        assert [type(i) for i in traces[2].columns.frame_index] == [int] * n
+
+
+def per_frame_refusal(frames):
+    """The text of the DataError a loop of ``process_frame`` over ``frames``
+    raises, or None."""
+    engine = Engine(HEAD, EMPTY_REPLAY, desk_params())
+    try:
+        for frame in frames:
+            engine.process_frame(frame.feature, frame.frame_index, frame.time)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("kind", ["index beyond int64", "float64 index column",
+                                  "object feature column"])
+def test_every_runner_refuses_a_column_of_another_kind_in_process_frames_words(runner, kind):
+    """A stream whose third frame has an index beyond int64, whose index
+    column is float64, or whose feature column holds a string, is refused
+    as a loop of ``process_frame`` refuses it: as a ``StreamFrames``, as its
+    list of frames, and as a list of the columns' numpy scalars."""
+    features, indices, times = np.zeros((3, D)), np.array([1, 2, 3]), np.array([0.0, 0.5, 1.0])
+    if kind == "index beyond int64":
+        indices = np.array([1, 2, 2**63], dtype=np.uint64)
+    elif kind == "float64 index column":
+        indices = indices.astype(np.float64)
+    else:
+        features = features.astype(object)
+        features[2, 1] = "x"
+    frames = StreamFrames(features, indices, times)
+    scalars = [StreamFrame(f, i, t) for f, i, t in zip(features, indices, times)]
+    for stream in (frames, list(frames), scalars):
+        words = per_frame_refusal(stream)
+        assert words is not None
+        with pytest.raises(DataError, match=f"^{re.escape(words)}$"):
+            RUNNERS[runner](stream)
 
 
 @pytest.mark.parametrize("baseline", BASELINES)
