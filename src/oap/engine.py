@@ -221,7 +221,8 @@ def _fold(frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, he
         if len(good) < len(block):
             frame = block[len(good)]
             check_frame(frame.frame_index, frame.time, last)
-            forward(head, frame.feature)  # raises, unless the feature is a stack of rows
+            with np.errstate(invalid="ignore"):  # a non-finite feature raises, without a warning
+                forward(head, frame.feature)  # raises, unless the feature is a stack of rows
             raise _not_a_row(head, frame.feature)
     indices, ys, *context = made
     decisions = [1 if y > eval_threshold else 0 for y in ys]  # spoof iff y > eval_threshold

@@ -79,40 +79,37 @@ def _frame_fault(index: int, time, last) -> str:
 
 
 class OnlineBuffer:
-    """Ordered store of (feature, raw pseudo-label, smoothed working label,
-    frame_index, wall time). Single writer; discard labels never enter;
-    frame indices strictly increase and times never decrease, so eviction
-    by age always removes a prefix.
+    """Ordered store of (feature, raw pseudo-label, frame_index, wall
+    time). Single writer; discard labels never enter; frame indices
+    strictly increase and times never decrease, so eviction by age always
+    removes a prefix.
 
     The entries live in rows ``[lo, hi)`` of preallocated column arrays.
     When an insert finds the arrays full, the live rows move to the front
     of new arrays, twice as long if more than half of the rows are live.
 
-    Working labels are recomputed only by ``refresh_working_labels``, which
-    the engine calls right before a fine-tune event samples a batch, so
-    ``working_labels`` is current as of the last fine-tune event: an entry
-    inserted since then carries its raw label, and survivors of an eviction
-    keep the labels smoothed before it."""
+    The working labels are not stored: ``refresh_working_labels`` derives
+    them from the raw labels, and any insert, or eviction that removes an
+    entry, drops them. The engine refreshes right before a fine-tune event
+    samples a batch. A buffer that changed since its last refresh reads
+    its raw labels as its working labels."""
 
     INITIAL_CAPACITY = 256
-    _COLUMNS = ("_features", "_raw", "_working", "_index", "_time")
+    _COLUMNS = ("_features", "_raw", "_index", "_time")
 
     def __init__(self) -> None:
         cap = self.INITIAL_CAPACITY
         self._features: np.ndarray | None = None  # shaped by the first insert
         self._raw = np.empty(cap, dtype=np.int64)
-        self._working = np.empty(cap, dtype=np.int64)
         self._index = np.empty(cap, dtype=np.int64)
         self._time = np.empty(cap, dtype=np.float64)
         self._lo = self._hi = 0
         # The index and time of the last entry inserted, the newest one
         # while the buffer is not empty, as Python numbers.
         self._last: tuple[int, float] | None = None
-        # The window the working labels were last smoothed with and the
-        # sampler's class buckets of them; None once an insert or an
-        # eviction makes them stale.
-        self._smoothed_window: int | None = None
-        self._buckets: tuple | None = None
+        # (window, working labels, the sampler's class buckets of them) of
+        # the last refresh; None once an entry comes or goes.
+        self._smoothed: tuple[int, np.ndarray, tuple] | None = None
 
     def __len__(self) -> int:
         return self._hi - self._lo
@@ -127,7 +124,8 @@ class OnlineBuffer:
 
     @property
     def working_labels(self) -> np.ndarray:
-        return self._working[self._lo : self._hi].copy()
+        labels = self._raw[self._lo : self._hi] if self._smoothed is None else self._smoothed[1]
+        return labels.copy()
 
     @property
     def times(self) -> np.ndarray:
@@ -139,17 +137,18 @@ class OnlineBuffer:
         return self._features[self._lo : self._hi].copy()
 
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
-        """Append an accepted entry. The working label starts equal to the
-        raw label until the next smoothing pass. The entry keeps the stream
-        contract after the newest entry (see ``check_frame``), and its
-        feature is a row of numbers (see ``head._as_floats``) shaped like
-        the stored ones. A refused entry raises DataError and leaves the
-        buffer as it was."""
+        """Append an accepted entry. The entry keeps the stream contract
+        after the newest entry (see ``check_frame``), and its feature is a
+        row of numbers (see ``head._as_floats``): a (d,) row with d >= 1,
+        shaped like the stored ones. A refused entry raises DataError and
+        leaves the buffer as it was."""
         if pseudo_label == _DISCARD:
             raise DataError("discard labels are never inserted into the online buffer")
         frame_index = check_frame(frame_index, time, self._last if self._hi > self._lo else None)
         feature = _as_floats(feature)
         if self._features is None:
+            if feature.ndim != 1 or not feature.size:
+                raise DataError(f"feature shape {feature.shape} is not a row of at least one value")
             self._features = np.empty((len(self._raw),) + feature.shape)
         elif feature.shape != self._features.shape[1:]:
             raise DataError(
@@ -159,12 +158,12 @@ class OnlineBuffer:
             self._make_room()
         i = self._hi
         self._features[i] = feature
-        self._raw[i] = self._working[i] = int(pseudo_label)
+        self._raw[i] = int(pseudo_label)
         self._index[i] = frame_index
         self._time[i] = time
         self._last = frame_index, time
         self._hi = i + 1
-        self._smoothed_window = self._buckets = None
+        self._smoothed = None
 
     def _make_room(self) -> None:
         n = len(self)
@@ -190,42 +189,37 @@ class OnlineBuffer:
         if lo == self._lo:
             return
         self._lo, self._hi = (0, 0) if lo == hi else (lo, hi)
-        self._smoothed_window = self._buckets = None
+        self._smoothed = None
 
     def refresh_working_labels(self, window: int) -> None:
-        """Recompute all working labels from the raw stored labels via
-        majority smoothing. Raw labels are left untouched so smoothing
-        never compounds on its own output. A no-op when the labels were
-        already smoothed with ``window`` and no entry has come or gone
-        since.
+        """Derive the working labels from the raw ones by majority
+        smoothing over ``window``; smoothing never compounds on its own
+        output. A no-op when the labels were already derived with
+        ``window`` and no entry has come or gone since.
 
         When every raw label is the same class, the common case since a
         stream's live and spoof stretches outlast the eviction horizon, the
-        vote is unanimous in every window, so the working labels are the raw
-        labels and are copied without calling ``smooth_labels``. The copy is
-        still needed: entries that survived an eviction can hold labels
-        smoothed while the buffer held both classes. The sampler's buckets
-        of one class are then known without a recount: what
-        ``_class_buckets`` gives."""
-        if not len(self) or self._smoothed_window == window:
+        vote is unanimous in every window: the working labels are the raw
+        labels as they are, a view of the live rows that the next change
+        drops, and their one bucket is known without a recount."""
+        if not len(self) or self._smoothed is not None and self._smoothed[0] == window:
             return
         live = slice(self._lo, self._hi)
         raw = self._raw[live]
         n_spoof = int(np.count_nonzero(raw))
         if n_spoof == 0 or n_spoof == raw.size:
-            self._working[live] = raw
-            self._buckets = (None, [0], [raw.size])
+            self._smoothed = window, raw, (None, [0], [raw.size])
         else:
-            self._working[live] = smooth_labels(self._index[live], raw, window)
-            self._buckets = None
-        self._smoothed_window = window
+            labels = smooth_labels(self._index[live], raw, window)
+            self._smoothed = window, labels, _class_buckets(labels)
 
     def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Live features, working labels and their class buckets."""
         live = slice(self._lo, self._hi)
-        if self._buckets is None:
-            self._buckets = _class_buckets(self._working[live])
-        return self._features[live], self._working[live], self._buckets
+        if self._smoothed is None:
+            raw = self._raw[live]
+            return self._features[live], raw, _class_buckets(raw)
+        return self._features[live], self._smoothed[1], self._smoothed[2]
 
 
 def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -336,9 +330,10 @@ def sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a fine-tuning batch. Returns (features (B, d), labels (B,)).
 
-    Online entries carry their smoothed working label; replay entries
-    their frozen ground-truth label. Sampling is with replacement and
-    never mutates either store.
+    Online entries carry their working label: the one the buffer's last
+    ``refresh_working_labels`` derived, or their raw label if an entry
+    came or went since. Replay entries carry their frozen ground-truth
+    label. Sampling is with replacement and never mutates either store.
     """
     n_online, n_replay = len(online), len(replay)
     if n_online == 0 and n_replay == 0:

@@ -147,8 +147,9 @@ class TestOnlineBuffer:
     def test_refresh_after_eviction_to_one_class_restores_raw_labels(self):
         """Smoothed while mixed, the two live entries are outvoted by the
         four spoof entries before them; once those are evicted the buffer
-        holds one class, and the next refresh must hand back the raw
-        labels, not keep the votes of entries that are gone."""
+        holds one class, and both the eviction and the next refresh must
+        hand back the raw labels, not keep the votes of entries that are
+        gone."""
         buf = OnlineBuffer()
         for t, lab in enumerate([1, 1, 1, 1, 0, 0], start=1):
             buf.insert(feat(t), PseudoLabel(lab), t, t / 30.0)
@@ -156,10 +157,27 @@ class TestOnlineBuffer:
         np.testing.assert_array_equal(buf.working_labels, [1, 1, 1, 1, 1, 1])
         buf.evict_old(now=6 / 30.0, horizon=1.5 / 30.0)
         np.testing.assert_array_equal(buf.frame_indices, [5, 6])
-        np.testing.assert_array_equal(buf.working_labels, [1, 1])
+        np.testing.assert_array_equal(buf.working_labels, [0, 0])
         buf.refresh_working_labels(window=8)
         np.testing.assert_array_equal(buf.working_labels, buf.raw_labels)
         np.testing.assert_array_equal(buf.working_labels, [0, 0])
+
+    NOT_A_ROW = {"stack of rows": np.zeros((2, 3)), "0-d": np.float64(1.0),
+                 "empty row": np.zeros(0)}
+
+    @pytest.mark.parametrize("case", sorted(NOT_A_ROW))
+    def test_first_feature_that_is_not_a_row_refused(self, case):
+        """The first insert shapes the feature column, so it takes only a
+        (d,) row with d >= 1. Anything else is refused before the buffer
+        changes, not left to fail in the sampler."""
+        buf = OnlineBuffer()
+        with pytest.raises(DataError, match="^feature shape .* is not a row"):
+            buf.insert(self.NOT_A_ROW[case], PseudoLabel.LIVE, 1, 0.0)
+        assert len(buf) == 0
+        buf.insert(feat(1, d=3), PseudoLabel.LIVE, 1, 0.0)
+        feats, _ = sample_batch(buf, ReplayStore(np.zeros((0, 3)), []), 4, 1.0,
+                                seeded_rng(0, "sampler"))
+        assert feats.shape == (4, 3)
 
 
 class TestReplayStore:

@@ -43,9 +43,6 @@ from oap.engine import (
 )
 from oap.errors import ConfigError, DataError, NumericalError
 from oap.head import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
     HIDDEN_UNITS,
     PARAM_NAMES,
     PROB_EPS,
@@ -71,6 +68,8 @@ from oap.pseudolabel import smooth_labels
 from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, generate_stream
 
+from oracles import fresh_array_adam, per_slot_sample_batch
+
 D = 3
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -89,17 +88,26 @@ class SmallBuffer(OnlineBuffer):
 
 class ListBuffer:
     """The brute-force model: a list of entries, filtered on eviction and
-    fully re-smoothed on every refresh."""
+    fully re-smoothed on every refresh. An insert, or an eviction that
+    removes an entry, sets every working label back to its raw label."""
 
     def __init__(self):
         self.entries = []  # [feature, raw, working, frame_index, time]
 
     def insert(self, feature, label, frame_index, time):
         self.entries.append([feature, label, label, frame_index, time])
+        self.reset_working_labels()
 
     def evict_old(self, now, horizon):
         cutoff = horizon - horizon * 1e-12
-        self.entries = [e for e in self.entries if now - e[4] < cutoff]
+        kept = [e for e in self.entries if now - e[4] < cutoff]
+        if len(kept) < len(self.entries):
+            self.entries = kept
+            self.reset_working_labels()
+
+    def reset_working_labels(self):
+        for e in self.entries:
+            e[2] = e[1]
 
     def refresh_working_labels(self, window):
         if self.entries:
@@ -139,6 +147,14 @@ NO_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 
 @PROPERTY_SETTINGS
 @given(steps=steps, seed=st.integers(0, 2**32 - 1))
+# A refresh outvotes the third entry; an insert, then an eviction of three
+# entries, each hands back the raw labels; two refreshes with two windows
+# on the same entries give two sets of labels.
+@example(steps=[("insert", 1, 0.0, 1), ("insert", 1, 0.0, 1), ("insert", 1, 0.0, 0),
+                ("insert", 1, 0.0, 1), ("insert", 1, 0.5, 1), ("refresh", 4),
+                ("insert", 1, 0.0, 0), ("refresh", 4), ("evict", 0.0, 0.5), ("refresh", 4),
+                ("refresh", 1)],
+         seed=0)
 def test_buffer_matches_list_model(steps, seed):
     rng = np.random.default_rng(seed)
     buf, model = SmallBuffer(), ListBuffer()
@@ -200,7 +216,7 @@ def assert_same_buckets(got, want):
 @PROPERTY_SETTINGS
 @given(steps=steps, seed=st.integers(0, 2**32 - 1))
 # A mixed refresh, an eviction down to two spoof entries, then a refresh
-# that takes the one-class copy.
+# that finds one class.
 @example(steps=[("insert", 1, 0.0, 0), ("insert", 1, 0.0, 1), ("insert", 1, 1.0, 1),
                 ("insert", 1, 0.0, 1), ("refresh", 3), ("evict", 0.0, 0.5), ("refresh", 3)],
          seed=0)
@@ -222,7 +238,7 @@ def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, seed):
         elif step[0] == "refresh":
             buf.refresh_working_labels(step[1])
             if len(buf) and len(set(buf.raw_labels.tolist())) == 1:
-                assert buf._buckets is not None  # handed over, not left to recount
+                assert buf._smoothed is not None  # handed over, not left to recount
         if len(buf):
             assert_same_buckets(buf._sample_source()[2], _class_buckets(buf.working_labels))
 
@@ -296,44 +312,6 @@ def test_buffer_stores_any_row_of_floats_and_refuses_a_non_numeric_one():
 # ---------------------------------------------------------------------------
 # sample_batch against the per-slot loop
 # ---------------------------------------------------------------------------
-
-
-def per_slot_sample_batch(online, replay, batch_size, online_prob, rng):
-    """The sampler as one loop over slots: the reference the vectorized
-    version must reproduce bit for bit, RNG stream included."""
-    n_online, n_replay = len(online), len(replay)
-    if n_online == 0 and n_replay == 0:
-        raise DataError("cannot sample a batch: both stores are empty")
-
-    use_online = rng.random(batch_size) < online_prob
-    if n_online == 0:
-        use_online[:] = False
-    if n_replay == 0:
-        use_online[:] = True
-    class_u = rng.random(batch_size)
-    entry_u = rng.random(batch_size)
-
-    online_feats = online.features_matrix()
-    online_labels = online.working_labels
-    online_buckets = [np.flatnonzero(online_labels == c) for c in (0, 1)]
-    online_present = [b for b in online_buckets if len(b)]
-    replay_buckets = [np.flatnonzero(replay.labels == c) for c in (0, 1)]
-    replay_present = [b for b in replay_buckets if len(b)]
-
-    d = online_feats.shape[1] if n_online else replay.d
-    feats = np.empty((batch_size, d))
-    labels = np.empty(batch_size, dtype=np.int64)
-    for i in range(batch_size):
-        buckets = online_present if use_online[i] else replay_present
-        bucket = buckets[int(class_u[i] * len(buckets))]
-        j = bucket[int(entry_u[i] * len(bucket))]
-        if use_online[i]:
-            feats[i] = online_feats[j]
-            labels[i] = online_labels[j]
-        else:
-            feats[i] = replay.features[j]
-            labels[i] = replay.labels[j]
-    return feats, labels
 
 
 # A store's labels: empty, single-class or mixed.
@@ -459,23 +437,6 @@ def dict_loss_and_grad(head, feats, labels):
         "b2": np.array([dlogits.sum()]),
     }
     return loss, grads
-
-
-def fresh_array_adam(theta, m, v, step_count, g, learning_rate, weight_decay):
-    """One Adam step with a fresh array per operation; returns the new
-    (theta, m, v, step_count) or raises NumericalError."""
-    if not np.isfinite(g).all():
-        raise NumericalError("non-finite gradient")
-    t = step_count + 1
-    bias1 = 1.0 - ADAM_BETA1**t
-    bias2 = 1.0 - ADAM_BETA2**t
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-    step = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-    theta = theta - step - learning_rate * weight_decay * theta
-    if not np.isfinite(theta).all():
-        raise NumericalError("non-finite result")
-    return theta, m, v, t
 
 
 def drawn_head(d, seed, scale):

@@ -11,6 +11,7 @@ whichever form of the stream it reads."""
 import ast
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,8 +112,6 @@ def int64s(*values):
     return np.array(values, dtype=np.int64)
 
 
-# ``forward`` may warn of the NaN an inf feature makes in its product before it refuses the row.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(cols=columns())
 @example(cols=(int64s(), np.zeros(0), []))
@@ -134,7 +133,11 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     if not len(indices):
         return
     engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
-    refusal = first_refusal(lambda i, t, f: engine.process_frame(f, i, t), indices, times, features)
+    # ``forward`` may warn of the NaN an inf feature makes in its product before it refuses the row.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "invalid value encountered in dot", RuntimeWarning)
+        refusal = first_refusal(lambda i, t, f: engine.process_frame(f, i, t), indices, times,
+                                features)
     frames = [StreamFrame(f, i, t) for f, i, t in zip(features, indices.tolist(), times.tolist())]
     streams = [frames]
     if all(len(f) == D for f in features):  # a wide row has no place in an (n, d) column
@@ -142,6 +145,21 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     for run in RUNNERS.values():
         for stream in streams:
             assert_refuses(run, stream, refusal)
+
+
+@pytest.mark.parametrize("form", ["list", "StreamFrames"])
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_no_runner_warns_before_it_refuses_an_inf_feature(runner, form):
+    """A runner scores the refused frame again to raise its error, with
+    numpy's invalid-value warnings off, so the NaN that an inf feature
+    makes in the product is not reported before the DataError."""
+    frames = StreamFrames(np.array([[0.0, 0.0], [math.inf, math.inf]]), int64s(1, 2),
+                          np.array([0.0, 0.1]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="^non-finite value in feature input$"):
+            RUNNERS[runner](frames if form == "StreamFrames" else list(frames))
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("form", ["list", "StreamFrames"])
