@@ -182,15 +182,16 @@ def check_ranges(obj, checks, prefix: str = "") -> None:
 @contextlib.contextmanager
 def open_text(path: str | Path, error: type[OapError]):
     """The file at ``path``, open to read text. A file that does not open
-    or read (a missing one, a directory), and bytes read in the block that
-    do not decode, raise ``error`` naming the file."""
+    or read (a missing one, a directory, a pipe where a seek is needed), and
+    bytes read in the block that do not decode, raise ``error`` naming the
+    file and the reason: the OS's words, or the exception's when it has none."""
     try:
         with open(path) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file ({exc.reason})") from exc
     except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror})") from exc
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:

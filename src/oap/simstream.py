@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -262,9 +263,15 @@ def generate_stream(
 # Feature files: a v1 text or a v2 binary body, bit-exact round trip
 # ---------------------------------------------------------------------------
 
-# Rows per write of a feature file: the text of one write grows with the
-# feature dimension, not with the file's length (about 170 kB at d=32).
+# Rows per write of a feature file: one write's v1 text or v2 records grow
+# with the feature dimension, not with the file's length (about 170 kB of
+# text or 70 kB of labeled records at d=32).
 FEATURE_ROWS_PER_WRITE = 256
+
+# The longest header line a load reads, its line break included: far above
+# any that ``_save`` writes, so a file with no early line break is refused
+# without being read whole.
+HEADER_MAX_BYTES = 4096
 
 
 @dataclass
@@ -339,11 +346,13 @@ def _save(path, version: str, features, frame_indices, times, labels, frame_rate
     check_value("frame rate", frame_rate, float, FRAME_RATE_RULE, error=DataError)
     header = f"oapf {version} d={d} labeled={int(labeled)} fps={float(frame_rate)!r}\n"
     if version == "v2":
+        dtype = _record_dtype(path, d, labeled)
         columns = [frame_indices, times, *[labels] * labeled, features]
-        table = np.rec.fromarrays(columns, _record_dtype(path, d, labeled))
         with open(path, "wb") as fh:
             fh.write(header.encode())
-            table.tofile(fh)
+            for start in range(0, n, FEATURE_ROWS_PER_WRITE):
+                rows = slice(start, start + FEATURE_ROWS_PER_WRITE)
+                fh.write(np.rec.fromarrays([c[rows] for c in columns], dtype).tobytes())
         return
     with open(path, "w") as fh:
         fh.write(header)
@@ -384,7 +393,8 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
     body's reader. A malformed header (a ``d`` below 1 or too large for one
     float64 row, or an ``fps`` that is not finite and > 0) or body is a
     DataError naming the file, and the first bad line or record. A v2 body
-    is one read of the record table (``_read_records``). A v1 body is parsed
+    is read into one buffer sized from the file (``_read_body``) and viewed
+    as the record table (``_read_records``). A v1 body is parsed
     into it by one ``np.loadtxt`` pass; one that numpy refuses, or whose
     table fails a check, is read again on the same handle by ``_read_lines``,
     which takes what numpy does not (say, blank lines of spaces or ``1_000``)
@@ -397,7 +407,7 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
     with open_text(path, DataError) as fh:
         version, d, labeled, frame_rate = _read_header(path, fh)
         if version == "v2":
-            return _read_records(path, bytearray(fh.buffer.read()), d, labeled, frame_rate)
+            return _read_records(path, _read_body(fh.buffer), d, labeled, frame_rate)
         return _read_table(path, fh, d, labeled, frame_rate) or _read_lines(path, fh)
 
 
@@ -410,8 +420,13 @@ def _read_header(path: Path, fh) -> tuple[str, int, bool, float]:
     """The version, ``d``, ``labeled`` and ``fps`` of the header line of the
     text file ``fh``, read from its byte buffer and leaving it after the line
     break, so a binary body is not decoded. ``d`` is held to ``WIDTH_RULE``
-    and one float64 row, ``fps`` to ``FRAME_RATE_RULE``, in their words."""
-    line = (fh.buffer.readline().splitlines(keepends=True) or [b""])[0]
+    and one float64 row, ``fps`` to ``FRAME_RATE_RULE``, in their words. A
+    line longer than ``HEADER_MAX_BYTES`` is malformed, quoted by its start."""
+    line = (fh.buffer.readline(HEADER_MAX_BYTES + 1).splitlines(keepends=True) or [b""])[0]
+    if len(line) > HEADER_MAX_BYTES:
+        start = line[:32].decode(fh.encoding, "replace")
+        raise DataError(f"{path}: malformed header {start!r}...: longer than "
+                        f"{HEADER_MAX_BYTES} bytes")
     fh.buffer.seek(len(line))
     header = line.decode(fh.encoding).strip()
     parts = header.split()
@@ -454,9 +469,20 @@ def _table_data(path: Path, table, labeled: bool, frame_rate: float) -> FeatureF
     return FeatureFileData(features, labels, table["index"], table["time"], frame_rate)
 
 
+def _read_body(raw) -> bytearray:
+    """The rest of the binary file ``raw`` in one writable buffer: sized from
+    the file and filled by ``readinto``, less a tail the file no longer has,
+    plus what it gained since, so the body is never held twice."""
+    body = bytearray(max(os.fstat(raw.fileno()).st_size - raw.tell(), 0))
+    del body[raw.readinto(body):]
+    body += raw.read()
+    return body
+
+
 def _read_records(path: Path, body, d: int, labeled: bool, frame_rate: float) -> FeatureFileData:
     """A v2 body as a ``_record_dtype`` table, viewed in place in the
-    writable ``body``. A part record, a non-finite feature or a label other
+    writable ``body`` (``_read_body``'s one buffer), so ``features`` does
+    not own its data. A part record, a non-finite feature or a label other
     than 0 or 1 is a DataError naming the first bad record, from 1."""
     dtype = _record_dtype(path, d, labeled)
     n, extra = divmod(len(body), dtype.itemsize)

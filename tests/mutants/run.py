@@ -72,6 +72,20 @@ MUTANTS = [
      "    if n_online == 0:\n        use_online[:] = False\n",
      "",
      "an empty online buffer sends its slots to the replay store"),
+    ("two_copy_load", "src/oap/simstream.py",
+     "_read_records(path, _read_body(fh.buffer), d, labeled, frame_rate)",
+     "_read_records(path, bytearray(fh.buffer.read()), d, labeled, frame_rate)",
+     "a v2 load holds its body in one buffer, not a read and a copy"),
+    ("whole_table_v2_save", "src/oap/simstream.py",
+     "            for start in range(0, n, FEATURE_ROWS_PER_WRITE):\n"
+     "                rows = slice(start, start + FEATURE_ROWS_PER_WRITE)\n"
+     "                fh.write(np.rec.fromarrays([c[rows] for c in columns], dtype).tobytes())\n",
+     "            fh.write(np.rec.fromarrays(columns, dtype).tobytes())\n",
+     "a v2 save packs its records a block at a time"),
+    ("uncapped_header", "src/oap/simstream.py",
+     "fh.buffer.readline(HEADER_MAX_BYTES + 1)",
+     "fh.buffer.readline()",
+     "a load reads at most HEADER_MAX_BYTES of a header line"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",

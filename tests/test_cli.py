@@ -1,9 +1,12 @@
 """End-to-end CLI: the generate -> pretrain -> run -> sweep -> report
 pipeline in a temp directory, exit codes, and config-echo reproducibility."""
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import re
 import shlex
 import struct
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 
 from oap.cli import main
 from oap.config import parse_kv_file
+from oap.errors import DataError
 from oap.engine import TraceRecord, read_trace_csv, write_trace_csv
 from oap.head import PretrainSchedule, save_head
 from oap.memory import ReplayStore
@@ -734,6 +738,46 @@ def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_tr
     if broken in ("missing", "a directory"):
         reason = "No such file or directory" if broken == "missing" else "Is a directory"
         assert err.endswith(f"{bad}: cannot read ({reason})\n")
+    assert not out.exists()
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """``/dev/fd/<n>`` of the read end of a pipe that holds ``data`` (less
+    than a pipe's buffer), as a shell's ``<(cat file)`` gives it."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+    finally:
+        os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("flag", ["--stream", "--replay"])
+def test_a_piped_feature_file_is_refused_with_its_reason(pipeline, tmp_path, capsys, flag):
+    """A load seeks past its header line, which a pipe cannot do: the load
+    is a DataError and ``oap run`` exits 3, naming the file and a reason in
+    words (the exception carries no OS error text), and writes nothing."""
+    _, gen_dir, pre_dir = pipeline
+    source = (gen_dir / "stream_seed0.oapf" if flag == "--stream" else pre_dir / "replay.oapf")
+    data = source.read_bytes()[:4096]
+    with piped(data) as path:
+        with pytest.raises(DataError, match=re.escape(f"{path}: cannot read (")) as info:
+            load_feature_file(path)
+    assert "None" not in str(info.value)
+    out = tmp_path / "out"
+    argv = ["run", "--out", str(out), "--mode", "frozen", "--head", str(pre_dir / "head.oaph")]
+    if flag != "--stream":
+        argv += ["--stream", str(gen_dir / "stream_seed0.oapf")]
+    capsys.readouterr()
+    with piped(data) as path:
+        assert main([*argv, flag, path]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: {str(info.value).split(': ', 1)[1]}\n"
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ import oap.simstream
 from oap.config import FRAME_INDEX_MAX, FRAME_INDEX_MIN
 from oap.errors import ConfigError, DataError
 from oap.simstream import (
+    FEATURE_ROWS_PER_WRITE,
     HELD_OUT_USER_BASE,
     GeneratorConfig,
     _save,
@@ -222,6 +223,24 @@ def test_a_labeled_set_is_records_viewed_in_place(tmp_path):
     assert data.labels.tolist() == [0, 1, 0]
     assert not data.features.flags.owndata and data.features.flags.writeable
     assert data.features.strides == (5 * 8, 8)
+
+
+@pytest.mark.parametrize("n", [0, 1, FEATURE_ROWS_PER_WRITE - 1, FEATURE_ROWS_PER_WRITE,
+                               FEATURE_ROWS_PER_WRITE + 1, 2 * FEATURE_ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_a_v2_save_in_blocks_writes_the_whole_table(tmp_path, n, labeled):
+    """Records written a block at a time are the bytes of the whole record
+    table, at every block boundary."""
+    rng = np.random.default_rng(n)
+    features = rng.normal(size=(n, 3))
+    indices, times = list(range(-5, n - 5)), np.arange(n) / 7.0
+    labels = rng.integers(0, 2, size=n) if labeled else None
+    path = tmp_path / "set.oapf"
+    _save(path, "v2", features, indices, times, labels, 7.0)
+    dtype = oap.simstream._record_dtype(path, 3, labeled)
+    table = np.rec.fromarrays([indices, times, *[labels] * labeled, features], dtype)
+    header = f"oapf v2 d=3 labeled={int(labeled)} fps=7.0\n".encode()
+    assert path.read_bytes() == header + table.tobytes()
 
 
 def cell(value, fmt="<d") -> bytes:
