@@ -138,6 +138,7 @@ def cmd_generate(args) -> int:
     generator = from_mapping(GeneratorConfig(), mapping)
     scenario = scenario_from_mapping(mapping)
     runner = from_mapping(RunnerConfig(), mapping)
+    seeded = [dataclasses.replace(generator, seed=generator.seed + i) for i in range(runner.seeds)]
     out_dir = Path(args.out)
     echo_config(mapping, out_dir)
 
@@ -146,10 +147,9 @@ def cmd_generate(args) -> int:
     save_labeled_set(train_path, feats, labels, scenario.frame_rate)
     print(f"{train_path} rows={len(feats)}")
 
-    for i in range(runner.seeds):
-        seeded = dataclasses.replace(generator, seed=generator.seed + i)
-        frames, hidden = generate_stream(seeded, scenario)
-        path = out_dir / f"stream_seed{generator.seed + i}.oapf"
+    for stream_generator in seeded:
+        frames, hidden = generate_stream(stream_generator, scenario)
+        path = out_dir / f"stream_seed{stream_generator.seed}.oapf"
         save_feature_file(path, frames.features, frames.frame_indices, frames.times,
                           labels=hidden, frame_rate=scenario.frame_rate)
         print(f"{path} rows={len(frames)}")
@@ -237,6 +237,7 @@ def cmd_run(args) -> int:
         mapping["seeds"] = str(args.seeds)
     runner = from_mapping(RunnerConfig(), mapping)
     params = from_mapping(HyperParams(), mapping)
+    seeded = [params.replace(seed=params.seed + i) for i in range(runner.seeds)]
     if args.save_head and (runner.mode != "oap" or len(args.stream) != 1 or runner.seeds != 1):
         raise ConfigError("--save-head needs mode oap, exactly one stream and seeds=1")
     stems = [Path(path).stem for path in args.stream]
@@ -258,8 +259,7 @@ def cmd_run(args) -> int:
     echo_config(mapping, out_dir)
 
     reports = []
-    for i in range(runner.seeds):
-        run_params = params.replace(seed=params.seed + i)
+    for run_params in seeded:
         scores, truth = [], []
         for stem, data in streams:
             trace = _run_mode(runner, head, replay, run_params, data, args.save_head)
@@ -289,6 +289,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("empty sweep value list")
     grid = [from_mapping(base_params, {args.axis: v}) for v in values]
+    seeded = [[p.replace(seed=p.seed + i) for i in range(runner.seeds)] for p in grid]
 
     head = load_head(args.head)
     train = load_feature_file(args.train)
@@ -302,12 +303,11 @@ def cmd_sweep(args) -> int:
     frames = stream.to_frames()
 
     rows = []
-    for params in grid:
+    for params, runs in zip(grid, seeded):
         value = getattr(params, args.axis)
         replay = carve_replay(train.features, train.labels, params.replay_size, params.seed)
         acers = []
-        for i in range(runner.seeds):
-            run_params = params.replace(seed=params.seed + i)
+        for run_params in runs:
             trace = Engine(head, replay, run_params).run_stream(frames)
             report = evaluate_frames(trace.columns.y, stream.labels, params.eval_threshold)
             acers.append(report.acer)

@@ -6,13 +6,15 @@ step runs, in order: input checks (frame indices strictly increase, times
 are finite and never decrease) -> forward pass -> pseudo-label -> buffer
 insert (unless discarded) -> time-based eviction -> at most one fine-tune
 event, driven by an accumulator that adds ``finetune_freq`` (at most 1) per
-frame and fires when it reaches a whole unit. The event first brings the
-buffer's working labels up to date (majority smoothing over the whole
-buffer, redone only when an entry came or went since the last pass), then
-samples its batches. Labels are read only by the sampler, so this is the
-same as smoothing on every frame. The verdict for frame t is therefore a
-deterministic function of frames 1..t only, and a frozen-head run is
-exactly the degenerate case with adaptation disabled.
+frame and fires when it reaches a whole unit. The buffer's width (the
+head's), smoothing window and eviction cutoff are fixed when the engine
+builds it. An event first brings the buffer's working labels up to date
+(majority smoothing over the whole buffer, redone only when an entry came
+or went since the last pass), then samples its batches. Labels are read
+only by the sampler, so this is the same as smoothing on every frame. The
+verdict for frame t is therefore a deterministic function of frames 1..t
+only, and a frozen-head run is exactly the degenerate case with adaptation
+disabled.
 
 Per-frame results are named tuples, ``FrameVerdict`` and ``TraceRecord``;
 a TraceRecord's fields, in order, are the columns of the trace files. Both
@@ -268,7 +270,7 @@ class Engine:
             raise DataError(f"replay dimension {replay.d} != head dimension {head.d}")
         self.head = head.copy()
         self.adam = AdamState.for_head(self.head)
-        self.online = OnlineBuffer()
+        self.online = OnlineBuffer(head.d, params.window, params.eviction_horizon)
         self.replay = replay
         self.params = params
         self.finetune_accumulator = 0.0
@@ -294,7 +296,7 @@ class Engine:
 
         if pseudo is not _DISCARD:
             self.online.insert(feature, pseudo, frame_index, time)
-        self.online.evict_old(time, p.eviction_horizon)
+        self.online.evict_old(time)
 
         self.finetune_accumulator += p.finetune_freq
         if self.finetune_accumulator < 1.0:
@@ -311,7 +313,7 @@ class Engine:
             return False
         # apply_update commits atomically, so one update needs no snapshot.
         snapshot = (self.head.copy(), self.adam.copy()) if p.iterations_per_call > 1 else None
-        self.online.refresh_working_labels(p.window)
+        self.online.refresh_working_labels()
         try:
             for _ in range(p.iterations_per_call):
                 feats, labels = sample_batch(self.online, self.replay, p.batch_size,

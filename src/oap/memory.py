@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import simstream
-from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel, check_value
 from .errors import DataError
-from .head import _as_floats, check_features, check_labels
+from .head import WIDTH_RULE, _as_floats, check_features, check_labels
 from .pseudolabel import smooth_labels
 
 
@@ -82,7 +82,9 @@ class OnlineBuffer:
     """Ordered store of (feature, raw pseudo-label, frame_index, wall
     time). Single writer; discard labels never enter; frame indices
     strictly increase and times never decrease, so eviction by age always
-    removes a prefix.
+    removes a prefix. The feature width ``d`` (held to ``head.WIDTH_RULE``),
+    the smoothing ``window`` in frames and the eviction cutoff of ``horizon``
+    seconds are fixed when the buffer is built.
 
     The entries live in rows ``[lo, hi)`` of preallocated column arrays.
     When an insert finds the arrays full, the live rows move to the front
@@ -97,9 +99,10 @@ class OnlineBuffer:
     INITIAL_CAPACITY = 256
     _COLUMNS = ("_features", "_raw", "_index", "_time")
 
-    def __init__(self) -> None:
+    def __init__(self, d: int, window: int, horizon: float) -> None:
+        check_value("d", d, int, WIDTH_RULE)
         cap = self.INITIAL_CAPACITY
-        self._features: np.ndarray | None = None  # shaped by the first insert
+        self._features = np.empty((cap, d))
         self._raw = np.empty(cap, dtype=np.int64)
         self._index = np.empty(cap, dtype=np.int64)
         self._time = np.empty(cap, dtype=np.float64)
@@ -107,12 +110,18 @@ class OnlineBuffer:
         # The index and time of the last entry inserted, the newest one
         # while the buffer is not empty, as Python numbers.
         self._last: tuple[int, float] | None = None
-        # (window, working labels, the sampler's class buckets of them) of
-        # the last refresh; None once an entry comes or goes.
-        self._smoothed: tuple[int, np.ndarray, tuple] | None = None
+        self._window = window
+        self._cutoff = horizon - horizon * 1e-12  # with slack: see evict_old
+        # (working labels, the sampler's class buckets of them) of the last
+        # refresh; None once an entry comes or goes.
+        self._smoothed: tuple[np.ndarray, tuple] | None = None
 
     def __len__(self) -> int:
         return self._hi - self._lo
+
+    @property
+    def d(self) -> int:
+        return self._features.shape[1]
 
     @property
     def frame_indices(self) -> np.ndarray:
@@ -124,7 +133,7 @@ class OnlineBuffer:
 
     @property
     def working_labels(self) -> np.ndarray:
-        labels = self._raw[self._lo : self._hi] if self._smoothed is None else self._smoothed[1]
+        labels = self._raw[self._lo : self._hi] if self._smoothed is None else self._smoothed[0]
         return labels.copy()
 
     @property
@@ -132,28 +141,19 @@ class OnlineBuffer:
         return self._time[self._lo : self._hi].copy()
 
     def features_matrix(self) -> np.ndarray:
-        if not len(self):
-            return np.zeros((0, 0))
         return self._features[self._lo : self._hi].copy()
 
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
         """Append an accepted entry. The entry keeps the stream contract
         after the newest entry (see ``check_frame``), and its feature is a
-        row of numbers (see ``head._as_floats``): a (d,) row with d >= 1,
-        shaped like the stored ones. A refused entry raises DataError and
-        leaves the buffer as it was."""
+        row of numbers (see ``head._as_floats``) of shape (d,). A refused
+        entry raises DataError and leaves the buffer as it was."""
         if pseudo_label == _DISCARD:
             raise DataError("discard labels are never inserted into the online buffer")
         frame_index = check_frame(frame_index, time, self._last if self._hi > self._lo else None)
         feature = _as_floats(feature)
-        if self._features is None:
-            if feature.ndim != 1 or not feature.size:
-                raise DataError(f"feature shape {feature.shape} is not a row of at least one value")
-            self._features = np.empty((len(self._raw),) + feature.shape)
-        elif feature.shape != self._features.shape[1:]:
-            raise DataError(
-                f"feature shape {feature.shape} differs from the stored {self._features.shape[1:]}"
-            )
+        if feature.shape != self._features.shape[1:]:
+            raise DataError(f"feature shape {feature.shape} differs from the buffer's ({self.d},)")
         if self._hi == len(self._raw):
             self._make_room()
         i = self._hi
@@ -175,15 +175,14 @@ class OnlineBuffer:
             setattr(self, name, new)
         self._lo, self._hi = 0, n
 
-    def evict_old(self, now: float, horizon: float) -> None:
-        """Keep exactly the entries with (now - entry.time) < horizon;
-        survivors keep their order. The comparison absorbs float round-off
-        in the age subtraction (a few ulp), so an entry whose exact age
-        equals the horizon is reliably evicted. Stored times never
-        decrease, so the rounded age never increases along the buffer and
-        the evicted entries are a prefix."""
-        cutoff = horizon - horizon * 1e-12
-        lo, hi, times = self._lo, self._hi, self._time
+    def evict_old(self, now: float) -> None:
+        """Keep exactly the entries with (now - entry.time) < horizon, by
+        the cutoff fixed when the buffer was built; survivors keep their
+        order. The cutoff absorbs float round-off in the age subtraction (a
+        few ulp), so an entry whose exact age equals the horizon is reliably
+        evicted. Stored times never decrease, so the rounded age never
+        increases along the buffer and the evicted entries are a prefix."""
+        lo, hi, times, cutoff = self._lo, self._hi, self._time, self._cutoff
         while lo < hi and not now - times.item(lo) < cutoff:
             lo += 1
         if lo == self._lo:
@@ -191,35 +190,33 @@ class OnlineBuffer:
         self._lo, self._hi = (0, 0) if lo == hi else (lo, hi)
         self._smoothed = None
 
-    def refresh_working_labels(self, window: int) -> None:
+    def refresh_working_labels(self) -> None:
         """Derive the working labels from the raw ones by majority
-        smoothing over ``window``; smoothing never compounds on its own
-        output. A no-op when the labels were already derived with
-        ``window`` and no entry has come or gone since.
+        smoothing over the window fixed when the buffer was built;
+        smoothing never compounds on its own output. A no-op when no entry
+        has come or gone since the last refresh.
 
         When every raw label is the same class, the common case since a
         stream's live and spoof stretches outlast the eviction horizon, the
         vote is unanimous in every window: the working labels are the raw
         labels as they are, a view of the live rows that the next change
         drops, and their one bucket is known without a recount."""
-        if not len(self) or self._smoothed is not None and self._smoothed[0] == window:
+        if not len(self) or self._smoothed is not None:
             return
         live = slice(self._lo, self._hi)
         raw = self._raw[live]
         n_spoof = int(np.count_nonzero(raw))
         if n_spoof == 0 or n_spoof == raw.size:
-            self._smoothed = window, raw, (None, [0], [raw.size])
+            self._smoothed = raw, (None, [0], [raw.size])
         else:
-            labels = smooth_labels(self._index[live], raw, window)
-            self._smoothed = window, labels, _class_buckets(labels)
+            labels = smooth_labels(self._index[live], raw, self._window)
+            self._smoothed = labels, _class_buckets(labels)
 
     def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Live features, working labels and their class buckets."""
         live = slice(self._lo, self._hi)
-        if self._smoothed is None:
-            raw = self._raw[live]
-            return self._features[live], raw, _class_buckets(raw)
-        return self._features[live], self._smoothed[1], self._smoothed[2]
+        labels, buckets = self._smoothed or (self._raw[live], None)
+        return self._features[live], labels, buckets or _class_buckets(labels)
 
 
 def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -351,7 +348,7 @@ def sample_batch(
     # Slot i takes class bucket int(class_u[i] * n_classes) of its source
     # and entry int(entry_u[i] * bucket size) of that bucket: the same
     # float products, truncated the same way, for all of a source's slots.
-    d = online._features.shape[1] if n_online else replay.d
+    d = online.d if n_online else replay.d
     feats = np.empty((batch_size, d))
     labels = np.empty(batch_size, dtype=np.int64)
     for slots, store in ((use_online.nonzero()[0], online), ((~use_online).nonzero()[0], replay)):

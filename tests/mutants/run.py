@@ -45,10 +45,6 @@ MUTANTS = [
      "        self._smoothed = None\n",
      "        self._lo, self._hi = (0, 0) if lo == hi else (lo, hi)\n",
      "an eviction that removes an entry drops the last smoothing"),
-    ("refresh_ignores_window", "src/oap/memory.py",
-     "self._smoothed is not None and self._smoothed[0] == window",
-     "self._smoothed is not None",
-     "a refresh is a no-op only for the window its labels were smoothed with"),
     ("all_spoof_is_smoothed", "src/oap/memory.py",
      "if n_spoof == 0 or n_spoof == raw.size:",
      "if n_spoof == 0:",
@@ -57,9 +53,15 @@ MUTANTS = [
      " smooth_labels gives the raw labels again and _class_buckets of them is"
      " (None, [0], [n]), the branch's own buckets; only the cost differs"),
     ("cutoff_without_slack", "src/oap/memory.py",
-     "cutoff = horizon - horizon * 1e-12",
-     "cutoff = horizon",
+     "self._cutoff = horizon - horizon * 1e-12",
+     "self._cutoff = horizon",
      "an entry whose exact age equals the horizon is evicted, whatever the round-off"),
+    ("unchecked_width", "src/oap/memory.py",
+     "        if feature.shape != self._features.shape[1:]:\n"
+     "            raise DataError(f\"feature shape {feature.shape} differs from the buffer's"
+     " ({self.d},)\")\n",
+     "",
+     "an insert takes only a (d,) row: a (1,) row is refused, not broadcast"),
     ("snapshot_never_restored", "src/oap/engine.py",
      "                self.head, self.adam = snapshot\n",
      "                pass\n",
@@ -86,6 +88,37 @@ MUTANTS = [
      "fh.buffer.readline(HEADER_MAX_BYTES + 1)",
      "fh.buffer.readline()",
      "a load reads at most HEADER_MAX_BYTES of a header line"),
+    ("late_seed", "src/oap/cli.py",
+     "    seeded = [params.replace(seed=params.seed + i) for i in range(runner.seeds)]\n",
+     "    seeded = (params.replace(seed=params.seed + i) for i in range(runner.seeds))\n",
+     "every derived seed is built before the first write"),
+    # The doors: each accepts what it should refuse.
+    ("check_frame_repeats_index", "src/oap/memory.py",
+     "(index <= last[0] or time < last[1])",
+     "(index < last[0] or time < last[1])",
+     "check_frame: frame indices strictly increase"),
+    ("first_bad_frame_repeats_index", "src/oap/memory.py",
+     "(indices[1:] <= indices[:-1])",
+     "(indices[1:] < indices[:-1])",
+     "first_bad_frame: frame indices strictly increase"),
+    ("check_features_not_finite", "src/oap/head.py",
+     "    if not all_finite(feats):\n        raise DataError(\"non-finite value in feature input\")\n",
+     "",
+     "check_features: every feature value is finite"),
+    ("check_labels_not_counted", "src/oap/head.py",
+     "    if np.count_nonzero(spoof | (labels == 0)) != n:\n"
+     "        raise DataError(\"labels must be 0 or 1\")\n",
+     "",
+     "check_labels: every label is 0 or 1"),
+    ("check_ranges_no_ranges", "src/oap/config.py",
+     "    for name, test, want in checks:\n"
+     "        check_value(prefix + name, getattr(obj, name), (test, want))\n",
+     "",
+     "check_ranges: every config field lies in its range"),
+    ("check_outputs_off", "src/oap/cli.py",
+     "    files = [args.out] if args.command == \"report\" else",
+     "    return\n    files = [args.out] if args.command == \"report\" else",
+     "_check_outputs: an output path that cannot be written is refused before any work"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",

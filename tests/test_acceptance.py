@@ -174,12 +174,12 @@ def test_05_sampler_statistics():
     """10,000 batches at online_prob 0.9, B=16: online fraction within
     [0.89, 0.91]; replay class split within [0.48, 0.52]."""
     d = 4
-    buf = OnlineBuffer()
+    buf = OnlineBuffer(d, 0, 4.0)
     for t in range(1, 101):
         label = PseudoLabel.SPOOF if t % 2 else PseudoLabel.LIVE
         f = np.full(d, 1.0)  # online rows marked by +1 in coordinate 0
         buf.insert(f, label, t, t / 30.0)
-    buf.refresh_working_labels(window=0)
+    buf.refresh_working_labels()
     replay_feats = np.full((400, d), -1.0)
     replay_labels = np.array([0, 1] * 200)
     replay = ReplayStore(replay_feats, replay_labels)

@@ -413,6 +413,24 @@ class TestConfigAtTheDoor:
         argv = command_argv("sweep", pipeline, tmp_path) + ["--values", "0.1,0.2,0.6"]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "run", "sweep"])
+    def test_derived_seeds_checked_before_any_write(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch, command):
+        """The seeds ``seed + i`` of a multi-seed command are config too: a
+        second seed past the last 64-bit one exits 2 with one line, before
+        the first file is written or the first engine runs."""
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran an engine")
+
+        monkeypatch.setattr("oap.cli.Engine", no_run)
+        argv = command_argv(command, pipeline, tmp_path) + [
+            "--set", f"seed={2**64 - 1}", "--set", "seeds=2"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: seed out of range: {2**64} (want a 64-bit unsigned integer)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_may_carry_other_keys(self, pipeline, tmp_path):
         """One config file can be shared with other tools: keys no command
         reads are ignored there, unlike in --set."""

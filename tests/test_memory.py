@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oap.config import PseudoLabel
-from oap.errors import DataError
+from oap.errors import ConfigError, DataError
+from oap.head import init_head
 from oap.memory import OnlineBuffer, ReplayStore, sample_batch, subsample_pretraining
 from oap.rng import seeded_rng
 
@@ -14,19 +15,24 @@ def feat(value, d=4):
     return np.full(d, float(value))
 
 
+def buffer(window=30, horizon=4.0, d=4):
+    """A buffer of ``feat``'s width, by default with the engine's window and horizon."""
+    return OnlineBuffer(d, window, horizon)
+
+
 class TestOnlineBuffer:
     def test_insert_into_empty(self):
-        buf = OnlineBuffer()
+        buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, 1, 0.0)
         assert len(buf) == 1
 
     def test_discard_never_stored(self):
-        buf = OnlineBuffer()
+        buf = buffer()
         with pytest.raises(DataError, match="discard"):
             buf.insert(feat(1), PseudoLabel.DISCARD, 1, 0.0)
 
     def test_out_of_order_insert_rejected(self):
-        buf = OnlineBuffer()
+        buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, 5, 0.0)
         with pytest.raises(DataError, match="does not follow"):
             buf.insert(feat(2), PseudoLabel.LIVE, 5, 0.1)
@@ -47,7 +53,7 @@ class TestOnlineBuffer:
         """An index ``operator.index`` refuses, or one the int64 column
         cannot hold, raises DataError and leaves the buffer as it was;
         the next valid entry goes in and a mixed-class refresh runs."""
-        buf = OnlineBuffer()
+        buf = buffer(window=5)
         buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
         buf.insert(feat(2), PseudoLabel.SPOOF, 40, 0.1)
 
@@ -60,7 +66,7 @@ class TestOnlineBuffer:
         for was, now in zip(before, contents()):
             np.testing.assert_array_equal(now, was)
         buf.insert(feat(3), PseudoLabel.SPOOF, 41, 0.2)
-        buf.refresh_working_labels(5)
+        buf.refresh_working_labels()
         np.testing.assert_array_equal(buf.frame_indices, [39, 40, 41])
         np.testing.assert_array_equal(buf.working_labels, [1, 1, 1])
 
@@ -76,7 +82,7 @@ class TestOnlineBuffer:
     def test_time_not_a_finite_real_refused(self, case):
         """A time that is not a finite real number raises DataError, as it
         does at ``process_frame``, and leaves the buffer as it was."""
-        buf = OnlineBuffer()
+        buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
         before = len(buf), buf.frame_indices, buf.times
         with pytest.raises(DataError, match="frame time"):
@@ -86,61 +92,61 @@ class TestOnlineBuffer:
         np.testing.assert_array_equal(buf.times, before[2])
 
     def test_int64_ends_accepted(self):
-        buf = OnlineBuffer()
+        buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, -(2**63), 0.0)
         buf.insert(feat(2), PseudoLabel.LIVE, np.int64(2**63 - 1), 0.1)
         np.testing.assert_array_equal(buf.frame_indices, [-(2**63), 2**63 - 1])
 
     def test_eviction_is_strict_inequality(self):
         """Entries at 0..5 s, now=5, horizon=4 -> ages 3,2,1,0 survive."""
-        buf = OnlineBuffer()
+        buf = buffer(horizon=4.0)
         for i, t in enumerate([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
             buf.insert(feat(i), PseudoLabel.LIVE, i + 1, t)
-        buf.evict_old(now=5.0, horizon=4.0)
+        buf.evict_old(now=5.0)
         np.testing.assert_array_equal(buf.times, [2.0, 3.0, 4.0, 5.0])
 
     def test_eviction_noop_cases(self):
-        buf = OnlineBuffer()
-        buf.evict_old(now=100.0, horizon=4.0)
+        buf = buffer(horizon=4.0)
+        buf.evict_old(now=100.0)
         assert len(buf) == 0
         buf.insert(feat(0), PseudoLabel.LIVE, 1, 0.0)
-        buf.evict_old(now=1.0, horizon=1000.0)
+        buf.evict_old(now=1.0)
         assert len(buf) == 1
 
     def test_full_acceptance_steady_state_is_120(self):
         """300 consecutive accepted frames at 30 fps with a 4 s horizon
         settle at exactly 120 stored entries."""
-        buf = OnlineBuffer()
+        buf = buffer(horizon=4.0)
         for t in range(1, 301):
             now = (t - 1) / 30.0
             buf.insert(feat(t), PseudoLabel.SPOOF, t, now)
-            buf.evict_old(now, 4.0)
+            buf.evict_old(now)
         assert len(buf) == 120
 
     def test_buffer_bound_any_rate(self):
         """|buffer| <= ceil(rate * horizon) after any insert+evict run."""
         for rate, horizon in [(10.0, 1.5), (30.0, 4.0), (7.0, 2.0)]:
-            buf = OnlineBuffer()
+            buf = buffer(horizon=horizon)
             for t in range(1, 200):
                 now = (t - 1) / rate
                 buf.insert(feat(t), PseudoLabel.LIVE, t, now)
-                buf.evict_old(now, horizon)
+                buf.evict_old(now)
                 assert len(buf) <= int(np.ceil(rate * horizon))
 
     def test_eviction_preserves_order(self):
-        buf = OnlineBuffer()
+        buf = buffer(horizon=2.0)
         for t in range(1, 50):
             buf.insert(feat(t), PseudoLabel.LIVE, t, t / 10.0)
-        buf.evict_old(now=4.9, horizon=2.0)
+        buf.evict_old(now=4.9)
         idx = buf.frame_indices
         assert np.all(np.diff(idx) > 0)
 
     def test_smoothing_refresh_keeps_raw_labels(self):
-        buf = OnlineBuffer()
+        buf = buffer(window=4)
         labels = [1, 1, 0, 1, 1]
         for t, lab in enumerate(labels, start=1):
             buf.insert(feat(t), PseudoLabel(lab), t, t / 30.0)
-        buf.refresh_working_labels(window=4)
+        buf.refresh_working_labels()
         np.testing.assert_array_equal(buf.raw_labels, labels)
         assert buf.working_labels[2] == 1  # outvoted by neighbours
 
@@ -150,34 +156,53 @@ class TestOnlineBuffer:
         holds one class, and both the eviction and the next refresh must
         hand back the raw labels, not keep the votes of entries that are
         gone."""
-        buf = OnlineBuffer()
+        buf = buffer(window=8, horizon=1.5 / 30.0)
         for t, lab in enumerate([1, 1, 1, 1, 0, 0], start=1):
             buf.insert(feat(t), PseudoLabel(lab), t, t / 30.0)
-        buf.refresh_working_labels(window=8)
+        buf.refresh_working_labels()
         np.testing.assert_array_equal(buf.working_labels, [1, 1, 1, 1, 1, 1])
-        buf.evict_old(now=6 / 30.0, horizon=1.5 / 30.0)
+        buf.evict_old(now=6 / 30.0)
         np.testing.assert_array_equal(buf.frame_indices, [5, 6])
         np.testing.assert_array_equal(buf.working_labels, [0, 0])
-        buf.refresh_working_labels(window=8)
+        buf.refresh_working_labels()
         np.testing.assert_array_equal(buf.working_labels, buf.raw_labels)
         np.testing.assert_array_equal(buf.working_labels, [0, 0])
 
     NOT_A_ROW = {"stack of rows": np.zeros((2, 3)), "0-d": np.float64(1.0),
-                 "empty row": np.zeros(0)}
+                 "empty row": np.zeros(0), "one value": np.zeros(1), "wider row": np.zeros(4)}
 
     @pytest.mark.parametrize("case", sorted(NOT_A_ROW))
     def test_first_feature_that_is_not_a_row_refused(self, case):
-        """The first insert shapes the feature column, so it takes only a
-        (d,) row with d >= 1. Anything else is refused before the buffer
-        changes, not left to fail in the sampler."""
-        buf = OnlineBuffer()
-        with pytest.raises(DataError, match="^feature shape .* is not a row"):
+        """The feature column is shaped when the buffer is built, so even a
+        first insert takes only a (d,) row. Anything else is refused before
+        the buffer changes, not broadcast into a row or left to fail in the
+        sampler."""
+        buf = buffer(d=3)
+        with pytest.raises(DataError, match=r"^feature shape .* differs from the buffer's \(3,\)"):
             buf.insert(self.NOT_A_ROW[case], PseudoLabel.LIVE, 1, 0.0)
-        assert len(buf) == 0
+        assert (len(buf), buf.features_matrix().shape) == (0, (0, 3))
         buf.insert(feat(1, d=3), PseudoLabel.LIVE, 1, 0.0)
         feats, _ = sample_batch(buf, ReplayStore(np.zeros((0, 3)), []), 4, 1.0,
                                 seeded_rng(0, "sampler"))
         assert feats.shape == (4, 3)
+
+    @pytest.mark.parametrize("d", [1, 3, 700])
+    def test_an_empty_buffer_has_its_width(self, d):
+        """Built or emptied by eviction, a buffer's features are (0, d)."""
+        buf = buffer(horizon=1.0, d=d)
+        assert (buf.d, buf.features_matrix().shape) == (d, (0, d))
+        buf.insert(feat(1, d), PseudoLabel.LIVE, 1, 0.0)
+        buf.evict_old(now=2.0)
+        assert (len(buf), buf.features_matrix().shape) == (0, (0, d))
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True, "3"])
+    def test_width_outside_the_d_rule_refused(self, d):
+        """A buffer's width is held to the head's ``d`` rule, in its words."""
+        with pytest.raises(ConfigError) as want:
+            init_head(d, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="^d out of range") as got:
+            OnlineBuffer(d, 30, 4.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestReplayStore:
@@ -282,12 +307,12 @@ def test_an_empty_store_of_any_width_is_accepted(d):
 
 
 def populated_stores(n_online=40, n_replay=200, d=3):
-    buf = OnlineBuffer()
+    buf = buffer(window=0, d=d)
     rng = np.random.default_rng(10)
     for t in range(1, n_online + 1):
         label = PseudoLabel.SPOOF if t % 3 == 0 else PseudoLabel.LIVE
         buf.insert(rng.normal(size=d), label, t, t / 30.0)
-    buf.refresh_working_labels(window=0)
+    buf.refresh_working_labels()
     feats = rng.normal(size=(n_replay, d))
     labels = np.array([0, 1] * (n_replay // 2))
     return buf, ReplayStore(feats, labels)
@@ -302,9 +327,19 @@ class TestSampleBatch:
 
     def test_empty_online_falls_back_to_replay(self):
         _, replay = populated_stores()
-        feats, labels = sample_batch(OnlineBuffer(), replay, 32, 0.9, seeded_rng(1, "sampler"))
+        feats, labels = sample_batch(buffer(d=3), replay, 32, 0.9, seeded_rng(1, "sampler"))
         replay_rows = {tuple(row) for row in replay.features}
         assert all(tuple(row) in replay_rows for row in feats)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_cold_start_draws_rows_of_the_replay_store(self, d):
+        """An engine's first event finds its buffer empty: every slot is a
+        (d,) row of the replay store, with its label."""
+        _, replay = populated_stores(d=d)
+        feats, labels = sample_batch(buffer(d=d), replay, 32, 0.9, seeded_rng(4, "sampler"))
+        assert (feats.shape, labels.shape) == ((32, d), (32,))
+        rows = {tuple(row): label for row, label in zip(replay.features, replay.labels)}
+        assert all(rows[tuple(row)] == label for row, label in zip(feats, labels))
 
     def test_empty_replay_falls_back_to_online(self):
         buf, _ = populated_stores()
@@ -316,7 +351,7 @@ class TestSampleBatch:
     def test_both_empty_rejected(self):
         empty = ReplayStore(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(DataError, match="empty"):
-            sample_batch(OnlineBuffer(), empty, 8, 0.9, seeded_rng(0, "sampler"))
+            sample_batch(buffer(d=3), empty, 8, 0.9, seeded_rng(0, "sampler"))
 
     def test_source_mix_concentrates_at_alpha(self):
         """Across many batches the online fraction lands within a tight
@@ -337,7 +372,7 @@ class TestSampleBatch:
         rng = seeded_rng(43, "sampler")
         labels_seen = []
         for _ in range(500):
-            _, labels = sample_batch(OnlineBuffer(), replay, 16, 0.9, rng)
+            _, labels = sample_batch(buffer(d=3), replay, 16, 0.9, rng)
             labels_seen.append(labels)
         frac_live = np.mean(np.concatenate(labels_seen) == 0)
         assert abs(frac_live - 0.5) < 0.02
@@ -355,13 +390,13 @@ class TestSampleBatch:
     def test_online_labels_are_working_labels(self):
         """A buffer whose smoothing flipped one raw label must emit the
         smoothed value."""
-        buf = OnlineBuffer()
+        buf = buffer(window=4, d=3)
         raw = [1, 1, 0, 1, 1]
         rng = np.random.default_rng(6)
         feats_in = [rng.normal(size=3) for _ in raw]
         for t, (lab, f) in enumerate(zip(raw, feats_in), start=1):
             buf.insert(f, PseudoLabel(lab), t, t / 30.0)
-        buf.refresh_working_labels(window=4)
+        buf.refresh_working_labels()
         empty = ReplayStore(np.zeros((0, 3)), np.zeros(0, dtype=int))
         feats, labels = sample_batch(buf, empty, 200, 1.0, seeded_rng(3, "sampler"))
         flipped_row = tuple(feats_in[2])

@@ -91,15 +91,16 @@ class ListBuffer:
     fully re-smoothed on every refresh. An insert, or an eviction that
     removes an entry, sets every working label back to its raw label."""
 
-    def __init__(self):
+    def __init__(self, window, horizon):
         self.entries = []  # [feature, raw, working, frame_index, time]
+        self.window, self.horizon = window, horizon
 
     def insert(self, feature, label, frame_index, time):
         self.entries.append([feature, label, label, frame_index, time])
         self.reset_working_labels()
 
-    def evict_old(self, now, horizon):
-        cutoff = horizon - horizon * 1e-12
+    def evict_old(self, now):
+        cutoff = self.horizon - self.horizon * 1e-12
         kept = [e for e in self.entries if now - e[4] < cutoff]
         if len(kept) < len(self.entries):
             self.entries = kept
@@ -109,9 +110,10 @@ class ListBuffer:
         for e in self.entries:
             e[2] = e[1]
 
-    def refresh_working_labels(self, window):
+    def refresh_working_labels(self):
         if self.entries:
-            smoothed = smooth_labels([e[3] for e in self.entries], [e[1] for e in self.entries], window)
+            smoothed = smooth_labels([e[3] for e in self.entries], [e[1] for e in self.entries],
+                                     self.window)
             for e, w in zip(self.entries, smoothed):
                 e[2] = int(w)
 
@@ -123,41 +125,40 @@ def assert_same(buf, model):
     np.testing.assert_array_equal(buf.working_labels, column(2, np.int64))
     np.testing.assert_array_equal(buf.frame_indices, column(3, np.int64))
     np.testing.assert_array_equal(buf.times, column(4, np.float64))
-    if model.entries:
-        np.testing.assert_array_equal(buf.features_matrix(), np.stack([e[0] for e in model.entries]))
-    else:
-        assert buf.features_matrix().shape == (0, 0)
+    got, want = buf.features_matrix(), np.array([e[0] for e in model.entries])
+    assert (got.shape, got.tobytes()) == ((len(model.entries), D), want.tobytes())
 
 
-# One step: insert with (index gap, time step, label), evict with (time
-# step, horizon) or refresh with a window. Time steps include 0, so equal
-# times occur; every evict uses a "now" no earlier than any stored time.
+# One step: insert with (index gap, time step, label), evict with a time
+# step, or refresh. Time steps include 0, so equal times occur; every evict
+# uses a "now" no earlier than any stored time. A buffer's window and
+# horizon are drawn once, as an engine fixes them.
 time_steps = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([1 / 30, 0.1, 0.5]))
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(1, 5), time_steps, st.integers(0, 1)),
-        st.tuples(st.just("evict"), time_steps, st.sampled_from([0.1, 0.5, 1.0, 4.0, 7.3])),
-        st.tuples(st.just("refresh"), st.integers(0, 9)),
+        st.tuples(st.just("evict"), time_steps),
+        st.tuples(st.just("refresh")),
         st.tuples(st.just("sample"), st.integers(1, 8)),
     ),
     max_size=120,
 )
+windows = st.integers(0, 9)
+horizons = st.sampled_from([0.1, 0.5, 1.0, 4.0, 7.3])
 NO_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 
 
 @PROPERTY_SETTINGS
-@given(steps=steps, seed=st.integers(0, 2**32 - 1))
+@given(steps=steps, window=windows, horizon=horizons, seed=st.integers(0, 2**32 - 1))
 # A refresh outvotes the third entry; an insert, then an eviction of three
-# entries, each hands back the raw labels; two refreshes with two windows
-# on the same entries give two sets of labels.
+# entries, each hands back the raw labels.
 @example(steps=[("insert", 1, 0.0, 1), ("insert", 1, 0.0, 1), ("insert", 1, 0.0, 0),
-                ("insert", 1, 0.0, 1), ("insert", 1, 0.5, 1), ("refresh", 4),
-                ("insert", 1, 0.0, 0), ("refresh", 4), ("evict", 0.0, 0.5), ("refresh", 4),
-                ("refresh", 1)],
-         seed=0)
-def test_buffer_matches_list_model(steps, seed):
+                ("insert", 1, 0.0, 1), ("insert", 1, 0.5, 1), ("refresh",),
+                ("insert", 1, 0.0, 0), ("refresh",), ("evict", 0.0), ("refresh",)],
+         window=4, horizon=0.5, seed=0)
+def test_buffer_matches_list_model(steps, window, horizon, seed):
     rng = np.random.default_rng(seed)
-    buf, model = SmallBuffer(), ListBuffer()
+    buf, model = SmallBuffer(D, window, horizon), ListBuffer(window, horizon)
     index, now = 0, 0.0
     for step in steps:
         if step[0] == "insert":
@@ -167,15 +168,14 @@ def test_buffer_matches_list_model(steps, seed):
             buf.insert(feature, PseudoLabel(label), index, now)
             model.insert(feature, label, index, now)
         elif step[0] == "evict":
-            _, dt, horizon = step
-            now += dt
-            buf.evict_old(now, horizon)
-            model.evict_old(now, horizon)
+            now += step[1]
+            buf.evict_old(now)
+            model.evict_old(now)
             cutoff = horizon - horizon * 1e-12
             assert all(now - t < cutoff for t in buf.times)  # eviction is exact
         elif step[0] == "refresh":
-            buf.refresh_working_labels(step[1])
-            model.refresh_working_labels(step[1])
+            buf.refresh_working_labels()
+            model.refresh_working_labels()
         elif len(buf):  # the sampler sees the current working labels
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             feats, labels = sample_batch(buf, NO_REPLAY, step[1], 1.0, rng_a)
@@ -193,14 +193,14 @@ def test_buffer_matches_list_model(steps, seed):
 def test_buffer_bound_under_insert_then_evict(fps, horizon, gaps):
     """Frames at fixed rate, some skipped (discarded), each stored frame
     followed by eviction at its own time: |buffer| <= ceil(horizon * fps)."""
-    buf = SmallBuffer()
+    buf = SmallBuffer(D, 30, horizon)
     bound = math.ceil(horizon * fps)
     index = 0
     for gap in gaps:
         index += gap
         now = (index - 1) / fps
         buf.insert(np.zeros(D), PseudoLabel.LIVE, index, now)
-        buf.evict_old(now, horizon)
+        buf.evict_old(now)
         assert len(buf) <= bound
 
 
@@ -214,18 +214,18 @@ def assert_same_buckets(got, want):
 
 
 @PROPERTY_SETTINGS
-@given(steps=steps, seed=st.integers(0, 2**32 - 1))
+@given(steps=steps, window=windows, horizon=horizons, seed=st.integers(0, 2**32 - 1))
 # A mixed refresh, an eviction down to two spoof entries, then a refresh
 # that finds one class.
 @example(steps=[("insert", 1, 0.0, 0), ("insert", 1, 0.0, 1), ("insert", 1, 1.0, 1),
-                ("insert", 1, 0.0, 1), ("refresh", 3), ("evict", 0.0, 0.5), ("refresh", 3)],
-         seed=0)
-def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, seed):
+                ("insert", 1, 0.0, 1), ("refresh",), ("evict", 0.0), ("refresh",)],
+         window=3, horizon=0.5, seed=0)
+def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, window, horizon, seed):
     """A refresh that finds one class stores its buckets for the sampler;
     whatever the sampler reads equals ``_class_buckets`` of the current
     working labels."""
     rng = np.random.default_rng(seed)
-    buf = SmallBuffer()
+    buf = SmallBuffer(D, window, horizon)
     index, now = 0, 0.0
     for step in steps:
         if step[0] == "insert":
@@ -234,9 +234,9 @@ def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, seed):
             buf.insert(rng.normal(size=D), PseudoLabel(label), index, now)
         elif step[0] == "evict":
             now += step[1]
-            buf.evict_old(now, step[2])
+            buf.evict_old(now)
         elif step[0] == "refresh":
-            buf.refresh_working_labels(step[1])
+            buf.refresh_working_labels()
             if len(buf) and len(set(buf.raw_labels.tolist())) == 1:
                 assert buf._smoothed is not None  # handed over, not left to recount
         if len(buf):
@@ -248,17 +248,17 @@ def test_eviction_at_exact_cutoff():
     ulp younger stays."""
     horizon = 1.0
     cutoff = horizon - horizon * 1e-12
-    buf = OnlineBuffer()
+    buf = OnlineBuffer(D, 30, horizon)
     buf.insert(np.zeros(D), PseudoLabel.LIVE, 1, 0.0)
     buf.insert(np.zeros(D), PseudoLabel.LIVE, 2, cutoff - np.nextafter(cutoff, 0.0))
-    buf.evict_old(cutoff, horizon)
+    buf.evict_old(cutoff)
     assert buf.frame_indices.tolist() == [2]
 
 
 def test_buffer_grows_past_initial_capacity():
     """Three times the initial capacity with nothing evicted, then a sliding
     window: contents always equal the list model's."""
-    buf, model = OnlineBuffer(), ListBuffer()
+    buf, model = OnlineBuffer(D, 5, 4.0), ListBuffer(5, 4.0)
     n = 3 * OnlineBuffer.INITIAL_CAPACITY
     for t in range(1, n + 1):
         feature = np.full(D, float(t))
@@ -269,10 +269,10 @@ def test_buffer_grows_past_initial_capacity():
     for t in range(n + 1, 2 * n + 1):
         buf.insert(np.full(D, float(t)), PseudoLabel.SPOOF, t, t / 30)
         model.insert(np.full(D, float(t)), 1, t, t / 30)
-        buf.evict_old(t / 30, 4.0)
-        model.evict_old(t / 30, 4.0)
-        buf.refresh_working_labels(5)
-        model.refresh_working_labels(5)
+        buf.evict_old(t / 30)
+        model.evict_old(t / 30)
+        buf.refresh_working_labels()
+        model.refresh_working_labels()
     assert_same(buf, model)
 
 
@@ -281,7 +281,7 @@ def test_buffer_grows_past_initial_capacity():
     [(3, 1.0), (2, 1.0), (4, 0.5), (4, float("nan")), (4, float("inf"))],
 )
 def test_buffer_rejects_out_of_order_or_non_finite_inserts(index, time):
-    buf = OnlineBuffer()
+    buf = OnlineBuffer(D, 30, 4.0)
     buf.insert(np.zeros(D), PseudoLabel.LIVE, 3, 0.9)
     with pytest.raises(DataError):
         buf.insert(np.zeros(D), PseudoLabel.LIVE, index, time)
@@ -289,7 +289,7 @@ def test_buffer_rejects_out_of_order_or_non_finite_inserts(index, time):
 
 
 def test_buffer_rejects_a_feature_of_another_shape():
-    buf = OnlineBuffer()
+    buf = OnlineBuffer(D, 30, 4.0)
     buf.insert(np.zeros(D), PseudoLabel.LIVE, 1, 0.0)
     with pytest.raises(DataError, match="shape"):
         buf.insert(np.zeros(D + 1), PseudoLabel.LIVE, 2, 0.1)
@@ -300,7 +300,7 @@ def test_buffer_stores_any_row_of_floats_and_refuses_a_non_numeric_one():
     """A float64 row is stored as it is and any other row of numbers as its
     floats; a non-numeric row is refused, like ``forward`` refuses it."""
     rows = [np.array([0.5, -0.0, 3.0]), [1, 2, 3], np.arange(6.0)[::2], np.ones(D, np.float32)]
-    buf = OnlineBuffer()
+    buf = OnlineBuffer(D, 30, 4.0)
     for i, row in enumerate(rows):
         buf.insert(row, PseudoLabel.LIVE, i, 0.0)
     assert buf.features_matrix().tobytes() == np.array(rows, dtype=np.float64).tobytes()
@@ -341,11 +341,11 @@ def test_sample_batch_matches_per_slot_loop(
     online_labels, replay_labels, batch_size, online_prob, window, seed
 ):
     data = np.random.default_rng(seed)
-    online = SmallBuffer()
+    online = SmallBuffer(D, 0 if window is None else window, 4.0)
     for t, label in enumerate(online_labels, start=1):
         online.insert(data.normal(size=D), PseudoLabel(label), 2 * t, t / 30)
     if window is not None:
-        online.refresh_working_labels(window)
+        online.refresh_working_labels()
     replay = ReplayStore(data.normal(size=(len(replay_labels), D)), replay_labels)
 
     rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)

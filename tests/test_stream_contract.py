@@ -125,7 +125,7 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     indices, times, features = cols
     feature = np.zeros(D)
     engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
-    buffer = OnlineBuffer()
+    buffer = OnlineBuffer(D, 30, 4.0)
     block = first_bad_frame(indices, times)
     assert first_refusal(lambda i, t: engine.process_frame(feature, i, t), indices, times) == block
     assert first_refusal(lambda i, t: buffer.insert(feature, PseudoLabel.LIVE, i, t),
