@@ -55,6 +55,9 @@ KIND_RULES = {
 }
 SEED_RULE = (lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer")
 FRAME_RATE_RULE = (lambda v: math.isfinite(v) and v > 0.0, "a finite frame_rate > 0")
+# The online buffer's window (half of it is added to int64 frame indices) and horizon.
+WINDOW_RULE = (lambda v: 1 <= v < 2**64, "1 <= window < 2**64")
+HORIZON_RULE = (lambda v: math.isfinite(v) and v > 0.0, "a finite eviction_horizon > 0")
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,8 @@ class HyperParams:
 
 _RANGE_CHECKS = (
     ("margin", lambda v: 0.0 < v <= 0.5, "0 < margin <= 0.5"),
-    # Half a window is added to int64 frame indices.
-    ("window", lambda v: 1 <= v < 2**64, "1 <= window < 2**64"),
-    ("eviction_horizon", lambda v: math.isfinite(v) and v > 0.0, "a finite eviction_horizon > 0"),
+    ("window", *WINDOW_RULE),
+    ("eviction_horizon", *HORIZON_RULE),
     ("frame_rate", *FRAME_RATE_RULE),
     ("finetune_freq", lambda v: 0.0 < v <= 1.0, "0 < finetune_freq <= 1"),
     # An event runs all its iterations before the next frame is scored: 1024

@@ -21,14 +21,15 @@ a TraceRecord's fields, in order, are the columns of the trace files. Both
 are built with ``tuple.__new__``, which skips the NamedTuple's Python-level
 ``__new__`` (0.20 us against 0.41 us for a verdict, ``timeit`` on a 2-vCPU
 Intel Xeon).
-``Engine.run_stream`` and both baselines run through one block fold and one
-stream door, which passes each block of SCORE_ROWS_PER_CALL frames up to the
-first frame ``process_frame`` would refuse, as int64 and float64 columns (by
-column from a ``StreamFrames`` of them, else frame by frame). The runner's
-step scores them (``process_frame`` a frame at a time for the engine, one
-stacked ``forward`` for the baselines) into a ``Trace``; then the refused
-frame raises its own DataError. Both trace formats share a ``Trace``'s cells.
-``read_trace_csv`` is the one trace reader; the JSON lines are for other tools.
+``Engine.run_stream`` and both baselines read only a ``StreamFrames`` of
+int64 indices, float64 times and (n, d) float64 features, through one block
+fold and one stream door, which checks each block of SCORE_ROWS_PER_CALL
+frames by column up to the first frame ``process_frame`` would refuse. The
+runner's step scores them (``process_frame`` a frame at a time for the
+engine, one stacked ``forward`` for the baselines) into a ``Trace``; then
+the refused frame raises the DataError of ``process_frame``, in its words.
+Both trace formats share a ``Trace``'s cells. ``read_trace_csv`` is the one
+trace reader; the JSON lines are for other tools.
 
 Adaptation cost is accounted in FLOPs per standard multiply-accumulate
 counting: one sample costs 2*(d*64 + 64) forward, times 3 for the joint
@@ -51,20 +52,21 @@ from .config import ClassLabel, HyperParams, PseudoLabel, check_value, open_text
 from .errors import DataError, NumericalError
 from .head import (
     HIDDEN_UNITS,
+    NON_FINITE_FEATURE,
     SCORE_ROWS_PER_CALL,
     AdamState,
     ClassifierHead,
     apply_update,
-    check_features,
     check_labels,
     forward,
+    not_a_row,
 )
 # Batches come from door-checked stores (see oap.head), so skip the checks and the loss.
 from .head import _grad_kernel as loss_and_grad
 from .memory import OnlineBuffer, ReplayStore, check_frame, first_bad_frame, sample_batch
 from .pseudolabel import assign_pseudo_label
 from .rng import seeded_rng
-from .simstream import StreamFrame, StreamFrames
+from .simstream import StreamFrames
 
 # Cost of the full-size deployment this desk-scale model stands in for, at
 # finetune_freq=1. Sweep reports scale it by finetune_freq; the engine
@@ -198,16 +200,23 @@ class Trace(Sequence):
         return made
 
 
-def _fold(frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, head: ClassifierHead,
+def _fold(frames: StreamFrames, ground_truth, eval_threshold: float, head: ClassifierHead,
           step: Callable, last: tuple | None = None) -> Trace:
-    """The one stream runner behind the engine and both baselines. It reads
-    the stream in order, a block of SCORE_ROWS_PER_CALL frames at a time,
-    through ``_door`` after ``last``, the (index, time) of the frame before
-    it, if any. ``step`` takes the door's ``StreamFrames`` and returns a
-    column each of their int frame indices, ``y`` and the trace fields after
-    ``decision`` (a constant one may be a ``repeat``). Then the refused frame,
-    if any, raises the DataError of ``process_frame``. No record is made: the
-    ``Trace`` makes one when it is read."""
+    """The one stream runner behind the engine and both baselines. It reads a
+    ``StreamFrames`` in order, a block of SCORE_ROWS_PER_CALL frames at a
+    time, through ``_door`` after ``last``, the (index, time) of the frame
+    before it, if any. ``step`` takes the door's frames and returns a column
+    each of their int frame indices, ``y`` and the trace fields after
+    ``decision`` (a constant one may be a ``repeat``); then the door's
+    DataError, if any, is raised. No record is made: the ``Trace`` makes one
+    when it is read. Any other stream is a DataError before a frame runs."""
+    columns = [frames.frame_indices, frames.times, frames.features] if isinstance(
+        frames, StreamFrames) else []
+    # By dtype kind and item size, so the loader's <i8 and <f8 fields pass.
+    if [(c.dtype.kind, c.itemsize, c.ndim) for c in columns if isinstance(c, np.ndarray)] != [
+            ("i", 8, 1), ("f", 8, 1), ("f", 8, 2)]:
+        raise DataError("a stream must be a StreamFrames of int64 frame indices, float64 times "
+                        "and (n, d) float64 features")
     n = len(frames)
     if n == 0:
         raise DataError("empty stream")
@@ -216,46 +225,31 @@ def _fold(frames: Sequence[StreamFrame], ground_truth, eval_threshold: float, he
         truth = check_labels(ground_truth, n).view(np.uint8).tolist()
     made = [[] for _ in range(len(TRACE_COLUMNS) - 2)]  # all but the truth and the decisions
     for start in range(0, n, SCORE_ROWS_PER_CALL):
-        block = frames[start : start + SCORE_ROWS_PER_CALL]
-        good, last = _door(block, head.d, last)
-        for column, values in zip(made, step(good)):
-            column += islice(values, len(good))
-        if len(good) < len(block):
-            frame = block[len(good)]
-            check_frame(frame.frame_index, frame.time, last)
-            with np.errstate(invalid="ignore"):  # a non-finite feature raises, without a warning
-                forward(head, frame.feature)  # raises, unless the feature is a stack of rows
-            raise _not_a_row(head, frame.feature)
+        good, error = _door(frames[start : start + SCORE_ROWS_PER_CALL], head, last)
+        if len(good):
+            for column, values in zip(made, step(good)):
+                column += islice(values, len(good))
+            last = good.frame_indices.item(-1), good.times.item(-1)
+        if error is not None:
+            raise error
     indices, ys, *context = made
     decisions = [1 if y > eval_threshold else 0 for y in ys]  # spoof iff y > eval_threshold
     return Trace((indices, truth, ys, decisions, *context))
 
 
-def _door(block: Sequence[StreamFrame], d: int, last) -> tuple[StreamFrames, tuple | None]:
+def _door(block: StreamFrames, head: ClassifierHead, last) -> tuple[StreamFrames, DataError | None]:
     """The frames of ``block`` before the first that ``process_frame`` would
-    refuse after ``last``, as int64 indices, float64 times and (k, d) float64
-    features, and the (index, time) of the last, as the stream holds it, or
-    ``last``. A ``StreamFrames`` of such columns is checked by column (a
-    refused first frame raises at once), any other sequence frame by frame."""
-    if isinstance(block, StreamFrames) and block.features.shape[1:] == (d,) and (
-            block.frame_indices.dtype, block.times.dtype, block.features.dtype) == (
-            np.int64, np.float64, np.float64):
-        check_frame(block.frame_indices.item(0), block.times.item(0), last)
-        fault = first_bad_frame(block.frame_indices, block.times)
-        rows = np.flatnonzero(~np.isfinite(block.features)) // d  # of the non-finite values
-        good = block[: min([fault[0] if fault else len(block), *rows[:1]])]
-        return good, (good.frame_indices.item(-1), good.times.item(-1)) if len(good) else last
-    good = []
-    for frame in block:
-        try:  # the feature as a (1, d) row, then the frame's order
-            row = check_features([frame.feature], d)
-            last = check_frame(frame.frame_index, frame.time, last), frame.time
-        except DataError:
-            break
-        good.append((row, *last))
-    features, indices, times = list(zip(*good)) or [(), (), ()]
-    return StreamFrames(np.array(features).reshape(len(good), d), np.array(indices, dtype=np.int64),
-                        np.array(times, dtype=np.float64)), last
+    refuse after ``last``, and that frame's DataError in ``process_frame``'s
+    words, or None: a frame's order fault (see ``first_bad_frame``) comes
+    before a first row not as wide as the head's, or a non-finite value."""
+    fault = first_bad_frame(block.frame_indices, block.times, last)
+    k, error = (fault[0], DataError(fault[1])) if fault else (len(block), None)
+    if k and block.features.shape[1] != head.d:
+        return block[:0], not_a_row(head, block.features[0])
+    rows = np.flatnonzero(~np.isfinite(block.features[:k])) // head.d  # of the non-finite values
+    if rows.size:
+        k, error = rows.item(0), DataError(NON_FINITE_FEATURE)
+    return block[:k], error
 
 
 class Engine:
@@ -289,7 +283,7 @@ class Engine:
         frame_index = check_frame(frame_index, time, self.last_frame)
         y = forward(self.head, feature)
         if y.__class__ is not float:  # forward scored a stack of rows
-            raise _not_a_row(self.head, feature)
+            raise not_a_row(self.head, feature)
         self.last_frame = frame_index, time
         decision = _SPOOF if y > p.eval_threshold else _LIVE
         pseudo = assign_pseudo_label(y, p.margin)
@@ -327,7 +321,7 @@ class Engine:
         self.cumulative_flops += self._event_flops
         return True
 
-    def run_stream(self, frames: Sequence[StreamFrame], ground_truth=None) -> Trace:
+    def run_stream(self, frames: StreamFrames, ground_truth=None) -> Trace:
         """Fold process_frame over the stream (see ``_fold``), each frame once,
         its time read as a float64. ``ground_truth`` is harness-side only; it
         is copied into the trace and never touches the model."""
@@ -344,34 +338,17 @@ class Engine:
                      self.last_frame)
 
 
-def _not_a_row(head: ClassifierHead, feature) -> DataError:
-    """The error for a frame's feature that is not one (d,) row."""
-    return DataError(
-        f"feature dimension mismatch: head expects shape ({head.d},), got {np.shape(feature)}"
-    )
-
-
-def run_baseline_frozen(
-    head: ClassifierHead,
-    frames: Sequence[StreamFrame],
-    ground_truth=None,
-    eval_threshold: float = 0.5,
-) -> Trace:
+def run_baseline_frozen(head: ClassifierHead, frames: StreamFrames, ground_truth=None,
+                        eval_threshold: float = 0.5) -> Trace:
     """Pure inference with no adaptation: what run_stream degenerates to
     when nothing fires. The head is never touched. It is the smoothed
     baseline at momentum 0, where 0*ema + 1*y is exactly y."""
-    return run_baseline_smoothed(
-        head, frames, 0.0, ground_truth=ground_truth, eval_threshold=eval_threshold
-    )
+    return run_baseline_smoothed(head, frames, 0.0, ground_truth=ground_truth,
+                                 eval_threshold=eval_threshold)
 
 
-def run_baseline_smoothed(
-    head: ClassifierHead,
-    frames: Sequence[StreamFrame],
-    momentum: float,
-    ground_truth=None,
-    eval_threshold: float = 0.5,
-) -> Trace:
+def run_baseline_smoothed(head: ClassifierHead, frames: StreamFrames, momentum: float,
+                          ground_truth=None, eval_threshold: float = 0.5) -> Trace:
     """Frozen head whose emitted probability is an exponential moving
     average of the per-frame probabilities. The head never changes, so each
     block that passed the fold's stream door is scored in one ``forward``

@@ -77,6 +77,8 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 # The feature width ``d`` of a head or of generated features.
 WIDTH_RULE = (lambda v: v >= 1, "d >= 1")
+# The words of every door that refuses a non-finite feature.
+NON_FINITE_FEATURE = "non-finite value in feature input"
 
 # Rows per block of ``forward_batch``: a block's stacked products (about
 # 0.5 MB at 64 hidden units) stay the same size, whatever the input's length.
@@ -212,7 +214,7 @@ def check_features(feats, d: int | None = None) -> np.ndarray:
         want = f"(n, {d})" if d else "(n, d) with at least one column"
         raise DataError(f"feature table must have shape {want}, got {feats.shape}")
     if not all_finite(feats):
-        raise DataError("non-finite value in feature input")
+        raise DataError(NON_FINITE_FEATURE)
     return feats
 
 
@@ -232,6 +234,12 @@ def check_labels(labels, n: int) -> np.ndarray:
     if np.count_nonzero(spoof | (labels == 0)) != n:
         raise DataError("labels must be 0 or 1")
     return spoof
+
+
+def not_a_row(head: ClassifierHead, feature) -> DataError:
+    """The error for a frame's feature that is not one (d,) row."""
+    shape = np.shape(feature)
+    return DataError(f"feature dimension mismatch: head expects shape ({head.d},), got {shape}")
 
 
 def forward(head: ClassifierHead, feature):
@@ -258,17 +266,15 @@ def forward(head: ClassifierHead, feature):
     if feature.shape != (head.d,):
         if feature.ndim == 2:
             return forward_batch(head, feature)
-        raise DataError(
-            f"feature dimension mismatch: head expects shape ({head.d},), got {feature.shape}"
-        )
+        raise not_a_row(head, feature)
     try:
         hidden = feature.dot(head.w1)
     except (FloatingPointError, RuntimeWarning):  # np.errstate or a warnings filter raised
         if all_finite(feature):
             raise
-        raise DataError("non-finite value in feature input") from None
+        raise DataError(NON_FINITE_FEATURE) from None
     if not math.isfinite(hidden.item(0)) and not all_finite(feature):
-        raise DataError("non-finite value in feature input")
+        raise DataError(NON_FINITE_FEATURE)
     np.add(hidden, head.b1, out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
     z = float(hidden.dot(head.w2)) + head.b2.item()

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import simstream
-from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel, check_value
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, HORIZON_RULE, WINDOW_RULE, PseudoLabel
+from .config import check_value
 from .errors import DataError
 from .head import WIDTH_RULE, _as_floats, check_features, check_labels
 from .pseudolabel import smooth_labels
@@ -55,17 +56,19 @@ def check_frame(frame_index, time, last) -> int:
     return index
 
 
-def first_bad_frame(indices: np.ndarray, times: np.ndarray) -> tuple[int, str] | None:
+def first_bad_frame(indices: np.ndarray, times: np.ndarray, last=None) -> tuple[int, str] | None:
     """The block form of ``check_frame`` on a stream's int64 index and
-    float64 time columns: the position of the first frame it would refuse
-    and the same reason, or None."""
+    float64 time columns, the first frame checked against ``last`` as there:
+    the position of the first frame it would refuse and its reason, or None."""
     bad = ~np.isfinite(times)
     bad[1:] |= (indices[1:] <= indices[:-1]) | (times[1:] < times[:-1])
+    if last is not None and bad.size:
+        bad[0] |= indices.item(0) <= last[0] or times.item(0) < last[1]
     if not bad.any():
         return None
     k = int(np.argmax(bad))
-    last = (indices.item(k - 1), times.item(k - 1)) if k else None
-    return k, _frame_fault(indices.item(k), times.item(k), last)
+    before = (indices.item(k - 1), times.item(k - 1)) if k else last
+    return k, _frame_fault(indices.item(k), times.item(k), before)
 
 
 def _frame_fault(index: int, time, last) -> str:
@@ -82,9 +85,9 @@ class OnlineBuffer:
     """Ordered store of (feature, raw pseudo-label, frame_index, wall
     time). Single writer; discard labels never enter; frame indices
     strictly increase and times never decrease, so eviction by age always
-    removes a prefix. The feature width ``d`` (held to ``head.WIDTH_RULE``),
-    the smoothing ``window`` in frames and the eviction cutoff of ``horizon``
-    seconds are fixed when the buffer is built.
+    removes a prefix. The width ``d``, smoothing ``window`` in frames and
+    eviction cutoff of ``horizon`` seconds are fixed when the buffer is built,
+    held to ``WIDTH_RULE``, ``WINDOW_RULE`` and ``HORIZON_RULE`` in their words.
 
     The entries live in rows ``[lo, hi)`` of preallocated column arrays.
     When an insert finds the arrays full, the live rows move to the front
@@ -101,6 +104,8 @@ class OnlineBuffer:
 
     def __init__(self, d: int, window: int, horizon: float) -> None:
         check_value("d", d, int, WIDTH_RULE)
+        check_value("window", window, int, WINDOW_RULE)
+        check_value("eviction_horizon", horizon, float, HORIZON_RULE)
         cap = self.INITIAL_CAPACITY
         self._features = np.empty((cap, d))
         self._raw = np.empty(cap, dtype=np.int64)
@@ -330,11 +335,14 @@ def sample_batch(
     Online entries carry their working label: the one the buffer's last
     ``refresh_working_labels`` derived, or their raw label if an entry
     came or went since. Replay entries carry their frozen ground-truth
-    label. Sampling is with replacement and never mutates either store.
+    label. Sampling is with replacement and never mutates either store, nor
+    ``rng`` when it refuses two non-empty stores of different widths.
     """
     n_online, n_replay = len(online), len(replay)
     if n_online == 0 and n_replay == 0:
         raise DataError("cannot sample a batch: both stores are empty")
+    if online.d != replay.d and n_online and n_replay:
+        raise DataError(f"cannot sample a batch: online width {online.d}, replay {replay.d}")
 
     # One draw of 3 * batch_size uniforms: the same stream, in the same
     # order, as three draws of batch_size.

@@ -134,7 +134,9 @@ class StreamFrames(Sequence):
     ``[i]`` takes a negative ``i`` too and raises IndexError out of range;
     a slice is a ``StreamFrames`` over views of the columns. A held stream
     costs its columns alone, where a list of frames costs about 300 bytes
-    a frame more. It equals a list or a ``StreamFrames`` of equal frames."""
+    a frame more. It is the one form of a stream that the runners read
+    (see ``engine._fold``); ``StreamFrames(features, frame_indices, times)``
+    builds one from your own arrays."""
 
     __slots__ = ("features", "frame_indices", "times")
 
@@ -162,11 +164,6 @@ class StreamFrames(Sequence):
         rows = slice(start, start + FRAMES_PER_READ)
         indices, times = self.frame_indices[rows].tolist(), self.times[rows].tolist()
         return map(tuple.__new__, repeat(StreamFrame), zip(self.features[rows], indices, times))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, StreamFrames)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def _user_offset(cfg: GeneratorConfig, user_id: int) -> np.ndarray:
@@ -419,15 +416,19 @@ _MAX_D = np.iinfo(np.int64).max // np.dtype(np.float64).itemsize
 def _read_header(path: Path, fh) -> tuple[str, int, bool, float]:
     """The version, ``d``, ``labeled`` and ``fps`` of the header line of the
     text file ``fh``, read from its byte buffer and leaving it after the line
-    break, so a binary body is not decoded. ``d`` is held to ``WIDTH_RULE``
-    and one float64 row, ``fps`` to ``FRAME_RATE_RULE``, in their words. A
-    line longer than ``HEADER_MAX_BYTES`` is malformed, quoted by its start."""
-    line = (fh.buffer.readline(HEADER_MAX_BYTES + 1).splitlines(keepends=True) or [b""])[0]
+    break, so a binary body is not decoded. It seeks back only to a line's
+    lone carriage return, so a pipe's header reads. ``d`` is held to
+    ``WIDTH_RULE`` and one float64 row, ``fps`` to ``FRAME_RATE_RULE``, in
+    their words. A line longer than ``HEADER_MAX_BYTES`` is malformed, quoted
+    by its start."""
+    read = fh.buffer.readline(HEADER_MAX_BYTES + 1)
+    line = (read.splitlines(keepends=True) or [b""])[0]
     if len(line) > HEADER_MAX_BYTES:
         start = line[:32].decode(fh.encoding, "replace")
         raise DataError(f"{path}: malformed header {start!r}...: longer than "
                         f"{HEADER_MAX_BYTES} bytes")
-    fh.buffer.seek(len(line))
+    if len(line) < len(read):
+        fh.buffer.seek(len(line))
     header = line.decode(fh.encoding).strip()
     parts = header.split()
     if len(parts) != 5 or parts[0] != "oapf":
@@ -472,8 +473,9 @@ def _table_data(path: Path, table, labeled: bool, frame_rate: float) -> FeatureF
 def _read_body(raw) -> bytearray:
     """The rest of the binary file ``raw`` in one writable buffer: sized from
     the file and filled by ``readinto``, less a tail the file no longer has,
-    plus what it gained since, so the body is never held twice."""
-    body = bytearray(max(os.fstat(raw.fileno()).st_size - raw.tell(), 0))
+    plus what it gained since, so the body is never held twice. A pipe has no
+    size to read and is read whole."""
+    body = bytearray(max(os.fstat(raw.fileno()).st_size - raw.tell(), 0) if raw.seekable() else 0)
     del body[raw.readinto(body):]
     body += raw.read()
     return body

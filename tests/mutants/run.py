@@ -92,6 +92,26 @@ MUTANTS = [
      "    seeded = [params.replace(seed=params.seed + i) for i in range(runner.seeds)]\n",
      "    seeded = (params.replace(seed=params.seed + i) for i in range(runner.seeds))\n",
      "every derived seed is built before the first write"),
+    # The engine docstring's rules.
+    ("verdict_after_finetune", "src/oap/engine.py",
+     "        return tuple.__new__(FrameVerdict, (frame_index, y, decision, pseudo, finetuned))\n",
+     "        y = forward(self.head, feature) if finetuned else y\n"
+     "        return tuple.__new__(FrameVerdict, (frame_index, y, decision, pseudo, finetuned))\n",
+     "causality: a frame is scored by the head as it stood before the frame arrived"),
+    ("no_eviction", "src/oap/engine.py",
+     "        self.online.evict_old(time)\n",
+     "",
+     "the buffer bound: every frame evicts the entries older than the horizon"),
+    ("discard_inserted", "src/oap/engine.py",
+     "        if pseudo is not _DISCARD:\n"
+     "            self.online.insert(feature, pseudo, frame_index, time)\n",
+     "        self.online.insert(feature, decision if pseudo is _DISCARD else pseudo, frame_index,"
+     " time)\n",
+     "a discarded frame never enters the buffer"),
+    ("two_events_a_frame", "src/oap/engine.py",
+     "            finetuned = self._finetune()\n",
+     "            self._finetune()\n            finetuned = self._finetune()\n",
+     "at most one fine-tune event per frame"),
     # The doors: each accepts what it should refuse.
     ("check_frame_repeats_index", "src/oap/memory.py",
      "(index <= last[0] or time < last[1])",
@@ -101,8 +121,16 @@ MUTANTS = [
      "(indices[1:] <= indices[:-1])",
      "(indices[1:] < indices[:-1])",
      "first_bad_frame: frame indices strictly increase"),
+    ("refusal_before_prefix", "src/oap/engine.py",
+     "        if len(good):\n",
+     "        if error is not None:\n            raise error\n        if len(good):\n",
+     "_door: the frames before a refused one run before its DataError is raised"),
+    ("nan_before_order_fault", "src/oap/engine.py",
+     "np.isfinite(block.features[:k])",
+     "np.isfinite(block.features[: k + 1])",
+     "_door: a frame's order fault is named before its non-finite feature"),
     ("check_features_not_finite", "src/oap/head.py",
-     "    if not all_finite(feats):\n        raise DataError(\"non-finite value in feature input\")\n",
+     "    if not all_finite(feats):\n        raise DataError(NON_FINITE_FEATURE)\n",
      "",
      "check_features: every feature value is finite"),
     ("check_labels_not_counted", "src/oap/head.py",

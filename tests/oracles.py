@@ -13,6 +13,7 @@ from oap.errors import DataError, NumericalError
 from oap.head import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HIDDEN_UNITS, ClassifierHead, forward
 from oap.head import loss_and_grad
 from oap.rng import seeded_rng
+from oap.simstream import StreamFrames
 
 
 def random_head(d, seed, scale=0.3):
@@ -23,6 +24,36 @@ def random_head(d, seed, scale=0.3):
         b1=rng.normal(0, 0.05, size=HIDDEN_UNITS),
         w2=rng.normal(0, scale / np.sqrt(HIDDEN_UNITS), size=HIDDEN_UNITS),
         b2=rng.normal(0, 0.05, size=1),
+    )
+
+
+def stream_of(frames) -> StreamFrames:
+    """The ``StreamFrames`` of a list of ``StreamFrame``, the one form of a
+    stream the runners read: int64 indices, float64 times and the features
+    stacked as (n, d) float64 rows (d = 0 for an empty list)."""
+    features = np.array([f.feature for f in frames], dtype=np.float64)
+    return StreamFrames(features.reshape(len(frames), -1 if len(frames) else 0),
+                        np.array([f.frame_index for f in frames], dtype=np.int64),
+                        np.array([f.time for f in frames], dtype=np.float64))
+
+
+def engine_state(engine):
+    """Everything a frame may change, as comparable values."""
+    buf = engine.online
+    return (
+        engine.head.flat.tobytes(),
+        engine.adam.m_flat.tobytes(),
+        engine.adam.v_flat.tobytes(),
+        engine.adam.step_count,
+        buf.frame_indices.tobytes(),
+        buf.raw_labels.tobytes(),
+        buf.working_labels.tobytes(),
+        buf.times.tobytes(),
+        buf.features_matrix().tobytes(),
+        engine.finetune_accumulator,
+        engine.cumulative_flops,
+        engine.last_frame,
+        repr(engine.rng.bit_generator.state),
     )
 
 

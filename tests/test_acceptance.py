@@ -174,7 +174,7 @@ def test_05_sampler_statistics():
     """10,000 batches at online_prob 0.9, B=16: online fraction within
     [0.89, 0.91]; replay class split within [0.48, 0.52]."""
     d = 4
-    buf = OnlineBuffer(d, 0, 4.0)
+    buf = OnlineBuffer(d, 1, 4.0)
     for t in range(1, 101):
         label = PseudoLabel.SPOOF if t % 2 else PseudoLabel.LIVE
         f = np.full(d, 1.0)  # online rows marked by +1 in coordinate 0

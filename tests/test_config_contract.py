@@ -27,7 +27,7 @@ from oap.rng import seeded_rng
 from oap.simstream import GeneratorConfig, Segment, StreamFrame, StreamScenario
 from oap.simstream import generate_pretraining_set
 
-from oracles import SOURCES, spelled_in
+from oracles import SOURCES, spelled_in, stream_of
 
 SEGMENTS = (Segment(ClassLabel.LIVE, 10),)
 
@@ -215,7 +215,7 @@ def test_generate_pretraining_set_takes_the_n_users_rule():
 
 def test_run_baseline_smoothed_takes_the_momentum_rule():
     head = init_head(2, np.random.default_rng(0))
-    frames = [StreamFrame(np.zeros(2), 1, 0.0)]
+    frames = stream_of([StreamFrame(np.zeros(2), 1, 0.0)])
     for momentum in (1.0, -0.1, math.nan, "0.5", True):
         assert refusal(lambda: run_baseline_smoothed(head, frames, momentum)).startswith(
             f"momentum out of range: {momentum!r}")

@@ -2,7 +2,6 @@
 cadence, cost accounting, baselines, and trace files."""
 
 import re
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from oap.simstream import (
     generate_pretraining_set,
     generate_stream,
 )
+
+from oracles import engine_state, stream_of
 
 D = 8
 GEN = GeneratorConfig(d=D, seed=123)
@@ -186,7 +187,7 @@ class TestCausalityAndDeterminism:
         params = desk_params(margin=0.5, window=9)
         traces = []
         for base in (0, 2**60 - 1):
-            shifted = [f._replace(frame_index=base + f.frame_index) for f in frames]
+            shifted = stream_of([f._replace(frame_index=base + f.frame_index) for f in frames])
             engine = Engine(head, replay, params)
             trace = engine.run_stream(shifted, truth)
             traces.append(([r[1:] for r in trace], engine.head.flat.tobytes()))
@@ -252,26 +253,6 @@ class TestCausalityAndDeterminism:
         np.testing.assert_array_equal(engine.head.flat, before)
         np.testing.assert_array_equal(engine.adam.m_flat, adam_before[0])
         np.testing.assert_array_equal(engine.adam.v_flat, adam_before[1])
-
-
-def engine_state(engine):
-    """Everything a frame may change, as comparable values."""
-    buf = engine.online
-    return (
-        engine.head.flat.tobytes(),
-        engine.adam.m_flat.tobytes(),
-        engine.adam.v_flat.tobytes(),
-        engine.adam.step_count,
-        buf.frame_indices.tobytes(),
-        buf.raw_labels.tobytes(),
-        buf.working_labels.tobytes(),
-        buf.times.tobytes(),
-        buf.features_matrix().tobytes(),
-        engine.finetune_accumulator,
-        engine.cumulative_flops,
-        engine.last_frame,
-        repr(engine.rng.bit_generator.state),
-    )
 
 
 class TestInputContract:
@@ -525,15 +506,15 @@ class TestFrozenBaseline:
 
     def test_constant_input_constant_trace(self, artifacts):
         head, _, _, _ = artifacts
-        frames = [StreamFrame(np.ones(D), t, (t - 1) / 30.0) for t in range(1, 20)]
+        frames = stream_of([StreamFrame(np.ones(D), t, (t - 1) / 30.0) for t in range(1, 20)])
         trace = run_baseline_frozen(head, frames)
         assert len({r.y for r in trace}) == 1
 
-    @pytest.mark.parametrize("feature", [np.zeros((1, D)), np.float64(0.0)], ids=["row", "scalar"])
-    def test_wrongly_shaped_feature_is_a_data_error(self, artifacts, feature):
+    @pytest.mark.parametrize("features", [np.zeros((1, 1, D)), np.zeros(1)], ids=["row", "scalar"])
+    def test_wrongly_shaped_feature_is_a_data_error(self, artifacts, features):
         head, _, _, _ = artifacts
-        with pytest.raises(DataError, match="shape"):
-            run_baseline_frozen(head, [StreamFrame(feature, 1, 0.0)])
+        with pytest.raises(DataError, match="features"):
+            run_baseline_frozen(head, StreamFrames(features, np.ones(1, np.int64), np.zeros(1)))
 
     def test_agrees_with_adaptive_engine_on_first_frame(self, artifacts):
         head, replay, frames, _ = artifacts
@@ -549,8 +530,9 @@ def baseline(kind, head, frames, **kwargs):
 
 
 def rows(n):
-    return [StreamFrame(f, t, t / 30.0)
-            for t, f in enumerate(np.random.default_rng(5).normal(size=(n, D)), start=1)]
+    """A stream of ``n`` random frames, its columns editable."""
+    features = np.random.default_rng(5).normal(size=(n, D))
+    return StreamFrames(features, np.arange(1, n + 1), np.arange(1, n + 1) / 30.0)
 
 
 @pytest.mark.parametrize("kind", ["frozen", "ema"])
@@ -558,111 +540,105 @@ class TestBaselineErrors:
     """The baselines score stacks of frames, but fail as scoring frame by
     frame did: an empty stream first, then a ground truth of the wrong
     length, then the DataError of the first frame that is not a finite
-    (d,) row, whichever stack it falls in. A frame of another width makes
-    its stack ragged."""
+    (d,) row in order, whichever stack it falls in."""
 
     def test_empty_stream_before_ground_truth(self, artifacts, kind):
         head = artifacts[0]
         with pytest.raises(DataError, match="empty stream"):
-            baseline(kind, head, [], ground_truth=[0, 1])
+            baseline(kind, head, stream_of([]), ground_truth=[0, 1])
 
     def test_ground_truth_length_before_bad_frames(self, artifacts, kind):
         head = artifacts[0]
         frames = rows(4)
-        frames[0] = StreamFrame(np.zeros(D + 1), 1, 0.0)
+        frames.features[0, 0] = np.nan
         with pytest.raises(DataError, match="^3 labels for 4 rows: want one label per row$"):
             baseline(kind, head, frames, ground_truth=[0] * 3)
 
     @pytest.mark.parametrize("first, second, message", [
-        (np.zeros(D + 1), np.full(D, np.nan), re.escape(f"got {(D + 1,)}")),
-        (np.full(D, np.nan), np.zeros(D + 1), "non-finite"),
-        (np.zeros((1, D)), np.zeros(D + 1), re.escape(f"got {(1, D)}")),
-        (np.float64(0.0), np.full(D, np.inf), re.escape("got ()")),
-        ([1j] * D, np.zeros(D + 1), "non-numeric"),
-    ], ids=["width before nan", "nan before width", "row before width", "scalar before inf",
-            "complex before width"])
+        ("nan", "time going back", "^non-finite value in feature input$"),
+        ("time going back", "nan", "^frame time -1.0 precedes the last frame's "),
+        ("repeated index", "nan", r"^frame index (\d+) does not follow the last frame's \1$"),
+        ("inf", "repeated index", "^non-finite value in feature input$"),
+    ], ids=["nan before time", "time before nan", "index before nan", "inf before index"])
     @pytest.mark.parametrize("at", [2, SCORE_ROWS_PER_CALL + 2], ids=["first stack", "second stack"])
     def test_first_bad_frame_named(self, artifacts, kind, first, second, message, at):
         head = artifacts[0]
         frames = rows(at + 5)
-        frames[at] = StreamFrame(first, at + 1, at / 30.0)
-        frames[at + 2] = StreamFrame(second, at + 3, (at + 2) / 30.0)
+        for fault, i in ((first, at), (second, at + 2)):
+            if fault in ("nan", "inf"):
+                frames.features[i, 1] = float(fault)
+            elif fault == "time going back":
+                frames.times[i] = -1.0
+            else:
+                frames.frame_indices[i] = frames.frame_indices[i - 1]
         with pytest.raises(DataError, match=message):
             baseline(kind, head, frames)
 
-    @pytest.mark.parametrize("shape", [(D + 1,), (1, D), (2, D), (2, 3, D), ()])
-    def test_uniformly_misshaped_stream(self, artifacts, kind, shape):
-        """Every frame misshaped the same way still stacks; each shape is
-        named as it is for a single frame."""
+    @pytest.mark.parametrize("shape, message", [
+        ((D + 1,), re.escape(f"got {(D + 1,)}")),
+        ((1, D), "^a stream must be a StreamFrames of "),
+        ((), "^a stream must be a StreamFrames of "),
+        ((D - 1,), re.escape(f"got {(D - 1,)}")),
+        ((2, 3, D), "^a stream must be a StreamFrames of "),
+    ])
+    def test_uniformly_misshaped_stream(self, artifacts, kind, shape, message):
+        """A column of rows of another width is named as a single frame's
+        row is; a feature column that is not (n, d) is not a stream."""
         head = artifacts[0]
-        frames = [StreamFrame(np.zeros(shape), t, t / 30.0) for t in range(1, D + 1)]
-        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
+        frames = StreamFrames(np.zeros((D, *shape)), np.arange(1, D + 1), np.arange(D) / 30.0)
+        with pytest.raises(DataError, match=message):
             baseline(kind, head, frames)
 
 
-class CountingFrames(Sequence):
-    """A sequence of frames that counts each frame it hands out, by index,
-    by iteration or through a slice of it."""
-
-    def __init__(self, frames, made=None):
-        self.frames, self.made = frames, made if made is not None else [0]
-
-    def __len__(self):
-        return len(self.frames)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CountingFrames(self.frames[i], self.made)
-        frame = self.frames[i]
-        self.made[0] += 1
-        return frame
-
-
-@pytest.mark.parametrize("kind", ["frozen", "ema", "engine"])
-@pytest.mark.parametrize("n", [5, SCORE_ROWS_PER_CALL + 3])
-def test_each_frame_is_made_once(artifacts, kind, n):
-    """A run makes each of the stream's frames once, however many blocks
-    the stream spans, and gives the trace of the plain list."""
-    head, replay, _, _ = artifacts
-    frames = rows(n)
-    counting = CountingFrames(frames)
-    if kind == "engine":
-        trace = Engine(head, replay, desk_params()).run_stream(counting)
-        assert trace == Engine(head, replay, desk_params()).run_stream(frames)
-    else:
-        trace = baseline(kind, head, counting)
-        assert trace == baseline(kind, head, frames)
-    assert counting.made[0] <= n
-
-
-@pytest.mark.parametrize("form", ["list", "StreamFrames"])
-@pytest.mark.parametrize("fault", ["nan feature", "time going back"])
+@pytest.mark.parametrize("fault", ["nan feature", "time going back", "both"])
 @pytest.mark.parametrize("at", [500, SCORE_ROWS_PER_CALL + 5], ids=["mid-block", "second block"])
-def test_a_refused_frame_leaves_the_state_of_the_per_frame_loop(artifacts, form, fault, at):
+def test_a_refused_frame_leaves_the_state_of_the_per_frame_loop(artifacts, fault, at):
     """``run_stream`` runs the frames before a refused one, then raises its
     DataError: the engine is left as a loop of ``process_frame`` over the
-    same frames leaves it, fine-tuning on every frame."""
+    same frames leaves it, fine-tuning on every frame. A frame with a NaN
+    feature and a time going back is refused for its time."""
     head, replay, _, _ = artifacts
     frames = rows(at + 5)
-    bad = frames[at]
-    if fault == "nan feature":
-        frames[at] = StreamFrame(np.full(D, np.nan), bad.frame_index, bad.time)
-    else:
-        frames[at] = StreamFrame(bad.feature, bad.frame_index, -1.0)
+    if fault != "time going back":
+        frames.features[at] = np.nan
+    if fault != "nan feature":
+        frames.times[at] = -1.0
     params = desk_params(margin=0.3, finetune_freq=1.0)
     loop = Engine(head, replay, params)
     with pytest.raises(DataError) as want:
         for f in frames:
             loop.process_frame(f.feature, f.frame_index, f.time)
-    stream = frames if form == "list" else StreamFrames(
-        np.array([f.feature for f in frames]), np.array([f.frame_index for f in frames]),
-        np.array([f.time for f in frames]))
     engine = Engine(head, replay, params)
     with pytest.raises(DataError) as got:
-        engine.run_stream(stream)
+        engine.run_stream(frames)
     assert str(got.value) == str(want.value)
     assert engine.adam.step_count > 0 and len(engine.online) > 0
     assert engine_state(engine) == engine_state(loop)
+
+
+@pytest.mark.parametrize("fault", ["repeated index", "time going back", "nan feature", "both"])
+def test_a_first_frame_refused_after_an_earlier_run_leaves_the_engine_as_it_was(artifacts,
+                                                                                fault):
+    """The first frame of a second ``run_stream`` is checked against the
+    last frame of the first run, and refused in ``process_frame``'s words
+    before any state changes."""
+    head, replay, _, _ = artifacts
+    frames = rows(40)
+    engine = Engine(head, replay, desk_params(margin=0.3, finetune_freq=0.5))
+    engine.run_stream(frames[:20])
+    rest = rows(40)[20:]
+    if fault in ("repeated index", "both"):
+        rest.frame_indices[0] = 20
+    if fault == "time going back":
+        rest.times[0] = 0.0
+    if fault in ("nan feature", "both"):
+        rest.features[0] = np.nan
+    before = engine_state(engine)
+    with pytest.raises(DataError) as want:
+        engine.process_frame(rest[0].feature, rest[0].frame_index, rest[0].time)
+    with pytest.raises(DataError, match=f"^{re.escape(str(want.value))}$"):
+        engine.run_stream(rest)
+    assert engine_state(engine) == before
 
 
 class TestSmoothedBaseline:
@@ -674,7 +650,7 @@ class TestSmoothedBaseline:
 
     def test_constant_input_is_fixed_point(self, artifacts):
         head, _, _, _ = artifacts
-        frames = [StreamFrame(np.ones(D), t, (t - 1) / 30.0) for t in range(1, 30)]
+        frames = stream_of([StreamFrame(np.ones(D), t, (t - 1) / 30.0) for t in range(1, 30)])
         trace = run_baseline_smoothed(head, frames, momentum=0.8)
         assert len({r.y for r in trace}) == 1
 
@@ -788,7 +764,7 @@ class TestTraceFiles:
     def test_empty_stream_rejected(self, artifacts):
         head, replay, _, _ = artifacts
         with pytest.raises(DataError, match="empty"):
-            Engine(head, replay, desk_params()).run_stream([])
+            Engine(head, replay, desk_params()).run_stream(stream_of([]))
 
     @pytest.mark.parametrize("runner", ["engine", "frozen", "ema"])
     @pytest.mark.parametrize("n_frames, n_truth", [(300, 10), (10, 300)])

@@ -1,10 +1,12 @@
 """Online buffer eviction semantics, replay construction, and the
 weighted two-store batch sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oap.config import PseudoLabel
+from oap.config import HyperParams, PseudoLabel
 from oap.errors import ConfigError, DataError
 from oap.head import init_head
 from oap.memory import OnlineBuffer, ReplayStore, sample_batch, subsample_pretraining
@@ -204,6 +206,22 @@ class TestOnlineBuffer:
             OnlineBuffer(d, 30, 4.0)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("window", 0), ("window", -3), ("window", 2.5), ("window", True), ("window", 2**64),
+        ("eviction_horizon", 0.0), ("eviction_horizon", -1.0), ("eviction_horizon", math.nan),
+        ("eviction_horizon", math.inf), ("eviction_horizon", "4"),
+    ])
+    def test_window_and_horizon_outside_the_ledgers_rules_refused(self, key, value):
+        """A buffer's window and horizon are held to the ledger's rules, in
+        its words, and no buffer is built."""
+        with pytest.raises(ConfigError) as want:
+            HyperParams(**{key: value})
+        settings = {"window": 30, "eviction_horizon": 4.0, key: value}
+        built = None
+        with pytest.raises(ConfigError, match=f"^{key} out of range") as got:
+            built = OnlineBuffer(4, settings["window"], settings["eviction_horizon"])
+        assert str(got.value) == str(want.value) and built is None
+
 
 class TestReplayStore:
     def test_immutable(self):
@@ -307,7 +325,7 @@ def test_an_empty_store_of_any_width_is_accepted(d):
 
 
 def populated_stores(n_online=40, n_replay=200, d=3):
-    buf = buffer(window=0, d=d)
+    buf = buffer(window=1, d=d)
     rng = np.random.default_rng(10)
     for t in range(1, n_online + 1):
         label = PseudoLabel.SPOOF if t % 3 == 0 else PseudoLabel.LIVE
@@ -352,6 +370,18 @@ class TestSampleBatch:
         empty = ReplayStore(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(DataError, match="empty"):
             sample_batch(buffer(d=3), empty, 8, 0.9, seeded_rng(0, "sampler"))
+
+    def test_stores_of_two_widths_refused_before_a_draw(self):
+        """Two non-empty stores of different widths are a DataError naming
+        both widths, raised before the sampler draws: its RNG is as it was."""
+        buf, _ = populated_stores(d=3)
+        _, replay = populated_stores(d=5)
+        rng = seeded_rng(0, "sampler")
+        state = rng.bit_generator.state
+        with pytest.raises(DataError,
+                           match="^cannot sample a batch: online width 3, replay 5$"):
+            sample_batch(buf, replay, 8, 0.9, rng)
+        assert rng.bit_generator.state == state
 
     def test_source_mix_concentrates_at_alpha(self):
         """Across many batches the online fraction lands within a tight

@@ -68,7 +68,7 @@ from oap.pseudolabel import smooth_labels
 from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, generate_stream
 
-from oracles import fresh_array_adam, per_slot_sample_batch
+from oracles import fresh_array_adam, per_slot_sample_batch, stream_of
 
 D = 3
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -143,7 +143,7 @@ steps = st.lists(
     ),
     max_size=120,
 )
-windows = st.integers(0, 9)
+windows = st.integers(1, 9)
 horizons = st.sampled_from([0.1, 0.5, 1.0, 4.0, 7.3])
 NO_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 
@@ -329,7 +329,7 @@ label_lists = st.one_of(
     replay_labels=label_lists,
     batch_size=st.integers(0, 40),
     online_prob=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)),
-    window=st.one_of(st.none(), st.integers(0, 7)),
+    window=st.one_of(st.none(), st.integers(1, 7)),
     seed=st.integers(0, 2**32 - 1),
 )
 # One store holds one class and the other both, each way round.
@@ -341,7 +341,7 @@ def test_sample_batch_matches_per_slot_loop(
     online_labels, replay_labels, batch_size, online_prob, window, seed
 ):
     data = np.random.default_rng(seed)
-    online = SmallBuffer(D, 0 if window is None else window, 4.0)
+    online = SmallBuffer(D, 1 if window is None else window, 4.0)
     for t, label in enumerate(online_labels, start=1):
         online.insert(data.normal(size=D), PseudoLabel(label), 2 * t, t / 30)
     if window is not None:
@@ -542,7 +542,8 @@ stream_lengths = st.one_of(st.integers(1, 40), st.sampled_from(
 def test_baselines_match_the_per_frame_fold(d, n, seed, scale, momentum, labeled):
     h, feats = stacked_case(d, n, seed, scale, 0.0)
     gaps = np.random.default_rng(seed + 2).integers(1, 4, size=n)
-    frames = [StreamFrame(f, int(i), i / 30.0) for f, i in zip(feats, np.cumsum(gaps))]
+    frames = stream_of([StreamFrame(f, int(i), i / 30.0)
+                        for f, i in zip(feats, np.cumsum(gaps))])
     truth = np.random.default_rng(seed + 3).integers(0, 2, size=n).tolist() if labeled else None
     expected = per_frame_smoothed(h, frames, momentum, truth)
     trace = run_baseline_smoothed(h, frames, momentum, ground_truth=truth)

@@ -574,7 +574,7 @@ class TestMalformedFeatureFiles:
         assert data.features.dtype == np.float64
         assert data.frame_indices.shape == (0,) and data.times.shape == (0,)
         assert (data.labels is None) == (not labeled)
-        assert data.to_frames() == []
+        assert len(data.to_frames()) == 0
 
     def test_rows_after_blank_lines_load(self, tmp_path):
         path = tmp_path / "gaps.oapf"

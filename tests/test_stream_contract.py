@@ -2,11 +2,11 @@
 ``Engine.process_frame`` and ``OnlineBuffer.insert``, one block door,
 ``memory.first_bad_frame``, behind the CLI, and one stream door behind the
 three runners, which checks a ``StreamFrames`` of int64 and float64
-columns by column and any other stream frame by frame. Each refuses the
-frame the scalar doors refuse first, in the same words, and the words are
-spelled in one module only. Every runner's trace takes its frame indices
-from its door, so they read back from a trace file, and is the same trace
-whichever form of the stream it reads."""
+columns by column and refuses any other stream before a frame runs. Each
+refuses the frame the scalar doors refuse first, in the same words, and
+the words are spelled in one module only. Every runner's trace takes its
+frame indices from its door, so they read back from a trace file, and is
+the same trace whichever layout of the columns it reads."""
 
 import ast
 import math
@@ -25,16 +25,16 @@ from oap.errors import DataError
 from oap.head import SCORE_ROWS_PER_CALL, init_head
 from oap.memory import OnlineBuffer, ReplayStore, first_bad_frame
 from oap.presets import desk_params
-from oap.simstream import StreamFrame, StreamFrames
+from oap.simstream import StreamFrames
 
-from oracles import message_texts, spelled_in
+from oracles import engine_state, message_texts, spelled_in
 
 D = 2
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 HEAD = init_head(D, np.random.default_rng(0))
 EMPTY_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 FAULTS = ("nan time", "inf time", "repeated index", "index going back", "time going back")
-FEATURE_FAULTS = ("nan", "inf", "-inf", "wide row")
+FEATURE_FAULTS = ("nan", "inf", "-inf")
 BASELINES = {"frozen": lambda frames: run_baseline_frozen(HEAD, frames),
              "ema": lambda frames: run_baseline_smoothed(HEAD, frames, 0.9)}
 RUNNERS = {"engine": lambda frames: Engine(HEAD, EMPTY_REPLAY, desk_params(
@@ -46,8 +46,8 @@ def columns(draw):
     """An index and a time column that keep the contract, then zero to
     three planted faults, two of which may hit one row and any of which
     may hit row 0 (where only a non-finite time can break the contract),
-    and a feature per row, with zero to two planted faults of their own:
-    a non-finite value, or a row one wider than the head."""
+    and a feature per row, with zero to two non-finite values planted; now
+    and then every row is one wider than the head."""
     n = draw(st.integers(1, 30))
     start = draw(st.integers(INT64_MIN, INT64_MAX - 10 * n))
     indices = [start]
@@ -71,12 +71,10 @@ def columns(draw):
             indices[k] = max(indices[k - 1] - draw(st.integers(1, 5)), INT64_MIN)
         else:
             times[k] = times[k - 1] - draw(st.sampled_from([1e-3, 0.5, 100.0]))
-    features = [np.full(D, 0.25 * k) for k in range(n)]
+    width = draw(st.sampled_from([D, D, D, D + 1]))
+    features = [np.full(width, 0.25 * k) for k in range(n)]
     for fault, k in draw(st.lists(st.tuples(st.sampled_from(FEATURE_FAULTS), rows), max_size=2)):
-        if fault == "wide row":
-            features[k] = np.zeros(D + 1)
-        elif len(features[k]) == D:
-            features[k][draw(st.integers(0, D - 1))] = float(fault)
+        features[k][draw(st.integers(0, width - 1))] = float(fault)
     return np.array(indices, dtype=np.int64), np.array(times, dtype=np.float64), features
 
 
@@ -119,8 +117,8 @@ def int64s(*values):
 @example(cols=(int64s(3, 3), np.array([0.0, math.nan]), [np.zeros(D)] * 2))  # two faults on one row
 @example(cols=(int64s(1, 2, 3), np.array([0.0, 1.0, 0.5]),
                [np.zeros(D), np.array([0.0, math.inf]), np.zeros(D)]))  # a bad row, then an order fault
-@example(cols=(int64s(1, 2, 2), np.array([0.0, 1.0, 2.0]),
-               [np.zeros(D), np.zeros(D), np.zeros(D + 1)]))  # an order fault on a wide row
+@example(cols=(int64s(1, 2), np.array([math.nan, 1.0]), [np.zeros(D + 1)] * 2))  # a wide row's time
+@example(cols=(int64s(1, 2), np.array([0.0, 1.0]), [np.zeros(D + 1)] * 2))  # a wide first row
 def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     indices, times, features = cols
     feature = np.zeros(D)
@@ -138,33 +136,27 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
         warnings.filterwarnings("ignore", "invalid value encountered in dot", RuntimeWarning)
         refusal = first_refusal(lambda i, t, f: engine.process_frame(f, i, t), indices, times,
                                 features)
-    frames = [StreamFrame(f, i, t) for f, i, t in zip(features, indices.tolist(), times.tolist())]
-    streams = [frames]
-    if all(len(f) == D for f in features):  # a wide row has no place in an (n, d) column
-        streams.append(StreamFrames(np.array(features), indices, times))
+    stream = StreamFrames(np.array(features), indices, times)
     for run in RUNNERS.values():
-        for stream in streams:
-            assert_refuses(run, stream, refusal)
+        assert_refuses(run, stream, refusal)
 
 
-@pytest.mark.parametrize("form", ["list", "StreamFrames"])
 @pytest.mark.parametrize("runner", RUNNERS)
-def test_no_runner_warns_before_it_refuses_an_inf_feature(runner, form):
-    """A runner scores the refused frame again to raise its error, with
-    numpy's invalid-value warnings off, so the NaN that an inf feature
-    makes in the product is not reported before the DataError."""
+def test_no_runner_warns_before_it_refuses_an_inf_feature(runner):
+    """A runner refuses a non-finite feature from its column, without
+    scoring it, so the NaN that an inf feature makes in the product is not
+    reported before the DataError."""
     frames = StreamFrames(np.array([[0.0, 0.0], [math.inf, math.inf]]), int64s(1, 2),
                           np.array([0.0, 0.1]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DataError, match="^non-finite value in feature input$"):
-            RUNNERS[runner](frames if form == "StreamFrames" else list(frames))
+            RUNNERS[runner](frames)
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("form", ["list", "StreamFrames"])
 @pytest.mark.parametrize("runner", RUNNERS)
-def test_every_runner_refuses_the_first_of_two_faults(runner, form):
+def test_every_runner_refuses_the_first_of_two_faults(runner):
     """Six frames, a NaN feature in the third and a time going back in the
     fifth: every runner raises the third frame's error."""
     features = np.zeros((6, D))
@@ -173,25 +165,33 @@ def test_every_runner_refuses_the_first_of_two_faults(runner, form):
     times[4] = -1.0
     frames = StreamFrames(features, np.arange(6), times)
     with pytest.raises(DataError, match="^non-finite value in feature input$"):
-        RUNNERS[runner](frames if form == "StreamFrames" else list(frames))
+        RUNNERS[runner](frames)
+
+
+def record_strided(features, indices, times):
+    """The columns as the feature-file reader holds them: ``<i8`` and
+    ``<f8`` fields of one record table, each row a record apart."""
+    table = np.empty(len(indices), dtype=[("index", "<i8"), ("time", "<f8"),
+                                          ("features", "<f8", (features.shape[1],))])
+    table["index"], table["time"], table["features"] = indices, times, features
+    return table["features"], table["index"], table["time"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        start=st.integers(-(2**31), 2**31 - 1 - 2 * 40))
 def test_every_runner_gives_one_trace_for_every_form_of_a_stream(n, seed, start):
-    """A list of frames, a ``StreamFrames`` of int64 indices and float64
-    features, and one of int32 indices and float32 features, all of one
-    stream: each runner gives each of them the same trace."""
+    """One stream as contiguous int64 and float64 columns, as the record
+    fields of a loaded feature file, and as big-endian columns: each runner
+    gives each of them the same trace, its indices Python ints."""
     rng = np.random.default_rng(seed)
-    features = rng.normal(size=(n, D)).astype(np.float32)
+    features = rng.normal(size=(n, D))
     indices = start + np.cumsum(rng.integers(1, 3, size=n))
     times = np.cumsum(rng.choice([0.0, 1 / 30, 0.5], size=n))
     forms = [
-        [StreamFrame(f, i, t) for f, i, t in zip(features.astype(np.float64), indices.tolist(),
-                                                 times.tolist())],
-        StreamFrames(features.astype(np.float64), indices.astype(np.int64), times),
-        StreamFrames(features, indices.astype(np.int32), times),
+        StreamFrames(features, indices.astype(np.int64), times),
+        StreamFrames(*record_strided(features, indices, times)),
+        StreamFrames(features.astype(">f8"), indices.astype(">i8"), times.astype(">f8")),
     ]
     for run in RUNNERS.values():
         traces = [run(stream) for stream in forms]
@@ -199,41 +199,36 @@ def test_every_runner_gives_one_trace_for_every_form_of_a_stream(n, seed, start)
         assert [type(i) for i in traces[2].columns.frame_index] == [int] * n
 
 
-def per_frame_refusal(frames):
-    """The text of the DataError a loop of ``process_frame`` over ``frames``
-    raises, or None."""
-    engine = Engine(HEAD, EMPTY_REPLAY, desk_params())
-    try:
-        for frame in frames:
-            engine.process_frame(frame.feature, frame.frame_index, frame.time)
-    except DataError as exc:
-        return str(exc)
-    return None
+NOT_A_STREAM = ("a stream must be a StreamFrames of int64 frame indices, float64 times and "
+                "(n, d) float64 features")
+OTHER_FORMS = {
+    "list of frames": lambda f, i, t: list(StreamFrames(f, i, t)),
+    "int32 indices": lambda f, i, t: StreamFrames(f, i.astype(np.int32), t),
+    "uint64 indices": lambda f, i, t: StreamFrames(f, i.astype(np.uint64), t),
+    "float64 indices": lambda f, i, t: StreamFrames(f, i.astype(np.float64), t),
+    "float32 times": lambda f, i, t: StreamFrames(f, i, t.astype(np.float32)),
+    "float32 features": lambda f, i, t: StreamFrames(f.astype(np.float32), i, t),
+    "object features": lambda f, i, t: StreamFrames(f.astype(object), i, t),
+    "1-D features": lambda f, i, t: StreamFrames(f[:, 0], i, t),
+    "list columns": lambda f, i, t: StreamFrames(f.tolist(), i.tolist(), t.tolist()),
+}
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-@pytest.mark.parametrize("kind", ["index beyond int64", "float64 index column",
-                                  "object feature column"])
-def test_every_runner_refuses_a_column_of_another_kind_in_process_frames_words(runner, kind):
-    """A stream whose third frame has an index beyond int64, whose index
-    column is float64, or whose feature column holds a string, is refused
-    as a loop of ``process_frame`` refuses it: as a ``StreamFrames``, as its
-    list of frames, and as a list of the columns' numpy scalars."""
-    features, indices, times = np.zeros((3, D)), np.array([1, 2, 3]), np.array([0.0, 0.5, 1.0])
-    if kind == "index beyond int64":
-        indices = np.array([1, 2, 2**63], dtype=np.uint64)
-    elif kind == "float64 index column":
-        indices = indices.astype(np.float64)
-    else:
-        features = features.astype(object)
-        features[2, 1] = "x"
-    frames = StreamFrames(features, indices, times)
-    scalars = [StreamFrame(f, i, t) for f, i, t in zip(features, indices, times)]
-    for stream in (frames, list(frames), scalars):
-        words = per_frame_refusal(stream)
-        assert words is not None
-        with pytest.raises(DataError, match=f"^{re.escape(words)}$"):
-            RUNNERS[runner](stream)
+@pytest.mark.parametrize("form", OTHER_FORMS)
+def test_every_runner_refuses_a_stream_of_another_form_before_any_frame_runs(runner, form):
+    """A stream that is not a ``StreamFrames`` of int64 indices, float64
+    times and (n, d) float64 features is one DataError, raised before any
+    frame runs: an engine that ran a stream before is as it was, and the
+    head is untouched."""
+    features, indices, times = np.ones((3, D)), int64s(4, 5, 6), np.array([0.2, 0.5, 1.0])
+    engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.5))
+    engine.run_stream(StreamFrames(np.zeros((3, D)), int64s(1, 2, 3), np.array([0.0, 0.1, 0.2])))
+    before, head = engine_state(engine), HEAD.flat.tobytes()
+    run = BASELINES.get(runner) or engine.run_stream
+    with pytest.raises(DataError, match=f"^{re.escape(NOT_A_STREAM)}$"):
+        run(OTHER_FORMS[form](features, indices, times))
+    assert engine_state(engine) == before and HEAD.flat.tobytes() == head
 
 
 @pytest.mark.parametrize("baseline", BASELINES)
@@ -244,7 +239,7 @@ def test_every_runner_refuses_a_column_of_another_kind_in_process_frames_words(r
 ])
 def test_the_baselines_carry_the_last_frame_into_the_next_block(baseline, fault, words):
     """The first frame of the second block of the fold is checked against
-    the last frame of the first, over a ``StreamFrames`` and over a list."""
+    the last frame of the first."""
     n = SCORE_ROWS_PER_CALL
     indices, times = np.arange(n + 1), np.arange(n + 1, dtype=np.float64)
     if fault == "repeated index":
@@ -254,31 +249,16 @@ def test_the_baselines_carry_the_last_frame_into_the_next_block(baseline, fault,
     else:
         times[n] = math.nan
     frames = StreamFrames(np.zeros((n + 1, D)), indices, times)
-    for stream in (frames, list(frames)):
-        with pytest.raises(DataError, match=f"^{words}$"):
-            BASELINES[baseline](stream)
-
-
-@pytest.mark.parametrize("baseline", BASELINES)
-@pytest.mark.parametrize("index, kind", [(1.5, "a list"), (1.5, "float64 columns"),
-                                         (np.float64(1.0), "a list")])
-def test_the_baselines_refuse_an_index_that_is_not_an_integer(baseline, index, kind):
-    """An index ``operator.index`` refuses is refused in ``check_frame``'s
-    words, in a list and in a ``StreamFrames`` whose index column is not
-    int64, as ``process_frame`` refuses it."""
-    if kind == "a list":
-        stream = [StreamFrame(np.zeros(D), 0, 0.0), StreamFrame(np.zeros(D), index, 1.0)]
-    else:
-        stream = StreamFrames(np.zeros((1, D)), np.array([index]), np.array([0.0]))
-    with pytest.raises(DataError, match=f"^frame index {re.escape(repr(index))} is not an integer$"):
-        BASELINES[baseline](stream)
+    with pytest.raises(DataError, match=f"^{words}$"):
+        BASELINES[baseline](frames)
 
 
 @pytest.mark.parametrize("runner", ["engine", *BASELINES])
-def test_a_list_of_numpy_indices_reads_back_from_a_trace_file(runner, tmp_path):
+def test_a_streams_int64_indices_read_back_from_a_trace_file(runner, tmp_path):
     """The trace holds the ints that the door checked, not the stream's
     ``np.int64`` indices, so its CSV file reads back equal."""
-    stream = [StreamFrame(np.full(D, 0.1 * k), np.int64(k + 1), float(k)) for k in range(5)]
+    stream = StreamFrames(np.arange(5.0)[:, None] * np.full(D, 0.1), np.arange(1, 6),
+                          np.arange(5.0))
     run = BASELINES.get(runner) or Engine(HEAD, EMPTY_REPLAY, desk_params()).run_stream
     trace = run(stream)
     assert [type(i) for i in trace.columns.frame_index] == [int] * 5

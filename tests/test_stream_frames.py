@@ -1,6 +1,7 @@
 """Streams held as their arrays, frames made on read, and whole sets scored
 in fixed blocks: what a list of frames gave, at a bounded memory cost."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_frames_equal_the_list_they_replace(n, d, seed, positions, cuts):
     want = as_list(features, indices, times)
     assert_same_frames(frames, want, features)
     if n == 0:
-        assert frames == want == []
+        assert list(frames) == want == []
     for i in positions:
         if -n <= i < n:
             assert_same_frame(frames[i], want[i], features)
@@ -204,9 +205,10 @@ def record_strided(features, indices, times):
 @pytest.mark.parametrize("n", [5, SCORE_ROWS_PER_CALL + 3])
 @pytest.mark.parametrize("layout", ["contiguous", "record-strided"])
 @pytest.mark.parametrize("momentum", [0.0, 0.7])
-def test_baselines_read_the_columns_with_the_bits_of_the_list(n, layout, momentum):
+def test_baselines_read_the_columns_with_the_bits_of_each_frame(n, layout, momentum):
     """The baselines score a ``StreamFrames`` block from its columns and
-    give the trace of its list of frames, bit for bit."""
+    give each frame the bits of ``forward`` on its row alone, averaged a
+    frame at a time, and its index as a Python int."""
     head = init_head(8, seeded_rng(3, "init"))
     cols = columns(n, 8, seed=n)
     if layout == "record-strided":
@@ -214,22 +216,28 @@ def test_baselines_read_the_columns_with_the_bits_of_the_list(n, layout, momentu
     frames = StreamFrames(*cols)
     truth = np.random.default_rng(n).integers(0, 2, size=n)
     got = oap.engine.run_baseline_smoothed(head, frames, momentum, ground_truth=truth)
-    want = oap.engine.run_baseline_smoothed(head, as_list(*cols), momentum, ground_truth=truth)
-    assert got == want
-    assert np.array([r.y for r in got]).tobytes() == np.array([r.y for r in want]).tobytes()
-    assert [type(v) for v in got[-1]] == [type(v) for v in want[-1]]
+    ema, want = None, []
+    for frame in frames:
+        y = forward(head, frame.feature)
+        ema = y if ema is None else momentum * ema + (1.0 - momentum) * y
+        want.append(ema)
+    assert np.array(got.columns.y).tobytes() == np.array(want).tobytes()
+    assert list(got.columns.frame_index) == cols[1].tolist()
+    assert list(got.columns.ground_truth) == truth.tolist()
+    assert [type(v) for v in got[-1]] == [int, int, float, int, type(None), bool, int, float]
 
 
 @pytest.mark.parametrize("at", [3, SCORE_ROWS_PER_CALL + 3])
 @pytest.mark.parametrize("d", [8, 9], ids=["nan row", "head of another width"])
 def test_baselines_name_a_bad_row_of_the_columns_as_of_its_frame(at, d):
-    """A bad block of columns raises the DataError of its list of frames."""
+    """A bad block of columns raises the DataError that scoring its frames
+    one at a time raises."""
     head = init_head(d, seeded_rng(3, "init"))
     cols = columns(SCORE_ROWS_PER_CALL + 9, 8)
     cols[0][at, 2] = np.nan
-    errors = []
-    for frames in (StreamFrames(*cols), as_list(*cols)):
-        with pytest.raises(DataError) as info:
-            oap.engine.run_baseline_frozen(head, frames)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
+    frames = StreamFrames(*cols)
+    with pytest.raises(DataError) as want:
+        for frame in frames:
+            forward(head, frame.feature)
+    with pytest.raises(DataError, match=f"^{re.escape(str(want.value))}$"):
+        oap.engine.run_baseline_frozen(head, frames)

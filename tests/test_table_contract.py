@@ -24,7 +24,7 @@ from oap.presets import desk_params
 from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, StreamFrames, save_feature_file
 
-from oracles import SOURCES, spelled_in
+from oracles import SOURCES, spelled_in, stream_of
 
 D = 3
 HEAD = init_head(D, np.random.default_rng(0))
@@ -110,7 +110,7 @@ BAD_LABELS = {
 }
 
 SCORES = [0.1, 0.9, 0.5, 0.7]
-FRAMES = [StreamFrame(row, k + 1, k / 30) for k, row in enumerate(GOOD_FEATURES)]
+FRAMES = stream_of([StreamFrame(row, k + 1, k / 30) for k, row in enumerate(GOOD_FEATURES)])
 # The three stream runners, each taking a stream and its ground truth.
 RUNNERS = {
     "run_stream": lambda frames, y: Engine(HEAD, ReplayStore(GOOD_FEATURES, GOOD_LABELS),
