@@ -187,15 +187,14 @@ def _check_dimension(path, what: str, features, head) -> None:
 
 def _read_stream(path, head):
     """Load a stream file and check, before anything is written, that it
-    has the head's dimension, a frame, and frames in order (see
+    has the head's dimension, a frame, and no frame a runner refuses (see
     ``first_bad_frame``). A DataError names the file, and any bad row, from
-    1, with the engine's reason."""
+    1, with the runner's reason."""
     data = load_feature_file(path)
     _check_dimension(path, "stream", data.features, head)
     if not len(data.features):
         raise DataError(f"{path}: empty stream")
-    fault = first_bad_frame(data.frame_indices, data.times)
-    if fault is not None:
+    if (fault := first_bad_frame(data.to_frames(), head.d)) is not None:
         k, reason = fault
         raise DataError(f"{path}: row {k + 1}: {reason}")
     return data

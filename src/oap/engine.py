@@ -23,11 +23,12 @@ are built with ``tuple.__new__``, which skips the NamedTuple's Python-level
 Intel Xeon).
 ``Engine.run_stream`` and both baselines read only a ``StreamFrames`` of
 int64 indices, float64 times and (n, d) float64 features, through one block
-fold and one stream door, which checks each block of SCORE_ROWS_PER_CALL
-frames by column up to the first frame ``process_frame`` would refuse. The
-runner's step scores them (``process_frame`` a frame at a time for the
-engine, one stacked ``forward`` for the baselines) into a ``Trace``; then
-the refused frame raises the DataError of ``process_frame``, in its words.
+fold. The fold checks the whole stream by its columns first
+(``memory.first_bad_frame``): the first frame ``process_frame`` would refuse
+raises that door's DataError, in its words, before any frame runs, so a
+refused stream leaves the engine as it was. Then the runner's step scores
+the frames a block at a time (``process_frame`` a frame at a time for the
+engine, one stacked ``forward`` for the baselines) into a ``Trace``.
 Both trace formats share a ``Trace``'s cells. ``read_trace_csv`` is the one
 trace reader; the JSON lines are for other tools.
 
@@ -52,7 +53,6 @@ from .config import ClassLabel, HyperParams, PseudoLabel, check_value, open_text
 from .errors import DataError, NumericalError
 from .head import (
     HIDDEN_UNITS,
-    NON_FINITE_FEATURE,
     SCORE_ROWS_PER_CALL,
     AdamState,
     ClassifierHead,
@@ -200,16 +200,18 @@ class Trace(Sequence):
         return made
 
 
-def _fold(frames: StreamFrames, ground_truth, eval_threshold: float, head: ClassifierHead,
-          step: Callable, last: tuple | None = None) -> Trace:
-    """The one stream runner behind the engine and both baselines. It reads a
-    ``StreamFrames`` in order, a block of SCORE_ROWS_PER_CALL frames at a
-    time, through ``_door`` after ``last``, the (index, time) of the frame
-    before it, if any. ``step`` takes the door's frames and returns a column
-    each of their int frame indices, ``y`` and the trace fields after
-    ``decision`` (a constant one may be a ``repeat``); then the door's
-    DataError, if any, is raised. No record is made: the ``Trace`` makes one
-    when it is read. Any other stream is a DataError before a frame runs."""
+def _fold(frames: StreamFrames, ground_truth, eval_threshold: float, d: int, step: Callable,
+          last: tuple | None = None) -> Trace:
+    """The one stream runner behind the engine and both baselines. Any stream
+    but a ``StreamFrames`` of int64 frame indices, float64 times and (n, d)
+    float64 features, an empty one, a ground truth that ``check_labels``
+    refuses and a frame that ``first_bad_frame`` refuses after ``last``, the
+    (index, time) of the frame before the stream, are each a DataError before
+    any frame runs. Then ``step`` takes the frames in order, a block of
+    SCORE_ROWS_PER_CALL at a time, and returns a column each of their int
+    frame indices, ``y`` and the trace fields after ``decision`` (a constant
+    one may be a ``repeat``). No record is made: the ``Trace`` makes one when
+    it is read."""
     columns = [frames.frame_indices, frames.times, frames.features] if isinstance(
         frames, StreamFrames) else []
     # By dtype kind and item size, so the loader's <i8 and <f8 fields pass.
@@ -223,33 +225,16 @@ def _fold(frames: StreamFrames, ground_truth, eval_threshold: float, head: Class
     truth = [None] * n
     if ground_truth is not None:  # the labels rule's spoof mask, as 0/1 ints
         truth = check_labels(ground_truth, n).view(np.uint8).tolist()
+    if (fault := first_bad_frame(frames, d, last)) is not None:
+        raise DataError(fault[1])
     made = [[] for _ in range(len(TRACE_COLUMNS) - 2)]  # all but the truth and the decisions
     for start in range(0, n, SCORE_ROWS_PER_CALL):
-        good, error = _door(frames[start : start + SCORE_ROWS_PER_CALL], head, last)
-        if len(good):
-            for column, values in zip(made, step(good)):
-                column += islice(values, len(good))
-            last = good.frame_indices.item(-1), good.times.item(-1)
-        if error is not None:
-            raise error
+        block = frames[start : start + SCORE_ROWS_PER_CALL]
+        for column, values in zip(made, step(block)):
+            column += islice(values, len(block))
     indices, ys, *context = made
     decisions = [1 if y > eval_threshold else 0 for y in ys]  # spoof iff y > eval_threshold
     return Trace((indices, truth, ys, decisions, *context))
-
-
-def _door(block: StreamFrames, head: ClassifierHead, last) -> tuple[StreamFrames, DataError | None]:
-    """The frames of ``block`` before the first that ``process_frame`` would
-    refuse after ``last``, and that frame's DataError in ``process_frame``'s
-    words, or None: a frame's order fault (see ``first_bad_frame``) comes
-    before a first row not as wide as the head's, or a non-finite value."""
-    fault = first_bad_frame(block.frame_indices, block.times, last)
-    k, error = (fault[0], DataError(fault[1])) if fault else (len(block), None)
-    if k and block.features.shape[1] != head.d:
-        return block[:0], not_a_row(head, block.features[0])
-    rows = np.flatnonzero(~np.isfinite(block.features[:k])) // head.d  # of the non-finite values
-    if rows.size:
-        k, error = rows.item(0), DataError(NON_FINITE_FEATURE)
-    return block[:k], error
 
 
 class Engine:
@@ -283,7 +268,7 @@ class Engine:
         frame_index = check_frame(frame_index, time, self.last_frame)
         y = forward(self.head, feature)
         if y.__class__ is not float:  # forward scored a stack of rows
-            raise not_a_row(self.head, feature)
+            raise not_a_row(self.head.d, feature)
         self.last_frame = frame_index, time
         decision = _SPOOF if y > p.eval_threshold else _LIVE
         pseudo = assign_pseudo_label(y, p.margin)
@@ -334,7 +319,7 @@ class Engine:
                              len(self.online), self.cumulative_flops))
             return zip(*rows)
 
-        return _fold(frames, ground_truth, self.params.eval_threshold, self.head, process_block,
+        return _fold(frames, ground_truth, self.params.eval_threshold, self.head.d, process_block,
                      self.last_frame)
 
 
@@ -351,12 +336,11 @@ def run_baseline_smoothed(head: ClassifierHead, frames: StreamFrames, momentum: 
                           ground_truth=None, eval_threshold: float = 0.5) -> Trace:
     """Frozen head whose emitted probability is an exponential moving
     average of the per-frame probabilities. The head never changes, so each
-    block that passed the fold's stream door is scored in one ``forward``
-    call on its stack of features, with the bits of per-frame scoring (see
-    ``forward_batch``), and the average runs over the block's scores as
-    Python floats. The first frame ``process_frame`` would refuse raises its
-    DataError there. A momentum that is not a real number in [0, 1) is a
-    ConfigError."""
+    block of the fold is scored in one ``forward`` call on its stack of
+    features, with the bits of per-frame scoring (see ``forward_batch``), and
+    the average runs over the block's scores as Python floats. A stream the
+    fold refuses (see ``_fold``) is refused before any frame is scored. A
+    momentum that is not a real number in [0, 1) is a ConfigError."""
     check_value("momentum", momentum, float, MOMENTUM_RULE)
     rest = 1.0 - momentum
     ema = None  # the last frame's average, carried into the next block
@@ -370,7 +354,7 @@ def run_baseline_smoothed(head: ClassifierHead, frames: StreamFrames, momentum: 
                 ys[i] = ema
         return block.frame_indices.tolist(), ys, repeat(None), repeat(False), repeat(0), repeat(0.0)
 
-    return _fold(frames, ground_truth, eval_threshold, head, score_block)
+    return _fold(frames, ground_truth, eval_threshold, head.d, score_block)
 
 
 # ---------------------------------------------------------------------------

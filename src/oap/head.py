@@ -236,10 +236,10 @@ def check_labels(labels, n: int) -> np.ndarray:
     return spoof
 
 
-def not_a_row(head: ClassifierHead, feature) -> DataError:
+def not_a_row(d: int, feature) -> DataError:
     """The error for a frame's feature that is not one (d,) row."""
     shape = np.shape(feature)
-    return DataError(f"feature dimension mismatch: head expects shape ({head.d},), got {shape}")
+    return DataError(f"feature dimension mismatch: head expects shape ({d},), got {shape}")
 
 
 def forward(head: ClassifierHead, feature):
@@ -266,7 +266,7 @@ def forward(head: ClassifierHead, feature):
     if feature.shape != (head.d,):
         if feature.ndim == 2:
             return forward_batch(head, feature)
-        raise not_a_row(head, feature)
+        raise not_a_row(head.d, feature)
     try:
         hidden = feature.dot(head.w1)
     except (FloatingPointError, RuntimeWarning):  # np.errstate or a warnings filter raised

@@ -12,7 +12,8 @@ start when the online buffer is still empty.
 
 The stream contract, in one wording: int64 frame indices strictly increase
 and times are finite reals that never decrease. ``check_frame`` checks one
-frame, ``first_bad_frame`` a stream's index and time columns.
+frame; ``first_bad_frame`` checks a whole ``StreamFrames`` by its columns,
+its features too, before any frame of it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from . import simstream
 from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, HORIZON_RULE, WINDOW_RULE, PseudoLabel
 from .config import check_value
 from .errors import DataError
-from .head import WIDTH_RULE, _as_floats, check_features, check_labels
+from .head import NON_FINITE_FEATURE, SCORE_ROWS_PER_CALL, WIDTH_RULE, _as_floats, check_features
+from .head import check_labels, not_a_row
 from .pseudolabel import smooth_labels
 
 
@@ -56,17 +58,28 @@ def check_frame(frame_index, time, last) -> int:
     return index
 
 
-def first_bad_frame(indices: np.ndarray, times: np.ndarray, last=None) -> tuple[int, str] | None:
-    """The block form of ``check_frame`` on a stream's int64 index and
-    float64 time columns, the first frame checked against ``last`` as there:
-    the position of the first frame it would refuse and its reason, or None."""
+def first_bad_frame(frames: simstream.StreamFrames, d: int, last=None) -> tuple[int, str] | None:
+    """The stream door: the position of the first frame of ``frames`` that
+    ``process_frame`` would refuse after ``last`` (see ``check_frame``), and
+    its reason in that door's words, or None. A frame's order fault, by the
+    index and time columns, comes first; then a first row not ``d`` wide;
+    then the first row before the order fault that holds a non-finite value,
+    scanned SCORE_ROWS_PER_CALL rows at a time, so no mask as large as the
+    features is made."""
+    indices, times, features = frames.frame_indices, frames.times, frames.features
     bad = ~np.isfinite(times)
     bad[1:] |= (indices[1:] <= indices[:-1]) | (times[1:] < times[:-1])
     if last is not None and bad.size:
         bad[0] |= indices.item(0) <= last[0] or times.item(0) < last[1]
-    if not bad.any():
+    k = int(np.argmax(bad)) if np.count_nonzero(bad) else bad.size  # the order fault, if any
+    if k and features.shape[1] != d:
+        return 0, str(not_a_row(d, features[0]))
+    for start in range(0, k, SCORE_ROWS_PER_CALL):
+        rows = np.flatnonzero(~np.isfinite(features[start : min(start + SCORE_ROWS_PER_CALL, k)]))
+        if rows.size:
+            return start + rows.item(0) // d, NON_FINITE_FEATURE
+    if k == bad.size:
         return None
-    k = int(np.argmax(bad))
     before = (indices.item(k - 1), times.item(k - 1)) if k else last
     return k, _frame_fault(indices.item(k), times.item(k), before)
 

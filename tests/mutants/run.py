@@ -6,9 +6,11 @@ breaks. For each, one at a time, the script copies the repository (less
 README too) to a temporary directory, applies the edit there and runs
 ``python -m pytest -x -q`` with a timeout. A mutant is killed when a test
 fails, and survives when the suite passes. Before the mutants it runs the
-unedited copy, which must pass. It prints one JSON object on stdout: the
-unedited run, then per mutant its status, the first failing test and the
-seconds to the kill. Progress lines go to stderr.
+unedited copy, which must pass. Every run leaves out ``GUARD``, the test
+that each mutant's old text is in the unedited tree, which no mutated copy
+keeps. It prints one JSON object on stdout: the unedited run, then per
+mutant its status, the first failing test and the seconds to the kill.
+Progress lines go to stderr.
 
 A survivor must become a test that names its rule, or get an ``equivalent``
 note that says why no test can tell it from the source. The script exits 1
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 TIMEOUT = 900.0  # seconds per suite run
+GUARD = "tests/test_mutant_list.py"
 
 # (name, file, exact old text, new text, the rule it breaks[, equivalent: why])
 MUTANTS = [
@@ -121,14 +124,35 @@ MUTANTS = [
      "(indices[1:] <= indices[:-1])",
      "(indices[1:] < indices[:-1])",
      "first_bad_frame: frame indices strictly increase"),
-    ("refusal_before_prefix", "src/oap/engine.py",
-     "        if len(good):\n",
-     "        if error is not None:\n            raise error\n        if len(good):\n",
-     "_door: the frames before a refused one run before its DataError is raised"),
-    ("nan_before_order_fault", "src/oap/engine.py",
-     "np.isfinite(block.features[:k])",
-     "np.isfinite(block.features[: k + 1])",
-     "_door: a frame's order fault is named before its non-finite feature"),
+    ("nan_before_order_fault", "src/oap/memory.py",
+     "min(start + SCORE_ROWS_PER_CALL, k)]",
+     "min(start + SCORE_ROWS_PER_CALL, k + 1)]",
+     "first_bad_frame: a frame's order fault is named before its non-finite feature"),
+    ("finite_scan_short", "src/oap/memory.py",
+     "for start in range(0, k, SCORE_ROWS_PER_CALL):",
+     "for start in range(0, k - SCORE_ROWS_PER_CALL, SCORE_ROWS_PER_CALL):",
+     "first_bad_frame: the finite scan reads every row before the order fault"),
+    ("prefix_runs_first", "src/oap/engine.py",
+     "    if (fault := first_bad_frame(frames, d, last)) is not None:\n"
+     "        raise DataError(fault[1])\n"
+     "    made = [[] for _ in range(len(TRACE_COLUMNS) - 2)]"
+     "  # all but the truth and the decisions\n"
+     "    for start in range(0, n, SCORE_ROWS_PER_CALL):\n"
+     "        block = frames[start : start + SCORE_ROWS_PER_CALL]\n"
+     "        for column, values in zip(made, step(block)):\n"
+     "            column += islice(values, len(block))\n",
+     "    made = [[] for _ in range(len(TRACE_COLUMNS) - 2)]\n"
+     "    for start in range(0, n, SCORE_ROWS_PER_CALL):\n"
+     "        block = frames[start : start + SCORE_ROWS_PER_CALL]\n"
+     "        fault = first_bad_frame(block, d, last)\n"
+     "        block = block[: fault[0]] if fault else block\n"
+     "        if len(block):\n"
+     "            for column, values in zip(made, step(block)):\n"
+     "                column += islice(values, len(block))\n"
+     "            last = block.frame_indices.item(-1), block.times.item(-1)\n"
+     "        if fault is not None:\n"
+     "            raise DataError(fault[1])\n",
+     "_fold: a refused stream runs no frame, so it leaves the engine as it was"),
     ("check_features_not_finite", "src/oap/head.py",
      "    if not all_finite(feats):\n        raise DataError(NON_FINITE_FEATURE)\n",
      "",
@@ -170,8 +194,8 @@ def run_suite(edit: tuple[str, str, str] | None) -> dict:
         start = time.perf_counter()
         try:
             proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                                   "no:cacheprovider"], cwd=tree, env=env, capture_output=True,
-                                  text=True, timeout=TIMEOUT)
+                                   "no:cacheprovider", f"--ignore={GUARD}"], cwd=tree, env=env,
+                                  capture_output=True, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return {"status": "timeout", "first_failure": None, "seconds": TIMEOUT}
         seconds = round(time.perf_counter() - start, 1)

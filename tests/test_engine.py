@@ -591,29 +591,36 @@ class TestBaselineErrors:
 
 
 @pytest.mark.parametrize("fault", ["nan feature", "time going back", "both"])
-@pytest.mark.parametrize("at", [500, SCORE_ROWS_PER_CALL + 5], ids=["mid-block", "second block"])
-def test_a_refused_frame_leaves_the_state_of_the_per_frame_loop(artifacts, fault, at):
-    """``run_stream`` runs the frames before a refused one, then raises its
-    DataError: the engine is left as a loop of ``process_frame`` over the
-    same frames leaves it, fine-tuning on every frame. A frame with a NaN
-    feature and a time going back is refused for its time."""
+@pytest.mark.parametrize("at, earlier", [
+    (0, 20), (500, 0), (SCORE_ROWS_PER_CALL + 5, 0), (SCORE_ROWS_PER_CALL + 30, 0), (500, 20),
+], ids=["first frame", "mid-block", "second block", "last frame", "mid-block after a run"])
+def test_a_refused_stream_leaves_the_engine_as_it_was(artifacts, fault, at, earlier):
+    """``run_stream`` checks the whole stream before its first frame runs: a
+    stream with a refused frame anywhere raises the DataError a
+    ``process_frame`` loop raises on it, and leaves the engine, fine-tuning on
+    every frame, as it was. A frame with a NaN feature and a time going back
+    is refused for its time. The first frame's time goes back only against
+    an ``earlier`` run's last frame."""
     head, replay, _, _ = artifacts
-    frames = rows(at + 5)
+    frames = rows(earlier + SCORE_ROWS_PER_CALL + 31)
+    done, frames = frames[:earlier], frames[earlier:]
     if fault != "time going back":
         frames.features[at] = np.nan
     if fault != "nan feature":
         frames.times[at] = -1.0
     params = desk_params(margin=0.3, finetune_freq=1.0)
-    loop = Engine(head, replay, params)
+    loop, engine = Engine(head, replay, params), Engine(head, replay, params)
+    if earlier:
+        loop.run_stream(done)
+        engine.run_stream(done)
+        assert engine.adam.step_count > 0 and len(engine.online) > 0
     with pytest.raises(DataError) as want:
         for f in frames:
             loop.process_frame(f.feature, f.frame_index, f.time)
-    engine = Engine(head, replay, params)
-    with pytest.raises(DataError) as got:
+    before = engine_state(engine)
+    with pytest.raises(DataError, match=f"^{re.escape(str(want.value))}$"):
         engine.run_stream(frames)
-    assert str(got.value) == str(want.value)
-    assert engine.adam.step_count > 0 and len(engine.online) > 0
-    assert engine_state(engine) == engine_state(loop)
+    assert engine_state(engine) == before
 
 
 @pytest.mark.parametrize("fault", ["repeated index", "time going back", "nan feature", "both"])

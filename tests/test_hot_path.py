@@ -31,8 +31,9 @@ DISPATCHED_PRODUCTS = {"dot", "matmul"}
 # helpers such as ``head._first_nonfinite`` are not on the list.
 HOT_FUNCTIONS = {
     oap.head: ["_as_floats", "forward", "_grad_kernel", "apply_update"],
-    oap.engine: ["process_frame", "_finetune", "_fold", "_door", "score_block"],
-    oap.memory: ["check_frame", "insert", "evict_old", "refresh_working_labels", "sample_batch"],
+    oap.engine: ["process_frame", "_finetune", "_fold", "score_block"],
+    oap.memory: ["check_frame", "first_bad_frame", "insert", "evict_old",
+                 "refresh_working_labels", "sample_batch"],
     oap.pseudolabel: ["assign_pseudo_label", "smooth_labels"],
 }
 

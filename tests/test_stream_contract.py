@@ -1,12 +1,14 @@
 """The stream contract has one scalar door, ``memory.check_frame``, behind
-``Engine.process_frame`` and ``OnlineBuffer.insert``, one block door,
-``memory.first_bad_frame``, behind the CLI, and one stream door behind the
-three runners, which checks a ``StreamFrames`` of int64 and float64
-columns by column and refuses any other stream before a frame runs. Each
-refuses the frame the scalar doors refuse first, in the same words, and
-the words are spelled in one module only. Every runner's trace takes its
-frame indices from its door, so they read back from a trace file, and is
-the same trace whichever layout of the columns it reads."""
+``Engine.process_frame`` and ``OnlineBuffer.insert``, and one stream door,
+``memory.first_bad_frame``, behind the CLI and the three runners. The
+stream door checks a whole ``StreamFrames`` of int64 and float64 columns
+by column before a frame runs, and the runners refuse any other stream
+before it too. Both doors refuse the frame the scalar doors refuse first,
+in the same words, and the words are spelled in one module only. A runner
+refuses the whole stream, and each prefix that holds the refused frame,
+and takes the prefix before it. Every runner's trace takes its frame
+indices from its stream, so they read back from a trace file, and is the
+same trace whichever layout of the columns it reads."""
 
 import ast
 import math
@@ -124,7 +126,7 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     feature = np.zeros(D)
     engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
     buffer = OnlineBuffer(D, 30, 4.0)
-    block = first_bad_frame(indices, times)
+    block = first_bad_frame(StreamFrames(np.zeros((len(indices), D)), indices, times), D)
     assert first_refusal(lambda i, t: engine.process_frame(feature, i, t), indices, times) == block
     assert first_refusal(lambda i, t: buffer.insert(feature, PseudoLabel.LIVE, i, t),
                          indices, times) == block
@@ -137,6 +139,7 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
         refusal = first_refusal(lambda i, t, f: engine.process_frame(f, i, t), indices, times,
                                 features)
     stream = StreamFrames(np.array(features), indices, times)
+    assert first_bad_frame(stream, D) == refusal
     for run in RUNNERS.values():
         assert_refuses(run, stream, refusal)
 
