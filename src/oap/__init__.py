@@ -41,7 +41,7 @@ from .presets import (
     forgetting_scenario,
     single_video_scenarios,
 )
-from .metrics import MetricReport, equal_error_rate, evaluate_frames, fixed_threshold_metrics
+from .metrics import MetricReport, evaluate_frames, fixed_threshold_metrics
 from .pseudolabel import assign_pseudo_label, smooth_labels
 from .rng import seeded_rng
 from .simstream import (

@@ -8,13 +8,13 @@ insert (unless discarded) -> time-based eviction -> at most one fine-tune
 event, driven by an accumulator that adds ``finetune_freq`` (at most 1) per
 frame and fires when it reaches a whole unit. The buffer's width (the
 head's), smoothing window and eviction cutoff are fixed when the engine
-builds it. An event first brings the buffer's working labels up to date
-(majority smoothing over the whole buffer, redone only when an entry came
-or went since the last pass), then samples its batches. Labels are read
-only by the sampler, so this is the same as smoothing on every frame. The
-verdict for frame t is therefore a deterministic function of frames 1..t
-only, and a frozen-head run is exactly the degenerate case with adaptation
-disabled.
+builds it. An event samples its batches, and the sampler first brings the
+buffer's working labels up to date (majority smoothing over the whole
+buffer, redone only when an entry came or went since the last pass). Labels
+are read only by the sampler, so this is the same as smoothing on every
+frame. The verdict for frame t is therefore a deterministic function of
+frames 1..t only, and a frozen-head run is exactly the degenerate case with
+adaptation disabled.
 
 Per-frame results are named tuples, ``FrameVerdict`` and ``TraceRecord``;
 a TraceRecord's fields, in order, are the columns of the trace files. Both
@@ -136,9 +136,8 @@ class Trace(Sequence):
     TraceRecord of tuples of one length (``trace.columns.y`` is the ``y``
     column). Each record is made when it is read; ``[i]`` takes a negative
     ``i`` too and raises IndexError out of range, and a slice is a
-    ``Trace``. It equals a list or a ``Trace`` of equal records, and
-    ``list(trace)`` is an editable copy. It keeps the cells a trace writer
-    formats, so a second writer makes no ``repr`` again."""
+    ``Trace``; ``list(trace)`` is an editable copy. It keeps the cells a
+    trace writer formats, so a second writer makes no ``repr`` again."""
 
     __slots__ = ("columns", "_cells")
 
@@ -175,11 +174,6 @@ class Trace(Sequence):
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return map(tuple.__new__, repeat(TraceRecord), zip(*self.columns))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, Trace)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def _reprs(self, rows: slice) -> list[tuple[list[str], bool]]:
         """The repr cells of each column over ``rows``, and whether a format
@@ -292,7 +286,6 @@ class Engine:
             return False
         # apply_update commits atomically, so one update needs no snapshot.
         snapshot = (self.head.copy(), self.adam.copy()) if p.iterations_per_call > 1 else None
-        self.online.refresh_working_labels()
         try:
             for _ in range(p.iterations_per_call):
                 feats, labels = sample_batch(self.online, self.replay, p.batch_size,

@@ -108,9 +108,8 @@ class OnlineBuffer:
 
     The working labels are not stored: ``refresh_working_labels`` derives
     them from the raw labels, and any insert, or eviction that removes an
-    entry, drops them. The engine refreshes right before a fine-tune event
-    samples a batch. A buffer that changed since its last refresh reads
-    its raw labels as its working labels."""
+    entry, drops them. The sampler refreshes before it reads them, so they
+    are always the smoothed labels of the entries held now."""
 
     INITIAL_CAPACITY = 256
     _COLUMNS = ("_features", "_raw", "_index", "_time")
@@ -140,23 +139,6 @@ class OnlineBuffer:
     @property
     def d(self) -> int:
         return self._features.shape[1]
-
-    @property
-    def frame_indices(self) -> np.ndarray:
-        return self._index[self._lo : self._hi].copy()
-
-    @property
-    def raw_labels(self) -> np.ndarray:
-        return self._raw[self._lo : self._hi].copy()
-
-    @property
-    def working_labels(self) -> np.ndarray:
-        labels = self._raw[self._lo : self._hi] if self._smoothed is None else self._smoothed[0]
-        return labels.copy()
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._time[self._lo : self._hi].copy()
 
     def features_matrix(self) -> np.ndarray:
         return self._features[self._lo : self._hi].copy()
@@ -219,7 +201,7 @@ class OnlineBuffer:
         vote is unanimous in every window: the working labels are the raw
         labels as they are, a view of the live rows that the next change
         drops, and their one bucket is known without a recount."""
-        if not len(self) or self._smoothed is not None:
+        if self._smoothed is not None:
             return
         live = slice(self._lo, self._hi)
         raw = self._raw[live]
@@ -231,10 +213,9 @@ class OnlineBuffer:
             self._smoothed = labels, _class_buckets(labels)
 
     def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Live features, working labels and their class buckets."""
-        live = slice(self._lo, self._hi)
-        labels, buckets = self._smoothed or (self._raw[live], None)
-        return self._features[live], labels, buckets or _class_buckets(labels)
+        """Live features, their working labels, refreshed, and the class buckets of those."""
+        self.refresh_working_labels()
+        return self._features[self._lo : self._hi], *self._smoothed
 
 
 def _class_buckets(labels: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -276,10 +257,6 @@ class ReplayStore:
     @property
     def features(self) -> np.ndarray:
         return self._features
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._labels
 
     def _sample_source(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         return self._features, self._labels, self._buckets
@@ -345,11 +322,11 @@ def sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a fine-tuning batch. Returns (features (B, d), labels (B,)).
 
-    Online entries carry their working label: the one the buffer's last
-    ``refresh_working_labels`` derived, or their raw label if an entry
-    came or went since. Replay entries carry their frozen ground-truth
-    label. Sampling is with replacement and never mutates either store, nor
-    ``rng`` when it refuses two non-empty stores of different widths.
+    Online entries carry their working label, which the sampler brings up
+    to date with ``refresh_working_labels`` before it reads the buffer.
+    Replay entries carry their frozen ground-truth label. Sampling is with
+    replacement, changes no entry of either store, and leaves ``rng`` as it
+    was when it refuses two non-empty stores of different widths.
     """
     n_online, n_replay = len(online), len(replay)
     if n_online == 0 and n_replay == 0:

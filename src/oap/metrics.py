@@ -52,7 +52,7 @@ def _fixed_threshold(live: np.ndarray, spoof: np.ndarray, threshold: float) -> t
     return apcer, bpcer, (apcer + bpcer) / 2.0
 
 
-def equal_error_rate(scores, labels) -> float:
+def _equal_error_rate(live: np.ndarray, spoof: np.ndarray) -> float:
     """Error rate at the threshold where APCER equals BPCER.
 
     Thresholds sweep the midpoints between adjacent unique scores (plus
@@ -62,10 +62,6 @@ def equal_error_rate(scores, labels) -> float:
     points, which makes the estimate invariant to any strictly increasing
     transformation of the scores.
     """
-    return _equal_error_rate(*_split_scores(scores, labels))
-
-
-def _equal_error_rate(live: np.ndarray, spoof: np.ndarray) -> float:
     uniq = np.unique(np.concatenate([live, spoof]))
     thresholds = np.concatenate(
         ([uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0])

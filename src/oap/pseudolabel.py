@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, PseudoLabel
+from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, WINDOW_RULE, PseudoLabel, check_value
 from .errors import DataError
 
 # The labels as module constants: a member read off its class costs about
@@ -44,11 +44,14 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     [t - window/2, t + window/2] of stored neighbours.
 
     ``frame_indices`` must be strictly increasing; ``labels`` are the raw
-    0/1 stored labels. Returns the smoothed 0/1 labels: spoof (1) iff the
-    mean of stored labels in the window strictly exceeds 0.5, so an exact
-    tie resolves to live. Windows truncate at the buffer edges; entries
-    missing from storage contribute nothing to either side of the mean.
+    0/1 stored labels; a ``window`` outside ``WINDOW_RULE`` is a ConfigError
+    in the ledger's words, before any work. Returns the smoothed 0/1 labels:
+    spoof (1) iff the mean of stored labels in the window strictly exceeds
+    0.5, so an exact tie resolves to live. Windows truncate at the buffer
+    edges; entries missing from storage contribute nothing to either side of
+    the mean.
     """
+    check_value("window", window, int, WINDOW_RULE)
     idx = np.asarray(frame_indices, dtype=np.int64)
     lab = np.asarray(labels, dtype=np.int64)
     if idx.shape != lab.shape:
@@ -58,10 +61,10 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     if np.count_nonzero(idx[1:] <= idx[:-1]):
         raise DataError("frame indices must be strictly increasing")
 
-    # On integers |j - i| <= window / 2 iff |j - i| <= window // 2. The
-    # bounds saturate in int64, which only a buffer within ``half`` of an
-    # end of the range needs.
-    half = min(window // 2, FRAME_INDEX_MAX)
+    # On integers |j - i| <= window / 2 iff |j - i| <= window // 2, a Python
+    # int (a numpy unsigned one makes float keys) that WINDOW_RULE keeps in
+    # int64. The bounds saturate in int64, which only a buffer near an end needs.
+    half = int(window) // 2
     if idx.item(0) - FRAME_INDEX_MIN < half or FRAME_INDEX_MAX - idx.item(-1) < half:
         lo_keys = np.maximum(idx, FRAME_INDEX_MIN + half) - half
         hi_keys = np.minimum(idx, FRAME_INDEX_MAX - half) + half

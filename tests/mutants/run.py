@@ -48,13 +48,18 @@ MUTANTS = [
      "        self._smoothed = None\n",
      "        self._lo, self._hi = (0, 0) if lo == hi else (lo, hi)\n",
      "an eviction that removes an entry drops the last smoothing"),
+    ("stale_labels_read_raw", "src/oap/memory.py",
+     "        self.refresh_working_labels()\n"
+     "        return self._features[self._lo : self._hi], *self._smoothed\n",
+     "        live = slice(self._lo, self._hi)\n"
+     "        labels, buckets = self._smoothed or (self._raw[live], None)\n"
+     "        return self._features[live], labels, buckets or _class_buckets(labels)\n",
+     "the sampler reads the labels smoothed over the entries held now, whatever changed"
+     " since the last refresh"),
     ("all_spoof_is_smoothed", "src/oap/memory.py",
      "if n_spoof == 0 or n_spoof == raw.size:",
      "if n_spoof == 0:",
-     "one class present: the working labels are the raw labels",
-     "equivalent: a vote among spoof labels alone is spoof in every window, so"
-     " smooth_labels gives the raw labels again and _class_buckets of them is"
-     " (None, [0], [n]), the branch's own buckets; only the cost differs"),
+     "one class present: the working labels are the raw labels, taken without a vote"),
     ("cutoff_without_slack", "src/oap/memory.py",
      "self._cutoff = horizon - horizon * 1e-12",
      "self._cutoff = horizon",

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import oap.memory
 from oap.config import HyperParams, PseudoLabel
 from oap.errors import ConfigError, DataError
 from oap.head import init_head
 from oap.memory import OnlineBuffer, ReplayStore, sample_batch, subsample_pretraining
 from oap.rng import seeded_rng
+
+from oracles import buffer_columns, sampled_labels
 
 
 def feat(value, d=4):
@@ -59,18 +62,15 @@ class TestOnlineBuffer:
         buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
         buf.insert(feat(2), PseudoLabel.SPOOF, 40, 0.1)
 
-        def contents():
-            return buf.frame_indices, buf.raw_labels, buf.times, buf.features_matrix()
-
-        before = contents()
+        before = buffer_columns(buf)
         with pytest.raises(DataError, match="frame index"):
             buf.insert(feat(3), PseudoLabel.SPOOF, self.BAD_INDICES[case], 0.2)
-        for was, now in zip(before, contents()):
+        for was, now in zip(before, buffer_columns(buf)):
             np.testing.assert_array_equal(now, was)
         buf.insert(feat(3), PseudoLabel.SPOOF, 41, 0.2)
         buf.refresh_working_labels()
-        np.testing.assert_array_equal(buf.frame_indices, [39, 40, 41])
-        np.testing.assert_array_equal(buf.working_labels, [1, 1, 1])
+        np.testing.assert_array_equal(buffer_columns(buf)[0], [39, 40, 41])
+        np.testing.assert_array_equal(sampled_labels(buf), [1, 1, 1])
 
     BAD_TIMES = {
         "string": "x",
@@ -86,18 +86,17 @@ class TestOnlineBuffer:
         does at ``process_frame``, and leaves the buffer as it was."""
         buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
-        before = len(buf), buf.frame_indices, buf.times
+        before = buffer_columns(buf)
         with pytest.raises(DataError, match="frame time"):
             buf.insert(feat(2), PseudoLabel.SPOOF, 40, self.BAD_TIMES[case])
-        assert len(buf) == before[0]
-        np.testing.assert_array_equal(buf.frame_indices, before[1])
-        np.testing.assert_array_equal(buf.times, before[2])
+        for was, now in zip(before, buffer_columns(buf)):
+            np.testing.assert_array_equal(now, was)
 
     def test_int64_ends_accepted(self):
         buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, -(2**63), 0.0)
         buf.insert(feat(2), PseudoLabel.LIVE, np.int64(2**63 - 1), 0.1)
-        np.testing.assert_array_equal(buf.frame_indices, [-(2**63), 2**63 - 1])
+        np.testing.assert_array_equal(buffer_columns(buf)[0], [-(2**63), 2**63 - 1])
 
     def test_eviction_is_strict_inequality(self):
         """Entries at 0..5 s, now=5, horizon=4 -> ages 3,2,1,0 survive."""
@@ -105,7 +104,7 @@ class TestOnlineBuffer:
         for i, t in enumerate([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
             buf.insert(feat(i), PseudoLabel.LIVE, i + 1, t)
         buf.evict_old(now=5.0)
-        np.testing.assert_array_equal(buf.times, [2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(buffer_columns(buf)[2], [2.0, 3.0, 4.0, 5.0])
 
     def test_eviction_noop_cases(self):
         buf = buffer(horizon=4.0)
@@ -140,7 +139,7 @@ class TestOnlineBuffer:
         for t in range(1, 50):
             buf.insert(feat(t), PseudoLabel.LIVE, t, t / 10.0)
         buf.evict_old(now=4.9)
-        idx = buf.frame_indices
+        idx = buffer_columns(buf)[0]
         assert np.all(np.diff(idx) > 0)
 
     def test_smoothing_refresh_keeps_raw_labels(self):
@@ -149,26 +148,23 @@ class TestOnlineBuffer:
         for t, lab in enumerate(labels, start=1):
             buf.insert(feat(t), PseudoLabel(lab), t, t / 30.0)
         buf.refresh_working_labels()
-        np.testing.assert_array_equal(buf.raw_labels, labels)
-        assert buf.working_labels[2] == 1  # outvoted by neighbours
+        np.testing.assert_array_equal(buffer_columns(buf)[1], labels)
+        assert sampled_labels(buf)[2] == 1  # outvoted by neighbours
 
-    def test_refresh_after_eviction_to_one_class_restores_raw_labels(self):
+    def test_labels_read_after_eviction_to_one_class_are_the_raw_labels(self):
         """Smoothed while mixed, the two live entries are outvoted by the
         four spoof entries before them; once those are evicted the buffer
-        holds one class, and both the eviction and the next refresh must
-        hand back the raw labels, not keep the votes of entries that are
-        gone."""
+        holds one class, and the labels read then are the raw labels, not
+        the votes of entries that are gone."""
         buf = buffer(window=8, horizon=1.5 / 30.0)
         for t, lab in enumerate([1, 1, 1, 1, 0, 0], start=1):
             buf.insert(feat(t), PseudoLabel(lab), t, t / 30.0)
         buf.refresh_working_labels()
-        np.testing.assert_array_equal(buf.working_labels, [1, 1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(sampled_labels(buf), [1, 1, 1, 1, 1, 1])
         buf.evict_old(now=6 / 30.0)
-        np.testing.assert_array_equal(buf.frame_indices, [5, 6])
-        np.testing.assert_array_equal(buf.working_labels, [0, 0])
-        buf.refresh_working_labels()
-        np.testing.assert_array_equal(buf.working_labels, buf.raw_labels)
-        np.testing.assert_array_equal(buf.working_labels, [0, 0])
+        np.testing.assert_array_equal(buffer_columns(buf)[0], [5, 6])
+        np.testing.assert_array_equal(sampled_labels(buf), buffer_columns(buf)[1])
+        np.testing.assert_array_equal(sampled_labels(buf), [0, 0])
 
     NOT_A_ROW = {"stack of rows": np.zeros((2, 3)), "0-d": np.float64(1.0),
                  "empty row": np.zeros(0), "one value": np.zeros(1), "wider row": np.zeros(4)}
@@ -182,7 +178,7 @@ class TestOnlineBuffer:
         buf = buffer(d=3)
         with pytest.raises(DataError, match=r"^feature shape .* differs from the buffer's \(3,\)"):
             buf.insert(self.NOT_A_ROW[case], PseudoLabel.LIVE, 1, 0.0)
-        assert (len(buf), buf.features_matrix().shape) == (0, (0, 3))
+        assert (len(buf), buffer_columns(buf)[3].shape) == (0, (0, 3))
         buf.insert(feat(1, d=3), PseudoLabel.LIVE, 1, 0.0)
         feats, _ = sample_batch(buf, ReplayStore(np.zeros((0, 3)), []), 4, 1.0,
                                 seeded_rng(0, "sampler"))
@@ -192,10 +188,10 @@ class TestOnlineBuffer:
     def test_an_empty_buffer_has_its_width(self, d):
         """Built or emptied by eviction, a buffer's features are (0, d)."""
         buf = buffer(horizon=1.0, d=d)
-        assert (buf.d, buf.features_matrix().shape) == (d, (0, d))
+        assert (buf.d, buffer_columns(buf)[3].shape) == (d, (0, d))
         buf.insert(feat(1, d), PseudoLabel.LIVE, 1, 0.0)
         buf.evict_old(now=2.0)
-        assert (len(buf), buf.features_matrix().shape) == (0, (0, d))
+        assert (len(buf), buffer_columns(buf)[3].shape) == (0, (0, d))
 
     @pytest.mark.parametrize("d", [0, -1, 2.5, True, "3"])
     def test_width_outside_the_d_rule_refused(self, d):
@@ -229,7 +225,7 @@ class TestReplayStore:
         with pytest.raises(ValueError):
             store.features[0, 0] = 1.0
         with pytest.raises(ValueError):
-            store.labels[0] = 1
+            sampled_labels(store)[0] = 1
 
     def test_fingerprint_stable(self):
         rng = np.random.default_rng(3)
@@ -248,7 +244,7 @@ class TestReplayStore:
         store.save(path)
         loaded = ReplayStore.load(path)
         np.testing.assert_array_equal(loaded.features, store.features)
-        np.testing.assert_array_equal(loaded.labels, store.labels)
+        np.testing.assert_array_equal(sampled_labels(loaded), sampled_labels(store))
         assert loaded.fingerprint() == store.fingerprint()
 
 
@@ -283,7 +279,7 @@ class TestSubsample:
         feats, labels = self.full_set(n=5000, live_fraction=0.999, seed=1)
         assert labels.sum() > 0
         store = subsample_pretraining(feats, labels, 50, seeded_rng(2, "replay"))
-        assert set(np.unique(store.labels)) == {0, 1}
+        assert set(np.unique(sampled_labels(store))) == {0, 1}
 
     def test_no_duplicate_rows(self):
         feats, labels = self.full_set(n=400)
@@ -321,7 +317,7 @@ def test_replay_entry_points_refuse_what_the_table_door_refuses(entry, case):
 @pytest.mark.parametrize("d", [1, 3, 700])
 def test_an_empty_store_of_any_width_is_accepted(d):
     store = ReplayStore(np.zeros((0, d)), np.zeros(0, dtype=np.int64))
-    assert (len(store), store.d, store.labels.dtype) == (0, d, np.int64)
+    assert (len(store), store.d, sampled_labels(store).dtype) == (0, d, np.int64)
 
 
 def populated_stores(n_online=40, n_replay=200, d=3):
@@ -340,7 +336,7 @@ class TestSampleBatch:
     def test_alpha_one_is_online_only(self):
         buf, replay = populated_stores()
         feats, labels = sample_batch(buf, replay, 64, 1.0, seeded_rng(0, "sampler"))
-        online_rows = {tuple(row) for row in buf.features_matrix()}
+        online_rows = {tuple(row) for row in buffer_columns(buf)[3]}
         assert all(tuple(row) in online_rows for row in feats)
 
     def test_empty_online_falls_back_to_replay(self):
@@ -356,14 +352,14 @@ class TestSampleBatch:
         _, replay = populated_stores(d=d)
         feats, labels = sample_batch(buffer(d=d), replay, 32, 0.9, seeded_rng(4, "sampler"))
         assert (feats.shape, labels.shape) == ((32, d), (32,))
-        rows = {tuple(row): label for row, label in zip(replay.features, replay.labels)}
+        rows = {tuple(row): label for row, label in zip(replay.features, sampled_labels(replay))}
         assert all(rows[tuple(row)] == label for row, label in zip(feats, labels))
 
     def test_empty_replay_falls_back_to_online(self):
         buf, _ = populated_stores()
         empty = ReplayStore(np.zeros((0, 3)), np.zeros(0, dtype=int))
         feats, _ = sample_batch(buf, empty, 32, 0.1, seeded_rng(2, "sampler"))
-        online_rows = {tuple(row) for row in buf.features_matrix()}
+        online_rows = {tuple(row) for row in buffer_columns(buf)[3]}
         assert all(tuple(row) in online_rows for row in feats)
 
     def test_both_empty_rejected(self):
@@ -387,7 +383,7 @@ class TestSampleBatch:
         """Across many batches the online fraction lands within a tight
         binomial band around online_prob."""
         buf, replay = populated_stores()
-        online_rows = {tuple(row) for row in buf.features_matrix()}
+        online_rows = {tuple(row) for row in buffer_columns(buf)[3]}
         rng = seeded_rng(42, "sampler")
         draws, online = 0, 0
         for _ in range(2000):
@@ -410,12 +406,12 @@ class TestSampleBatch:
     def test_never_emits_discard_and_never_mutates(self):
         buf, replay = populated_stores()
         before = replay.fingerprint()
-        online_before = buf.features_matrix().copy()
+        online_before = buffer_columns(buf)[3]
         for i in range(20):
             _, labels = sample_batch(buf, replay, 16, 0.5, seeded_rng(i, "sampler"))
             assert np.isin(labels, (0, 1)).all()
         assert replay.fingerprint() == before
-        np.testing.assert_array_equal(buf.features_matrix(), online_before)
+        np.testing.assert_array_equal(buffer_columns(buf)[3], online_before)
 
     def test_online_labels_are_working_labels(self):
         """A buffer whose smoothing flipped one raw label must emit the
@@ -432,3 +428,48 @@ class TestSampleBatch:
         flipped_row = tuple(feats_in[2])
         hits = [lab for row, lab in zip(feats, labels) if tuple(row) == flipped_row]
         assert hits and all(lab == 1 for lab in hits)
+
+    @pytest.mark.parametrize("change", ["insert", "eviction"])
+    def test_a_buffer_changed_since_its_refresh_draws_freshly_smoothed_labels(self, change):
+        """An insert or an eviction after the last refresh leaves the
+        sampler no raw or stale labels: it draws what a buffer refreshed
+        after the same change draws. A live entry's raw label is outvoted
+        by the spoof entries around it, so a raw label would show."""
+        labels = [1, 1, 0, 1, 1] if change == "insert" else [0, 1, 1, 0, 1, 1]
+        rng = np.random.default_rng(8)
+        rows = [rng.normal(size=3) for _ in labels]
+        changed, refreshed = buffer(window=4, d=3), buffer(window=4, d=3)
+        for t, (lab, f) in enumerate(zip(labels, rows), start=1):
+            for buf in (changed, refreshed):
+                buf.insert(f, PseudoLabel(lab), t, t / 30.0)
+            if change == "insert" and t == 2:
+                changed.refresh_working_labels()  # one class, before the live entry
+        if change == "eviction":
+            changed.refresh_working_labels()  # mixed, with the first entry
+            for buf in (changed, refreshed):
+                buf.evict_old(now=1 / 30.0 + 4.0)
+            assert len(changed) == 5
+        refreshed.refresh_working_labels()
+        empty = ReplayStore(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        feats, labels = sample_batch(changed, empty, 200, 1.0, seeded_rng(5, "sampler"))
+        want = sample_batch(refreshed, empty, 200, 1.0, seeded_rng(5, "sampler"))
+        assert feats.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
+        outvoted = rows[2] if change == "insert" else rows[3]
+        hits = [lab for row, lab in zip(feats, labels) if tuple(row) == tuple(outvoted)]
+        assert hits and all(lab == 1 for lab in hits)
+
+    def test_a_mixed_buffer_is_smoothed_once_per_change(self, monkeypatch):
+        """However many batches are drawn, the sampler smooths a mixed
+        buffer once after each change, and a buffer of one class never."""
+        calls = []
+        smooth = oap.memory.smooth_labels
+        monkeypatch.setattr(oap.memory, "smooth_labels",
+                            lambda *args: calls.append(args) or smooth(*args))
+        buf = buffer(window=4, d=3)
+        empty = ReplayStore(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        rng = seeded_rng(0, "sampler")
+        for t, lab in enumerate([1, 1, 0, 1], start=1):
+            buf.insert(feat(t, d=3), PseudoLabel(lab), t, t / 30.0)
+            for _ in range(3):
+                sample_batch(buf, empty, 4, 1.0, rng)
+        assert [len(args[0]) for args in calls] == [3, 4]  # after the third and fourth inserts

@@ -3,18 +3,17 @@ oracle: the online buffer against a plain list model, the vectorized batch
 sampler against the per-slot loop it replaced, majority smoothing against
 a direct recount, the head's numerics (sigmoid, forward, loss and
 gradient, Adam) against the plain expressions they replaced, bit for bit,
-the stacked forward pass against per-row forward and the baselines
-against a per-frame fold, bit for bit, the row's gemv and the finite
-check read off it against the row matmul behind a full check, the
+the baselines against a per-frame fold, bit for bit, the finite check read
+off the row's gemv against the row matmul behind a full check, the
 engine's gradient kernel against the checked ``loss_and_grad``, alone
-and over whole streams, the products on ``ndarray.dot`` against the
-``np.dot`` and ``@`` forms they replaced, in several memory layouts,
-pre-training on the kernel against the checked loop it replaced, and the
-column-wise trace writers against the per-row writers they replaced, byte
-for byte, and the file readers on edited bytes, which either read or raise
-their own error type."""
+and over whole streams, the row product on ``ndarray.dot`` against the
+``np.dot`` form it replaced, in several memory layouts, pre-training on
+the kernel against the checked loop it replaced, and the column-wise trace
+writers against the per-row writers they replaced, byte for byte, and the
+file readers on edited bytes, which either read or raise their own error
+type. The numpy and BLAS equalities these bits rest on are tested in
+``test_platform_contract``."""
 
-import json
 import math
 import sys
 import warnings
@@ -47,7 +46,6 @@ from oap.head import (
     PARAM_NAMES,
     PROB_EPS,
     AdamState,
-    ClassifierHead,
     PretrainSchedule,
     _as_floats,
     _grad_kernel,
@@ -68,7 +66,24 @@ from oap.pseudolabel import smooth_labels
 from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, generate_stream
 
-from oracles import fresh_array_adam, per_slot_sample_batch, stream_of
+from oracles import (
+    ListBuffer,
+    bits,
+    brute_force_smooth,
+    buffer_columns,
+    drawn_head,
+    fresh_array_adam,
+    in_layout,
+    log_scales,
+    matmul_forward,
+    per_row_csv,
+    per_row_jsonl,
+    per_slot_sample_batch,
+    sampled_labels,
+    scalar_tail,
+    stacked_case,
+    stream_of,
+)
 
 D = 3
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -86,53 +101,30 @@ class SmallBuffer(OnlineBuffer):
 # ---------------------------------------------------------------------------
 
 
-class ListBuffer:
-    """The brute-force model: a list of entries, filtered on eviction and
-    fully re-smoothed on every refresh. An insert, or an eviction that
-    removes an entry, sets every working label back to its raw label."""
-
-    def __init__(self, window, horizon):
-        self.entries = []  # [feature, raw, working, frame_index, time]
-        self.window, self.horizon = window, horizon
-
-    def insert(self, feature, label, frame_index, time):
-        self.entries.append([feature, label, label, frame_index, time])
-        self.reset_working_labels()
-
-    def evict_old(self, now):
-        cutoff = self.horizon - self.horizon * 1e-12
-        kept = [e for e in self.entries if now - e[4] < cutoff]
-        if len(kept) < len(self.entries):
-            self.entries = kept
-            self.reset_working_labels()
-
-    def reset_working_labels(self):
-        for e in self.entries:
-            e[2] = e[1]
-
-    def refresh_working_labels(self):
-        if self.entries:
-            smoothed = smooth_labels([e[3] for e in self.entries], [e[1] for e in self.entries],
-                                     self.window)
-            for e, w in zip(self.entries, smoothed):
-                e[2] = int(w)
+def assert_same_entries(buf, model):
+    """The buffer holds the model's entries: their frame indices, raw
+    labels, times and feature bits, in order."""
+    assert len(buf) == len(model)
+    index, raw, times, features = buffer_columns(buf)
+    column = lambda k, dtype: np.array([e[k] for e in model.entries], dtype=dtype)
+    np.testing.assert_array_equal(raw, column(1, np.int64))
+    np.testing.assert_array_equal(index, column(2, np.int64))
+    np.testing.assert_array_equal(times, column(3, np.float64))
+    want = np.array([e[0] for e in model.entries])
+    assert (features.shape, features.tobytes()) == ((len(model), D), want.tobytes())
 
 
 def assert_same(buf, model):
-    assert len(buf) == len(model.entries)
-    column = lambda k, dtype: np.array([e[k] for e in model.entries], dtype=dtype)
-    np.testing.assert_array_equal(buf.raw_labels, column(1, np.int64))
-    np.testing.assert_array_equal(buf.working_labels, column(2, np.int64))
-    np.testing.assert_array_equal(buf.frame_indices, column(3, np.int64))
-    np.testing.assert_array_equal(buf.times, column(4, np.float64))
-    got, want = buf.features_matrix(), np.array([e[0] for e in model.entries])
-    assert (got.shape, got.tobytes()) == ((len(model.entries), D), want.tobytes())
+    """The buffer holds the model's entries, and the sampler reads the
+    model's labels from it: the smoothed labels of those entries."""
+    assert_same_entries(buf, model)
+    np.testing.assert_array_equal(sampled_labels(buf), sampled_labels(model))
 
 
 # One step: insert with (index gap, time step, label), evict with a time
-# step, or refresh. Time steps include 0, so equal times occur; every evict
-# uses a "now" no earlier than any stored time. A buffer's window and
-# horizon are drawn once, as an engine fixes them.
+# step, refresh, or sample a batch. Time steps include 0, so equal times
+# occur; every evict uses a "now" no earlier than any stored time. A
+# buffer's window and horizon are drawn once, as an engine fixes them.
 time_steps = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([1 / 30, 0.1, 0.5]))
 steps = st.lists(
     st.one_of(
@@ -151,12 +143,18 @@ NO_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 @PROPERTY_SETTINGS
 @given(steps=steps, window=windows, horizon=horizons, seed=st.integers(0, 2**32 - 1))
 # A refresh outvotes the third entry; an insert, then an eviction of three
-# entries, each hands back the raw labels.
+# entries, each changes what the next read smooths, and a batch is sampled
+# from a buffer changed since its last refresh.
 @example(steps=[("insert", 1, 0.0, 1), ("insert", 1, 0.0, 1), ("insert", 1, 0.0, 0),
                 ("insert", 1, 0.0, 1), ("insert", 1, 0.5, 1), ("refresh",),
-                ("insert", 1, 0.0, 0), ("refresh",), ("evict", 0.0), ("refresh",)],
+                ("insert", 1, 0.0, 0), ("refresh",), ("evict", 0.0), ("refresh",),
+                ("insert", 1, 0.0, 0), ("sample", 8)],
          window=4, horizon=0.5, seed=0)
 def test_buffer_matches_list_model(steps, window, horizon, seed):
+    """The buffer holds the list model's entries after every step. Each
+    refresh, each batch and the end of the steps read the model's labels,
+    re-smoothed over the entries it holds then, whatever changed since the
+    buffer's last refresh."""
     rng = np.random.default_rng(seed)
     buf, model = SmallBuffer(D, window, horizon), ListBuffer(window, horizon)
     index, now = 0, 0.0
@@ -172,16 +170,17 @@ def test_buffer_matches_list_model(steps, window, horizon, seed):
             buf.evict_old(now)
             model.evict_old(now)
             cutoff = horizon - horizon * 1e-12
-            assert all(now - t < cutoff for t in buf.times)  # eviction is exact
+            assert all(now - t < cutoff for t in buffer_columns(buf)[2])  # eviction is exact
         elif step[0] == "refresh":
             buf.refresh_working_labels()
-            model.refresh_working_labels()
-        elif len(buf):  # the sampler sees the current working labels
+            assert_same(buf, model)
+        elif len(buf):  # the sampler sees the labels of the entries held now
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             feats, labels = sample_batch(buf, NO_REPLAY, step[1], 1.0, rng_a)
-            ref = per_slot_sample_batch(buf, NO_REPLAY, step[1], 1.0, rng_b)
+            ref = per_slot_sample_batch(model, NO_REPLAY, step[1], 1.0, rng_b)
             assert feats.tobytes() == ref[0].tobytes() and labels.tobytes() == ref[1].tobytes()
-        assert_same(buf, model)
+        assert_same_entries(buf, model)
+    assert_same(buf, model)
 
 
 @PROPERTY_SETTINGS
@@ -222,8 +221,8 @@ def assert_same_buckets(got, want):
          window=3, horizon=0.5, seed=0)
 def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, window, horizon, seed):
     """A refresh that finds one class stores its buckets for the sampler;
-    whatever the sampler reads equals ``_class_buckets`` of the current
-    working labels."""
+    whatever the sampler reads equals ``_class_buckets`` of the working
+    labels it reads with them."""
     rng = np.random.default_rng(seed)
     buf = SmallBuffer(D, window, horizon)
     index, now = 0, 0.0
@@ -237,10 +236,11 @@ def test_refresh_hands_the_sampler_the_buckets_of_its_labels(steps, window, hori
             buf.evict_old(now)
         elif step[0] == "refresh":
             buf.refresh_working_labels()
-            if len(buf) and len(set(buf.raw_labels.tolist())) == 1:
+            if len(buf) and len(set(buffer_columns(buf)[1].tolist())) == 1:
                 assert buf._smoothed is not None  # handed over, not left to recount
         if len(buf):
-            assert_same_buckets(buf._sample_source()[2], _class_buckets(buf.working_labels))
+            _, labels, buckets = buf._sample_source()
+            assert_same_buckets(buckets, _class_buckets(labels))
 
 
 def test_eviction_at_exact_cutoff():
@@ -252,7 +252,7 @@ def test_eviction_at_exact_cutoff():
     buf.insert(np.zeros(D), PseudoLabel.LIVE, 1, 0.0)
     buf.insert(np.zeros(D), PseudoLabel.LIVE, 2, cutoff - np.nextafter(cutoff, 0.0))
     buf.evict_old(cutoff)
-    assert buf.frame_indices.tolist() == [2]
+    assert buffer_columns(buf)[0].tolist() == [2]
 
 
 def test_buffer_grows_past_initial_capacity():
@@ -272,7 +272,6 @@ def test_buffer_grows_past_initial_capacity():
         buf.evict_old(t / 30)
         model.evict_old(t / 30)
         buf.refresh_working_labels()
-        model.refresh_working_labels()
     assert_same(buf, model)
 
 
@@ -303,7 +302,7 @@ def test_buffer_stores_any_row_of_floats_and_refuses_a_non_numeric_one():
     buf = OnlineBuffer(D, 30, 4.0)
     for i, row in enumerate(rows):
         buf.insert(row, PseudoLabel.LIVE, i, 0.0)
-    assert buf.features_matrix().tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    assert buffer_columns(buf)[3].tobytes() == np.array(rows, dtype=np.float64).tobytes()
     with pytest.raises(DataError, match="^non-numeric value in feature input"):
         buf.insert(["a", "b", "c"], PseudoLabel.LIVE, len(rows), 0.0)
     assert len(buf) == len(rows)
@@ -365,16 +364,6 @@ def test_sample_batch_matches_per_slot_loop(
 # ---------------------------------------------------------------------------
 
 
-def recount_smooth(frame_indices, labels, window):
-    """Spoof iff strictly more than half of the stored entries within
-    window/2 frames of the entry are spoof (integer arithmetic only)."""
-    out = []
-    for i in frame_indices:
-        votes = [lab for j, lab in zip(frame_indices, labels) if 2 * abs(j - i) <= window]
-        out.append(int(2 * sum(votes) > len(votes)))
-    return out
-
-
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -382,7 +371,7 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 @given(
     gaps=st.lists(st.integers(1, 6), max_size=80),
     data=st.data(),
-    window=st.integers(0, 15),
+    window=st.integers(1, 15),
     base=st.sampled_from(["0", "2**53", "2**62", "int64 min", "int64 max"]),
 )
 def test_smoothing_matches_recount_on_gapped_indices(gaps, data, window, base):
@@ -394,7 +383,7 @@ def test_smoothing_matches_recount_on_gapped_indices(gaps, data, window, base):
     frame_indices = [start + k for k in offsets]
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(gaps), max_size=len(gaps)))
     smoothed = smooth_labels(frame_indices, labels, window)
-    assert smoothed.tolist() == recount_smooth(frame_indices, labels, window)
+    assert smoothed.tolist() == brute_force_smooth(frame_indices, labels, window).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +428,6 @@ def dict_loss_and_grad(head, feats, labels):
     return loss, grads
 
 
-def drawn_head(d, seed, scale):
-    rng = np.random.default_rng(seed)
-    return ClassifierHead(
-        rng.normal(0.0, scale, size=(d, HIDDEN_UNITS)),
-        rng.normal(0.0, scale, size=HIDDEN_UNITS),
-        rng.normal(0.0, scale, size=HIDDEN_UNITS),
-        rng.normal(0.0, scale, size=1),
-    )
-
-
-def bits(x):
-    return np.asarray(x, dtype=np.float64).tobytes()
-
-
 SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.5, -710.5, 745.2, -745.2,
                   1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7]
 
@@ -480,30 +455,6 @@ def test_forward_matches_the_batched_row(head, rows, feature_scale):
         assert type(y) is float
         assert bits(y) == bits(batch_forward(h, f))
         assert bits(y) == bits(forward_batch(h, f[None, :])[0])
-
-
-# Any count up to 300, and counts next to the vector widths of numpy's
-# loops and the BLAS kernels.
-row_counts = st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 257]))
-# Head and feature scales 1e-3 ... 1e3: logits from near 0 to far past the
-# clamp, on both sides of 0.
-log_scales = st.floats(-3.0, 3.0)
-
-
-def stacked_case(d, rows, seed, head_scale, feature_scale):
-    h = drawn_head(d, seed, 10.0**head_scale)
-    feats = np.random.default_rng(seed + 1).normal(0.0, 10.0**feature_scale, size=(rows, d))
-    return h, feats
-
-
-@PROPERTY_SETTINGS
-@given(d=st.integers(1, 40), rows=row_counts, seed=st.integers(0, 2**32 - 1),
-       head_scale=log_scales, feature_scale=log_scales)
-def test_forward_batch_rows_have_the_bits_of_forward(d, rows, seed, head_scale, feature_scale):
-    h, feats = stacked_case(d, rows, seed, head_scale, feature_scale)
-    per_row = np.array([forward(h, f) for f in feats])
-    assert bits(forward_batch(h, feats)) == bits(per_row)
-    assert bits(forward(h, feats)) == bits(per_row)
 
 
 def test_stacked_cases_reach_both_sigmoid_branches_and_the_clamp():
@@ -547,7 +498,7 @@ def test_baselines_match_the_per_frame_fold(d, n, seed, scale, momentum, labeled
     truth = np.random.default_rng(seed + 3).integers(0, 2, size=n).tolist() if labeled else None
     expected = per_frame_smoothed(h, frames, momentum, truth)
     trace = run_baseline_smoothed(h, frames, momentum, ground_truth=truth)
-    assert trace == expected
+    assert list(trace) == expected
     assert bits([r.y for r in trace]) == bits([r.y for r in expected])
     if momentum == 0.0:
         frozen = run_baseline_frozen(h, frames, ground_truth=truth)
@@ -717,47 +668,7 @@ def test_in_place_adam_matches_fresh_arrays(d, seed, grad_scales, poison, learni
 
 
 # ---------------------------------------------------------------------------
-# The row's gemv and the finite check read off it
-# ---------------------------------------------------------------------------
-
-
-def matmul_forward(head, feature):
-    """``forward`` on one row with a (1, d) @ (d, 64) matmul behind a full
-    finite check: the row path before it read the check off a gemv."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if not np.isfinite(feature).all():
-        raise DataError("non-finite value in feature input")
-    hidden = feature[None, :] @ head.w1
-    np.add(hidden, head.b1, out=hidden)
-    np.maximum(hidden, 0.0, out=hidden)
-    return scalar_tail(np.dot(hidden, head.w2).item() + head.b2.item())
-
-
-def scalar_tail(z):
-    """``forward``'s sigmoid and clamp of the logit ``z`` on Python floats."""
-    if z >= 0:
-        y = 1.0 / (1.0 + float(np.exp(-z)))
-    else:
-        e = float(np.exp(z))
-        y = e / (1.0 + e)
-    return min(max(y, PROB_EPS), 1.0 - PROB_EPS)
-
-
-@pytest.mark.parametrize("d", range(1, 65))
-def test_row_gemv_has_the_bits_of_the_row_matmul(d):
-    """``forward`` scores a row with ``f.dot(w1)``, the gemv that
-    ``f[None, :] @ w1`` makes and ``forward_batch`` makes per row. A BLAS
-    whose two calls round differently fails here."""
-    rng = np.random.default_rng(d)
-    for scale in (1e-3, 1.0, 1e3):
-        w1 = rng.normal(0.0, scale, size=(d, HIDDEN_UNITS))
-        for _ in range(4):
-            f = rng.normal(0.0, scale, size=d)
-            assert f.dot(w1).tobytes() == (f[None, :] @ w1)[0].tobytes()
-
-
-# ---------------------------------------------------------------------------
-# Products on ndarray.dot against the np.dot and @ forms they replaced
+# The row product on ndarray.dot against the np.dot form it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -767,86 +678,6 @@ def np_dot_forward(head, feature):
     np.add(hidden, head.b1, out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
     return scalar_tail(np.dot(hidden, head.w2).item() + head.b2.item())
-
-
-def matmul_grad_kernel(head, feats, labels):
-    """``_grad_kernel`` as it ran on the ``@`` operator (numpy's matmul ufunc)."""
-    n = feats.shape[0]
-    z1 = feats @ head.w1 + head.b1
-    hidden = np.maximum(z1, 0.0)
-    logits = hidden @ head.w2 + head.b2[0]
-    y = _sigmoid(logits)
-    dlogits = (y - labels) / n
-    dz1 = dlogits[:, None] * head.w2 * (z1 > 0.0)
-    grad = np.concatenate((
-        (feats.T @ dz1).ravel(),
-        np.add.reduce(dz1, axis=0),
-        hidden.T @ dlogits,
-        np.add.reduce(dlogits, keepdims=True),
-    ))
-    return y, grad
-
-
-def in_layout(x, layout):
-    """The values of the 1-D or 2-D ``x`` in the memory layout ``layout``
-    names: ``c`` contiguous; ``row`` a column slice of a wider array, whose
-    rows lie a record apart like a feature file's field view; ``f``
-    Fortran-ordered; ``col`` every other column (or element) of a wider
-    array; ``reversed`` a negative-stride view of a reversed copy."""
-    if layout == "c":
-        return np.ascontiguousarray(x)
-    if layout == "row":
-        wide = np.zeros((x.shape[0], x.shape[1] + 3))
-        wide[:, 1:-2] = x
-        return wide[:, 1:-2]
-    if layout == "f":
-        return np.asfortranarray(x)
-    if layout == "col":
-        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
-        wide[..., ::2] = x
-        return wide[..., ::2]
-    assert layout == "reversed"
-    return x[::-1].copy()[::-1]
-
-
-# Batch sizes 1 to 140, widths 1 to 64, and head and feature scales 1e-3 to 1e3.
-product_cases = st.tuples(st.integers(1, 140), st.integers(1, 64), st.integers(0, 2**32 - 1),
-                          log_scales, log_scales)
-
-
-def product_case(rows, d, seed, head_scale, feature_scale):
-    h, feats = stacked_case(d, rows, seed, head_scale, feature_scale)
-    labels = np.random.default_rng(seed + 2).integers(0, 2, size=rows)
-    return h, feats, labels
-
-
-@PROPERTY_SETTINGS
-@given(case=product_cases, layout=st.sampled_from(["c", "row", "f", "col"]))
-def test_dot_kernel_has_the_bits_of_the_matmul_kernel(case, layout):
-    h, feats, labels = product_case(*case)
-    feats = in_layout(feats, layout)
-    y, grad = _grad_kernel(h, feats, labels)
-    y_ref, grad_ref = matmul_grad_kernel(h, feats, labels)
-    assert y.tobytes() == y_ref.tobytes()
-    assert grad.tobytes() == grad_ref.tobytes()
-
-
-@PROPERTY_SETTINGS
-@given(case=product_cases, layout=st.sampled_from(["row", "f", "col", "reversed"]))
-def test_strided_batch_has_the_bits_of_its_contiguous_copy(case, layout):
-    """``loss_and_grad`` gives a row-strided, Fortran-ordered,
-    column-strided or reversed view the bits of its contiguous copy, which
-    BLAS, handed the view as it is, need not. Where ``@`` would leave BLAS
-    for numpy's own loop, ``ndarray.dot`` already gives a reversed view
-    those bits in the kernel."""
-    h, feats, labels = product_case(*case)
-    view = in_layout(feats, layout)
-    for got, want in zip(loss_and_grad(h, view, labels), loss_and_grad(h, feats, labels)):
-        assert bits(got) == bits(want)
-    if layout == "reversed":
-        assert view.strides[0] < 0
-        for got, want in zip(_grad_kernel(h, view, labels), _grad_kernel(h, feats, labels)):
-            assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -1041,27 +872,6 @@ def test_update_doors_keep_their_error_text_and_touch_nothing(at, value):
 # ---------------------------------------------------------------------------
 
 
-def per_row_cell(value) -> str:
-    if value is None:
-        return ""
-    if value is True or value is False:
-        return "1" if value else "0"
-    return repr(value)
-
-
-def per_row_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in trace:
-            fh.write(",".join(map(per_row_cell, r._asdict().values())) + "\n")
-
-
-def per_row_jsonl(path, trace):
-    with open(path, "w") as fh:
-        for r in trace:
-            fh.write(json.dumps(r._asdict()) + "\n")
-
-
 TRACE_VALUES = {
     type(None): st.none(),
     bool: st.booleans(),
@@ -1115,7 +925,7 @@ def test_trace_writers_match_the_per_row_writers(trace_dir, records, length):
             read_trace_csv(trace_dir / "csv")
     elif not any(isinstance(v, float) and math.isnan(v) for r in trace
                  for v in r._asdict().values()):
-        assert read_trace_csv(trace_dir / "csv") == trace
+        assert list(read_trace_csv(trace_dir / "csv")) == trace
     for order in [("jsonl", "csv"), ("csv", "jsonl"), ("csv", "csv"), ("jsonl", "jsonl")]:
         shared = Trace.from_records(trace)
         for name in order:
@@ -1140,14 +950,12 @@ def test_a_trace_behaves_as_the_list_of_its_records(records, data):
         with pytest.raises(IndexError):
             trace[i]
     cut = data.draw(st.slices(len(records)))
-    assert type(trace[cut]) is Trace and trace[cut] == records[cut]
+    assert type(trace[cut]) is Trace and list(trace[cut]) == records[cut]
     assert all(type(r) is TraceRecord for r in trace) and list(trace) == records
     fresh = list(map(fresh_floats, records))
     for other in (records, records[:-1], records[::-1], fresh):
-        for equal in (trace == other, other == trace, trace == Trace.from_records(other)):
-            assert equal is (records == other)
-        for unequal in (trace != other, other != trace, trace != Trace.from_records(other)):
-            assert unequal is (records != other)
+        # The records hold the very values they were built from, a NaN included.
+        assert (list(Trace.from_records(other)) == records) is (other == records)
     with pytest.raises(TypeError):
         trace[0] = TraceRecord(0, None, 0.5, 0, None, False, 0, 0.0)
 

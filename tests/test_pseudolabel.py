@@ -7,8 +7,8 @@ each centered window, written independently of the production path.
 import numpy as np
 import pytest
 
-from oap.config import PseudoLabel
-from oap.errors import DataError
+from oap.config import HyperParams, PseudoLabel
+from oap.errors import ConfigError, DataError
 from oap.pseudolabel import assign_pseudo_label, smooth_labels
 
 from oracles import brute_force_smooth
@@ -87,10 +87,30 @@ class TestSmoothing:
         got = smooth_labels(idx, labels, 60)  # every window covers all 30
         np.testing.assert_array_equal(got, np.zeros(30, dtype=int))
 
-    def test_window_zero_is_identity(self):
-        idx = np.array([3, 7, 9])
-        labels = np.array([1, 0, 1])
-        np.testing.assert_array_equal(smooth_labels(idx, labels, 0), labels)
+    @pytest.mark.parametrize("window", [-3, 0, 2.5, True, 2**64, "3", np.float64(3.0)],
+                             ids=["-3", "0", "2.5", "True", "2**64", "string", "numpy float"])
+    def test_window_outside_the_rule_refused(self, window):
+        """A window outside ``WINDOW_RULE`` is a ConfigError in the ledger's
+        words, raised before any work: before the indices, which here are
+        out of order, are read. Window -3 smoothed every label to live, and
+        window 0 returned the labels as they were."""
+        with pytest.raises(ConfigError) as want:
+            HyperParams(window=window)
+        with pytest.raises(ConfigError, match="^window out of range") as got:
+            smooth_labels([3, 3, 2], [1, 0, 1], window)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("window", [1, 2**64 - 1, np.uint64(2**64 - 1), np.uint64(3)],
+                             ids=["1", "2**64 - 1", "uint64 2**64 - 1", "uint64 3"])
+    def test_window_at_the_rule_ends(self, window):
+        """Window 1 leaves every label as it is; the widest window reaches
+        half of the int64 range each way, not past it. A numpy unsigned
+        window smooths as its int: it gave float keys, which cannot tell
+        apart indices above 2**53."""
+        idx = [-(2**63), -1, 0, 2**62, 2**62 + 2, 2**63 - 1]
+        labels = [1, 0, 1, 1, 0, 0]
+        np.testing.assert_array_equal(smooth_labels(idx, labels, window),
+                                      brute_force_smooth(idx, labels, int(window)))
 
     def test_matches_brute_force_on_random_gapped_sequences(self):
         """1,000 random sequences with random gaps, lengths <= 300."""
@@ -100,7 +120,7 @@ class TestSmoothing:
             gaps = rng.integers(1, 5, size=n)
             idx = np.cumsum(gaps)
             labels = rng.integers(0, 2, size=n)
-            window = int(rng.integers(0, 25)) * 2
+            window = max(1, int(rng.integers(0, 25)) * 2)  # 1, not 0: both leave labels as they are
             np.testing.assert_array_equal(
                 smooth_labels(idx, labels, window),
                 brute_force_smooth(idx, labels, window),

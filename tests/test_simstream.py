@@ -15,20 +15,15 @@ from hypothesis import strategies as st
 
 from oap.config import ClassLabel, from_mapping, open_text
 from oap.errors import ConfigError, DataError
-from oap.rng import seeded_rng
 from oap.simstream import (
     FEATURE_ROWS_PER_WRITE,
     HEADER_MAX_BYTES,
     HELD_OUT_USER_BASE,
-    SOURCE_SHIFT_SCALE,
-    _class_mean,
-    _user_offset,
     _read_header,
     _read_lines,
     _read_table,
     GeneratorConfig,
     Segment,
-    StreamFrame,
     StreamScenario,
     generate_pretraining_set,
     generate_stream,
@@ -38,6 +33,8 @@ from oap.simstream import (
     save_labeled_set,
     scenario_from_mapping,
 )
+
+from oracles import per_frame_stream, per_row_save
 
 
 CFG = GeneratorConfig(d=16, seed=5)
@@ -115,35 +112,6 @@ def test_scenario_refuses_a_negative_user_id(build, user_id):
     pre-training user 3), so it is refused however the scenario is built."""
     with pytest.raises(ConfigError, match=f"user_id out of range: {user_id} "):
         build(user_id)
-
-
-def per_frame_stream(cfg, scenario):
-    """The frame-at-a-time generator that ``generate_stream`` replaced: the
-    reference for its bits, its frame types and its labels."""
-    uid = HELD_OUT_USER_BASE + scenario.user_id
-    offset = _user_offset(cfg, uid)
-    drift_rng = seeded_rng(cfg.seed, f"drift-direction-{uid}")
-    direction = drift_rng.standard_normal(cfg.d)
-    direction /= np.linalg.norm(direction)
-    noise_rng = seeded_rng(cfg.seed, f"stream-noise-{uid}")
-
-    frames = []
-    labels = np.empty(scenario.total_frames, dtype=np.int64)
-    t = 0
-    for seg in scenario.segments:
-        source_rng = seeded_rng(cfg.seed, f"source-{int(seg.label)}-{seg.source_id}-{uid}")
-        source_offset = (
-            source_rng.standard_normal(cfg.d) * SOURCE_SHIFT_SCALE * cfg.noise_std
-        )
-        base = _class_mean(cfg, seg.label) + offset + source_offset
-        noise = noise_rng.standard_normal((seg.duration_frames, cfg.d)) * cfg.noise_std
-        for k in range(seg.duration_frames):
-            time = t / scenario.frame_rate
-            drift = direction * cfg.drift_rate * cfg.noise_std * time
-            frames.append(StreamFrame(base + drift + noise[k], t + 1, time))
-            labels[t] = int(seg.label)
-            t += 1
-    return frames, labels
 
 
 @st.composite
@@ -348,20 +316,6 @@ class TestStream:
         after = np.stack([f.feature for f in frames])
         assert not after[2].any()
         np.testing.assert_array_equal(np.delete(after, 2, axis=0), np.delete(before, 2, axis=0))
-
-
-def per_row_save(path, features, frame_indices, times, labels=None, frame_rate=30.0):
-    """The row-at-a-time writer save_feature_file replaced: the reference
-    for its bytes."""
-    n, d = features.shape
-    with open(path, "w") as fh:
-        fh.write(f"oapf v1 d={d} labeled={int(labels is not None)} fps={frame_rate!r}\n")
-        for i in range(n):
-            cols = [str(int(frame_indices[i])), repr(float(times[i]))]
-            if labels is not None:
-                cols.append(str(int(labels[i])))
-            cols.extend(repr(float(v)) for v in features[i])
-            fh.write(",".join(cols) + "\n")
 
 
 @pytest.mark.parametrize("n", [0, 1, FEATURE_ROWS_PER_WRITE - 1, FEATURE_ROWS_PER_WRITE,

@@ -198,7 +198,7 @@ def test_every_runner_gives_one_trace_for_every_form_of_a_stream(n, seed, start)
     ]
     for run in RUNNERS.values():
         traces = [run(stream) for stream in forms]
-        assert traces[1] == traces[0] and traces[2] == traces[0]
+        assert list(traces[1]) == list(traces[0]) and list(traces[2]) == list(traces[0])
         assert [type(i) for i in traces[2].columns.frame_index] == [int] * n
 
 
@@ -266,7 +266,7 @@ def test_a_streams_int64_indices_read_back_from_a_trace_file(runner, tmp_path):
     trace = run(stream)
     assert [type(i) for i in trace.columns.frame_index] == [int] * 5
     write_trace_csv(tmp_path / "trace.csv", trace)
-    assert read_trace_csv(tmp_path / "trace.csv") == trace
+    assert list(read_trace_csv(tmp_path / "trace.csv")) == list(trace)
 
 
 # ---------------------------------------------------------------------------

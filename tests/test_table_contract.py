@@ -19,7 +19,7 @@ from oap.errors import DataError
 from oap.head import PretrainSchedule, check_features, check_labels, forward_batch, init_head
 from oap.head import loss_and_grad, pretrain
 from oap.memory import ReplayStore, subsample_pretraining
-from oap.metrics import equal_error_rate, evaluate_frames, fixed_threshold_metrics
+from oap.metrics import evaluate_frames, fixed_threshold_metrics
 from oap.presets import desk_params
 from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, StreamFrames, save_feature_file
@@ -128,7 +128,6 @@ LABEL_DOORS = {
                                                              seeded_rng(0, "replay")),
     "evaluate_frames": lambda y: evaluate_frames(SCORES, y),
     "fixed_threshold_metrics": lambda y: fixed_threshold_metrics(SCORES, y, 0.5),
-    "equal_error_rate": lambda y: equal_error_rate(SCORES, y),
     **{name: lambda y, run=run: run(FRAMES, y) for name, run in RUNNERS.items()},
 }
 
@@ -199,7 +198,7 @@ def test_the_trace_reader_takes_an_unknown_ground_truth(tmp_path):
     trace = run_baseline_frozen(HEAD, FRAMES)
     assert [r.ground_truth for r in trace] == [None] * len(FRAMES)
     write_trace_csv(tmp_path / "trace.csv", trace)
-    assert read_trace_csv(tmp_path / "trace.csv") == trace
+    assert list(read_trace_csv(tmp_path / "trace.csv")) == list(trace)
     path = trace_file(tmp_path, {"ground_truth": None})
     assert [r.ground_truth for r in read_trace_csv(path)] == [0, 1, None, 1]
 
