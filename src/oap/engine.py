@@ -56,6 +56,7 @@ from .head import (
     SCORE_ROWS_PER_CALL,
     AdamState,
     ClassifierHead,
+    _as_floats,
     apply_update,
     check_labels,
     forward,
@@ -256,19 +257,20 @@ class Engine:
         """Score one frame, then let it adapt the head. A frame that breaks
         the stream contract (see ``check_frame``: int64 indices strictly
         increase, times are finite reals that never decrease), or whose
-        feature has the wrong dimension or a non-numeric or non-finite
-        value, raises DataError before any state changes."""
+        feature is not a (d,) row of finite numbers, raises DataError before
+        any state changes; the buffer stores the checked row unchecked."""
         p = self.params
         frame_index = check_frame(frame_index, time, self.last_frame)
-        y = forward(self.head, feature)
+        row = _as_floats(feature)
+        y = forward(self.head, row)
         if y.__class__ is not float:  # forward scored a stack of rows
-            raise not_a_row(self.head.d, feature)
+            raise not_a_row(self.head.d, row)
         self.last_frame = frame_index, time
         decision = _SPOOF if y > p.eval_threshold else _LIVE
         pseudo = assign_pseudo_label(y, p.margin)
 
         if pseudo is not _DISCARD:
-            self.online.insert(feature, pseudo, frame_index, time)
+            self.online.insert(row, pseudo, frame_index, time)
         self.online.evict_old(time)
 
         self.finetune_accumulator += p.finetune_freq

@@ -12,8 +12,9 @@ start when the online buffer is still empty.
 
 The stream contract, in one wording: int64 frame indices strictly increase
 and times are finite reals that never decrease. ``check_frame`` checks one
-frame; ``first_bad_frame`` checks a whole ``StreamFrames`` by its columns,
-its features too, before any frame of it runs.
+frame, for ``Engine.process_frame``, the online buffer's one writer;
+``first_bad_frame`` checks a whole ``StreamFrames`` by its columns, its
+features too, before any frame of it runs.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ from .config import check_value
 from .errors import DataError
 from .head import NON_FINITE_FEATURE, SCORE_ROWS_PER_CALL, WIDTH_RULE, _as_floats, check_features
 from .head import check_labels, not_a_row
-from .pseudolabel import smooth_labels
-
-
-# An enum member as a module constant, read faster than off its class.
-_DISCARD = PseudoLabel.DISCARD
+from .pseudolabel import _vote as smooth_labels  # on the buffer's own checked columns
 
 
 def check_frame(frame_index, time, last) -> int:
@@ -96,11 +93,11 @@ def _frame_fault(index: int, time, last) -> str:
 
 class OnlineBuffer:
     """Ordered store of (feature, raw pseudo-label, frame_index, wall
-    time). Single writer; discard labels never enter; frame indices
-    strictly increase and times never decrease, so eviction by age always
-    removes a prefix. The width ``d``, smoothing ``window`` in frames and
-    eviction cutoff of ``horizon`` seconds are fixed when the buffer is built,
-    held to ``WIDTH_RULE``, ``WINDOW_RULE`` and ``HORIZON_RULE`` in their words.
+    time). Its one writer, ``Engine.process_frame`` (by hand, through
+    ``check_frame``), stores no discard and keeps the stream contract, so
+    eviction by age always removes a prefix. Its width ``d``, smoothing
+    ``window`` (frames) and eviction ``horizon`` (seconds) are fixed when
+    built, in the words of ``WIDTH_RULE``, ``WINDOW_RULE`` and ``HORIZON_RULE``.
 
     The entries live in rows ``[lo, hi)`` of preallocated column arrays.
     When an insert finds the arrays full, the live rows move to the front
@@ -124,9 +121,6 @@ class OnlineBuffer:
         self._index = np.empty(cap, dtype=np.int64)
         self._time = np.empty(cap, dtype=np.float64)
         self._lo = self._hi = 0
-        # The index and time of the last entry inserted, the newest one
-        # while the buffer is not empty, as Python numbers.
-        self._last: tuple[int, float] | None = None
         self._window = window
         self._cutoff = horizon - horizon * 1e-12  # with slack: see evict_old
         # (working labels, the sampler's class buckets of them) of the last
@@ -144,24 +138,15 @@ class OnlineBuffer:
         return self._features[self._lo : self._hi].copy()
 
     def insert(self, feature, pseudo_label: PseudoLabel, frame_index: int, time: float) -> None:
-        """Append an accepted entry. The entry keeps the stream contract
-        after the newest entry (see ``check_frame``), and its feature is a
-        row of numbers (see ``head._as_floats``) of shape (d,). A refused
-        entry raises DataError and leaves the buffer as it was."""
-        if pseudo_label == _DISCARD:
-            raise DataError("discard labels are never inserted into the online buffer")
-        frame_index = check_frame(frame_index, time, self._last if self._hi > self._lo else None)
-        feature = _as_floats(feature)
-        if feature.shape != self._features.shape[1:]:
-            raise DataError(f"feature shape {feature.shape} differs from the buffer's ({self.d},)")
+        """Append, unchecked, a live or spoof entry that keeps the stream
+        contract after the newest one, with a (d,) row of finite numbers."""
         if self._hi == len(self._raw):
             self._make_room()
         i = self._hi
         self._features[i] = feature
-        self._raw[i] = int(pseudo_label)
+        self._raw[i] = pseudo_label
         self._index[i] = frame_index
         self._time[i] = time
-        self._last = frame_index, time
         self._hi = i + 1
         self._smoothed = None
 

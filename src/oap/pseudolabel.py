@@ -43,29 +43,36 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     """Majority-vote each stored label over the window
     [t - window/2, t + window/2] of stored neighbours.
 
-    ``frame_indices`` must be strictly increasing; ``labels`` are the raw
-    0/1 stored labels; a ``window`` outside ``WINDOW_RULE`` is a ConfigError
-    in the ledger's words, before any work. Returns the smoothed 0/1 labels:
-    spoof (1) iff the mean of stored labels in the window strictly exceeds
-    0.5, so an exact tie resolves to live. Windows truncate at the buffer
-    edges; entries missing from storage contribute nothing to either side of
-    the mean.
+    ``frame_indices`` must strictly increase, each kept by ``check_frame``'s
+    index rule; ``labels`` are the raw 0/1 stored labels; a ``window``
+    outside ``WINDOW_RULE`` is a ConfigError in the ledger's words, before
+    any work. Returns ``_vote``'s smoothed 0/1 labels: spoof (1) iff the
+    mean of stored labels in the window strictly exceeds 0.5, so an exact
+    tie resolves to live. Windows truncate at the buffer edges; entries
+    missing from storage contribute nothing to either side of the mean.
     """
     check_value("window", window, int, WINDOW_RULE)
-    idx = np.asarray(frame_indices, dtype=np.int64)
+    idx = np.asarray(frame_indices)
+    if idx.dtype.kind != "i":  # each index as given: a cast would wrap, truncate or overflow
+        from .memory import check_frame  # memory imports this module
+        for index in np.asarray(frame_indices, dtype=object).ravel().tolist():
+            check_frame(index, 0.0, None)
+    idx = idx.astype(np.int64, copy=False)
     lab = np.asarray(labels, dtype=np.int64)
     if idx.shape != lab.shape:
         raise DataError("frame_indices and labels disagree in length")
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.int64)
     if np.count_nonzero(idx[1:] <= idx[:-1]):
         raise DataError("frame indices must be strictly increasing")
+    return _vote(idx, lab, window)
 
+
+def _vote(idx: np.ndarray, lab: np.ndarray, window: int) -> np.ndarray:
+    """``smooth_labels`` on int64 ``idx`` and ``lab`` that passed its checks."""
     # On integers |j - i| <= window / 2 iff |j - i| <= window // 2, a Python
     # int (a numpy unsigned one makes float keys) that WINDOW_RULE keeps in
     # int64. The bounds saturate in int64, which only a buffer near an end needs.
     half = int(window) // 2
-    if idx.item(0) - FRAME_INDEX_MIN < half or FRAME_INDEX_MAX - idx.item(-1) < half:
+    if idx.size and (idx.item(0) - FRAME_INDEX_MIN < half or FRAME_INDEX_MAX - idx.item(-1) < half):
         lo_keys = np.maximum(idx, FRAME_INDEX_MIN + half) - half
         hi_keys = np.minimum(idx, FRAME_INDEX_MAX - half) + half
     else:

@@ -21,6 +21,7 @@ ranges when built, so the generators take them as given.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import os
@@ -391,9 +392,9 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
     float64 row, or an ``fps`` that is not finite and > 0) or body is a
     DataError naming the file, and the first bad line or record. A v2 body
     is read into one buffer sized from the file (``_read_body``) and viewed
-    as the record table (``_read_records``). A v1 body is parsed
-    into it by one ``np.loadtxt`` pass; one that numpy refuses, or whose
-    table fails a check, is read again on the same handle by ``_read_lines``,
+    as the record table (``_read_records``). A v1 body (a pipe's held in
+    memory once) is parsed into it by one ``np.loadtxt`` pass; one that numpy
+    refuses, or whose table fails a check, is read again by ``_read_lines``,
     which takes what numpy does not (say, blank lines of spaces or ``1_000``)
     and names the first bad line. numpy converts a float cell as ``float()``
     does and accepts a subset of what ``float()`` and ``int()`` accept, so
@@ -402,10 +403,13 @@ def load_feature_file(path: str | Path) -> FeatureFileData:
     be C-contiguous."""
     path = Path(path)
     with open_text(path, DataError) as fh:
-        version, d, labeled, frame_rate = _read_header(path, fh)
+        version, *header = _read_header(path, fh)
         if version == "v2":
-            return _read_records(path, _read_body(fh.buffer), d, labeled, frame_rate)
-        return _read_table(path, fh, d, labeled, frame_rate) or _read_lines(path, fh)
+            return _read_records(path, _read_body(fh.buffer), *header)
+        if not fh.seekable():  # a pipe's body, held to be read again
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding)
+        body = fh.buffer.tell()
+        return _read_table(path, fh, *header) or _read_lines(path, fh, body, *header)
 
 
 # The largest header ``d``: numpy refuses a float64 row of more bytes than
@@ -517,15 +521,16 @@ def _read_table(path: Path, fh, d: int, labeled: bool,
         return None
 
 
-def _read_lines(path: Path, fh) -> FeatureFileData:
-    """A v1 file a line at a time, from the start of the text file ``fh``, so
-    its text decodes in the blocks of a new handle: the reader that names a
-    malformed file's first bad line, and the reference ``_read_table`` is
-    tested against. Each row is checked as it is read: its column count,
+def _read_lines(path: Path, fh, body: int, d: int, labeled: bool, frame_rate) -> FeatureFileData:
+    """A v1 body with the header's ``d``, ``labeled`` and ``frame_rate``, a
+    line at a time from byte ``body`` of the text file ``fh``, read from its
+    start so its text decodes in the blocks of a new handle: the reader that
+    names a malformed file's first bad line, and the reference ``_read_table``
+    is tested against. Each row is checked as it is read: its column count,
     then that every cell parses, then its features and label at the table
     door, then that its frame index fits int64."""
     fh.seek(0)
-    _, d, labeled, frame_rate = _read_header(path, fh)
+    fh.buffer.read(body)
     first = 2 + int(labeled)  # the first feature column
     expected_cols = first + d
     # The columns; ``values`` holds the feature cells of every row, row-major.

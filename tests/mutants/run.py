@@ -64,12 +64,6 @@ MUTANTS = [
      "self._cutoff = horizon - horizon * 1e-12",
      "self._cutoff = horizon",
      "an entry whose exact age equals the horizon is evicted, whatever the round-off"),
-    ("unchecked_width", "src/oap/memory.py",
-     "        if feature.shape != self._features.shape[1:]:\n"
-     "            raise DataError(f\"feature shape {feature.shape} differs from the buffer's"
-     " ({self.d},)\")\n",
-     "",
-     "an insert takes only a (d,) row: a (1,) row is refused, not broadcast"),
     ("snapshot_never_restored", "src/oap/engine.py",
      "                self.head, self.adam = snapshot\n",
      "                pass\n",
@@ -83,8 +77,8 @@ MUTANTS = [
      "",
      "an empty online buffer sends its slots to the replay store"),
     ("two_copy_load", "src/oap/simstream.py",
-     "_read_records(path, _read_body(fh.buffer), d, labeled, frame_rate)",
-     "_read_records(path, bytearray(fh.buffer.read()), d, labeled, frame_rate)",
+     "_read_records(path, _read_body(fh.buffer), *header)",
+     "_read_records(path, bytearray(fh.buffer.read()), *header)",
      "a v2 load holds its body in one buffer, not a read and a copy"),
     ("whole_table_v2_save", "src/oap/simstream.py",
      "            for start in range(0, n, FEATURE_ROWS_PER_WRITE):\n"
@@ -112,15 +106,25 @@ MUTANTS = [
      "the buffer bound: every frame evicts the entries older than the horizon"),
     ("discard_inserted", "src/oap/engine.py",
      "        if pseudo is not _DISCARD:\n"
-     "            self.online.insert(feature, pseudo, frame_index, time)\n",
-     "        self.online.insert(feature, decision if pseudo is _DISCARD else pseudo, frame_index,"
+     "            self.online.insert(row, pseudo, frame_index, time)\n",
+     "        self.online.insert(row, decision if pseudo is _DISCARD else pseudo, frame_index,"
      " time)\n",
      "a discarded frame never enters the buffer"),
     ("two_events_a_frame", "src/oap/engine.py",
      "            finetuned = self._finetune()\n",
      "            self._finetune()\n            finetuned = self._finetune()\n",
      "at most one fine-tune event per frame"),
-    # The doors: each accepts what it should refuse.
+    # The doors: each accepts what it should refuse. The engine's door is the
+    # buffer's too, since ``insert`` appends unchecked.
+    ("process_frame_unchecked", "src/oap/engine.py",
+     "        frame_index = check_frame(frame_index, time, self.last_frame)\n",
+     "",
+     "process_frame: a frame that breaks the stream contract is refused before it is stored"),
+    ("process_frame_takes_a_stack", "src/oap/engine.py",
+     "        if y.__class__ is not float:  # forward scored a stack of rows\n"
+     "            raise not_a_row(self.head.d, row)\n",
+     "",
+     "process_frame: a frame's feature is one (d,) row, not a (1, d) stack broadcast into one"),
     ("check_frame_repeats_index", "src/oap/memory.py",
      "(index <= last[0] or time < last[1])",
      "(index < last[0] or time < last[1])",

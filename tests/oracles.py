@@ -1,11 +1,14 @@
 """Oracles and helpers that several test modules share: independent
 reference computations (the plain forms the fast paths replaced, each the
-reference for their bits or bytes), the readers of a store's columns, and
-the source scan behind the one-module-wording tests. Not a test module;
+reference for their bits or bytes), the readers of a store's columns, a
+pipe that holds given bytes, and the source scan behind the
+one-module-wording tests. Not a test module;
 import what is needed from it."""
 
 import ast
+import contextlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -445,3 +448,18 @@ def spelled_in(words: str, exact: bool = False) -> list[str]:
     return [path.name for path in SOURCES
             if any(text == words if exact else words in text
                    for text in message_texts(ast.parse(path.read_text())))]
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """``/dev/fd/<n>`` of the read end of a pipe that holds ``data`` (less
+    than a pipe's buffer), as a shell's ``<(cat file)`` gives it."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+    finally:
+        os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)

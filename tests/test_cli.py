@@ -1,7 +1,6 @@
 """End-to-end CLI: the generate -> pretrain -> run -> sweep -> report
 pipeline in a temp directory, exit codes, and config-echo reproducibility."""
 
-import contextlib
 import hashlib
 import json
 import math
@@ -22,6 +21,8 @@ from oap.head import PretrainSchedule, save_head
 from oap.memory import ReplayStore
 from oap.presets import build_artifacts
 from oap.simstream import _save, load_feature_file, save_feature_file
+
+from oracles import piped
 
 
 def sha(path):
@@ -759,29 +760,15 @@ def test_broken_input_file_exits_with_its_code_writing_nothing(pipeline, seed_tr
     assert not out.exists()
 
 
-@contextlib.contextmanager
-def piped(data: bytes):
-    """``/dev/fd/<n>`` of the read end of a pipe that holds ``data`` (less
-    than a pipe's buffer), as a shell's ``<(cat file)`` gives it."""
-    r, w = os.pipe()
-    try:
-        os.write(w, data)
-    finally:
-        os.close(w)
-    try:
-        yield f"/dev/fd/{r}"
-    finally:
-        os.close(r)
-
-
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 @pytest.mark.parametrize("flag", ["--stream", "--replay"])
 def test_a_piped_feature_file_runs_as_its_file_does(pipeline, tmp_path, capsys, flag):
     """A load reads a header and a body without a seek, so ``oap run`` on a
     whole piped file exits 0 and writes the bytes it writes for the file.
-    A truncated one exits 3 naming the pipe and writes nothing: a v2
-    replay's part record, or a v1 stream that numpy refuses, whose line by
-    line reread needs a seek that a pipe cannot do."""
+    A truncated one exits 3 and writes nothing, in the words it has for the
+    truncated file, naming the pipe: a v2 replay's part record, or a v1
+    stream's short last row, which the line reader finds in the pipe's body
+    held in memory once numpy refuses it."""
     _, gen_dir, pre_dir = pipeline
     stream, replay = gen_dir / "stream_seed0.oapf", pre_dir / "replay.oapf"
     source, other = (stream, replay) if flag == "--stream" else (replay, stream)
@@ -797,12 +784,17 @@ def test_a_piped_feature_file_runs_as_its_file_does(pipeline, tmp_path, capsys, 
                 assert main([*argv, "--out", str(out), flag, path]) == 0
         written.append([p.read_bytes() for p in sorted(out.iterdir())])
     assert written[0] == written[1] and len(written[0]) == 5
+    truncated = tmp_path / source.name
+    truncated.write_bytes(source.read_bytes()[:4096])
     out = tmp_path / "truncated"
-    reason = "cannot read (" if flag == "--stream" else "record "
     capsys.readouterr()
-    with piped(source.read_bytes()[:4096]) as path:
+    assert main([*argv, "--out", str(out), flag, str(truncated)]) == 3
+    want = capsys.readouterr().err
+    with piped(truncated.read_bytes()) as path:
         assert main([*argv, "--out", str(out), flag, path]) == 3
-    assert capsys.readouterr().err.startswith(f"data error: {path}: {reason}")
+    got = capsys.readouterr().err
+    assert got == want.replace(str(truncated), path)
+    assert re.match(rf"data error: {re.escape(path)}(:\d+: expected |: record )", got)
     assert not out.exists()
 
 

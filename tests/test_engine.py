@@ -286,7 +286,7 @@ class TestInputContract:
         assert len(engine.online) > 0 and engine.finetune_accumulator == 0.5
         before = engine_state(engine)
         index, time = self.BAD_FRAMES[case]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="frame (index|time)"):
             engine.process_frame(frames[3].feature, index, time)
         assert engine_state(engine) == before
 
@@ -297,6 +297,8 @@ class TestInputContract:
         "matrix": np.zeros((3, D)),
         "stack": np.zeros((2, 3, D)),
         "scalar": np.float64(0.0),
+        "empty row": np.zeros(0),
+        "one value": np.zeros(1),
         "string feature": ["0.5x"] * D,
         "numeric string feature": ["0.5"] * D,
         "complex feature": [1j] * D,
@@ -309,11 +311,13 @@ class TestInputContract:
         engine = self.warmed_engine(artifacts)
         before = engine_state(engine)
         feature = self.BAD_FEATURES[case]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^((non-finite|non-numeric) value in feature input"
+                                            "|feature dimension mismatch)"):
             engine.process_frame(feature, 4, 3 / 30)
         assert engine_state(engine) == before
 
-    @pytest.mark.parametrize("case", ["wrong dimension", "row matrix", "matrix", "stack", "scalar"])
+    @pytest.mark.parametrize("case", ["wrong dimension", "row matrix", "matrix", "stack", "scalar",
+                                      "empty row", "one value"])
     def test_bad_shape_named(self, artifacts, case):
         """``forward`` scores an (n, d) stack, but a frame is one (d,) row:
         the engine names any other shape, a stack included."""
@@ -326,10 +330,12 @@ class TestInputContract:
     BAD_INDICES = {
         "beyond int64": 2**70,
         "just past int64": 2**63,
+        "just below int64": -(2**63) - 1,
         "half past the last": 3.5,
         "integral float": 4.0,
         "numpy float": np.float64(4.0),
         "string": "4",
+        "none": None,
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INDICES))

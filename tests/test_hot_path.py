@@ -34,7 +34,7 @@ HOT_FUNCTIONS = {
     oap.engine: ["process_frame", "_finetune", "_fold", "score_block"],
     oap.memory: ["check_frame", "first_bad_frame", "insert", "evict_old",
                  "refresh_working_labels", "sample_batch"],
-    oap.pseudolabel: ["assign_pseudo_label", "smooth_labels"],
+    oap.pseudolabel: ["assign_pseudo_label", "smooth_labels", "_vote"],
 }
 
 

@@ -31,67 +31,6 @@ class TestOnlineBuffer:
         buf.insert(feat(1), PseudoLabel.LIVE, 1, 0.0)
         assert len(buf) == 1
 
-    def test_discard_never_stored(self):
-        buf = buffer()
-        with pytest.raises(DataError, match="discard"):
-            buf.insert(feat(1), PseudoLabel.DISCARD, 1, 0.0)
-
-    def test_out_of_order_insert_rejected(self):
-        buf = buffer()
-        buf.insert(feat(1), PseudoLabel.LIVE, 5, 0.0)
-        with pytest.raises(DataError, match="does not follow"):
-            buf.insert(feat(2), PseudoLabel.LIVE, 5, 0.1)
-
-    BAD_INDICES = {
-        "beyond int64": 2**70,
-        "just past int64": 2**63,
-        "just below int64": -(2**63) - 1,
-        "half past the last": 40.5,
-        "integral float": 41.0,
-        "numpy float": np.float64(41.0),
-        "string": "41",
-        "none": None,
-    }
-
-    @pytest.mark.parametrize("case", sorted(BAD_INDICES))
-    def test_index_outside_int64_or_not_an_integer_refused(self, case):
-        """An index ``operator.index`` refuses, or one the int64 column
-        cannot hold, raises DataError and leaves the buffer as it was;
-        the next valid entry goes in and a mixed-class refresh runs."""
-        buf = buffer(window=5)
-        buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
-        buf.insert(feat(2), PseudoLabel.SPOOF, 40, 0.1)
-
-        before = buffer_columns(buf)
-        with pytest.raises(DataError, match="frame index"):
-            buf.insert(feat(3), PseudoLabel.SPOOF, self.BAD_INDICES[case], 0.2)
-        for was, now in zip(before, buffer_columns(buf)):
-            np.testing.assert_array_equal(now, was)
-        buf.insert(feat(3), PseudoLabel.SPOOF, 41, 0.2)
-        buf.refresh_working_labels()
-        np.testing.assert_array_equal(buffer_columns(buf)[0], [39, 40, 41])
-        np.testing.assert_array_equal(sampled_labels(buf), [1, 1, 1])
-
-    BAD_TIMES = {
-        "string": "x",
-        "none": None,
-        "beyond float64": 10**400,
-        "nan": float("nan"),
-        "inf": float("inf"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(BAD_TIMES))
-    def test_time_not_a_finite_real_refused(self, case):
-        """A time that is not a finite real number raises DataError, as it
-        does at ``process_frame``, and leaves the buffer as it was."""
-        buf = buffer()
-        buf.insert(feat(1), PseudoLabel.LIVE, 39, 0.0)
-        before = buffer_columns(buf)
-        with pytest.raises(DataError, match="frame time"):
-            buf.insert(feat(2), PseudoLabel.SPOOF, 40, self.BAD_TIMES[case])
-        for was, now in zip(before, buffer_columns(buf)):
-            np.testing.assert_array_equal(now, was)
-
     def test_int64_ends_accepted(self):
         buf = buffer()
         buf.insert(feat(1), PseudoLabel.LIVE, -(2**63), 0.0)
@@ -165,24 +104,6 @@ class TestOnlineBuffer:
         np.testing.assert_array_equal(buffer_columns(buf)[0], [5, 6])
         np.testing.assert_array_equal(sampled_labels(buf), buffer_columns(buf)[1])
         np.testing.assert_array_equal(sampled_labels(buf), [0, 0])
-
-    NOT_A_ROW = {"stack of rows": np.zeros((2, 3)), "0-d": np.float64(1.0),
-                 "empty row": np.zeros(0), "one value": np.zeros(1), "wider row": np.zeros(4)}
-
-    @pytest.mark.parametrize("case", sorted(NOT_A_ROW))
-    def test_first_feature_that_is_not_a_row_refused(self, case):
-        """The feature column is shaped when the buffer is built, so even a
-        first insert takes only a (d,) row. Anything else is refused before
-        the buffer changes, not broadcast into a row or left to fail in the
-        sampler."""
-        buf = buffer(d=3)
-        with pytest.raises(DataError, match=r"^feature shape .* differs from the buffer's \(3,\)"):
-            buf.insert(self.NOT_A_ROW[case], PseudoLabel.LIVE, 1, 0.0)
-        assert (len(buf), buffer_columns(buf)[3].shape) == (0, (0, 3))
-        buf.insert(feat(1, d=3), PseudoLabel.LIVE, 1, 0.0)
-        feats, _ = sample_batch(buf, ReplayStore(np.zeros((0, 3)), []), 4, 1.0,
-                                seeded_rng(0, "sampler"))
-        assert feats.shape == (4, 3)
 
     @pytest.mark.parametrize("d", [1, 3, 700])
     def test_an_empty_buffer_has_its_width(self, d):

@@ -9,6 +9,7 @@ import pytest
 
 from oap.config import HyperParams, PseudoLabel
 from oap.errors import ConfigError, DataError
+from oap.memory import check_frame
 from oap.pseudolabel import assign_pseudo_label, smooth_labels
 
 from oracles import brute_force_smooth
@@ -129,3 +130,31 @@ class TestSmoothing:
     def test_rejects_non_increasing_indices(self):
         with pytest.raises(DataError, match="increasing"):
             smooth_labels([3, 3], [0, 1], 10)
+
+    @pytest.mark.parametrize("indices, bad", [
+        (np.array([2**63, 2**63 + 1], dtype=np.uint64), 2**63),
+        ([1.5, 2.5], 1.5),
+        (np.array([1.5, 2.5]), 1.5),
+        ([2**63, 2**64], 2**63),
+        ([-1, 2**63], 2**63),
+        ([-(2**63) - 1, 0], -(2**63) - 1),
+        (["1", "2"], "1"),
+    ], ids=["uint64 past int64", "floats", "float64 array", "ints past int64",
+            "an int past int64 after -1", "an int below int64", "strings"])
+    def test_an_index_check_frame_refuses_is_refused(self, indices, bad):
+        """Each index is held to ``check_frame``'s index rule as given, and the
+        first it refuses is named in its words: a cast to int64 wrapped the
+        unsigned ones, truncated the floats and overflowed on the Python ints."""
+        with pytest.raises(DataError, match="^frame index ") as want:
+            check_frame(bad, 0.0, None)
+        with pytest.raises(DataError) as got:
+            smooth_labels(indices, [1, 0], 3)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("indices", [np.array([1, 2, 4], dtype=np.uint64), [True, 2, 4],
+                                         np.array([1, 2, 4], dtype=np.int32),
+                                         np.array([1, 2, 4], dtype=object)],
+                             ids=["uint64", "bool then ints", "int32", "object ints"])
+    def test_indices_in_int64_of_any_integer_type_smooth_as_int64(self, indices):
+        np.testing.assert_array_equal(smooth_labels(indices, [1, 1, 0], 3),
+                                      smooth_labels(np.array([1, 2, 4]), [1, 1, 0], 3))

@@ -34,7 +34,7 @@ from oap.simstream import (
     scenario_from_mapping,
 )
 
-from oracles import per_frame_stream, per_row_save
+from oracles import per_frame_stream, per_row_save, piped
 
 
 CFG = GeneratorConfig(d=16, seed=5)
@@ -578,9 +578,11 @@ def edited_feature_files(draw) -> bytes:
 
 
 def read_lines(path):
-    """``_read_lines`` on the file at ``path``, open as ``load_feature_file`` opens it."""
+    """``_read_lines`` on the body of the file at ``path``, open and past its
+    header as ``load_feature_file`` leaves it."""
     with open_text(path, DataError) as fh:
-        return _read_lines(path, fh)
+        _, d, labeled, frame_rate = _read_header(path, fh)
+        return _read_lines(path, fh, fh.buffer.tell(), d, labeled, frame_rate)
 
 
 def read_outcome(read, path):
@@ -665,6 +667,29 @@ def test_a_load_opens_its_file_once(tmp_path, monkeypatch, body):
     monkeypatch.undo()
     assert opened == [path]
     assert data.features.tobytes() == feats.tobytes() and data.labels.tolist() == [0, 1]
+
+
+PIPED_BODIES = {
+    "numpy pass": f"{HEADER}\n{GOOD_ROW}\n2,0.1,1,2.0,3.0\n".encode(),
+    "blank line of spaces": f"{HEADER}\n{GOOD_ROW}\n   \n2,0.1,1,2.0,3.0\n".encode(),
+    "1_000": f"{HEADER}\n{GOOD_ROW}\n1_000,0.1,1,2.0,3.0\n".encode(),
+    "short row": f"{HEADER}\n{GOOD_ROW}\n   \n2,0.1\n".encode(),
+    "undecodable byte": f"{HEADER}\n{GOOD_ROW}\n   \n".encode() + b"\xff\n",
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("body", sorted(PIPED_BODIES))
+def test_a_piped_v1_body_loads_as_it_does_from_disk(tmp_path, body):
+    """A v1 body read from a pipe (``--stream <(cat s.oapf)``) gives the
+    arrays, or the DataError, of the file itself: one that numpy refuses
+    is read again from the pipe's one copy in memory, not by a seek."""
+    path = tmp_path / "s.oapf"
+    path.write_bytes(PIPED_BODIES[body])
+    want = read_outcome(load_feature_file, path)
+    with piped(PIPED_BODIES[body]) as pipe:
+        got = read_outcome(load_feature_file, pipe)
+    assert got == (want.replace(str(path), pipe) if isinstance(want, str) else want)
 
 
 def test_large_header_d_over_a_short_row_allocates_nothing(tmp_path):

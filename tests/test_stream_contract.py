@@ -1,10 +1,11 @@
 """The stream contract has one scalar door, ``memory.check_frame``, behind
-``Engine.process_frame`` and ``OnlineBuffer.insert``, and one stream door,
-``memory.first_bad_frame``, behind the CLI and the three runners. The
-stream door checks a whole ``StreamFrames`` of int64 and float64 columns
-by column before a frame runs, and the runners refuse any other stream
-before it too. Both doors refuse the frame the scalar doors refuse first,
-in the same words, and the words are spelled in one module only. A runner
+``Engine.process_frame`` only (``OnlineBuffer.insert`` appends what that
+door checked), and one stream door, ``memory.first_bad_frame``, behind the
+CLI and the three runners. The stream door checks a whole ``StreamFrames``
+of int64 and float64 columns by column before a frame runs, and the
+runners refuse any other stream before it too. The stream door refuses the
+frame the scalar door refuses first, in the same words, and the words are
+spelled in one module only. A runner
 refuses the whole stream, and each prefix that holds the refused frame,
 and takes the prefix before it. Every runner's trace takes its frame
 indices from its stream, so they read back from a trace file, and is the
@@ -20,12 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oap.config import PseudoLabel
 from oap.engine import Engine, read_trace_csv, run_baseline_frozen, run_baseline_smoothed
 from oap.engine import write_trace_csv
 from oap.errors import DataError
 from oap.head import SCORE_ROWS_PER_CALL, init_head
-from oap.memory import OnlineBuffer, ReplayStore, first_bad_frame
+from oap.memory import ReplayStore, first_bad_frame
 from oap.presets import desk_params
 from oap.simstream import StreamFrames
 
@@ -125,11 +125,8 @@ def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     indices, times, features = cols
     feature = np.zeros(D)
     engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
-    buffer = OnlineBuffer(D, 30, 4.0)
     block = first_bad_frame(StreamFrames(np.zeros((len(indices), D)), indices, times), D)
     assert first_refusal(lambda i, t: engine.process_frame(feature, i, t), indices, times) == block
-    assert first_refusal(lambda i, t: buffer.insert(feature, PseudoLabel.LIVE, i, t),
-                         indices, times) == block
     if not len(indices):
         return
     engine = Engine(HEAD, EMPTY_REPLAY, desk_params(margin=0.5, finetune_freq=0.01))
