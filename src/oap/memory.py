@@ -271,6 +271,8 @@ def subsample_pretraining(features, labels, target_size: int, rng) -> ReplayStor
     rows pass it in ``ReplayStore``, which spares the pre-training path a
     second finite scan of the whole matrix after ``pretrain``'s."""
     features = _as_floats(features)
+    if features.ndim != 2:  # the labels are counted against its rows
+        check_features(features)
     spoof = check_labels(labels, len(features))
     n = spoof.size
     if target_size > n:

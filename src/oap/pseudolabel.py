@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import FRAME_INDEX_MAX, FRAME_INDEX_MIN, WINDOW_RULE, PseudoLabel, check_value
 from .errors import DataError
+from .head import check_labels
 
 # The labels as module constants: a member read off its class costs about
 # ten module-global reads, more than the rest of ``assign_pseudo_label``.
@@ -43,8 +44,9 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
     """Majority-vote each stored label over the window
     [t - window/2, t + window/2] of stored neighbours.
 
-    ``frame_indices`` must strictly increase, each kept by ``check_frame``'s
-    index rule; ``labels`` are the raw 0/1 stored labels; a ``window``
+    ``frame_indices`` must be one column that strictly increases, each
+    index kept by ``check_frame``'s index rule; ``labels`` are the raw
+    stored labels, held to ``check_labels``, one per index; a ``window``
     outside ``WINDOW_RULE`` is a ConfigError in the ledger's words, before
     any work. Returns ``_vote``'s smoothed 0/1 labels: spoof (1) iff the
     mean of stored labels in the window strictly exceeds 0.5, so an exact
@@ -57,10 +59,10 @@ def smooth_labels(frame_indices, labels, window: int) -> np.ndarray:
         from .memory import check_frame  # memory imports this module
         for index in np.asarray(frame_indices, dtype=object).ravel().tolist():
             check_frame(index, 0.0, None)
+    if idx.ndim != 1:
+        raise DataError(f"frame indices must be one column, got shape {idx.shape}")
+    lab = check_labels(labels, idx.size).astype(np.int64)
     idx = idx.astype(np.int64, copy=False)
-    lab = np.asarray(labels, dtype=np.int64)
-    if idx.shape != lab.shape:
-        raise DataError("frame_indices and labels disagree in length")
     if np.count_nonzero(idx[1:] <= idx[:-1]):
         raise DataError("frame indices must be strictly increasing")
     return _vote(idx, lab, window)

@@ -523,19 +523,21 @@ def _read_table(path: Path, fh, d: int, labeled: bool,
 
 def _read_lines(path: Path, fh, body: int, d: int, labeled: bool, frame_rate) -> FeatureFileData:
     """A v1 body with the header's ``d``, ``labeled`` and ``frame_rate``, a
-    line at a time from byte ``body`` of the text file ``fh``, read from its
-    start so its text decodes in the blocks of a new handle: the reader that
+    line at a time from byte ``body`` of the text file ``fh``: the reader that
     names a malformed file's first bad line, and the reference ``_read_table``
-    is tested against. Each row is checked as it is read: its column count,
-    then that every cell parses, then its features and label at the table
-    door, then that its frame index fits int64."""
-    fh.seek(0)
-    fh.buffer.read(body)
+    is tested against. The bytes split on universal newlines (``\n``, ``\r``
+    and ``\r\n``, as text mode splits) and each line decodes as it is read,
+    so a file and its pipe name the same first fault. Each row is checked as
+    it is read: its column count, then that every cell parses, then its
+    features and label at the table door, then that its frame index fits int64."""
+    fh.buffer.seek(body)
+    lines = (line for chunk in fh.buffer for line in chunk.splitlines())
     first = 2 + int(labeled)  # the first feature column
     expected_cols = first + d
     # The columns; ``values`` holds the feature cells of every row, row-major.
     frame_indices, times, labels, values = [], [], [], []
-    for lineno, line in enumerate(map(str.strip, fh), start=2):
+    for lineno, line in enumerate(lines, start=2):
+        line = line.decode(fh.encoding).strip()
         if not line:
             continue
         cols = line.split(",")

@@ -1,9 +1,9 @@
 """Oracles and helpers that several test modules share: independent
 reference computations (the plain forms the fast paths replaced, each the
 reference for their bits or bytes), the readers of a store's columns, a
-pipe that holds given bytes, and the source scan behind the
-one-module-wording tests. Not a test module;
-import what is needed from it."""
+stream's record-strided layout, a pipe that holds given bytes, a refusal's
+words, and the source scan behind the one-module-wording tests. Not a test
+module; import what is needed from it."""
 
 import ast
 import contextlib
@@ -12,6 +12,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 import oap
@@ -49,6 +50,15 @@ def stream_of(frames) -> StreamFrames:
     return StreamFrames(features.reshape(len(frames), -1 if len(frames) else 0),
                         np.array([f.frame_index for f in frames], dtype=np.int64),
                         np.array([f.time for f in frames], dtype=np.float64))
+
+
+def record_strided(features, indices, times):
+    """The columns as views of one structured table, laid out as the
+    feature-file reader's: rows of a column are a record apart."""
+    n, d = features.shape
+    table = np.empty(n, dtype=[("index", "<i8"), ("time", "<f8"), ("features", "<f8", (d,))])
+    table["index"], table["time"], table["features"] = indices, times, features
+    return table["features"], table["index"], table["time"]
 
 
 def buffer_columns(buf):
@@ -448,6 +458,14 @@ def spelled_in(words: str, exact: bool = False) -> list[str]:
     return [path.name for path in SOURCES
             if any(text == words if exact else words in text
                    for text in message_texts(ast.parse(path.read_text())))]
+
+
+def refusal(call, error=DataError) -> str:
+    """The words of the ``error`` that ``call()`` raises; the test fails
+    if it raises none."""
+    with pytest.raises(error) as info:
+        call()
+    return str(info.value)
 
 
 @contextlib.contextmanager

@@ -529,71 +529,10 @@ class TestFrozenBaseline:
         assert frozen[0].y == adaptive[0].y
 
 
-def baseline(kind, head, frames, **kwargs):
-    if kind == "frozen":
-        return run_baseline_frozen(head, frames, **kwargs)
-    return run_baseline_smoothed(head, frames, 0.7, **kwargs)
-
-
 def rows(n):
     """A stream of ``n`` random frames, its columns editable."""
     features = np.random.default_rng(5).normal(size=(n, D))
     return StreamFrames(features, np.arange(1, n + 1), np.arange(1, n + 1) / 30.0)
-
-
-@pytest.mark.parametrize("kind", ["frozen", "ema"])
-class TestBaselineErrors:
-    """The baselines score stacks of frames, but fail as scoring frame by
-    frame did: an empty stream first, then a ground truth of the wrong
-    length, then the DataError of the first frame that is not a finite
-    (d,) row in order, whichever stack it falls in."""
-
-    def test_empty_stream_before_ground_truth(self, artifacts, kind):
-        head = artifacts[0]
-        with pytest.raises(DataError, match="empty stream"):
-            baseline(kind, head, stream_of([]), ground_truth=[0, 1])
-
-    def test_ground_truth_length_before_bad_frames(self, artifacts, kind):
-        head = artifacts[0]
-        frames = rows(4)
-        frames.features[0, 0] = np.nan
-        with pytest.raises(DataError, match="^3 labels for 4 rows: want one label per row$"):
-            baseline(kind, head, frames, ground_truth=[0] * 3)
-
-    @pytest.mark.parametrize("first, second, message", [
-        ("nan", "time going back", "^non-finite value in feature input$"),
-        ("time going back", "nan", "^frame time -1.0 precedes the last frame's "),
-        ("repeated index", "nan", r"^frame index (\d+) does not follow the last frame's \1$"),
-        ("inf", "repeated index", "^non-finite value in feature input$"),
-    ], ids=["nan before time", "time before nan", "index before nan", "inf before index"])
-    @pytest.mark.parametrize("at", [2, SCORE_ROWS_PER_CALL + 2], ids=["first stack", "second stack"])
-    def test_first_bad_frame_named(self, artifacts, kind, first, second, message, at):
-        head = artifacts[0]
-        frames = rows(at + 5)
-        for fault, i in ((first, at), (second, at + 2)):
-            if fault in ("nan", "inf"):
-                frames.features[i, 1] = float(fault)
-            elif fault == "time going back":
-                frames.times[i] = -1.0
-            else:
-                frames.frame_indices[i] = frames.frame_indices[i - 1]
-        with pytest.raises(DataError, match=message):
-            baseline(kind, head, frames)
-
-    @pytest.mark.parametrize("shape, message", [
-        ((D + 1,), re.escape(f"got {(D + 1,)}")),
-        ((1, D), "^a stream must be a StreamFrames of "),
-        ((), "^a stream must be a StreamFrames of "),
-        ((D - 1,), re.escape(f"got {(D - 1,)}")),
-        ((2, 3, D), "^a stream must be a StreamFrames of "),
-    ])
-    def test_uniformly_misshaped_stream(self, artifacts, kind, shape, message):
-        """A column of rows of another width is named as a single frame's
-        row is; a feature column that is not (n, d) is not a stream."""
-        head = artifacts[0]
-        frames = StreamFrames(np.zeros((D, *shape)), np.arange(1, D + 1), np.arange(D) / 30.0)
-        with pytest.raises(DataError, match=message):
-            baseline(kind, head, frames)
 
 
 @pytest.mark.parametrize("fault", ["nan feature", "time going back", "both"])
@@ -694,11 +633,6 @@ class TestSmoothedBaseline:
         expected = int(np.ceil(np.log(0.5) / np.log(momentum)))
         assert crossing == expected
 
-    def test_momentum_range_checked(self, artifacts):
-        head, _, frames, _ = artifacts
-        with pytest.raises(ConfigError, match="momentum"):
-            run_baseline_smoothed(head, frames[:2], momentum=1.0)
-
 
 class TestTraceFiles:
     def test_csv_round_trip(self, artifacts, tmp_path):
@@ -773,25 +707,3 @@ class TestTraceFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="malformed trace row"):
             read_trace_csv(path)
-
-    def test_empty_stream_rejected(self, artifacts):
-        head, replay, _, _ = artifacts
-        with pytest.raises(DataError, match="empty"):
-            Engine(head, replay, desk_params()).run_stream(stream_of([]))
-
-    @pytest.mark.parametrize("runner", ["engine", "frozen", "ema"])
-    @pytest.mark.parametrize("n_frames, n_truth", [(300, 10), (10, 300)])
-    def test_ground_truth_length_checked(self, artifacts, runner, n_frames, n_truth):
-        """Ground truth shorter or longer than the stream is a DataError in
-        every runner, in the labels rule's words, not an IndexError or a
-        silent truncation."""
-        head, replay, frames, truth = artifacts
-        frames, truth = frames[:n_frames], truth[:n_truth]
-        want = f"^{n_truth} labels for {n_frames} rows: want one label per row$"
-        with pytest.raises(DataError, match=want):
-            if runner == "engine":
-                Engine(head, replay, desk_params()).run_stream(frames, ground_truth=truth)
-            elif runner == "frozen":
-                run_baseline_frozen(head, frames, ground_truth=truth)
-            else:
-                run_baseline_smoothed(head, frames, 0.9, ground_truth=truth)

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from oap.errors import ConfigError, DataError, NumericalError
+from oap.errors import DataError, NumericalError
 from oap.head import (
     HIDDEN_UNITS,
     PROB_EPS,
@@ -55,10 +55,6 @@ class TestInit:
         assert np.all(h.b1 == 0.0) and np.all(h.b2 == 0.0)
         assert np.max(np.abs(h.w1)) <= 1.0 / np.sqrt(32)
         assert np.max(np.abs(h.w2)) <= 1.0 / np.sqrt(HIDDEN_UNITS)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ConfigError):
-            init_head(0, seeded_rng(0, "init"))
 
 
 class TestForward:
@@ -112,33 +108,7 @@ class TestForward:
             np.testing.assert_array_equal(v, before[k])
 
 
-# Shapes the batch entry points reject: a single row, a scalar, a stack of
-# matrices and a matrix of the wrong width. Each message names the shape.
-BAD_BATCH_SHAPES = {
-    "row": (8,),
-    "scalar": (),
-    "stack": (2, 3, 8),
-    "wrong width": (4, 9),
-}
-
-
 class TestBatchShapes:
-    @pytest.mark.parametrize("shape", BAD_BATCH_SHAPES.values(), ids=BAD_BATCH_SHAPES.keys())
-    def test_forward_batch_wants_a_matrix(self, shape):
-        h = random_head(8, seed=0)
-        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
-            forward_batch(h, np.ones(shape))
-
-    @pytest.mark.parametrize("shape", BAD_BATCH_SHAPES.values(), ids=BAD_BATCH_SHAPES.keys())
-    def test_pretrain_wants_a_matrix(self, shape):
-        h = random_head(8, seed=0)
-        before = h.flat.copy()
-        labels = np.arange(math.prod(shape[:-1]) if len(shape) > 1 else 1) % 2
-        with pytest.raises(DataError, match=re.escape(f"got {shape}")):
-            pretrain(h, np.ones(shape), labels, PretrainSchedule(iterations=3),
-                     seeded_rng(0, "pretrain"))
-        np.testing.assert_array_equal(h.flat, before)
-
     def test_loss_and_grad_takes_one_row_and_rejects_a_stack(self):
         h = random_head(8, seed=0)
         f = np.linspace(-1.0, 1.0, 8)
@@ -158,16 +128,13 @@ class TestBatchShapes:
         assert ys.tobytes() == np.array([forward(h, f) for f in feats]).tobytes()
 
 
-# Complex features, each at an entry point: numpy casts a complex array to
-# float64 with only a ComplexWarning, dropping the imaginary part.
+# Complex features, each at a row entry point: numpy casts a complex array
+# to float64 with only a ComplexWarning, dropping the imaginary part. The
+# table entry points are ``test_table_contract.py``'s.
 COMPLEX_FEATURES = {
     "forward row": lambda h: forward(h, np.array([1 + 5j] + [0j] * 7)),
     "forward row of complex64": lambda h: forward(h, np.ones(8, dtype=np.complex64)),
     "forward list of complex rows": lambda h: forward(h, [np.full(8, 1 + 5j)] * 3),
-    "forward_batch": lambda h: forward_batch(h, np.full((3, 8), 2 + 0j)),
-    "loss_and_grad": lambda h: loss_and_grad(h, np.full((2, 8), 1j), [0, 1]),
-    "pretrain": lambda h: pretrain(h, np.full((4, 8), 1 + 1j), [0, 1, 0, 1],
-                                   PretrainSchedule(iterations=3), seeded_rng(0, "pretrain")),
 }
 
 
@@ -188,13 +155,6 @@ class TestNonNumericDoors:
         h = random_head(2, seed=0)
         with pytest.raises(DataError, match=r"^non-numeric value in feature input \(text of"):
             forward(h, feature)
-
-    @pytest.mark.parametrize("labels", [["a", "b"], [None, 1], [1 + 2j, 0]],
-                             ids=["strings", "None", "complex"])
-    def test_loss_and_grad_refuses_non_numeric_labels(self, labels):
-        h = random_head(2, seed=0)
-        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
-            loss_and_grad(h, np.ones((2, 2)), labels)
 
 
 class TestLoss:
@@ -225,11 +185,6 @@ class TestLoss:
         h = random_head(4, seed=0)
         with pytest.raises(DataError, match="empty"):
             loss_and_grad(h, np.zeros((0, 4)), [])
-
-    def test_discard_label_rejected(self):
-        h = random_head(4, seed=0)
-        with pytest.raises(DataError, match="0 or 1"):
-            loss_and_grad(h, np.zeros((1, 4)), [-1])
 
 
 class TestGradientOracle:

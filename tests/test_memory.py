@@ -1,15 +1,12 @@
 """Online buffer eviction semantics, replay construction, and the
 weighted two-store batch sampler."""
 
-import math
-
 import numpy as np
 import pytest
 
 import oap.memory
-from oap.config import HyperParams, PseudoLabel
-from oap.errors import ConfigError, DataError
-from oap.head import init_head
+from oap.config import PseudoLabel
+from oap.errors import DataError
 from oap.memory import OnlineBuffer, ReplayStore, sample_batch, subsample_pretraining
 from oap.rng import seeded_rng
 
@@ -114,31 +111,6 @@ class TestOnlineBuffer:
         buf.evict_old(now=2.0)
         assert (len(buf), buffer_columns(buf)[3].shape) == (0, (0, d))
 
-    @pytest.mark.parametrize("d", [0, -1, 2.5, True, "3"])
-    def test_width_outside_the_d_rule_refused(self, d):
-        """A buffer's width is held to the head's ``d`` rule, in its words."""
-        with pytest.raises(ConfigError) as want:
-            init_head(d, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="^d out of range") as got:
-            OnlineBuffer(d, 30, 4.0)
-        assert str(got.value) == str(want.value)
-
-    @pytest.mark.parametrize("key, value", [
-        ("window", 0), ("window", -3), ("window", 2.5), ("window", True), ("window", 2**64),
-        ("eviction_horizon", 0.0), ("eviction_horizon", -1.0), ("eviction_horizon", math.nan),
-        ("eviction_horizon", math.inf), ("eviction_horizon", "4"),
-    ])
-    def test_window_and_horizon_outside_the_ledgers_rules_refused(self, key, value):
-        """A buffer's window and horizon are held to the ledger's rules, in
-        its words, and no buffer is built."""
-        with pytest.raises(ConfigError) as want:
-            HyperParams(**{key: value})
-        settings = {"window": 30, "eviction_horizon": 4.0, key: value}
-        built = None
-        with pytest.raises(ConfigError, match=f"^{key} out of range") as got:
-            built = OnlineBuffer(4, settings["window"], settings["eviction_horizon"])
-        assert str(got.value) == str(want.value) and built is None
-
 
 class TestReplayStore:
     def test_immutable(self):
@@ -153,10 +125,6 @@ class TestReplayStore:
         feats = rng.normal(size=(10, 4))
         store = ReplayStore(feats, rng.integers(0, 2, size=10))
         assert store.fingerprint() == store.fingerprint()
-
-    def test_label_validation(self):
-        with pytest.raises(DataError):
-            ReplayStore(np.zeros((2, 3)), [0, 2])
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -206,33 +174,6 @@ class TestSubsample:
         feats, labels = self.full_set(n=400)
         store = subsample_pretraining(feats, labels, 400, seeded_rng(0, "replay"))
         assert len(np.unique(store.features, axis=0)) == 400
-
-
-# A four-row table with one bad entry: each is refused by the table door
-# (``head.check_features`` and ``head.check_labels``) at both replay entry
-# points. A fraction or a 2 was stored as live or dropped by the draw, a
-# string label was parsed, a complex feature lost its imaginary part with
-# a warning, and the rest escaped as a bare ValueError or OverflowError.
-BAD_TABLES = {
-    "label 0.7": (np.zeros((4, 3)), [0, 1, 0.7, 1]),
-    "label 2": (np.zeros((4, 3)), [0, 1, 2, 1]),
-    "string label": (np.zeros((4, 3)), [0, 1, "1", 1]),
-    "label 2**70": (np.zeros((4, 3)), [0, 1, 2**70, 1]),
-    "complex feature": (np.full((4, 3), 1 + 2j), [0, 1, 0, 1]),
-    "string feature": ([["a", "b", "c"]] * 4, [0, 1, 0, 1]),
-    "feature 10**400": ([[0, 0, 0]] * 3 + [[0, 0, 10**400]], [0, 1, 0, 1]),
-}
-
-
-@pytest.mark.parametrize("case", BAD_TABLES.values(), ids=BAD_TABLES.keys())
-@pytest.mark.parametrize("entry", ["ReplayStore", "subsample_pretraining"])
-def test_replay_entry_points_refuse_what_the_table_door_refuses(entry, case):
-    features, labels = case
-    with pytest.raises(DataError):
-        if entry == "ReplayStore":
-            ReplayStore(features, labels)
-        else:
-            subsample_pretraining(features, labels, 2, seeded_rng(0, "replay"))
 
 
 @pytest.mark.parametrize("d", [1, 3, 700])

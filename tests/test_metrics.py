@@ -129,21 +129,3 @@ class TestReport:
     def test_counts(self):
         report = evaluate_frames([0.1, 0.9, 0.8], [0, 1, 1])
         assert (report.n_live, report.n_spoof) == (1, 2)
-
-
-@pytest.mark.parametrize("metric", [
-    evaluate_frames,
-    lambda scores, labels: fixed_threshold_metrics(scores, labels, 0.5),
-], ids=["evaluate_frames", "fixed_threshold_metrics"])
-@pytest.mark.parametrize("labels", [[0, 1, 2, 0.5], [0, 1, 1, -1], [0, 1, "1", 0], [0, 1, 1, None]],
-                         ids=["2 and 0.5", "-1", "string", "None"])
-def test_labels_other_than_0_or_1_refused(metric, labels):
-    """``[0, 1, 2, 0.5]`` gave n_live=2 and n_spoof=1 for four frames: the
-    2 was dropped and the 0.5 counted as live."""
-    with pytest.raises(DataError, match="^labels must be 0 or 1$"):
-        metric([0.1, 0.9, 0.5, 0.7], labels)
-
-
-def test_one_label_per_score():
-    with pytest.raises(DataError, match="^3 labels for 4 rows: want one label per row$"):
-        evaluate_frames([0.1, 0.9, 0.5, 0.7], [0, 1, 1])

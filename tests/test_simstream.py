@@ -1,7 +1,6 @@
 """Synthetic stream generator and the feature-file exchange format."""
 
 import builtins
-import dataclasses
 import os
 import re
 import struct
@@ -18,7 +17,6 @@ from oap.errors import ConfigError, DataError
 from oap.simstream import (
     FEATURE_ROWS_PER_WRITE,
     HEADER_MAX_BYTES,
-    HELD_OUT_USER_BASE,
     _read_header,
     _read_lines,
     _read_table,
@@ -60,58 +58,10 @@ class TestPretrainingSet:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_rejects_single_user(self):
-        with pytest.raises(ConfigError):
-            generate_pretraining_set(CFG, n_users=1, frames_per_user=10)
-
     def test_classes_are_separated_along_first_axis(self):
         feats, labels = generate_pretraining_set(CFG, 10, 1000)
         gap = feats[labels == 1][:, 0].mean() - feats[labels == 0][:, 0].mean()
         assert gap == pytest.approx(CFG.class_separation, abs=0.5)
-
-
-OUT_OF_RANGE_CHANGES = [
-    ({"d": 0}, "d out of range"),
-    ({"noise_std": 0.0}, "noise_std out of range: 0.0"),
-    ({"class_separation": -1.0}, "class_separation out of range: -1.0"),
-    ({"drift_rate": float("nan")}, "drift_rate out of range: nan"),
-    ({"drift_rate": float("-inf")}, "drift_rate out of range: -inf"),
-    ({"user_shift_scale": float("inf")}, "user_shift_scale out of range: inf"),
-    ({"class_separation": float("inf")}, "class_separation out of range: inf"),
-    ({"noise_std": float("inf")}, "noise_std out of range: inf"),
-    ({"noise_std": float("nan")}, "noise_std out of range: nan"),
-    ({"seed": -1}, "seed out of range: -1"),
-    ({"seed": 2**64}, "seed out of range: 18446744073709551616"),
-]
-
-
-@pytest.mark.parametrize("change,message", OUT_OF_RANGE_CHANGES)
-@pytest.mark.parametrize("build", [
-    lambda change: GeneratorConfig(**change),
-    lambda change: dataclasses.replace(CFG, **change),
-    lambda change: from_mapping(CFG, {key: str(value) for key, value in change.items()}),
-], ids=["constructor", "replace", "from_mapping"])
-def test_generator_config_checks_its_ranges_however_built(build, change, message):
-    """A GeneratorConfig checks its ranges however it is built (the CLI
-    builds one with ``from_mapping``), so neither generator is ever handed
-    one that is out of range."""
-    with pytest.raises(ConfigError, match=message):
-        build(change)
-
-
-@pytest.mark.parametrize("build", [
-    lambda user_id: StreamScenario((Segment(ClassLabel.LIVE, 3),), user_id=user_id),
-    lambda user_id: dataclasses.replace(StreamScenario((Segment(ClassLabel.LIVE, 3),)),
-                                        user_id=user_id),
-    lambda user_id: scenario_from_mapping({"segments": "live:3", "user_id": str(user_id)}),
-], ids=["constructor", "replace", "from_mapping"])
-@pytest.mark.parametrize("user_id", [-1, -999_997, -HELD_OUT_USER_BASE])
-def test_scenario_refuses_a_negative_user_id(build, user_id):
-    """A negative ``user_id`` would number the stream's user below
-    ``HELD_OUT_USER_BASE``, among the pre-training users (-999997 is
-    pre-training user 3), so it is refused however the scenario is built."""
-    with pytest.raises(ConfigError, match=f"user_id out of range: {user_id} "):
-        build(user_id)
 
 
 @st.composite
@@ -361,32 +311,6 @@ class TestFeatureFiles:
         np.testing.assert_array_equal(data.features, feats)
         assert data.labels is None
 
-    def test_mixed_dimension_row_named(self, tmp_path):
-        path = tmp_path / "bad.oapf"
-        path.write_text(
-            "oapf v1 d=3 labeled=0 fps=30.0\n"
-            "1,0.0,1.0,2.0,3.0\n"
-            "2,0.033,1.0,2.0\n"
-        )
-        with pytest.raises(DataError, match=":3"):
-            load_feature_file(path)
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.oapf"
-        path.write_text("featfile d=3\n")
-        with pytest.raises(DataError, match="header"):
-            load_feature_file(path)
-
-    def test_non_finite_rejected_on_load(self, tmp_path):
-        path = tmp_path / "bad.oapf"
-        path.write_text("oapf v1 d=2 labeled=0 fps=30.0\n1,0.0,inf,1.0\n")
-        with pytest.raises(DataError, match="non-finite"):
-            load_feature_file(path)
-
-    def test_save_wants_a_feature_column(self, tmp_path):
-        with pytest.raises(DataError, match="at least one column"):
-            save_feature_file(tmp_path / "s.oapf", np.zeros((3, 0)), [1, 2, 3], [0.0, 0.1, 0.2])
-
     @pytest.mark.parametrize("short", ["frame_indices", "times", "labels"])
     def test_save_wants_one_entry_per_row(self, tmp_path, short):
         columns = {"frame_indices": [1, 2, 3], "times": [0.0, 0.1, 0.2], "labels": [0, 1, 0]}
@@ -416,6 +340,7 @@ GOOD_ROW = "1,0.0,0,0.5,-1.5"
 MALFORMED_FILES = {
     "short row": (["1,0.0,0,0.5"], "expected 5 columns, got 4", 2),
     "long row": ([GOOD_ROW, "2,0.1,0,0.5,1.0,2.0"], "expected 5 columns, got 6", 3),
+    "mixed width row": ([GOOD_ROW, "2,0.1,0,0.5"], "expected 5 columns, got 4", 3),
     "bad index": (["x,0.0,0,0.5,1.0"], "unparseable value", 2),
     "float index": (["1.0,0.0,0,0.5,1.0"], "unparseable value", 2),
     "bad time": (["1,t,0,0.5,1.0"], "unparseable value", 2),
@@ -466,11 +391,12 @@ MALFORMED_FILES = {
     ),
 }
 
-# Header lines that do not load: an fps that is not finite and > 0, the
-# rule StreamScenario applies to frame_rate, and a d below 1, the rule of
-# load_head and GeneratorConfig, or above what numpy can shape as one
-# float64 row.
+# Header lines that do not load: one that is not an ``oapf`` header, an
+# fps that is not finite and > 0, the rule StreamScenario applies to
+# frame_rate, and a d below 1, the rule of load_head and GeneratorConfig, or
+# above what numpy can shape as one float64 row.
 MALFORMED_HEADERS = {
+    "no oapf": "featfile d=3",
     "d zero": "oapf v1 d=0 labeled=1 fps=30.0",
     "d negative": "oapf v1 d=-2 labeled=1 fps=30.0",
     "d beyond int64": "oapf v1 d=9999999999999999999 labeled=1 fps=30.0",
@@ -675,6 +601,7 @@ PIPED_BODIES = {
     "1_000": f"{HEADER}\n{GOOD_ROW}\n1_000,0.1,1,2.0,3.0\n".encode(),
     "short row": f"{HEADER}\n{GOOD_ROW}\n   \n2,0.1\n".encode(),
     "undecodable byte": f"{HEADER}\n{GOOD_ROW}\n   \n".encode() + b"\xff\n",
+    "short row then bad byte": SHORT_ROW_THEN_BAD_BYTE,
 }
 
 
@@ -753,10 +680,6 @@ class TestScenarioParsing:
     def test_explicit_source(self):
         segs = parse_segments("spoof:100:7")
         assert segs[0].source_id == 7
-
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ConfigError, match="duration"):
-            parse_segments("live:0")
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):

@@ -5,11 +5,13 @@ CLI and the three runners. The stream door checks a whole ``StreamFrames``
 of int64 and float64 columns by column before a frame runs, and the
 runners refuse any other stream before it too. The stream door refuses the
 frame the scalar door refuses first, in the same words, and the words are
-spelled in one module only. A runner
-refuses the whole stream, and each prefix that holds the refused frame,
-and takes the prefix before it. Every runner's trace takes its frame
-indices from its stream, so they read back from a trace file, and is the
-same trace whichever layout of the columns it reads."""
+spelled in one module only. A runner refuses an empty stream first, then
+a ground truth of another length, then the first bad frame, whichever
+block of the fold it falls in. It refuses the whole stream and each prefix
+that holds the refused frame, and takes the prefix before it. Every
+runner's trace takes its frame indices from its stream, so they read back
+from a trace file, and is the same trace whichever layout of the columns
+it reads."""
 
 import ast
 import math
@@ -29,7 +31,7 @@ from oap.memory import ReplayStore, first_bad_frame
 from oap.presets import desk_params
 from oap.simstream import StreamFrames
 
-from oracles import engine_state, message_texts, spelled_in
+from oracles import engine_state, message_texts, record_strided, refusal, spelled_in
 
 D = 2
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -37,10 +39,10 @@ HEAD = init_head(D, np.random.default_rng(0))
 EMPTY_REPLAY = ReplayStore(np.zeros((0, D)), np.zeros(0, dtype=np.int64))
 FAULTS = ("nan time", "inf time", "repeated index", "index going back", "time going back")
 FEATURE_FAULTS = ("nan", "inf", "-inf")
-BASELINES = {"frozen": lambda frames: run_baseline_frozen(HEAD, frames),
-             "ema": lambda frames: run_baseline_smoothed(HEAD, frames, 0.9)}
-RUNNERS = {"engine": lambda frames: Engine(HEAD, EMPTY_REPLAY, desk_params(
-    margin=0.5, finetune_freq=0.5)).run_stream(frames), **BASELINES}
+BASELINES = {"frozen": lambda frames, **truth: run_baseline_frozen(HEAD, frames, **truth),
+             "ema": lambda frames, **truth: run_baseline_smoothed(HEAD, frames, 0.9, **truth)}
+RUNNERS = {"engine": lambda frames, **truth: Engine(HEAD, EMPTY_REPLAY, desk_params(
+    margin=0.5, finetune_freq=0.5)).run_stream(frames, **truth), **BASELINES}
 
 
 @st.composite
@@ -49,7 +51,7 @@ def columns(draw):
     three planted faults, two of which may hit one row and any of which
     may hit row 0 (where only a non-finite time can break the contract),
     and a feature per row, with zero to two non-finite values planted; now
-    and then every row is one wider than the head."""
+    and then every row is one wider or narrower than the head."""
     n = draw(st.integers(1, 30))
     start = draw(st.integers(INT64_MIN, INT64_MAX - 10 * n))
     indices = [start]
@@ -73,7 +75,7 @@ def columns(draw):
             indices[k] = max(indices[k - 1] - draw(st.integers(1, 5)), INT64_MIN)
         else:
             times[k] = times[k - 1] - draw(st.sampled_from([1e-3, 0.5, 100.0]))
-    width = draw(st.sampled_from([D, D, D, D + 1]))
+    width = draw(st.sampled_from([D, D, D, D - 1, D + 1]))
     features = [np.full(width, 0.25 * k) for k in range(n)]
     for fault, k in draw(st.lists(st.tuples(st.sampled_from(FEATURE_FAULTS), rows), max_size=2)):
         features[k][draw(st.integers(0, width - 1))] = float(fault)
@@ -119,8 +121,11 @@ def int64s(*values):
 @example(cols=(int64s(3, 3), np.array([0.0, math.nan]), [np.zeros(D)] * 2))  # two faults on one row
 @example(cols=(int64s(1, 2, 3), np.array([0.0, 1.0, 0.5]),
                [np.zeros(D), np.array([0.0, math.inf]), np.zeros(D)]))  # a bad row, then an order fault
+@example(cols=(int64s(1, 1), np.array([0.0, 1.0]),
+               [np.zeros(D), np.array([math.nan, 0.0])]))  # an order fault on a bad row
 @example(cols=(int64s(1, 2), np.array([math.nan, 1.0]), [np.zeros(D + 1)] * 2))  # a wide row's time
 @example(cols=(int64s(1, 2), np.array([0.0, 1.0]), [np.zeros(D + 1)] * 2))  # a wide first row
+@example(cols=(int64s(1, 2), np.array([0.0, 1.0]), [np.zeros(D - 1)] * 2))  # a narrow first row
 def test_block_door_refuses_what_the_scalar_doors_refuse_first(cols):
     indices, times, features = cols
     feature = np.zeros(D)
@@ -156,25 +161,45 @@ def test_no_runner_warns_before_it_refuses_an_inf_feature(runner):
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-def test_every_runner_refuses_the_first_of_two_faults(runner):
-    """Six frames, a NaN feature in the third and a time going back in the
-    fifth: every runner raises the third frame's error."""
-    features = np.zeros((6, D))
-    features[2, 0] = np.nan
-    times = np.arange(6.0)
-    times[4] = -1.0
-    frames = StreamFrames(features, np.arange(6), times)
-    with pytest.raises(DataError, match="^non-finite value in feature input$"):
-        RUNNERS[runner](frames)
+def test_every_runner_refuses_an_empty_stream_then_a_ground_truth_of_another_length(runner):
+    """Before any frame: an empty stream first, whatever its ground truth,
+    then a ground truth of the wrong length, whatever the frames hold."""
+    empty = StreamFrames(np.zeros((0, D)), int64s(), np.zeros(0))
+    assert refusal(lambda: RUNNERS[runner](empty, ground_truth=[0, 1])) == "empty stream"
+    nan_rows = StreamFrames(np.full((4, D), np.nan), int64s(1, 2, 3, 4), np.zeros(4))
+    assert refusal(lambda: RUNNERS[runner](nan_rows, ground_truth=[0] * 3)) == (
+        "3 labels for 4 rows: want one label per row")
 
 
-def record_strided(features, indices, times):
-    """The columns as the feature-file reader holds them: ``<i8`` and
-    ``<f8`` fields of one record table, each row a record apart."""
-    table = np.empty(len(indices), dtype=[("index", "<i8"), ("time", "<f8"),
-                                          ("features", "<f8", (features.shape[1],))])
-    table["index"], table["time"], table["features"] = indices, times, features
-    return table["features"], table["index"], table["time"]
+# Two faults, the first at row ``at`` and the second two rows on, and the
+# words of the first, where frame k has index k + 1 and time k.
+TWO_FAULTS = {
+    "nan before time": ("nan", "time going back", lambda at: "non-finite value in feature input"),
+    "time before nan": ("time going back", "nan",
+                        lambda at: f"frame time -1.0 precedes the last frame's {at - 1.0}"),
+    "index before nan": ("repeated index", "nan",
+                         lambda at: f"frame index {at} does not follow the last frame's {at}"),
+    "inf before index": ("inf", "repeated index", lambda at: "non-finite value in feature input"),
+}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("at", [2, SCORE_ROWS_PER_CALL + 2], ids=["first block", "second block"])
+@pytest.mark.parametrize("case", TWO_FAULTS)
+def test_every_runner_refuses_the_first_of_two_faults(runner, at, case):
+    """Whichever block of the fold the first fault falls in, every runner
+    raises its frame's error."""
+    first, second, words = TWO_FAULTS[case]
+    n = at + 5
+    features, indices, times = np.zeros((n, D)), np.arange(1, n + 1), np.arange(n, dtype=float)
+    for fault, k in ((first, at), (second, at + 2)):
+        if fault in ("nan", "inf"):
+            features[k, 1] = float(fault)
+        elif fault == "time going back":
+            times[k] = -1.0
+        else:
+            indices[k] = indices[k - 1]
+    assert refusal(lambda: RUNNERS[runner](StreamFrames(features, indices, times))) == words(at)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,6 +235,7 @@ OTHER_FORMS = {
     "float32 features": lambda f, i, t: StreamFrames(f.astype(np.float32), i, t),
     "object features": lambda f, i, t: StreamFrames(f.astype(object), i, t),
     "1-D features": lambda f, i, t: StreamFrames(f[:, 0], i, t),
+    "3-D features": lambda f, i, t: StreamFrames(f[:, None], i, t),
     "list columns": lambda f, i, t: StreamFrames(f.tolist(), i.tolist(), t.tolist()),
 }
 

@@ -1,7 +1,6 @@
 """Streams held as their arrays, frames made on read, and whole sets scored
 in fixed blocks: what a list of frames gave, at a bounded memory cost."""
 
-import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +26,8 @@ from oap.simstream import (
     load_feature_file,
     save_feature_file,
 )
+
+from oracles import record_strided
 
 
 def columns(n, d, seed=0):
@@ -193,15 +194,6 @@ def test_the_engine_stacks_frames_by_the_heads_block():
     assert oap.engine.SCORE_ROWS_PER_CALL is SCORE_ROWS_PER_CALL
 
 
-def record_strided(features, indices, times):
-    """The columns as views of one structured table, laid out as the
-    feature-file reader's: rows of a column are a record apart."""
-    n, d = features.shape
-    table = np.empty(n, dtype=[("index", "<i8"), ("time", "<f8"), ("features", "<f8", (d,))])
-    table["index"], table["time"], table["features"] = indices, times, features
-    return table["features"], table["index"], table["time"]
-
-
 @pytest.mark.parametrize("n", [5, SCORE_ROWS_PER_CALL + 3])
 @pytest.mark.parametrize("layout", ["contiguous", "record-strided"])
 @pytest.mark.parametrize("momentum", [0.0, 0.7])
@@ -225,19 +217,3 @@ def test_baselines_read_the_columns_with_the_bits_of_each_frame(n, layout, momen
     assert list(got.columns.frame_index) == cols[1].tolist()
     assert list(got.columns.ground_truth) == truth.tolist()
     assert [type(v) for v in got[-1]] == [int, int, float, int, type(None), bool, int, float]
-
-
-@pytest.mark.parametrize("at", [3, SCORE_ROWS_PER_CALL + 3])
-@pytest.mark.parametrize("d", [8, 9], ids=["nan row", "head of another width"])
-def test_baselines_name_a_bad_row_of_the_columns_as_of_its_frame(at, d):
-    """A bad block of columns raises the DataError that scoring its frames
-    one at a time raises."""
-    head = init_head(d, seeded_rng(3, "init"))
-    cols = columns(SCORE_ROWS_PER_CALL + 9, 8)
-    cols[0][at, 2] = np.nan
-    frames = StreamFrames(*cols)
-    with pytest.raises(DataError) as want:
-        for frame in frames:
-            forward(head, frame.feature)
-    with pytest.raises(DataError, match=f"^{re.escape(str(want.value))}$"):
-        oap.engine.run_baseline_frozen(head, frames)

@@ -3,9 +3,10 @@
 real numbers, d >= 1, the head's d where a head is given) and
 ``check_labels`` the labels rule (one label per row, each a real number
 equal to 0 or 1). Every entry point that takes a table refuses what the
-door refuses, in the door's words, and the words are spelled in one
-module only. The ground truth of the stream runners and the ground truth
-and decision columns of a trace file keep the labels rule too."""
+door refuses, in the door's words, and leaves the head it was given as
+it was; the words are spelled in one module only. ``smooth_labels``, the
+ground truth of the stream runners and the ground truth and decision
+columns of a trace file keep the labels rule too."""
 
 import ast
 import os
@@ -15,27 +16,21 @@ import pytest
 
 from oap.engine import Engine, read_trace_csv, run_baseline_frozen, run_baseline_smoothed
 from oap.engine import write_trace_csv
-from oap.errors import DataError
 from oap.head import PretrainSchedule, check_features, check_labels, forward_batch, init_head
 from oap.head import loss_and_grad, pretrain
 from oap.memory import ReplayStore, subsample_pretraining
 from oap.metrics import evaluate_frames, fixed_threshold_metrics
 from oap.presets import desk_params
+from oap.pseudolabel import smooth_labels
 from oap.rng import seeded_rng
 from oap.simstream import StreamFrame, StreamFrames, save_feature_file
 
-from oracles import SOURCES, spelled_in, stream_of
+from oracles import SOURCES, refusal, spelled_in, stream_of
 
 D = 3
 HEAD = init_head(D, np.random.default_rng(0))
 GOOD_FEATURES = np.arange(4.0 * D).reshape(4, D)
 GOOD_LABELS = [0, 1, 0, 1]
-
-
-def refusal(call) -> str:
-    with pytest.raises(DataError) as info:
-        call()
-    return str(info.value)
 
 
 def nan_at(row: int) -> np.ndarray:
@@ -50,6 +45,7 @@ BAD_FEATURES = {
     "nan": nan_at(3),
     "inf": np.where(GOOD_FEATURES == 5.0, -np.inf, GOOD_FEATURES),
     "one row": GOOD_FEATURES[0],
+    "scalar": np.float64(0.5),
     "three axes": GOOD_FEATURES[None],
     "no column": np.zeros((4, 0)),
     "complex": GOOD_FEATURES + 1j,
@@ -58,20 +54,29 @@ BAD_FEATURES = {
     "10**400": [[0] * D] * 3 + [[0, 0, 10**400]],
 }
 
-# Entry points that take a feature table with good labels, and whether
-# the table's width must be the head's.
+# Entry points that take a feature table with good labels and a copy of
+# HEAD, and whether the table's width must be the head's.
 FEATURE_DOORS = {
-    "forward_batch": (True, lambda f: forward_batch(HEAD, f)),
-    "loss_and_grad": (True, lambda f: loss_and_grad(HEAD, f, GOOD_LABELS)),
-    "pretrain": (True, lambda f: pretrain(HEAD.copy(), f, GOOD_LABELS, PretrainSchedule(),
-                                          seeded_rng(0, "pretrain"))),
-    "ReplayStore": (False, lambda f: ReplayStore(f, GOOD_LABELS)),
-    # The draw goes by the labels, one a row, and takes every row here.
-    "subsample_pretraining": (False, lambda f: subsample_pretraining(
-        f, GOOD_LABELS[:len(f)], len(f), seeded_rng(0, "replay"))),
-    "save_feature_file": (False, lambda f: save_feature_file(
+    "forward_batch": (True, forward_batch),
+    "loss_and_grad": (True, lambda h, f: loss_and_grad(h, f, GOOD_LABELS)),
+    "pretrain": (True, lambda h, f: pretrain(h, f, GOOD_LABELS, PretrainSchedule(),
+                                             seeded_rng(0, "pretrain"))),
+    "ReplayStore": (False, lambda h, f: ReplayStore(f, GOOD_LABELS)),
+    # Every bad table of two axes has four rows, and the draw takes them all.
+    "subsample_pretraining": (False, lambda h, f: subsample_pretraining(
+        f, GOOD_LABELS, 4, seeded_rng(0, "replay"))),
+    "save_feature_file": (False, lambda h, f: save_feature_file(
         os.devnull, f, range(1, 5), [0.0] * 4, GOOD_LABELS)),
 }
+
+
+def refused_by_head_door(entry, features) -> str:
+    """The words ``entry`` refuses ``features`` in, given a copy of HEAD
+    that must be left as it was."""
+    head = HEAD.copy()
+    words = refusal(lambda: FEATURE_DOORS[entry][1](head, features))
+    assert head.flat.tobytes() == HEAD.flat.tobytes()
+    return words
 
 
 # ``loss_and_grad`` takes one (d,) row as a batch of one.
@@ -80,16 +85,14 @@ FEATURE_DOORS = {
     if (case, entry) != ("one row", "loss_and_grad")
 ])
 def test_every_table_entry_point_refuses_bad_features_in_the_door_words(case, entry):
-    head_width, call = FEATURE_DOORS[entry]
     features = BAD_FEATURES[case]
-    want = refusal(lambda: check_features(features, D if head_width else None))
-    assert refusal(lambda: call(features)) == want
+    want = refusal(lambda: check_features(features, D if FEATURE_DOORS[entry][0] else None))
+    assert refused_by_head_door(entry, features) == want
 
 
 @pytest.mark.parametrize("entry", ["forward_batch", "loss_and_grad", "pretrain"])
 def test_a_head_entry_point_refuses_another_width(entry):
-    _, call = FEATURE_DOORS[entry]
-    assert refusal(lambda: call(np.zeros((4, D + 1)))) == (
+    assert refused_by_head_door(entry, np.zeros((4, D + 1))) == (
         f"feature table must have shape (n, {D}), got (4, {D + 1})"
     )
 
@@ -128,6 +131,7 @@ LABEL_DOORS = {
                                                              seeded_rng(0, "replay")),
     "evaluate_frames": lambda y: evaluate_frames(SCORES, y),
     "fixed_threshold_metrics": lambda y: fixed_threshold_metrics(SCORES, y, 0.5),
+    "smooth_labels": lambda y: smooth_labels([1, 2, 4, 8], y, 3),
     **{name: lambda y, run=run: run(FRAMES, y) for name, run in RUNNERS.items()},
 }
 
@@ -144,6 +148,8 @@ def test_the_door_words():
         "feature table must have shape (n, d) with at least one column, got (2, 0)"
     )
     assert refusal(lambda: check_features(nan_at(0))) == "non-finite value in feature input"
+    assert refusal(lambda: check_features(GOOD_FEATURES + 1j)).startswith(
+        "non-numeric value in feature input (")
     assert refusal(lambda: check_labels([0.5], 1)) == "labels must be 0 or 1"
     assert refusal(lambda: check_labels([0, 1], 3)) == "2 labels for 3 rows: want one label per row"
 
